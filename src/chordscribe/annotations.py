@@ -235,6 +235,10 @@ KEY_LABELS = tuple(key_label(k) for k in range(24))
 
 BASS_LABELS = PITCH_NAMES + ("N",)
 
+# Sizes of the key and bass state spaces, shared by training and decoding.
+N_KEYS = len(KEY_LABELS)
+N_BASS = len(BASS_LABELS)
+
 
 def transpose_key(state: int, semitones: int) -> int:
     if state < 0:
@@ -265,8 +269,8 @@ _MIN_LIKE = {"min", "min7", "dim"}
 @dataclass(frozen=True)
 class Alphabet:
     """Chord state space: either 25 (12 maj + 12 min + N) or 121 states
-    (10 quality/inversion blocks x 12 roots + N). The key list is always
-    the 24 major/minor keys and the bass list the 13 bass states."""
+    (10 quality/inversion blocks x 12 roots + N). Keys (N_KEYS) and basses
+    (N_BASS) do not depend on the alphabet."""
 
     kind: str
 
@@ -281,14 +285,6 @@ class Alphabet:
     @property
     def no_chord(self) -> int:
         return self.size - 1
-
-    @property
-    def n_keys(self) -> int:
-        return 24
-
-    @property
-    def n_bass(self) -> int:
-        return 13
 
     def index_of(self, c: ChordSymbol) -> int:
         """Map a chord symbol into this alphabet (total on all parseable
@@ -323,12 +319,6 @@ class Alphabet:
 
 def make_alphabet(kind: str) -> Alphabet:
     return Alphabet(kind)
-
-
-def map_to_alphabet(c: ChordSymbol, a: Alphabet) -> int:
-    """Chord state index of a symbol in an alphabet (function spelling of
-    Alphabet.index_of)."""
-    return a.index_of(c)
 
 
 # --- interval label files -----------------------------------------------------

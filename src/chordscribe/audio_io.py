@@ -8,7 +8,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 
 class AudioError(Exception):
@@ -42,6 +41,8 @@ class AudioBuffer:
             raise ValueError(f"sample rate must be a positive integer, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)
         peak = float(np.max(np.abs(self.samples)))
+        if not math.isfinite(peak):  # a NaN or inf sample propagates into the peak
+            raise ValueError("audio samples must be finite")
         if peak > 1.0 + 1e-6:
             raise ValueError(f"sample magnitudes exceed 1 (peak {peak:.6g})")
 
@@ -138,6 +139,10 @@ def resample(buf: AudioBuffer, target_sr: int) -> AudioBuffer:
     target_sr = int(target_sr)
     if target_sr == buf.sample_rate:
         return buf
+    # Imported here: scipy.signal is most of the package's import time, and
+    # processes that only decode never resample.
+    from scipy.signal import resample_poly
+
     g = math.gcd(buf.sample_rate, target_sr)
     up, down = target_sr // g, buf.sample_rate // g
     out = resample_poly(buf.samples, up, down, window=_resample_taps(up, down))

@@ -105,6 +105,12 @@ class SpectralMatrix:
         return self.starts.size
 
 
+def _nonfinite_frames(values, starts, ends) -> np.ndarray:
+    """Indices of frames with a NaN or infinite value or time."""
+    ok = np.isfinite(values).all(axis=0) & np.isfinite(starts) & np.isfinite(ends)
+    return np.flatnonzero(~ok)
+
+
 @dataclass
 class Chromagram:
     """12 x T matrix of normalized pitch-class values in [0, 1]."""
@@ -124,6 +130,9 @@ class Chromagram:
             raise ValueError("frame count mismatch")
         if self.band not in ("bass", "treble"):
             raise ValueError(f"band must be 'bass' or 'treble', got {self.band!r}")
+        bad = _nonfinite_frames(self.values, self.starts, self.ends)
+        if bad.size:
+            raise ValueError(f"chromagram frame {bad[0]} holds a non-finite value")
         if self.values.size and (self.values.min() < -1e-9 or self.values.max() > 1.0 + 1e-9):
             raise ValueError("chromagram entries must lie in [0, 1]")
 
@@ -351,7 +360,7 @@ def read_chromagram(path) -> Chromagram:
         if len(header) != 2:
             raise ValueError(f"{path}: bad chromagram header")
         band, n_frames = header[0], int(header[1])
-        starts, ends, cols = [], [], []
+        starts, ends, cols, linenos = [], [], [], []
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -361,10 +370,15 @@ def read_chromagram(path) -> Chromagram:
             starts.append(float(fields[0]))
             ends.append(float(fields[1]))
             cols.append([float(v) for v in fields[2:]])
+            linenos.append(lineno)
     if len(cols) != n_frames:
         raise ValueError(f"{path}: header says {n_frames} frames, file has {len(cols)}")
     values = np.array(cols).T if cols else np.zeros((12, 0))
-    return Chromagram(values, np.array(starts), np.array(ends), band)
+    starts, ends = np.array(starts), np.array(ends)
+    bad = _nonfinite_frames(values, starts, ends)
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value in chromagram row")
+    return Chromagram(values, starts, ends, band)
 
 
 def read_beats(path) -> np.ndarray:

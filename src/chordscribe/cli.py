@@ -11,6 +11,8 @@ occurred.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
 import time
@@ -28,6 +30,7 @@ from .annotations import (
     derive_bass,
     beat_sync_labels,
     make_alphabet,
+    make_intervals,
     merge_intervals,
     most_prevalent_labels,
     parse_chord_symbol,
@@ -156,16 +159,36 @@ def _out_dir(cfg: RunConfig) -> Path:
     return p
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _atomic_write_via(path: Path, writer, payload) -> None:
+    """writer(tmp_path, payload), then rename over path; text goes through
+    Path.write_text."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     writer(tmp, payload)
     os.replace(tmp, path)
+
+
+def _run_per_song(fn, jobs: list[tuple], workers: int, report) -> int:
+    """Run fn(job) for every job, a tuple whose first item is the song
+    stem, and hand each result to report in job order: in this process, or
+    in one pool of `workers` processes when workers > 1. A job that raises
+    is reported on stderr under its stem instead. Returns the number of
+    failed jobs."""
+    failures = 0
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            outcomes = [pool.submit(fn, job).result for job in jobs]
+        else:
+            outcomes = [functools.partial(fn, job) for job in jobs]
+        for job, outcome in zip(jobs, outcomes):
+            try:
+                result = outcome()
+            except Exception as exc:
+                failures += 1
+                print(f"error: {job[0]}: {exc}", file=sys.stderr)
+            else:
+                report(result)
+    return failures
 
 
 def _stems(directory: Path, suffix: str) -> list[str]:
@@ -188,7 +211,7 @@ def _beats_for(cfg: RunConfig, stem: str, duration: float) -> np.ndarray:
 
 
 def _chroma_one(job):
-    cfg, stem, wav_path, out_dir = job
+    stem, cfg, wav_path, out_dir = job
     buf = audio_io.load_wav(wav_path)
     buf = audio_io.resample(buf, cfg.sample_rate)
     cents = chroma_mod.estimate_tuning(buf)
@@ -204,7 +227,7 @@ def _chroma_one(job):
         ch = chroma_mod.compute_chromagram(buf, band_cfg, band)
         ch = chroma_mod.beat_sync_median(ch, beats)
         _atomic_write_via(out_dir / f"{stem}.{band}.chroma", chroma_mod.write_chromagram, ch)
-    _atomic_write_text(out_dir / f"{stem}.tuning.txt", f"{cents}\n")
+    _atomic_write_via(out_dir / f"{stem}.tuning.txt", Path.write_text, f"{cents}\n")
     return stem
 
 
@@ -216,26 +239,8 @@ def cmd_chroma(cfg: RunConfig) -> int:
     if not stems:
         print(f"error: no .wav files in {audio_dir}", file=sys.stderr)
         return 1
-    jobs = [(cfg, stem, audio_dir / f"{stem}.wav", out_dir) for stem in stems]
-    failures = 0
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {pool.submit(_chroma_one, job): job[1] for job in jobs}
-            for fut, stem in futures.items():
-                try:
-                    fut.result()
-                    print(f"chroma: {stem}")
-                except Exception as exc:
-                    failures += 1
-                    print(f"error: {stem}: {exc}", file=sys.stderr)
-    else:
-        for job in jobs:
-            try:
-                _chroma_one(job)
-                print(f"chroma: {job[1]}")
-            except Exception as exc:
-                failures += 1
-                print(f"error: {job[1]}: {exc}", file=sys.stderr)
+    jobs = [(stem, cfg, audio_dir / f"{stem}.wav", out_dir) for stem in stems]
+    failures = _run_per_song(_chroma_one, jobs, cfg.jobs, lambda stem: print(f"chroma: {stem}"))
     return 1 if failures else 0
 
 
@@ -286,8 +291,9 @@ def cmd_train(cfg: RunConfig) -> int:
     model_path = Path(cfg.model_path)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_via(model_path, lambda p, m: save_model(m, p), model)
-    _atomic_write_text(model_path.with_suffix(".train_songs.txt"), "".join(s + "\n" for s in train_stems))
-    _atomic_write_text(model_path.with_suffix(".test_songs.txt"), "".join(s + "\n" for s in test_stems))
+    for split, split_stems in (("train", train_stems), ("test", test_stems)):
+        manifest = "".join(s + "\n" for s in split_stems)
+        _atomic_write_via(model_path.with_suffix(f".{split}_songs.txt"), Path.write_text, manifest)
     print(f"trained on {len(dataset)} songs -> {model_path}")
     for warning in model.train_warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -308,7 +314,7 @@ def _write_decode_labels(out_dir: Path, stem: str, path, alphabet, starts, ends)
 
 
 def _decode_one(job):
-    model, constraints, stem, chroma_dir, out_dir, alphabet = job
+    stem, model, constraints, chroma_dir, out_dir = job
     t0 = time.perf_counter()
     treble = chroma_mod.read_chromagram(chroma_dir / f"{stem}.treble.chroma")
     bass = chroma_mod.read_chromagram(chroma_dir / f"{stem}.bass.chroma")
@@ -316,8 +322,9 @@ def _decode_one(job):
     t0 = time.perf_counter()
     path = viterbi_joint(model, constraints, treble, bass)
     t_decode = time.perf_counter() - t0
-    _write_decode_labels(out_dir, stem, path, alphabet, treble.starts, treble.ends)
-    return stem, treble.n_frames, t_feature, t_decode, path.expanded_transitions, path.log_prob
+    _write_decode_labels(out_dir, stem, path, model.alphabet, treble.starts, treble.ends)
+    n_expanded = path.expanded_transitions
+    return constraints, stem, treble.n_frames, t_feature, t_decode, n_expanded, path.log_prob
 
 
 def cmd_decode(cfg: RunConfig) -> int:
@@ -326,44 +333,32 @@ def cmd_decode(cfg: RunConfig) -> int:
         raise SystemExit(f"error: model file not found: {cfg.model_path}")
     out_root = _out_dir(cfg)
     model = load_model(cfg.model_path)
-    alphabet = model.alphabet
     stems = _stems(chroma_dir, ".treble.chroma")
     if not stems:
         print(f"error: no chroma files in {chroma_dir}", file=sys.stderr)
         return 1
 
-    settings = [(g, t) for g in cfg.gammas for t in cfg.taus]
-    sweep = len(settings) > 1
+    settings = [Constraints(gamma=g, tau=t, cac=cfg.cac) for g in cfg.gammas for t in cfg.taus]
+    jobs = []
+    for constraints in settings:
+        out_dir = out_root
+        if len(settings) > 1:
+            out_dir = out_root / f"g{constraints.gamma}_t{constraints.tau}"
+            out_dir.mkdir(parents=True, exist_ok=True)
+        jobs += [(stem, model, constraints, chroma_dir, out_dir) for stem in stems]
+
     timing_rows = ["gamma,tau,song,frames,feature_s,decode_s,transitions,log_prob"]
-    failures = 0
-    for gamma, tau in settings:
-        constraints = Constraints(gamma=gamma, tau=tau, cac=cfg.cac)
-        out_dir = out_root / f"g{gamma}_t{tau}" if sweep else out_root
-        out_dir.mkdir(parents=True, exist_ok=True)
-        jobs = [(model, constraints, stem, chroma_dir, out_dir, alphabet) for stem in stems]
-        results = []
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = {pool.submit(_decode_one, job): job[2] for job in jobs}
-                for fut, stem in futures.items():
-                    try:
-                        results.append(fut.result())
-                    except Exception as exc:
-                        failures += 1
-                        print(f"error: {stem}: {exc}", file=sys.stderr)
-        else:
-            for job in jobs:
-                try:
-                    results.append(_decode_one(job))
-                except Exception as exc:
-                    failures += 1
-                    print(f"error: {job[2]}: {exc}", file=sys.stderr)
-        for stem, frames, t_feat, t_dec, expanded, lp in sorted(results):
-            timing_rows.append(
-                f"{gamma},{tau},{stem},{frames},{t_feat:.4f},{t_dec:.4f},{expanded},{lp:.4f}"
-            )
-            print(f"decode[g={gamma} t={tau}]: {stem} ({t_dec:.2f}s, {expanded} transitions)")
-    _atomic_write_text(out_root / "timing.csv", "\n".join(timing_rows) + "\n")
+
+    def report(result):
+        constraints, stem, frames, t_feat, t_dec, expanded, lp = result
+        gamma, tau = constraints.gamma, constraints.tau
+        timing_rows.append(
+            f"{gamma},{tau},{stem},{frames},{t_feat:.4f},{t_dec:.4f},{expanded},{lp:.4f}"
+        )
+        print(f"decode[g={gamma} t={tau}]: {stem} ({t_dec:.2f}s, {expanded} transitions)")
+
+    failures = _run_per_song(_decode_one, jobs, cfg.jobs, report)
+    _atomic_write_via(out_root / "timing.csv", Path.write_text, "\n".join(timing_rows) + "\n")
     return 1 if failures else 0
 
 
@@ -407,7 +402,7 @@ def _song_metrics(cfg: RunConfig, stem: str, pred_dir: Path) -> tuple[dict, floa
     return metrics, duration
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: RunConfig, compare_dir: str | None = None) -> int:
     (chords_dir,) = _require_dirs(cfg, ["chords_dir"])
     if not cfg.pred_dir:
         raise SystemExit("error: pred_dir is required")
@@ -432,8 +427,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     report.finalize()
 
     lines = [report.table()]
-    if getattr(cfg, "_compare_dir", None):
-        other = Path(cfg._compare_dir)
+    if compare_dir:
+        other = Path(compare_dir)
         songs = sorted(report.per_song)
         a, b = [], []
         for stem in songs:
@@ -448,8 +443,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    _atomic_write_text(out_dir / "report.txt", text)
-    _atomic_write_text(out_dir / "report.csv", "\n".join(report.csv_rows()) + "\n")
+    _atomic_write_via(out_dir / "report.txt", Path.write_text, text)
+    _atomic_write_via(out_dir / "report.csv", Path.write_text, "\n".join(report.csv_rows()) + "\n")
     return 1 if report.flagged else 0
 
 
@@ -490,15 +485,11 @@ def cmd_synth(cfg: RunConfig, script_path: str, out_stem: str, key: str) -> int:
 
     out = Path(out_stem)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_via(Path(f"{out}.wav"), lambda p, b: audio_io.write_wav(p, b), buf)
-    from .annotations import make_intervals
-
+    _atomic_write_via(Path(f"{out}.wav"), audio_io.write_wav, buf)
     _atomic_write_via(Path(f"{out}.chords.lab"), write_lab, make_intervals(lab_records))
-    _atomic_write_via(
-        Path(f"{out}.keys.lab"), write_lab, make_intervals([(0.0, t, key)])
-    )
+    _atomic_write_via(Path(f"{out}.keys.lab"), write_lab, make_intervals([(0.0, t, key)]))
     beats = chroma_mod.default_beat_grid(t, cfg.beat_period)
-    _atomic_write_text(Path(f"{out}.beats.txt"), "".join(f"{b}\n" for b in beats))
+    _atomic_write_via(Path(f"{out}.beats.txt"), Path.write_text, "".join(f"{b}\n" for b in beats))
     print(f"synth: {out}.wav ({t:.1f}s, {len(records)} segments)")
     return 0
 
@@ -570,9 +561,7 @@ def main(argv=None) -> int:
     if args.command == "decode":
         return cmd_decode(cfg)
     if args.command == "eval":
-        if getattr(args, "compare", None):
-            cfg._compare_dir = args.compare
-        return cmd_eval(cfg)
+        return cmd_eval(cfg, args.compare)
     if args.command == "synth":
         return cmd_synth(cfg, args.script, args.out_stem, args.key)
     raise SystemExit(2)

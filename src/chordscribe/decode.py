@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .annotations import N_BASS, N_KEYS
 from .chroma import Chromagram
 from .model import ChordOnlyHmm, HpModel, gaussian_logpdf_frames
-
-N_KEYS = 24
-N_BASS = 13
 
 _TIE_BIG = np.int32(2**30)
 
@@ -58,8 +56,8 @@ class Constraints:
     def __post_init__(self):
         if self.gamma is not None and self.gamma < 0:
             raise ValueError("gamma must be a non-negative count threshold")
-        if self.tau is not None and not 1 <= self.tau <= 13:
-            raise ValueError("tau must be in 1..13")
+        if self.tau is not None and not 1 <= self.tau <= N_BASS:
+            raise ValueError(f"tau must be in 1..{N_BASS}")
 
 
 @dataclass
@@ -93,7 +91,7 @@ def top_bass_states(m: HpModel, tau: int | None) -> np.ndarray:
     Selection ranks raw chord-to-bass counts, breaking count ties toward
     the lower bass-state index.
     """
-    s = 13 if tau is None else int(tau)
+    s = N_BASS if tau is None else int(tau)
     counts = m.chord_bass_counts
     order = np.lexsort((np.arange(N_BASS)[None, :].repeat(counts.shape[0], 0), -counts), axis=1)
     return np.sort(order[:, :s], axis=1)

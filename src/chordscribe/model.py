@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .annotations import UNLABELED, Alphabet, FrameLabels, make_alphabet, transpose_key
+from .annotations import N_BASS, N_KEYS, UNLABELED, Alphabet, FrameLabels
+from .annotations import make_alphabet, transpose_key
 from .chroma import Chromagram
-
-N_KEYS = 24
-N_BASS = 13
 
 
 class ModelFormatError(Exception):
@@ -273,46 +271,89 @@ def gaussian_logpdf_frames(frames: np.ndarray, means: np.ndarray, covs: np.ndarr
 
 _FORMAT_HEADER = "chordscribe-model v1"
 
+# The model file's tables in file order: name, shape given the chord count,
+# and kind. `cac_` names are fields of the chord-only model, the rest of
+# HpModel. load_model requires every value to be finite, `prob` entries in
+# [0, 1] with rows (last axis) summing to at most 1 (alpha=0 training
+# leaves unseen rows all-zero), `count` entries >= 0, and `cov` matrices
+# symmetric positive definite.
+_SCHEMA = (
+    ("init_key", lambda c: (N_KEYS,), "prob"),
+    ("init_chord", lambda c: (c,), "prob"),
+    ("init_bass", lambda c: (N_BASS,), "prob"),
+    ("key_trans", lambda c: (N_KEYS, N_KEYS), "prob"),
+    ("chord_trans_rel", lambda c: (2, c, c), "prob"),
+    ("bass_given_chord", lambda c: (c, N_BASS), "prob"),
+    ("bass_trans", lambda c: (N_BASS, N_BASS), "prob"),
+    ("chord_emis_mean", lambda c: (c, 12), "mean"),
+    ("chord_emis_cov", lambda c: (c, 12, 12), "cov"),
+    ("bass_emis_mean", lambda c: (N_BASS, 12), "mean"),
+    ("bass_emis_cov", lambda c: (N_BASS, 12, 12), "cov"),
+    ("key_trans_counts", lambda c: (N_KEYS, N_KEYS), "count"),
+    ("chord_bass_counts", lambda c: (c, N_BASS), "count"),
+    ("cac_init", lambda c: (c,), "prob"),
+    ("cac_trans", lambda c: (c, c), "prob"),
+    ("cac_means", lambda c: (c, 24), "mean"),
+    ("cac_covs", lambda c: (c, 24, 24), "cov"),
+)
 
-def _model_tables(m: HpModel):
-    c = m.n_chords
-    return [
-        ("init_key", m.init_key, (N_KEYS,)),
-        ("init_chord", m.init_chord, (c,)),
-        ("init_bass", m.init_bass, (N_BASS,)),
-        ("key_trans", m.key_trans, (N_KEYS, N_KEYS)),
-        ("chord_trans_rel", m.chord_trans_rel, (2, c, c)),
-        ("bass_given_chord", m.bass_given_chord, (c, N_BASS)),
-        ("bass_trans", m.bass_trans, (N_BASS, N_BASS)),
-        ("chord_emis_mean", m.chord_emis_mean, (c, 12)),
-        ("chord_emis_cov", m.chord_emis_cov, (c, 12, 12)),
-        ("bass_emis_mean", m.bass_emis_mean, (N_BASS, 12)),
-        ("bass_emis_cov", m.bass_emis_cov, (N_BASS, 12, 12)),
-        ("key_trans_counts", m.key_trans_counts, (N_KEYS, N_KEYS)),
-        ("chord_bass_counts", m.chord_bass_counts, (c, N_BASS)),
-        ("cac_init", m.cac.init, (c,)),
-        ("cac_trans", m.cac.trans, (c, c)),
-        ("cac_means", m.cac.means, (c, 24)),
-        ("cac_covs", m.cac.covs, (c, 24, 24)),
-    ]
+
+def _table_header(name: str, shape: tuple) -> str:
+    return f"table {name} " + " ".join(str(s) for s in shape)
 
 
 def save_model(m: HpModel, path) -> None:
     """Versioned plain-text model file, one table per section; values are
     shortest round-trip decimals, so save->load->save is byte-identical."""
     with open(path, "w") as fh:
-        fh.write(_FORMAT_HEADER + "\n")
-        fh.write(f"alphabet {m.alphabet.kind}\n")
-        for name, arr, shape in _model_tables(m):
-            dims = " ".join(str(s) for s in shape)
-            fh.write(f"table {name} {dims}\n")
-            flat = np.asarray(arr, dtype=np.float64).reshape(shape[0], -1)
-            for row in flat:
+        fh.write(f"{_FORMAT_HEADER}\nalphabet {m.alphabet.kind}\n")
+        for name, shape_of, _ in _SCHEMA:
+            shape = shape_of(m.n_chords)
+            owner = m.cac if name.startswith("cac_") else m
+            arr = np.asarray(getattr(owner, name.removeprefix("cac_")), dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"table {name} has shape {arr.shape}, expected {shape}")
+            fh.write(_table_header(name, shape) + "\n")
+            for row in arr.reshape(shape[0], -1):
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
         fh.write("end\n")
 
 
+def _is_positive_definite(cov: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _table_fault(kind: str, arr: np.ndarray) -> tuple[int, str] | None:
+    """First value of a table that its kind forbids, as (row of the table
+    in the file, what is wrong); None when the table is valid."""
+    checks = {"non-finite value": ~np.isfinite(arr)}
+    with np.errstate(invalid="ignore"):  # inf - inf in a row sum; caught above
+        if kind == "prob":
+            checks["probability outside [0, 1]"] = (arr < 0.0) | (arr > 1.0)
+            checks["probabilities sum above 1"] = arr.sum(axis=-1, keepdims=True) > 1.0 + 1e-9
+        elif kind == "count":
+            checks["negative count"] = arr < 0.0
+        elif kind == "cov":
+            checks["covariance is not symmetric"] = ~np.isclose(arr, arr.swapaxes(1, 2), atol=1e-10)
+            checks["covariance is not positive definite"] = np.array(
+                [not _is_positive_definite(c) for c in arr]
+            )
+    for what, mask in checks.items():
+        rows = np.flatnonzero(mask.reshape(mask.shape[0], -1).any(axis=1))
+        if rows.size:
+            return int(rows[0]), what
+    return None
+
+
 def load_model(path) -> HpModel:
+    """Read a model file written by save_model. The tables must follow the
+    schema for the file's alphabet in order, name and shape, and hold
+    values their kind allows; anything else raises ModelFormatError naming
+    the file, the line and the table."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -321,74 +362,38 @@ def load_model(path) -> HpModel:
     if not lines or lines[0] != _FORMAT_HEADER:
         raise ModelFormatError(f"{path}: not a {_FORMAT_HEADER!r} file")
     if len(lines) < 2 or not lines[1].startswith("alphabet "):
-        raise ModelFormatError(f"{path}: missing alphabet line")
-    alphabet = make_alphabet(lines[1].split(maxsplit=1)[1])
+        raise ModelFormatError(f"{path}:2: missing alphabet line")
+    try:
+        alphabet = make_alphabet(lines[1].partition(" ")[2])
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}:2: {exc}") from exc
 
-    tables: dict[str, np.ndarray] = {}
-    i = 2
-    while i < len(lines):
-        if lines[i] == "end":
-            break
-        parts = lines[i].split()
-        if not parts or parts[0] != "table":
-            raise ModelFormatError(f"{path}:{i + 1}: expected a table header")
-        name, shape = parts[1], tuple(int(v) for v in parts[2:])
-        n_rows = shape[0]
-        rows = lines[i + 1 : i + 1 + n_rows]
-        if len(rows) < n_rows:
-            raise ModelFormatError(f"{path}: truncated table {name}")
-        try:
-            arr = np.array([[float(v) for v in row.split()] for row in rows])
-            arr = arr.reshape(shape)
-        except ValueError as exc:
-            raise ModelFormatError(f"{path}: bad values in table {name}") from exc
-        tables[name] = arr
-        i += 1 + n_rows
-    else:
-        raise ModelFormatError(f"{path}: missing end marker")
+    tables = {}
+    i = 2  # index of the next line to read
+    for name, shape_of, kind in _SCHEMA:
+        shape = shape_of(alphabet.size)
+        header, width = _table_header(name, shape), int(np.prod(shape[1:]))
+        got = lines[i] if i < len(lines) else "end of file"
+        if got != header:
+            raise ModelFormatError(f"{path}:{i + 1}: expected `{header}`, got `{got}`")
+        rows = []
+        for lineno in range(i + 2, i + 2 + shape[0]):
+            try:
+                rows.append([float(v) for v in lines[lineno - 1].split()])
+            except (IndexError, ValueError):
+                rows.append([])
+            if len(rows[-1]) != width:
+                raise ModelFormatError(
+                    f"{path}:{lineno}: table {name}: expected a row of {width} numbers"
+                )
+        tables[name] = np.array(rows).reshape(shape)
+        fault = _table_fault(kind, tables[name])
+        if fault is not None:
+            raise ModelFormatError(f"{path}:{i + 2 + fault[0]}: table {name}: {fault[1]}")
+        i += 1 + shape[0]
+    if i >= len(lines) or lines[i] != "end":
+        raise ModelFormatError(f"{path}:{i + 1}: expected the `end` marker")
 
-    expected = [name for name, _, _ in _model_tables_shapes(alphabet)]
-    missing = [name for name in expected if name not in tables]
-    if missing:
-        raise ModelFormatError(f"{path}: missing tables {missing}")
-    t = tables
-    return HpModel(
-        alphabet=alphabet,
-        init_key=t["init_key"],
-        init_chord=t["init_chord"],
-        init_bass=t["init_bass"],
-        key_trans=t["key_trans"],
-        chord_trans_rel=t["chord_trans_rel"],
-        bass_given_chord=t["bass_given_chord"],
-        bass_trans=t["bass_trans"],
-        chord_emis_mean=t["chord_emis_mean"],
-        chord_emis_cov=t["chord_emis_cov"],
-        bass_emis_mean=t["bass_emis_mean"],
-        bass_emis_cov=t["bass_emis_cov"],
-        key_trans_counts=t["key_trans_counts"],
-        chord_bass_counts=t["chord_bass_counts"],
-        cac=ChordOnlyHmm(t["cac_init"], t["cac_trans"], t["cac_means"], t["cac_covs"]),
-    )
-
-
-def _model_tables_shapes(alphabet: Alphabet):
-    c = alphabet.size
-    return [
-        ("init_key", None, (N_KEYS,)),
-        ("init_chord", None, (c,)),
-        ("init_bass", None, (N_BASS,)),
-        ("key_trans", None, (N_KEYS, N_KEYS)),
-        ("chord_trans_rel", None, (2, c, c)),
-        ("bass_given_chord", None, (c, N_BASS)),
-        ("bass_trans", None, (N_BASS, N_BASS)),
-        ("chord_emis_mean", None, (c, 12)),
-        ("chord_emis_cov", None, (c, 12, 12)),
-        ("bass_emis_mean", None, (N_BASS, 12)),
-        ("bass_emis_cov", None, (N_BASS, 12, 12)),
-        ("key_trans_counts", None, (N_KEYS, N_KEYS)),
-        ("chord_bass_counts", None, (c, N_BASS)),
-        ("cac_init", None, (c,)),
-        ("cac_trans", None, (c, c)),
-        ("cac_means", None, (c, 24)),
-        ("cac_covs", None, (c, 24, 24)),
-    ]
+    cac = {n.removeprefix("cac_"): a for n, a in tables.items() if n.startswith("cac_")}
+    rest = {n: a for n, a in tables.items() if not n.startswith("cac_")}
+    return HpModel(alphabet=alphabet, cac=ChordOnlyHmm(**cac), **rest)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chordscribe.annotations import (
+    N_BASS,
+    N_KEYS,
     NO_BASS,
     NO_CHORD,
     OOV_REDUCTIONS,
@@ -174,8 +176,8 @@ class TestAlphabet:
     def test_sizes(self):
         assert make_alphabet("majmin25").size == 25
         assert make_alphabet("full121").size == 121
-        assert make_alphabet("majmin25").n_bass == 13
-        assert make_alphabet("majmin25").n_keys == 24
+        assert N_BASS == 13
+        assert N_KEYS == 24
 
     def test_majmin_reduction(self):
         a = make_alphabet("majmin25")
@@ -221,14 +223,6 @@ class TestAlphabet:
         assert a.shift(amaj3, 3) == cmaj3
         assert a.shift(a.no_chord, 5) == a.no_chord
         assert a.shift(amaj3, 12) == amaj3
-
-    def test_map_to_alphabet_function(self):
-        from chordscribe.annotations import map_to_alphabet
-
-        a = make_alphabet("majmin25")
-        assert map_to_alphabet(parse_chord_symbol("C:maj7"), a) == a.index_of(
-            parse_chord_symbol("C:maj")
-        )
 
 
 class TestParseKeyLabel:

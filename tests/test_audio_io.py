@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import chordscribe
 from chordscribe.audio_io import (
     AudioBuffer,
     EmptyAudioError,
@@ -176,6 +182,10 @@ class TestAudioBuffer:
         with pytest.raises(EmptyAudioError):
             AudioBuffer(np.zeros(0), 8000)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            AudioBuffer(np.array([0.1, np.nan, -0.2]), 8000)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             AudioBuffer(np.array([1.5]), 8000)
@@ -186,3 +196,14 @@ class TestAudioBuffer:
         write_wav(p, buf)
         out = resample(load_wav(p), 11025)
         assert abs(out.duration - buf.duration) <= 1.0 / 11025
+
+
+def test_package_import_defers_scipy_signal():
+    # scipy.signal dominates import time and only resampling needs it.
+    code = "import sys, chordscribe; print('scipy.signal' in sys.modules)"
+    src = str(Path(chordscribe.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

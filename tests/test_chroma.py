@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -296,6 +297,13 @@ class TestBeatSyncMedian:
         assert np.all(out.ends == beats[1:])
 
 
+def test_chromagram_rejects_nan():
+    vals = np.full((12, 3), 0.5)
+    vals[4, 1] = np.nan
+    with pytest.raises(ValueError, match="frame 1"):
+        Chromagram(vals, np.arange(3.0), np.arange(3.0) + 1.0, "treble")
+
+
 class TestChromagramIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -312,6 +320,13 @@ class TestChromagramIO:
         p = tmp_path / "bad.chroma"
         p.write_text("treble 1\n0.0 1.0 0.5\n")
         with pytest.raises(ValueError):
+            read_chromagram(p)
+
+    def test_nan_row_names_file_and_line(self, tmp_path):
+        p = tmp_path / "nan.chroma"
+        row = " ".join(["0.5"] * 12)
+        p.write_text(f"treble 2\n0.0 0.5 {row}\n\n0.5 1.0 {row.replace('0.5', 'nan', 1)}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:4:")):
             read_chromagram(p)
 
     def test_default_beat_grid(self):

@@ -127,6 +127,17 @@ class TestChroma:
         assert run("chroma", "--audio-dir", str(audio), "--chroma-dir", str(tmp_path / "c")) == 1
         assert "bad" in capsys.readouterr().err
 
+    def test_corrupt_wav_in_pool_nonzero_exit(self, tmp_path, capsys, workspace):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        (audio / "bad.wav").write_bytes(b"junk")
+        (audio / "songA.wav").write_bytes((workspace / "audio" / "songA.wav").read_bytes())
+        argv = ["chroma", "--audio-dir", str(audio), "--chroma-dir", str(tmp_path / "c")]
+        assert run(*argv, "--jobs", "2") == 1
+        captured = capsys.readouterr()
+        assert "error: bad:" in captured.err
+        assert captured.out == "chroma: songA\n"
+
     def test_empty_audio_dir_nonzero(self, tmp_path):
         audio = tmp_path / "audio"
         audio.mkdir()
@@ -262,6 +273,35 @@ class TestDecode:
         assert len(rows) == 5  # header + 2 songs x 2 settings
         assert (out / "gNone_t13" / "songA.chord.lab").exists()
         assert (out / "gNone_t3" / "songA.chord.lab").exists()
+
+    def test_parallel_sweep_matches_serial(self, workspace, tmp_path, monkeypatch):
+        import chordscribe.cli as cli
+
+        pools, submitted = [], []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[0][0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        outputs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["decode", "--chroma-dir", str(workspace / "chroma"), "--model"]
+            argv += [str(workspace / "model.txt"), "--output-dir", str(out), "--tau", "13,3"]
+            assert run(*argv, "--jobs", jobs) == 0
+            outputs[jobs] = {
+                p.relative_to(out): p.read_bytes() for p in sorted(out.glob("*/*.lab"))
+            }
+        assert len(outputs["1"]) == 2 * 2 * 3  # settings x songs x key/chord/bass
+        assert outputs["2"] == outputs["1"]
+        assert len(pools) == 1  # one pool for the whole sweep
+        assert sorted(submitted) == ["songA", "songA", "songB", "songB"]
 
     def test_missing_model_exits(self, workspace, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,8 +1,12 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_chromagram, make_frame_labels, synthetic_frames
+from hypothesis import given, settings, strategies as st
 
 from chordscribe.annotations import chord_pitch_classes, make_alphabet
 from chordscribe.model import (
@@ -264,3 +268,160 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "nope.txt")
+
+
+@st.composite
+def labelled_songs(draw):
+    """An alphabet and one to three songs of random frames, every label
+    possibly UNLABELED (-1)."""
+    kind = draw(st.sampled_from(["majmin25", "full121"]))
+    size = make_alphabet(kind).size
+    frame = st.tuples(st.integers(-1, 23), st.integers(-1, size - 1), st.integers(-1, 12))
+    songs = draw(st.lists(st.lists(frame, min_size=1, max_size=12), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dataset = []
+    for song in songs:
+        keys, chords, basses = zip(*song)
+        dataset.append(
+            (
+                make_chromagram(rng.random((len(song), 12))),
+                make_chromagram(rng.random((len(song), 12)), "bass"),
+                make_frame_labels(keys, chords, basses),
+            )
+        )
+    return kind, dataset
+
+
+@settings(max_examples=12, deadline=None)
+@given(labelled_songs(), st.sampled_from([0.0, 0.1, 1.0]))
+def test_trained_model_roundtrip_byte_identical(songs, alpha):
+    kind, dataset = songs
+    m = train(dataset, TrainConfig(alphabet=kind, alpha=alpha))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        save_model(m, first)
+        back = load_model(first)
+        save_model(back, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert back.alphabet == m.alphabet
+    np.testing.assert_array_equal(back.cac.covs, m.cac.covs)
+
+
+class TestModelValidation:
+    """Each rule load_model enforces, broken once in a saved file; the error
+    must name the table and the line."""
+
+    @pytest.fixture(scope="class")
+    def saved(self):
+        m = train(fixture_dataset(), TrainConfig(alpha=0.1))
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "model.txt"
+            save_model(m, p)
+            return p.read_text().splitlines()
+
+    @staticmethod
+    def header_line(lines, name):
+        return next(i for i, line in enumerate(lines, 1) if line.startswith(f"table {name} "))
+
+    @staticmethod
+    def assert_rejected(tmp_path, lines, table, lineno, what=""):
+        p = tmp_path / "model.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(p)
+        msg = str(err.value)
+        assert msg.startswith(f"{p}:{lineno}: "), msg
+        assert table in msg and what in msg, msg
+
+    def test_saved_file_loads(self, saved, tmp_path):
+        p = tmp_path / "model.txt"
+        p.write_text("\n".join(saved) + "\n")
+        load_model(p)
+
+    def test_relabeled_alphabet(self, tmp_path):
+        m = train(fixture_dataset("full121"), TrainConfig(alphabet="full121"))
+        p = tmp_path / "full.txt"
+        save_model(m, p)
+        lines = p.read_text().splitlines()
+        assert lines[1] == "alphabet full121"
+        lines[1] = "alphabet majmin25"
+        self.assert_rejected(tmp_path, lines, "init_chord", self.header_line(lines, "init_chord"))
+
+    def test_unknown_alphabet(self, saved, tmp_path):
+        lines = [saved[0], "alphabet jazz7"] + saved[2:]
+        self.assert_rejected(tmp_path, lines, "jazz7", 2)
+
+    def test_wrong_dims(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "bass_trans")
+        lines[at - 1] = "table bass_trans 13 12"
+        self.assert_rejected(tmp_path, lines, "bass_trans", at)
+
+    def test_unknown_table(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "bass_trans")
+        lines[at - 1] = "table bass_trams 13 13"
+        self.assert_rejected(tmp_path, lines, "bass_trans", at)
+
+    def test_duplicate_table(self, saved, tmp_path):
+        at = self.header_line(saved, "init_chord")
+        init_key = saved[2 : at - 1]
+        lines = saved[:2] + init_key + init_key + saved[at - 1 :]
+        self.assert_rejected(tmp_path, lines, "init_chord", at)
+
+    def test_missing_end_marker(self, saved, tmp_path):
+        self.assert_rejected(tmp_path, saved[:-1], "end", len(saved))
+
+    def test_nan_value(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "chord_emis_mean") + 3
+        fields = lines[at - 1].split()
+        fields[5] = "nan"
+        lines[at - 1] = " ".join(fields)
+        self.assert_rejected(tmp_path, lines, "chord_emis_mean", at, "non-finite")
+
+    def test_probability_above_one(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "init_bass") + 2
+        lines[at - 1] = "1.5"
+        self.assert_rejected(tmp_path, lines, "init_bass", at, "outside [0, 1]")
+
+    def test_row_sum_above_one(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "key_trans") + 5
+        lines[at - 1] = " ".join(["0.5"] * 24)  # sums to 12
+        self.assert_rejected(tmp_path, lines, "key_trans", at, "sum above 1")
+
+    def test_all_zero_row_allowed(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "key_trans") + 5
+        lines[at - 1] = " ".join(["0.0"] * 24)
+        p = tmp_path / "model.txt"
+        p.write_text("\n".join(lines) + "\n")
+        assert load_model(p).key_trans[4].sum() == 0.0
+
+    def test_negative_count(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "chord_bass_counts") + 1
+        lines[at - 1] = " ".join(["-1.0"] + lines[at - 1].split()[1:])
+        self.assert_rejected(tmp_path, lines, "chord_bass_counts", at, "negative count")
+
+    def test_covariance_not_positive_definite(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "bass_emis_cov") + 2
+        lines[at - 1] = " ".join(str(v) for v in (-np.eye(12)).ravel().tolist())
+        self.assert_rejected(tmp_path, lines, "bass_emis_cov", at, "positive definite")
+
+    def test_covariance_not_symmetric(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "cac_covs") + 1
+        cov = np.eye(24)
+        cov[0, 1] = 0.5
+        lines[at - 1] = " ".join(str(v) for v in cov.ravel().tolist())
+        self.assert_rejected(tmp_path, lines, "cac_covs", at, "not symmetric")
+
+    def test_short_row(self, saved, tmp_path):
+        lines = list(saved)
+        at = self.header_line(lines, "cac_trans") + 1
+        lines[at - 1] = " ".join(lines[at - 1].split()[:-1])
+        self.assert_rejected(tmp_path, lines, "cac_trans", at, "25 numbers")
