@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.io import wavfile
 
 
 class AudioError(Exception):
@@ -70,6 +69,8 @@ def load_wav(path) -> AudioBuffer:
     ------
     UnreadableFileError, UnsupportedEncodingError, EmptyAudioError
     """
+    from scipy.io import wavfile  # imported here: decoding never needs it
+
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError as exc:
@@ -108,6 +109,8 @@ def load_wav(path) -> AudioBuffer:
 
 def write_wav(path, buf: AudioBuffer) -> None:
     """Write a buffer as 16-bit PCM WAV."""
+    from scipy.io import wavfile
+
     clipped = np.clip(buf.samples, -1.0, 1.0)
     wavfile.write(path, buf.sample_rate, np.round(clipped * 32767.0).astype(np.int16))
 

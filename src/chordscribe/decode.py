@@ -9,11 +9,12 @@ floor (gamma), a per-chord cap on admissible basses (tau), and a chord
 working set from a first-pass chord-only decode (the chord alphabet
 constraint). Pruned rows are never renormalized.
 
-Everything runs in natural log; zero probability is -inf. Ties break
-toward the lowest (key, chord, bass) state everywhere: the final frame
-takes the lowest maximizing state, and each backpointer the lowest
-maximizing predecessor, which together select the optimal path whose
-reversed state sequence is lexicographically smallest.
+The first pass runs in the scaled probability domain, everything else in
+natural log, where zero probability is -inf. Ties break toward the lowest
+(key, chord, bass) state everywhere: the final frame takes the lowest
+maximizing state, and each backpointer the lowest maximizing predecessor,
+which together select the optimal path whose reversed state sequence is
+lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .annotations import N_BASS, N_KEYS
 from .chroma import Chromagram
 from .model import ChordOnlyHmm, HpModel, gaussian_logpdf_frames
 
 _TIE_BIG = np.int32(2**30)
+# Stage 3 takes target keys in blocks whose (k, c_prev, c, slot) tensor stays
+# within this many elements: all 24 keys of a tight (tau=3, CAC) decode share
+# one block, and unconstrained full121 takes one key a block to bound memory.
+_STAGE3_BLOCK_ELEMENTS = 2**18
 
 
 class NoAdmissiblePathError(Exception):
@@ -109,30 +113,34 @@ def prune_chord_to_bass(m: HpModel, tau: int) -> np.ndarray:
 
 
 def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
-    """Per-frame state posteriors of the chord-only HMM, log-domain with
-    per-frame normalization. obs: (T, 24) concatenated treble+bass chroma."""
-    obs = np.asarray(obs, dtype=np.float64)
+    """Per-frame state posteriors of the chord-only HMM, scaled probability
+    domain (Rabiner 1989, sec. V.A). obs: (T, 24) treble+bass chroma.
+
+    Each forward step rescales after combining log(alpha[t-1] @ A) + log_e[t],
+    so an unreachable state with a dominant emission cannot underflow the
+    others. Backward: post[t] = alpha[t] * (A @ (post[t+1] / pred[t+1])), 0/0 = 0."""
     log_e = gaussian_logpdf_frames(obs, hmm.means, hmm.covs)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(hmm.init)
-        log_a = np.log(hmm.trans)
     T, n = log_e.shape
-    la = np.empty((T, n))
-    la[0] = log_pi + log_e[0]
+    alpha = np.empty((T, n))
+    pred = np.empty((T, n))  # pred[t] = alpha[t-1] @ A, the one-step prediction
+    pred[0] = hmm.init
     for t in range(T):
         if t > 0:
-            la[t] = log_e[t] + logsumexp(la[t - 1][:, None] + log_a, axis=0)
-        norm = logsumexp(la[t])
-        if not np.isfinite(norm):
+            pred[t] = alpha[t - 1] @ hmm.trans
+        with np.errstate(divide="ignore"):
+            x = np.log(pred[t]) + log_e[t]
+        peak = x.max()
+        if not np.isfinite(peak):
             raise ValueError(f"no admissible chord state at frame {t}")
-        la[t] -= norm
-    lb = np.zeros((T, n))
+        alpha[t] = np.exp(x - peak)
+        alpha[t] /= alpha[t].sum()
+    post = np.empty((T, n))
+    post[-1] = alpha[-1]
     for t in range(T - 2, -1, -1):
-        lb[t] = logsumexp(log_a + (log_e[t + 1] + lb[t + 1])[None, :], axis=1)
-        lb[t] -= logsumexp(lb[t])
-    post = la + lb
-    post -= logsumexp(post, axis=1, keepdims=True)
-    return np.exp(post)
+        ratio = np.divide(post[t + 1], pred[t + 1], out=np.zeros(n), where=pred[t + 1] > 0)
+        post[t] = alpha[t] * (hmm.trans @ ratio)
+        post[t] /= post[t].sum()
+    return post
 
 
 def max_gamma_decode(hmm: ChordOnlyHmm, obs: np.ndarray):
@@ -234,68 +242,59 @@ def _viterbi_tables(tables: _LogTables):
     if not np.isfinite(v.max()):
         raise NoAdmissiblePathError(0)
 
-    backptr = np.full((T, n_keys, cw, n_bass), -1, dtype=np.int32)
-    chord_ids = np.arange(cw, dtype=np.int32)[:, None, None]
+    # Dead cells keep a zero backpointer; no surviving path ever follows one.
+    backptr = np.zeros((T, n_keys, cw, n_bass), dtype=np.min_scalar_type(n_keys * cw * n_bass - 1))
+    rows = np.arange(cw)[:, None]
     # With no bass cap the slots are the identity gather; plain broadcasts
-    # avoid materializing the same arrays chord-by-chord.
+    # avoid materializing stage_k at every (chord, slot) pair.
     full_slots = s == n_bass
-    lr_slots = tables.lr if full_slots else np.take_along_axis(tables.lr, tables.slots, axis=1)
+    lr_slots = np.take_along_axis(tables.lr, tables.slots, axis=1)
+    block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * cw * s))
     n_expanded = 0
     fin_h = int(np.isfinite(tables.lh).sum())
     fin_f = int(np.isfinite(tables.lf).sum())
     fin_g = int(np.isfinite(tables.lg).sum())
-    fin_h_rows = np.isfinite(tables.lh).sum(axis=1)
-    n_b_rest = n_keys * int(fin_h_rows[tables.slots].sum())
+    n_b_rest = n_keys * int(np.isfinite(tables.lh).sum(axis=1)[tables.slots].sum())
 
     for t in range(1, T):
         # stage 1: collapse previous bass (lowest maximizer wins)
         tmp = v[:, :, :, None] + tables.lh[None, None, :, :]
-        stage_b = tmp.max(axis=2)  # (K, Cw, B)
-        from_b = tmp.argmax(axis=2).astype(np.int32)
+        from_b = tmp.argmax(axis=2)  # (K, Cw, B)
+        stage_b = np.take_along_axis(tmp, from_b[:, :, None], axis=2)[:, :, 0]
         n_expanded += n_keys * cw * fin_h if t == 1 else n_b_rest
 
         # stage 2: collapse previous key
         tmp = stage_b[:, None, :, :] + tables.lf[:, :, None, None]
-        stage_k = tmp.max(axis=0)  # (K', Cw, B)
-        from_k = tmp.argmax(axis=0).astype(np.int32)
+        from_k = tmp.argmax(axis=0)  # (K', Cw, B)
+        stage_k = np.take_along_axis(tmp, from_k[None], axis=0)[0]
         n_expanded += cw * n_bass * fin_f
 
-        # stage 3: collapse previous chord, per target key, only at each
-        # chord's admissible bass slots
+        # stage 3: collapse previous chord, a block of target keys at a
+        # time, only at each chord's admissible bass slots
+        extra = lr_slots + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
         v = np.full((n_keys, cw, n_bass), -np.inf)
-        if full_slots:
-            extra = lr_slots + tables.emis_c[t][:, None] + tables.emis_b[t][None, :]
-        else:
-            extra = lr_slots + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
-        for ki in range(n_keys):
+        for k0 in range(0, n_keys, block):
+            ks = slice(k0, k0 + block)
             if full_slots:
-                base = stage_k[ki][:, None, :]  # broadcast over target chords
-                kk_g = from_k[ki][:, None, :]
-                bvals = tables.slots[:1]
+                val = stage_k[ks, :, None, :] + tables.lg[ks, :, :, None]  # (k, c_prev, c, B)
             else:
-                base = stage_k[ki][:, tables.slots]  # (c_prev, c, S)
-                kk_g = from_k[ki][:, tables.slots]
-                bvals = tables.slots
-            val = base + tables.lg[ki][:, :, None]
-            best = val.max(axis=0)  # (c, S)
-            from_c = val.argmax(axis=0)
+                val = stage_k[ks][:, :, tables.slots]  # (k, c_prev, c, S)
+                val += tables.lg[ks, :, :, None]
+            from_c = val.argmax(axis=1)
+            best = np.take_along_axis(val, from_c[:, None], axis=1)[:, 0]
             # ties at a live maximum need re-picking: plain argmax prefers
             # the lowest previous chord, but the canonical order is
             # previous key first; dead columns (-inf) need no repair
-            ties = np.isfinite(best) & ((val == best[None]).sum(axis=0) > 1)
+            at_best = val == best[:, None]
+            ties = np.isfinite(best) & (at_best.sum(axis=1) > 1)
             if ties.any():
-                composite = kk_g.astype(np.int32) * 256 + chord_ids
-                masked = np.where(val == best[None], composite, _TIE_BIG)
-                from_c = np.where(ties, masked.argmin(axis=0), from_c)
-            kbar = np.take_along_axis(np.broadcast_to(kk_g, val.shape), from_c[None], 0)[0]
-            bbar = from_b[kbar, from_c, bvals]
-            flat = (kbar.astype(np.int32) * cw + from_c.astype(np.int32)) * n_bass + bbar
-            if full_slots:
-                v[ki] = best + extra
-                backptr[t, ki] = flat
-            else:
-                np.put_along_axis(v[ki], tables.slots, best + extra, axis=1)
-                np.put_along_axis(backptr[t, ki], tables.slots, flat, axis=1)
+                kk_g = from_k[ks, :, None, :] if full_slots else from_k[ks][:, :, tables.slots]
+                composite = np.where(at_best, kk_g * 256 + np.arange(cw)[:, None, None], _TIE_BIG)
+                from_c = np.where(ties, composite.argmin(axis=1), from_c)
+            kbar = from_k[ks][np.arange(len(from_c))[:, None, None], from_c, tables.slots]
+            flat = (kbar * cw + from_c) * n_bass + from_b[kbar, from_c, tables.slots]
+            v[ks, rows, tables.slots] = best + extra
+            backptr[t][ks, rows, tables.slots] = flat
         n_expanded += s * fin_g
 
         if not np.isfinite(v.max()):
@@ -303,9 +302,7 @@ def _viterbi_tables(tables: _LogTables):
 
     flat_final = int(np.argmax(v.reshape(-1)))
     log_prob = float(v.reshape(-1)[flat_final])
-    keys = np.empty(T, dtype=np.int64)
-    chords = np.empty(T, dtype=np.int64)
-    basses = np.empty(T, dtype=np.int64)
+    keys, chords, basses = np.empty((3, T), dtype=np.int64)
     state = flat_final
     for t in range(T - 1, -1, -1):
         k, rem = divmod(state, cw * n_bass)

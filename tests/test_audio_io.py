@@ -199,11 +199,12 @@ class TestAudioBuffer:
 
 
 def test_package_import_defers_scipy_signal():
-    # scipy.signal dominates import time and only resampling needs it.
-    code = "import sys, chordscribe; print('scipy.signal' in sys.modules)"
+    # scipy.signal and scipy.io dominate import time; only resampling and
+    # WAV reading or writing need them.
+    code = "import sys, chordscribe; print('scipy.signal' in sys.modules, 'scipy.io' in sys.modules)"
     src = str(Path(chordscribe.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -12,6 +12,7 @@ from conftest import (
     tables_to_flat,
 )
 
+from chordscribe import decode
 from chordscribe.decode import (
     Constraints,
     NoAdmissiblePathError,
@@ -187,6 +188,19 @@ class TestChordAlphabetConstraint:
         assert set(admissible.tolist()) == {0, 2}
 
 
+def _assert_matches_enumeration(tables, flat, trial):
+    n_chords, n_bass = tables.lr.shape
+    ref_lp, ref_path = enumerate_best_path(*flat)
+    if not np.isfinite(ref_lp):
+        with pytest.raises(NoAdmissiblePathError):
+            _viterbi_tables(tables)
+        return
+    keys, chords, basses, lp, _ = _viterbi_tables(tables)
+    assert lp == pytest.approx(ref_lp, abs=1e-9), f"trial {trial}"
+    rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
+    assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+
+
 class TestViterbiOracle:
     def test_matches_enumeration_on_random_models(self):
         rng = np.random.default_rng(7)
@@ -198,15 +212,31 @@ class TestViterbiOracle:
             tables, flat = random_log_tables(
                 rng, n_keys, n_chords, n_bass, T, sparsity=sparsity, slot_cap=slot_cap
             )
-            ref_lp, ref_path = enumerate_best_path(*flat)
-            if not np.isfinite(ref_lp):
-                with pytest.raises(NoAdmissiblePathError):
-                    _viterbi_tables(tables)
-                continue
-            keys, chords, basses, lp, _ = _viterbi_tables(tables)
-            assert lp == pytest.approx(ref_lp, abs=1e-9), f"trial {trial}"
-            rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
-            assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+            _assert_matches_enumeration(tables, flat, trial)
+
+    @pytest.mark.parametrize("keys_per_block", [None, 2])
+    def test_key_blocks_match_enumeration(self, monkeypatch, keys_per_block):
+        # Stage 3 takes the target keys in blocks under an element budget.
+        # Two keys a block over three or five keys leaves a partial last
+        # block; None keeps the default budget, where all keys share one.
+        # Odd trials use integer log tables, so the tie repair runs on blocks.
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            n_keys, n_chords, n_bass = rng.choice([(3, 2, 2), (5, 2, 2), (3, 3, 2)])
+            T = int(rng.integers(1, 4))
+            slot_cap = int(rng.integers(1, n_bass + 1))
+            tables, flat = random_log_tables(
+                rng, n_keys, n_chords, n_bass, T, sparsity=0.2 * (trial % 4 == 0), slot_cap=slot_cap
+            )
+            if trial % 2:
+                for name in ("lpi_k", "lpi_c", "lpi_b", "lf", "lg", "lh", "lr", "emis_c", "emis_b"):
+                    arr = getattr(tables, name)
+                    arr[:] = np.where(np.isfinite(arr), -rng.integers(1, 3, size=arr.shape), arr)
+                flat = tables_to_flat(tables)
+            if keys_per_block:
+                budget = keys_per_block * n_chords * n_chords * slot_cap
+                monkeypatch.setattr(decode, "_STAGE3_BLOCK_ELEMENTS", budget)
+            _assert_matches_enumeration(tables, flat, trial)
 
     def test_matches_flat_viterbi(self):
         rng = np.random.default_rng(8)
@@ -360,3 +390,18 @@ class TestForwardBackwardEdge:
         )
         with pytest.raises(ValueError, match="frame 0"):
             forward_backward(hmm, np.zeros((3, 2)))
+
+    def test_unreachable_dominant_state_does_not_underflow(self):
+        # State 2 is unreachable, yet at frames 1 and 2 its emission beats
+        # the others by 1250 nats: a scaled pass that rescales by each
+        # emission row's max underflows every reachable state there.
+        # (brute_force_posteriors underflows to NaN on this input.)
+        hmm = ChordOnlyHmm(
+            np.array([0.5, 0.5, 0.0]),
+            np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]),
+            np.tile(np.eye(2) * 0.0005, (3, 1, 1)),
+        )
+        obs = np.array([[0.0, 0.0], [0.5, 1.0], [0.5, 1.0], [1.0, 0.0]])
+        expected = [[1, 0, 0], [0.663934, 0.336066, 0], [0.336066, 0.663934, 0], [0, 1, 0]]
+        np.testing.assert_allclose(forward_backward(hmm, obs), expected, rtol=0, atol=1e-6)
