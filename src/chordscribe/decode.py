@@ -7,7 +7,10 @@ then previous key, then previous chord) instead of over the full product
 space. Three prune knobs cut the admissible sets: a key-transition count
 floor (gamma), a per-chord cap on admissible basses (tau), and a chord
 working set from a first-pass chord-only decode (the chord alphabet
-constraint). Pruned rows are never renormalized.
+constraint). Pruned rows are never renormalized. The Viterbi visits only
+live states: frame 0 admits every key and bass, and every later frame only
+the keys some surviving key transition reaches and each chord's admissible
+bass slots, as every other state is impossible there.
 
 The first pass runs in the scaled probability domain, everything else in
 natural log, where zero probability is -inf. Ties break toward the lowest
@@ -28,9 +31,10 @@ from .chroma import Chromagram
 from .model import ChordOnlyHmm, HpModel, gaussian_logpdf_frames
 
 _TIE_BIG = np.int32(2**30)
-# Stage 3 takes target keys in blocks whose (k, c_prev, c, slot) tensor stays
-# within this many elements: all 24 keys of a tight (tau=3, CAC) decode share
-# one block, and unconstrained full121 takes one key a block to bound memory.
+# Stage 3 takes live target keys in blocks whose (k, c_prev, c, slot) tensor
+# stays within this many elements: all live keys of a tight (tau=3, CAC)
+# decode share one block, and unconstrained full121 takes one key a block to
+# bound memory.
 _STAGE3_BLOCK_ELEMENTS = 2**18
 
 
@@ -224,6 +228,19 @@ def _build_tables(
     )
 
 
+def _prev_layout(tables: _LogTables, keys, slots, live, targets):
+    """How one step reads the previous frame's v: its rows are `keys`, its
+    bass axis holds `slots` (Cw, Sp). Returns (keys, slots, pred, lf_pred,
+    lh_g): per live target key, the rows with a finite transition into it,
+    ascending and padded with -inf transitions to the largest in-degree,
+    and the bass transitions from each previous slot to each target bass."""
+    fin = np.isfinite(tables.lf[np.ix_(keys, live)]).T  # (L, Kp)
+    deg = max(1, int(fin.sum(axis=1).max(initial=0)))
+    pred = np.argsort(~fin, axis=1, kind="stable")[:, :deg]
+    lf_pred = tables.lf[keys[pred], live[:, None]]
+    return keys, slots, pred, lf_pred, tables.lh[slots][:, :, targets]
+
+
 def _viterbi_tables(tables: _LogTables):
     """Staged Viterbi over prepared log tables; dimensions come from the
     table shapes. Returns (keys, chord_positions, basses, log_prob,
@@ -242,13 +259,19 @@ def _viterbi_tables(tables: _LogTables):
     if not np.isfinite(v.max()):
         raise NoAdmissiblePathError(0)
 
-    # Dead cells keep a zero backpointer; no surviving path ever follows one.
-    backptr = np.zeros((T, n_keys, cw, n_bass), dtype=np.min_scalar_type(n_keys * cw * n_bass - 1))
-    rows = np.arange(cw)[:, None]
+    live = np.flatnonzero(np.isfinite(tables.lf).any(axis=0))
+    targets = np.unique(tables.slots)  # stage-1 target basses
+    slot_t = np.searchsorted(targets, tables.slots)  # (Cw, S) columns of targets
+    first = _prev_layout(tables, np.arange(n_keys), np.tile(np.arange(n_bass), (cw, 1)), live, targets)
+    rest = _prev_layout(tables, live, tables.slots, live, targets)
+    # Flat (k, c, b) backpointers in full coordinates; dead cells keep a
+    # zero backpointer, and no surviving path ever follows one.
+    backptr = np.zeros((T, live.size, cw, s), dtype=np.min_scalar_type(n_keys * cw * n_bass - 1))
     # With no bass cap the slots are the identity gather; plain broadcasts
     # avoid materializing stage_k at every (chord, slot) pair.
     full_slots = s == n_bass
     lr_slots = np.take_along_axis(tables.lr, tables.slots, axis=1)
+    lg_live = tables.lg[live]
     block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * cw * s))
     n_expanded = 0
     fin_h = int(np.isfinite(tables.lh).sum())
@@ -257,29 +280,33 @@ def _viterbi_tables(tables: _LogTables):
     n_b_rest = n_keys * int(np.isfinite(tables.lh).sum(axis=1)[tables.slots].sum())
 
     for t in range(1, T):
-        # stage 1: collapse previous bass (lowest maximizer wins)
-        tmp = v[:, :, :, None] + tables.lh[None, None, :, :]
-        from_b = tmp.argmax(axis=2)  # (K, Cw, B)
-        stage_b = np.take_along_axis(tmp, from_b[:, :, None], axis=2)[:, :, 0]
+        keys_p, slots_p, pred, lf_pred, lh_g = first if t == 1 else rest
+        # stage 1: collapse previous bass (lowest maximizing slot wins;
+        # slots ascend, so that is the lowest bass)
+        tmp = v[:, :, :, None] + lh_g[None]
+        from_s = tmp.argmax(axis=2)  # (Kp, Cw, U) previous slot
+        stage_b = np.take_along_axis(tmp, from_s[:, :, None], axis=2)[:, :, 0]
         n_expanded += n_keys * cw * fin_h if t == 1 else n_b_rest
 
-        # stage 2: collapse previous key
-        tmp = stage_b[:, None, :, :] + tables.lf[:, :, None, None]
-        from_k = tmp.argmax(axis=0)  # (K', Cw, B)
-        stage_k = np.take_along_axis(tmp, from_k[None], axis=0)[0]
+        # stage 2: collapse previous key over each live key's predecessors
+        tmp = stage_b[pred]  # (L, D, Cw, U)
+        tmp += lf_pred[:, :, None, None]
+        from_d = tmp.argmax(axis=1)
+        stage_k = np.take_along_axis(tmp, from_d[:, None], axis=1)[:, 0]
+        from_row = pred[np.arange(live.size)[:, None, None], from_d]  # (L, Cw, U)
         n_expanded += cw * n_bass * fin_f
 
-        # stage 3: collapse previous chord, a block of target keys at a
-        # time, only at each chord's admissible bass slots
+        # stage 3: collapse previous chord, a block of live keys at a time,
+        # only at each chord's admissible bass slots
         extra = lr_slots + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
-        v = np.full((n_keys, cw, n_bass), -np.inf)
-        for k0 in range(0, n_keys, block):
+        v = np.empty((live.size, cw, s))
+        for k0 in range(0, live.size, block):
             ks = slice(k0, k0 + block)
             if full_slots:
-                val = stage_k[ks, :, None, :] + tables.lg[ks, :, :, None]  # (k, c_prev, c, B)
+                val = stage_k[ks, :, None, :] + lg_live[ks, :, :, None]  # (k, c_prev, c, B)
             else:
-                val = stage_k[ks][:, :, tables.slots]  # (k, c_prev, c, S)
-                val += tables.lg[ks, :, :, None]
+                val = stage_k[ks][:, :, slot_t]  # (k, c_prev, c, S)
+                val += lg_live[ks, :, :, None]
             from_c = val.argmax(axis=1)
             best = np.take_along_axis(val, from_c[:, None], axis=1)[:, 0]
             # ties at a live maximum need re-picking: plain argmax prefers
@@ -288,28 +315,33 @@ def _viterbi_tables(tables: _LogTables):
             at_best = val == best[:, None]
             ties = np.isfinite(best) & (at_best.sum(axis=1) > 1)
             if ties.any():
-                kk_g = from_k[ks, :, None, :] if full_slots else from_k[ks][:, :, tables.slots]
+                kk = keys_p[from_row[ks]]
+                kk_g = kk[:, :, None, :] if full_slots else kk[:, :, slot_t]
                 composite = np.where(at_best, kk_g * 256 + np.arange(cw)[:, None, None], _TIE_BIG)
                 from_c = np.where(ties, composite.argmin(axis=1), from_c)
-            kbar = from_k[ks][np.arange(len(from_c))[:, None, None], from_c, tables.slots]
-            flat = (kbar * cw + from_c) * n_bass + from_b[kbar, from_c, tables.slots]
-            v[ks, rows, tables.slots] = best + extra
-            backptr[t][ks, rows, tables.slots] = flat
+            row = from_row[ks][np.arange(len(from_c))[:, None, None], from_c, slot_t]
+            bbar = slots_p[from_c, from_s[row, from_c, slot_t]]
+            v[ks] = best + extra
+            backptr[t, ks] = (keys_p[row] * cw + from_c) * n_bass + bbar
         n_expanded += s * fin_g
 
-        if not np.isfinite(v.max()):
+        if not np.isfinite(v.max(initial=-np.inf)):
             raise NoAdmissiblePathError(t)
 
-    flat_final = int(np.argmax(v.reshape(-1)))
-    log_prob = float(v.reshape(-1)[flat_final])
+    keys_v, slots_v = (first if T == 1 else rest)[:2]
+    r, c, pos = np.unravel_index(int(np.argmax(v)), v.shape)
+    log_prob = float(v[r, c, pos])
+    key_row = np.zeros(n_keys, dtype=np.int64)
+    key_row[live] = np.arange(live.size)
+    slot_of = np.zeros((cw, n_bass), dtype=np.int64)
+    np.put_along_axis(slot_of, tables.slots, np.arange(s)[None], axis=1)
+    k, b = int(keys_v[r]), int(slots_v[c, pos])
     keys, chords, basses = np.empty((3, T), dtype=np.int64)
-    state = flat_final
     for t in range(T - 1, -1, -1):
-        k, rem = divmod(state, cw * n_bass)
-        c, b = divmod(rem, n_bass)
         keys[t], chords[t], basses[t] = k, c, b
         if t > 0:
-            state = int(backptr[t, k, c, b])
+            k, rem = divmod(int(backptr[t, key_row[k], c, slot_of[c, b]]), cw * n_bass)
+            c, b = divmod(rem, n_bass)
     return keys, chords, basses, log_prob, n_expanded
 
 

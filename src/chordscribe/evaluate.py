@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc
 
 from .annotations import (
     IntervalLabels,
@@ -140,6 +139,8 @@ def bass_frame_accuracy(pred, gt) -> float:
 def paired_t_test(a, b) -> tuple[float, float]:
     """Paired t statistic (sample sd, n-1 denominator) and two-tailed p via
     the regularized incomplete beta function."""
+    from scipy.special import betainc  # imported here to keep scipy out of package import
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size != b.size:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .annotations import N_BASS, N_KEYS, UNLABELED, Alphabet, FrameLabels
 from .annotations import make_alphabet, transpose_key
@@ -233,6 +232,8 @@ def transpose_labels(fl: FrameLabels, semitones: int, alphabet: Alphabet) -> Fra
 def gaussian_logpdf(x, mean, cov) -> float:
     """Exact multivariate normal log density. Raises on a covariance that
     is not symmetric positive definite."""
+    from scipy.linalg import cho_factor, cho_solve  # imported here to keep scipy out of package import
+
     x = np.asarray(x, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
@@ -251,6 +252,8 @@ def gaussian_logpdf(x, mean, cov) -> float:
 
 def gaussian_logpdf_frames(frames: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Log densities of every frame under every state Gaussian: (T, n)."""
+    from scipy.linalg import cho_factor, cho_solve
+
     frames = np.asarray(frames, dtype=np.float64)
     t, d = frames.shape
     n = means.shape[0]

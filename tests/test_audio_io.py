@@ -199,12 +199,13 @@ class TestAudioBuffer:
 
 
 def test_package_import_defers_scipy_signal():
-    # scipy.signal and scipy.io dominate import time; only resampling and
-    # WAV reading or writing need them.
-    code = "import sys, chordscribe; print('scipy.signal' in sys.modules, 'scipy.io' in sys.modules)"
+    # scipy dominates import time; only resampling, WAV reading or writing,
+    # Gaussian densities and the paired t-test need it.
+    mods = ("scipy.signal", "scipy.io", "scipy.linalg", "scipy.special")
+    code = f"import sys, chordscribe; print(*(m in sys.modules for m in {mods!r}))"
     src = str(Path(chordscribe.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False False"

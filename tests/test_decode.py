@@ -201,6 +201,13 @@ def _assert_matches_enumeration(tables, flat, trial):
     assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
 
 
+def _integer_log_tables(tables, rng):
+    """Replace every finite log entry with -1 or -2, so that paths tie."""
+    for name in ("lpi_k", "lpi_c", "lpi_b", "lf", "lg", "lh", "lr", "emis_c", "emis_b"):
+        arr = getattr(tables, name)
+        arr[:] = np.where(np.isfinite(arr), -rng.integers(1, 3, size=arr.shape), arr)
+
+
 class TestViterbiOracle:
     def test_matches_enumeration_on_random_models(self):
         rng = np.random.default_rng(7)
@@ -229,14 +236,44 @@ class TestViterbiOracle:
                 rng, n_keys, n_chords, n_bass, T, sparsity=0.2 * (trial % 4 == 0), slot_cap=slot_cap
             )
             if trial % 2:
-                for name in ("lpi_k", "lpi_c", "lpi_b", "lf", "lg", "lh", "lr", "emis_c", "emis_b"):
-                    arr = getattr(tables, name)
-                    arr[:] = np.where(np.isfinite(arr), -rng.integers(1, 3, size=arr.shape), arr)
+                _integer_log_tables(tables, rng)
                 flat = tables_to_flat(tables)
             if keys_per_block:
                 budget = keys_per_block * n_chords * n_chords * slot_cap
                 monkeypatch.setattr(decode, "_STAGE3_BLOCK_ELEMENTS", budget)
             _assert_matches_enumeration(tables, flat, trial)
+
+    def test_key_sparse_models_match_enumeration(self):
+        # After frame 0 the decoder keeps only keys with a finite incoming
+        # transition. Each target key gets a random in-degree from 0 to
+        # n_keys, so some keys are live only at frame 0 and some live keys
+        # lose every predecessor after frame 1. Odd trials use integer log
+        # tables, so previous keys tie.
+        rng = np.random.default_rng(14)
+        for trial in range(60):
+            n_keys, n_chords, n_bass = rng.choice([(3, 2, 2), (4, 3, 1), (6, 2, 1), (4, 1, 3)])
+            T = int(rng.integers(1, 5))
+            slot_cap = int(rng.integers(1, n_bass + 1))
+            tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, T, slot_cap=slot_cap)
+            for k in range(n_keys):
+                cut = rng.permutation(n_keys)[: n_keys - int(rng.integers(0, n_keys + 1))]
+                tables.lf[cut, k] = -np.inf
+            if trial % 2:
+                _integer_log_tables(tables, rng)
+            _assert_matches_enumeration(tables, tables_to_flat(tables), trial)
+
+    def test_no_live_key_dies_at_frame_1(self):
+        rng = np.random.default_rng(15)
+        tables, _ = random_log_tables(rng, 3, 2, 2, T=3)
+        tables.lf[:] = -np.inf
+        with pytest.raises(NoAdmissiblePathError, match="frame 1"):
+            _viterbi_tables(tables)
+
+    def test_no_live_key_single_frame_decodes(self):
+        rng = np.random.default_rng(15)
+        tables, _ = random_log_tables(rng, 3, 2, 2, T=1)
+        tables.lf[:] = -np.inf
+        _assert_matches_enumeration(tables, tables_to_flat(tables), 0)
 
     def test_matches_flat_viterbi(self):
         rng = np.random.default_rng(8)
@@ -345,6 +382,14 @@ class TestViterbiJoint:
             counts.append(p.expanded_transitions)
         assert all(a >= b - 1e-9 for a, b in zip(lps, lps[1:]))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_expanded_transitions_pinned(self):
+        # A reported count: pinned so that a change in how the decoder lays
+        # out its states cannot redefine it.
+        m, treble, bass, _ = toy_model()
+        free = viterbi_joint(m, Constraints(), treble, bass)
+        tight = viterbi_joint(m, Constraints(gamma=0, tau=3, cac=True), treble, bass)
+        assert (free.expanded_transitions, tight.expanded_transitions) == (3_385_200, 47_116)
 
     def test_ground_truth_is_lower_bound(self, trained):
         m, treble, bass, (keys, chords, basses) = trained
