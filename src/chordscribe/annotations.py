@@ -489,34 +489,3 @@ def beat_sync_labels(
                 state = parse_key_label(lab)
                 key[i] = UNLABELED if state is None else state
     return FrameLabels(key, chord, bass, beats[:-1], beats[1:])
-
-
-def write_frame_labels(path, fl: FrameLabels) -> None:
-    """Text rows `time_start time_end key chord bass`."""
-    with open(path, "w") as fh:
-        for i in range(len(fl)):
-            fh.write(
-                f"{float(fl.starts[i])!r} {float(fl.ends[i])!r} "
-                f"{fl.key[i]} {fl.chord[i]} {fl.bass[i]}\n"
-            )
-
-
-def read_frame_labels(path) -> FrameLabels:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 5:
-                raise LabParseError(f"{path}:{lineno}: expected 5 fields")
-            rows.append(
-                (float(fields[0]), float(fields[1]), int(fields[2]), int(fields[3]), int(fields[4]))
-            )
-    return FrameLabels(
-        np.array([r[2] for r in rows]),
-        np.array([r[3] for r in rows]),
-        np.array([r[4] for r in rows]),
-        np.array([r[0] for r in rows]),
-        np.array([r[1] for r in rows]),
-    )

@@ -21,13 +21,6 @@ from .audio_io import AudioBuffer
 BASS_BAND = (33, 56)
 TREBLE_BAND = (57, 92)
 
-_WINDOWS = {
-    "hamming": np.hamming,
-    "hann": np.hanning,
-    "blackman": np.blackman,
-    "rect": np.ones,
-}
-
 
 @dataclass(frozen=True)
 class ChromaConfig:
@@ -45,7 +38,6 @@ class ChromaConfig:
     f_ref: float = 440.0
     bins_per_semitone: int = 1
     spl_floor: float = -120.0
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.band_low >= self.band_high:
@@ -56,8 +48,6 @@ class ChromaConfig:
             raise ValueError("hop must be >= 1")
         if self.q_factor <= 0 or self.f_ref <= 0:
             raise ValueError("q_factor and f_ref must be positive")
-        if self.window not in _WINDOWS:
-            raise ValueError(f"unknown window {self.window!r}")
 
     def bin_frequencies(self) -> np.ndarray:
         """Center frequencies of all analysis bins, ascending."""
@@ -162,7 +152,7 @@ def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
     """Constant-Q magnitude spectrogram.
 
     Bin s at frequency f_s uses a window of L_s = Q*SR/f_s samples,
-    centered on the frame, tapered, multiplied against a complex
+    centered on the frame, Hamming-tapered, multiplied against a complex
     exponential completing Q cycles over the window; magnitudes are
     normalized by L_s. Windows reaching past the signal edges see zeros.
     """
@@ -174,7 +164,6 @@ def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
         )
     x = buf.samples
     centers, starts, ends = _frame_grid(x.size, cfg.hop, sr)
-    window_fn = _WINDOWS[cfg.window]
 
     lengths = np.maximum(1, np.round(cfg.q_factor * sr / freqs)).astype(np.int64)
     # Last frame center can sit up to hop/2 past the signal end.
@@ -183,7 +172,7 @@ def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
     mags = np.empty((freqs.size, centers.size))
     for s, (f, L) in enumerate(zip(freqs, lengths)):
         L = int(L)
-        w = window_fn(L)
+        w = np.hamming(L)
         # Q cycles over the ideal window Q*SR/f, i.e. f/SR cycles per
         # sample; using the rounded L in the exponent would quantize the
         # analyzed frequency by up to f/(2L).
@@ -276,7 +265,7 @@ def compute_chromagram(
     return fold_and_normalize(apply_a_weighting(level), cfg, band)
 
 
-def estimate_tuning(buf: AudioBuffer, cfg: ChromaConfig | None = None) -> float:
+def estimate_tuning(buf: AudioBuffer) -> float:
     """Tuning offset in cents, in [-50, 50).
 
     Candidate reference frequencies 440*2^(c/1200) are scanned on a 10-cent
@@ -288,7 +277,6 @@ def estimate_tuning(buf: AudioBuffer, cfg: ChromaConfig | None = None) -> float:
     scan has no contrast. Silent audio returns 0. Deterministic; ties go
     to the lowest candidate offset.
     """
-    window = cfg.window if cfg is not None else "hamming"
     hop = max(2048, buf.samples.size // 8)
     probe = ChromaConfig(
         band_low=57,
@@ -297,7 +285,6 @@ def estimate_tuning(buf: AudioBuffer, cfg: ChromaConfig | None = None) -> float:
         hop=hop,
         f_ref=440.0,
         bins_per_semitone=10,
-        window=window,
     )
     mags = constant_q(buf, probe).values
     bin_energy = np.sum(mags * mags, axis=1)

@@ -75,11 +75,6 @@ class RunConfig:
     train_fraction: float = 2.0 / 3.0
 
 
-_INT_KEYS = {"seed", "jobs", "hop", "bins_per_semitone", "sample_rate"}
-_FLOAT_KEYS = {"alpha", "epsilon", "q_factor", "beat_period", "train_fraction"}
-_BOOL_KEYS = {"cac"}
-
-
 def parse_config_file(path) -> dict:
     """Flat `key = value` text; `#` comments and blank lines ignored."""
     values = {}
@@ -103,24 +98,27 @@ def _sweep(text: str) -> tuple:
     return tuple(out)
 
 
+def _convert(default, val: str):
+    """A config-file value in the type of its RunConfig default; paths,
+    whose default is None, stay strings."""
+    if isinstance(default, bool):
+        return val.lower() in ("1", "true", "yes")
+    if isinstance(default, (int, float)):
+        return type(default)(val)
+    return val
+
+
 def build_config(args) -> RunConfig:
     cfg = RunConfig()
     config_path = getattr(args, "config", None) or os.environ.get("HP_CONFIG")
     file_values = parse_config_file(config_path) if config_path else {}
-    known = {f.name for f in fields(RunConfig)}
+    # The sweeps are set through the `gamma` and `tau` keys only.
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("gammas", "taus")}
     for key, val in file_values.items():
-        if key == "gamma":
-            cfg = replace(cfg, gammas=_sweep(val))
-        elif key == "tau":
-            cfg = replace(cfg, taus=_sweep(val))
-        elif key in _INT_KEYS:
-            cfg = replace(cfg, **{key: int(val)})
-        elif key in _FLOAT_KEYS:
-            cfg = replace(cfg, **{key: float(val)})
-        elif key in _BOOL_KEYS:
-            cfg = replace(cfg, **{key: val.lower() in ("1", "true", "yes")})
-        elif key in known:
-            cfg = replace(cfg, **{key: val})
+        if key in ("gamma", "tau"):
+            cfg = replace(cfg, **{f"{key}s": _sweep(val)})
+        elif key in defaults:
+            cfg = replace(cfg, **{key: _convert(defaults[key], val)})
         else:
             raise ValueError(f"unknown config key {key!r}")
     for f in fields(RunConfig):
@@ -247,7 +245,8 @@ def cmd_chroma(cfg: RunConfig) -> int:
 # --- train ------------------------------------------------------------------
 
 
-def _load_song(cfg: RunConfig, stem: str, chroma_dir: Path, alphabet):
+def _load_song(job):
+    stem, cfg, chroma_dir, alphabet = job
     treble = chroma_mod.read_chromagram(chroma_dir / f"{stem}.treble.chroma")
     bass = chroma_mod.read_chromagram(chroma_dir / f"{stem}.bass.chroma")
     chords = parse_lab(Path(cfg.chords_dir) / f"{stem}.lab")
@@ -276,13 +275,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
     alphabet = make_alphabet(cfg.alphabet)
     dataset = []
-    failures = 0
-    for stem in train_stems:
-        try:
-            dataset.append(_load_song(cfg, stem, chroma_dir, alphabet))
-        except Exception as exc:
-            failures += 1
-            print(f"error: {stem}: {exc}", file=sys.stderr)
+    jobs = [(stem, cfg, chroma_dir, alphabet) for stem in train_stems]
+    failures = _run_per_song(_load_song, jobs, cfg.jobs, dataset.append)
     if not dataset:
         print("error: no loadable training songs", file=sys.stderr)
         return 1

@@ -221,7 +221,7 @@ def _build_tables(
             np.stack([m.chord_trans_for_key(k)[np.ix_(working, working)] for k in range(N_KEYS)])
         )
 
-    emis_c = gaussian_logpdf_frames(t_frames, m.chord_emis_mean, m.chord_emis_cov)[:, working]
+    emis_c = gaussian_logpdf_frames(t_frames, m.chord_emis_mean[working], m.chord_emis_cov[working])
     emis_b = gaussian_logpdf_frames(b_frames, m.bass_emis_mean, m.bass_emis_cov)
     return _LogTables(
         lpi_k, lpi_c, lpi_b, lf, lg, lh, lr, slots[working], working, emis_c, emis_b
@@ -231,14 +231,17 @@ def _build_tables(
 def _prev_layout(tables: _LogTables, keys, slots, live, targets):
     """How one step reads the previous frame's v: its rows are `keys`, its
     bass axis holds `slots` (Cw, Sp). Returns (keys, slots, pred, lf_pred,
-    lh_g): per live target key, the rows with a finite transition into it,
-    ascending and padded with -inf transitions to the largest in-degree,
-    and the bass transitions from each previous slot to each target bass."""
+    lh_g, n_b): per live target key, the rows with a finite transition into
+    it, ascending and padded with -inf transitions to the largest
+    in-degree; the bass transitions from each previous slot to each target
+    bass; and the step's stage-1 expanded transitions, counted over all
+    keys and target basses."""
     fin = np.isfinite(tables.lf[np.ix_(keys, live)]).T  # (L, Kp)
     deg = max(1, int(fin.sum(axis=1).max(initial=0)))
     pred = np.argsort(~fin, axis=1, kind="stable")[:, :deg]
     lf_pred = tables.lf[keys[pred], live[:, None]]
-    return keys, slots, pred, lf_pred, tables.lh[slots][:, :, targets]
+    n_b = tables.lf.shape[0] * int(np.isfinite(tables.lh).sum(axis=1)[slots].sum())
+    return keys, slots, pred, lf_pred, tables.lh[slots][:, :, targets], n_b
 
 
 def _viterbi_tables(tables: _LogTables):
@@ -274,19 +277,17 @@ def _viterbi_tables(tables: _LogTables):
     lg_live = tables.lg[live]
     block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * cw * s))
     n_expanded = 0
-    fin_h = int(np.isfinite(tables.lh).sum())
     fin_f = int(np.isfinite(tables.lf).sum())
     fin_g = int(np.isfinite(tables.lg).sum())
-    n_b_rest = n_keys * int(np.isfinite(tables.lh).sum(axis=1)[tables.slots].sum())
 
     for t in range(1, T):
-        keys_p, slots_p, pred, lf_pred, lh_g = first if t == 1 else rest
+        keys_p, slots_p, pred, lf_pred, lh_g, n_b = first if t == 1 else rest
         # stage 1: collapse previous bass (lowest maximizing slot wins;
         # slots ascend, so that is the lowest bass)
         tmp = v[:, :, :, None] + lh_g[None]
         from_s = tmp.argmax(axis=2)  # (Kp, Cw, U) previous slot
         stage_b = np.take_along_axis(tmp, from_s[:, :, None], axis=2)[:, :, 0]
-        n_expanded += n_keys * cw * fin_h if t == 1 else n_b_rest
+        n_expanded += n_b
 
         # stage 2: collapse previous key over each live key's predecessors
         tmp = stage_b[pred]  # (L, D, Cw, U)

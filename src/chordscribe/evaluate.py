@@ -124,10 +124,11 @@ def predominant_key_accuracy(preds, gts) -> float:
 
 
 def bass_frame_accuracy(pred, gt) -> float:
-    """Fraction of frames with equal bass state; unlabeled ground-truth
-    frames are excluded."""
-    pred_b = np.asarray(pred.bass if hasattr(pred, "bass") else pred)
-    gt_b = np.asarray(gt.bass if hasattr(gt, "bass") else gt)
+    """Fraction of frames with equal bass state, given two per-frame
+    bass-state arrays; unlabeled (negative) ground-truth frames are
+    excluded."""
+    pred_b = np.asarray(pred)
+    gt_b = np.asarray(gt)
     if pred_b.size != gt_b.size:
         raise ValueError("frame count mismatch")
     labeled = gt_b >= 0

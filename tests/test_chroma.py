@@ -1,8 +1,12 @@
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chordscribe.audio_io import AudioBuffer, synthesize_triads
 from chordscribe.chroma import (
@@ -305,16 +309,26 @@ def test_chromagram_rejects_nan():
 
 
 class TestChromagramIO:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        vals = rng.random((12, 7))
-        ch = Chromagram(vals, np.arange(7.0), np.arange(7.0) + 1.0, "bass")
-        p = tmp_path / "x.chroma"
-        write_chromagram(p, ch)
-        back = read_chromagram(p)
-        assert back.band == "bass"
+    @settings(deadline=None)
+    @given(
+        st.data(),
+        st.lists(st.floats(1e-3, 10.0), max_size=50),  # frame durations
+        st.sampled_from(["bass", "treble"]),
+    )
+    def test_roundtrip(self, data, durations, band):
+        beats = np.concatenate([[0.0], np.cumsum(durations)])
+        vals = data.draw(arrays(np.float64, (12, len(durations)), elements=st.floats(0.0, 1.0)))
+        ch = Chromagram(vals, beats[:-1], beats[1:], band)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.chroma", Path(tmp) / "b.chroma"
+            write_chromagram(first, ch)
+            back = read_chromagram(first)
+            write_chromagram(second, back)
+            assert first.read_bytes() == second.read_bytes()
+        assert back.band == band
         np.testing.assert_array_equal(back.values, vals)
         np.testing.assert_array_equal(back.starts, ch.starts)
+        np.testing.assert_array_equal(back.ends, ch.ends)
 
     def test_bad_field_count(self, tmp_path):
         p = tmp_path / "bad.chroma"

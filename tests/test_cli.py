@@ -216,6 +216,33 @@ class TestTrain:
         test_songs = m.with_suffix(".test_songs.txt").read_text().split()
         assert len(train_songs) == 1 and len(test_songs) == 1
 
+    def test_parallel_jobs_match_serial(self, workspace, tmp_path, monkeypatch):
+        import chordscribe.cli as cli
+
+        pools = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        outputs = {}
+        for jobs in ("1", "2"):
+            m = tmp_path / f"jobs{jobs}" / "model.txt"
+            argv = ["train", "--chroma-dir", str(workspace / "chroma"), "--chords-dir"]
+            argv += [str(workspace / "chords"), "--keys-dir", str(workspace / "keys")]
+            argv += ["--model", str(m), "--train-fraction", "1.0", "--seed", "3"]
+            assert run(*argv, "--jobs", jobs) == 0
+            outputs[jobs] = {p.name: p.read_bytes() for p in sorted(m.parent.iterdir())}
+        assert sorted(outputs["1"]) == [
+            "model.test_songs.txt",
+            "model.train_songs.txt",
+            "model.txt",
+        ]
+        assert outputs["2"] == outputs["1"]
+        assert len(pools) == 1
+
     def test_no_songs_nonzero(self, tmp_path):
         for d in ("c", "l"):
             (tmp_path / d).mkdir()
@@ -462,3 +489,32 @@ class TestConfigFile:
         cfg_file.write_text("no_such_key = 1\n")
         with pytest.raises(ValueError):
             build_config(argparse.Namespace(config=str(cfg_file)))
+
+    def test_sweep_field_names_rejected(self, tmp_path):
+        """The sweeps are set by `gamma` and `tau`; the RunConfig field names
+        would pass the raw string through to Constraints."""
+        import argparse
+
+        from chordscribe.cli import build_config
+
+        for line in ("gammas = 0", "taus = 3"):
+            cfg_file = tmp_path / "sweep.cfg"
+            cfg_file.write_text(line + "\n")
+            with pytest.raises(ValueError, match=f"unknown config key '{line.split()[0]}'"):
+                build_config(argparse.Namespace(config=str(cfg_file)))
+
+    def test_values_take_default_types(self, tmp_path):
+        import argparse
+
+        from chordscribe.cli import build_config
+
+        cfg_file = tmp_path / "types.cfg"
+        cfg_file.write_text(
+            "jobs = 2\nalpha = 0.5\ncac = yes\nalphabet = full121\n"
+            "chroma_dir = c\ngamma = 0, none\ntau = 3\n"
+        )
+        cfg = build_config(argparse.Namespace(config=str(cfg_file)))
+        assert (cfg.jobs, cfg.alpha, cfg.cac) == (2, 0.5, True)
+        assert type(cfg.jobs) is int and type(cfg.alpha) is float
+        assert (cfg.alphabet, cfg.chroma_dir) == ("full121", "c")
+        assert (cfg.gammas, cfg.taus) == ((0, None), (3,))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from conftest import (
@@ -53,7 +55,7 @@ def trained():
 
 class TestPruneKeyTransitions:
     def _with_counts(self, trained, counts):
-        m = trained[0]
+        m = copy.deepcopy(trained[0])
         m.key_trans_counts = np.zeros((24, 24))
         for (i, j), n in counts.items():
             m.key_trans_counts[i, j] = n
@@ -85,7 +87,7 @@ class TestPruneChordToBass:
         np.testing.assert_array_equal(prune_chord_to_bass(m, 13), m.bass_given_chord)
 
     def test_tau_3_keeps_triad_tones(self, trained):
-        m = trained[0]
+        m = copy.deepcopy(trained[0])
         m.chord_bass_counts = np.zeros((25, 13))
         m.chord_bass_counts[0, [0, 4, 7]] = [30, 10, 3]  # root >> 3rd >> 5th
         m.chord_bass_counts[0, 2] = 1
@@ -101,7 +103,7 @@ class TestPruneChordToBass:
         assert np.all((pruned > 0).sum(axis=1) <= 1)
 
     def test_count_ties_break_to_lower_bass(self, trained):
-        m = trained[0]
+        m = copy.deepcopy(trained[0])
         m.chord_bass_counts = np.zeros((25, 13))
         m.chord_bass_counts[3, [2, 9]] = 4  # equal counts
         m.chord_bass_counts[3, 5] = 9
@@ -406,6 +408,7 @@ class TestViterbiJoint:
 
     def test_no_admissible_path_names_frame(self, trained):
         m, treble, bass, _ = trained
+        m = copy.deepcopy(m)
         m.key_trans_counts = np.zeros((24, 24))  # gamma prunes everything
         with pytest.raises(NoAdmissiblePathError, match="frame 1"):
             viterbi_joint(m, Constraints(gamma=5), treble, bass)
