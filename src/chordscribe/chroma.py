@@ -369,11 +369,21 @@ def read_chromagram(path) -> Chromagram:
 
 
 def read_beats(path) -> np.ndarray:
-    """Beat file: one timestamp in seconds per line."""
+    """Beat file: one timestamp in seconds per line, finite and strictly
+    increasing; blank lines and `#` comments are skipped."""
     beats = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line and not line.startswith("#"):
-                beats.append(float(line.split()[0]))
+            if not line or line.startswith("#"):
+                continue
+            try:
+                beat = float(line.split()[0])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected a beat time in seconds, got {line!r}") from None
+            if not np.isfinite(beat):
+                raise ValueError(f"{path}:{lineno}: beat time {beat} is not finite")
+            if beats and beat <= beats[-1]:
+                raise ValueError(f"{path}:{lineno}: beat time {beat} does not follow {beats[-1]}")
+            beats.append(beat)
     return np.asarray(beats, dtype=np.float64)

@@ -18,6 +18,17 @@ natural log, where zero probability is -inf. Ties break toward the lowest
 maximizing state, and each backpointer the lowest maximizing predecessor,
 which together select the optimal path whose reversed state sequence is
 lexicographically smallest.
+
+Each stage keeps the axis it maximizes over where numpy reduces it without
+a transposed copy. Stages 1 and 3 put it last and contiguous: stage 1 works
+on (previous key, target bass, chord, previous slot) and stage 3 on (key,
+chord, slot, previous chord), so the chord transitions are transposed once
+per decode and the stage outputs are already in the order the next stage
+reads. Stage 2, (key, predecessor, target bass, previous chord), takes the
+max over its middle axis in one ufunc reduction and finds the first
+predecessor that reaches it by comparison. A stage-3 cell ties when its
+maximum survives knocking out the argmax, and only then is the tie
+repaired.
 """
 
 from __future__ import annotations
@@ -221,7 +232,12 @@ def _build_tables(
             np.stack([m.chord_trans_for_key(k)[np.ix_(working, working)] for k in range(N_KEYS)])
         )
 
-    emis_c = gaussian_logpdf_frames(t_frames, m.chord_emis_mean[working], m.chord_emis_cov[working])
+    emis_c = gaussian_logpdf_frames(
+        t_frames,
+        m.chord_emis_mean[working],
+        m.chord_emis_cov[working],
+        lambda row: f"chord {working[row]} ({m.alphabet.label_at(working[row])})",
+    )
     emis_b = gaussian_logpdf_frames(b_frames, m.bass_emis_mean, m.bass_emis_cov)
     return _LogTables(
         lpi_k, lpi_c, lpi_b, lf, lg, lh, lr, slots[working], working, emis_c, emis_b
@@ -230,18 +246,28 @@ def _build_tables(
 
 def _prev_layout(tables: _LogTables, keys, slots, live, targets):
     """How one step reads the previous frame's v: its rows are `keys`, its
-    bass axis holds `slots` (Cw, Sp). Returns (keys, slots, pred, lf_pred,
-    lh_g, n_b): per live target key, the rows with a finite transition into
-    it, ascending and padded with -inf transitions to the largest
-    in-degree; the bass transitions from each previous slot to each target
-    bass; and the step's stage-1 expanded transitions, counted over all
-    keys and target basses."""
+    bass axis holds `slots` (Cw, Sp). Returns (keys, slots, lh_g, starts,
+    pred, lf_pred, rank, n_b):
+    - lh_g (U, Cw, Sp): the bass transition from each chord's previous
+      slot to each target bass, previous slot last;
+    - starts (Kp, U, Cw): the flat index of the first element of each
+      stage-1 row, so that starts + argmax addresses the row's maximum;
+    - pred (L, D): per live target key, the rows with a finite transition
+      into it, ascending and padded with -inf transitions to the largest
+      in-degree D, and lf_pred (L, D, 1, 1) those transitions;
+    - rank (D, 1, 1): D down to 1, which marks the first maximizing
+      predecessor;
+    - n_b: the step's stage-1 expanded transitions, counted over all keys
+      and target basses."""
     fin = np.isfinite(tables.lf[np.ix_(keys, live)]).T  # (L, Kp)
     deg = max(1, int(fin.sum(axis=1).max(initial=0)))
     pred = np.argsort(~fin, axis=1, kind="stable")[:, :deg]
-    lf_pred = tables.lf[keys[pred], live[:, None]]
+    lf_pred = tables.lf[keys[pred], live[:, None]][:, :, None, None]
+    rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
+    lh_g = np.ascontiguousarray(tables.lh[slots][:, :, targets].transpose(2, 0, 1))
+    starts = np.arange(0, lh_g.size * keys.size, slots.shape[1]).reshape(keys.size, *lh_g.shape[:2])
     n_b = tables.lf.shape[0] * int(np.isfinite(tables.lh).sum(axis=1)[slots].sum())
-    return keys, slots, pred, lf_pred, tables.lh[slots][:, :, targets], n_b
+    return keys, slots, lh_g, starts, pred, lf_pred, rank, n_b
 
 
 def _viterbi_tables(tables: _LogTables):
@@ -274,54 +300,66 @@ def _viterbi_tables(tables: _LogTables):
     # avoid materializing stage_k at every (chord, slot) pair.
     full_slots = s == n_bass
     lr_slots = np.take_along_axis(tables.lr, tables.slots, axis=1)
-    lg_live = tables.lg[live]
+    lg_live = np.ascontiguousarray(tables.lg[live].transpose(0, 2, 1))  # (L, c, c_prev)
     block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * cw * s))
+    starts_c = np.arange(0, min(block, live.size) * cw * s * cw, cw).reshape(-1, cw, s)
+    key_idx = np.arange(live.size)[:, None, None]
+    chord_ids = np.arange(cw)
     n_expanded = 0
     fin_f = int(np.isfinite(tables.lf).sum())
     fin_g = int(np.isfinite(tables.lg).sum())
 
     for t in range(1, T):
-        keys_p, slots_p, pred, lf_pred, lh_g, n_b = first if t == 1 else rest
-        # stage 1: collapse previous bass (lowest maximizing slot wins;
-        # slots ascend, so that is the lowest bass)
-        tmp = v[:, :, :, None] + lh_g[None]
-        from_s = tmp.argmax(axis=2)  # (Kp, Cw, U) previous slot
-        stage_b = np.take_along_axis(tmp, from_s[:, :, None], axis=2)[:, :, 0]
+        keys_p, slots_p, lh_g, starts, pred, lf_pred, rank, n_b = first if t == 1 else rest
+        # stage 1: collapse previous bass over the last axis of the
+        # (Kp, U, Cw, Sp) tensor (lowest maximizing slot wins; slots ascend,
+        # so that is the lowest bass)
+        tmp = v[:, None] + lh_g
+        from_s = tmp.argmax(axis=-1)  # (Kp, U, Cw) previous slot
+        stage_b = tmp.reshape(-1)[from_s + starts]
         n_expanded += n_b
 
-        # stage 2: collapse previous key over each live key's predecessors
-        tmp = stage_b[pred]  # (L, D, Cw, U)
-        tmp += lf_pred[:, :, None, None]
-        from_d = tmp.argmax(axis=1)
-        stage_k = np.take_along_axis(tmp, from_d[:, None], axis=1)[:, 0]
-        from_row = pred[np.arange(live.size)[:, None, None], from_d]  # (L, Cw, U)
+        # stage 2: collapse previous key over each live key's predecessors;
+        # the max reduces axis 1 without a transposed copy, and the largest
+        # rank among the entries equal to it marks the first one
+        tmp = np.take(stage_b, pred, axis=0)  # (L, D, U, Cw)
+        tmp += lf_pred
+        stage_k = tmp.max(axis=1)
+        from_d = rank.shape[0] - (np.equal(tmp, stage_k[:, None]) * rank).max(axis=1)
+        from_row = pred[key_idx, from_d]  # (L, U, Cw)
         n_expanded += cw * n_bass * fin_f
 
-        # stage 3: collapse previous chord, a block of live keys at a time,
-        # only at each chord's admissible bass slots
+        # stage 3: collapse previous chord over the last axis of the
+        # (k, c, S, c_prev) tensor, a block of live keys at a time, only at
+        # each chord's admissible bass slots
         extra = lr_slots + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
         v = np.empty((live.size, cw, s))
         for k0 in range(0, live.size, block):
             ks = slice(k0, k0 + block)
             if full_slots:
-                val = stage_k[ks, :, None, :] + lg_live[ks, :, :, None]  # (k, c_prev, c, B)
+                val = stage_k[ks, None] + lg_live[ks, :, None]  # (k, c, B, c_prev)
             else:
-                val = stage_k[ks][:, :, slot_t]  # (k, c_prev, c, S)
-                val += lg_live[ks, :, :, None]
-            from_c = val.argmax(axis=1)
-            best = np.take_along_axis(val, from_c[:, None], axis=1)[:, 0]
-            # ties at a live maximum need re-picking: plain argmax prefers
-            # the lowest previous chord, but the canonical order is
-            # previous key first; dead columns (-inf) need no repair
-            at_best = val == best[:, None]
-            ties = np.isfinite(best) & (at_best.sum(axis=1) > 1)
+                val = np.take(stage_k[ks], slot_t, axis=1)  # (k, c, S, c_prev)
+                val += lg_live[ks, :, None]
+            from_c = val.argmax(axis=-1)
+            row_starts = starts_c[: len(from_c)]
+            at = from_c + row_starts
+            best = val.reshape(-1)[at]
+            # a cell ties when its maximum survives knocking out the argmax;
+            # a tie at a live maximum needs re-picking, as argmax took the
+            # lowest previous chord but the canonical order is previous key
+            # first; dead cells (-inf) need no repair
+            np.put(val, at, -np.inf)
+            second = val.reshape(-1)[val.argmax(axis=-1) + row_starts]
+            ties = np.isfinite(best) & (second == best)
             if ties.any():
-                kk = keys_p[from_row[ks]]
-                kk_g = kk[:, :, None, :] if full_slots else kk[:, :, slot_t]
-                composite = np.where(at_best, kk_g * 256 + np.arange(cw)[:, None, None], _TIE_BIG)
-                from_c = np.where(ties, composite.argmin(axis=1), from_c)
-            row = from_row[ks][np.arange(len(from_c))[:, None, None], from_c, slot_t]
-            bbar = slots_p[from_c, from_s[row, from_c, slot_t]]
+                np.put(val, at, best)
+                order = keys_p[from_row[ks]] * 256 + chord_ids  # (k, U, c_prev)
+                order = order[:, None] if full_slots else np.take(order, slot_t, axis=1)
+                composite = np.where(val == best[..., None], order, _TIE_BIG)
+                from_c = np.where(ties, composite.argmin(axis=-1), from_c)
+            row = from_row[ks][key_idx[: len(from_c)], slot_t, from_c]
+            bbar = slots_p[from_c, from_s[row, slot_t, from_c]]
             v[ks] = best + extra
             backptr[t, ks] = (keys_p[row] * cw + from_c) * n_bass + bbar
         n_expanded += s * fin_g

@@ -250,8 +250,13 @@ def gaussian_logpdf(x, mean, cov) -> float:
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
 
 
-def gaussian_logpdf_frames(frames: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Log densities of every frame under every state Gaussian: (T, n)."""
+def gaussian_logpdf_frames(
+    frames: np.ndarray, means: np.ndarray, covs: np.ndarray, state_name=None
+) -> np.ndarray:
+    """Log densities of every frame under every state Gaussian: (T, n).
+
+    state_name(s) names row s in the error for a covariance that is not
+    positive definite; by default the row is called "state s"."""
     from scipy.linalg import cho_factor, cho_solve
 
     frames = np.asarray(frames, dtype=np.float64)
@@ -262,7 +267,8 @@ def gaussian_logpdf_frames(frames: np.ndarray, means: np.ndarray, covs: np.ndarr
         try:
             factor = cho_factor(covs[s], lower=True)
         except np.linalg.LinAlgError as exc:
-            raise ValueError(f"covariance of state {s} is not positive definite") from exc
+            name = f"state {s}" if state_name is None else state_name(s)
+            raise ValueError(f"covariance of {name} is not positive definite") from exc
         diff = frames - means[s]
         maha = np.einsum("td,td->t", diff, cho_solve(factor, diff.T).T)
         logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))

@@ -22,6 +22,7 @@ from chordscribe.chroma import (
     estimate_tuning,
     fold_and_normalize,
     pitch_class_index,
+    read_beats,
     read_chromagram,
     spl,
     treble_config,
@@ -348,3 +349,30 @@ class TestChromagramIO:
         np.testing.assert_allclose(beats, [0.0, 0.5, 1.0, 1.5, 2.0])
         beats = default_beat_grid(1.7, 0.5)
         np.testing.assert_allclose(beats, [0.0, 0.5, 1.0, 1.5, 1.7])
+
+
+class TestReadBeats:
+    def test_reads_times_skipping_comments(self, tmp_path):
+        p = tmp_path / "song.txt"
+        p.write_text("# beats\n0.0\n\n0.5 extra\n1.25\n")
+        np.testing.assert_array_equal(read_beats(p), [0.0, 0.5, 1.25])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_names_file_and_line(self, tmp_path, bad):
+        p = tmp_path / "song.txt"
+        p.write_text(f"0\n1\n# comment\n{bad}\n3\n5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:4:") + ".*not finite"):
+            read_beats(p)
+
+    @pytest.mark.parametrize("text, line", [("0\n2\n1\n", 3), ("0\n1\n1\n2\n", 3)])
+    def test_non_increasing_names_file_and_line(self, tmp_path, text, line):
+        p = tmp_path / "song.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{p}:{line}:") + ".*does not follow"):
+            read_beats(p)
+
+    def test_unparsable_names_file_and_line(self, tmp_path):
+        p = tmp_path / "song.txt"
+        p.write_text("0\nbeat\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2:")):
+            read_beats(p)

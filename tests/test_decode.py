@@ -15,6 +15,7 @@ from conftest import (
 )
 
 from chordscribe import decode
+from chordscribe.annotations import derive_bass, make_alphabet, parse_chord_symbol
 from chordscribe.decode import (
     Constraints,
     NoAdmissiblePathError,
@@ -210,6 +211,51 @@ def _integer_log_tables(tables, rng):
         arr[:] = np.where(np.isfinite(arr), -rng.integers(1, 3, size=arr.shape), arr)
 
 
+def _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, slot_cap):
+    """_LogTables with every finite log entry -1 or -2 and a tenth of the
+    transition entries -inf, so that stage-3 maxima tie across many
+    previous chords."""
+
+    def ints(shape, holes=0.1):
+        x = -rng.integers(1, 3, size=shape).astype(float)
+        x[rng.random(shape) < holes] = -np.inf
+        return x
+
+    slots = np.sort([rng.choice(n_bass, size=slot_cap, replace=False) for _ in range(n_chords)], axis=1)
+    lr = np.full((n_chords, n_bass), -np.inf)
+    np.put_along_axis(lr, slots, ints((n_chords, slot_cap)), axis=1)
+    return decode._LogTables(
+        lpi_k=ints(n_keys, 0.0),
+        lpi_c=ints(n_chords, 0.0),
+        lpi_b=ints(n_bass, 0.0),
+        lf=ints((n_keys, n_keys)),
+        lg=ints((n_keys, n_chords, n_chords)),
+        lh=ints((n_bass, n_bass)),
+        lr=lr,
+        slots=slots,
+        working=np.arange(n_chords, dtype=np.int64),
+        emis_c=ints((T, n_chords), 0.0),
+        emis_b=ints((T, n_bass), 0.0),
+    )
+
+
+def _flat_tables(tables):
+    """tables_to_flat by broadcasting, summing in the same order."""
+    n_keys, n_chords, _ = tables.lg.shape
+    n_bass = tables.lh.shape[0]
+    n = n_keys * n_chords * n_bass
+    log_init = (tables.lpi_k[:, None, None] + tables.lpi_c[:, None] + tables.lpi_b).ravel()
+    emis = tables.emis_c[:, :, None] + tables.emis_b[:, None, :]  # (T, c, b)
+    log_emis = np.broadcast_to(emis[:, None], (emis.shape[0], n_keys, *emis.shape[1:])).reshape(-1, n)
+    log_trans = (
+        tables.lf[:, None, None, :, None, None]  # (k_prev, c_prev, b_prev, k, c, b)
+        + tables.lg.transpose(1, 0, 2)[None, :, None, :, :, None]
+        + tables.lr
+        + tables.lh[None, None, :, None, None, :]
+    )
+    return log_init, log_trans.reshape(n, n), log_emis
+
+
 class TestViterbiOracle:
     def test_matches_enumeration_on_random_models(self):
         rng = np.random.default_rng(7)
@@ -285,6 +331,29 @@ class TestViterbiOracle:
             ref_lp, ref_path = flat_viterbi(*flat)
             assert lp == pytest.approx(ref_lp, abs=1e-9)
             rk, rc, rb = split_flat_path(ref_path, 4, 3)
+            assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+
+    @pytest.mark.parametrize("slot_cap", [13, 3])
+    @pytest.mark.parametrize("keys_per_block", [None, 2])
+    def test_wide_tables_match_flat_viterbi(self, monkeypatch, slot_cap, keys_per_block):
+        # 30 chords and 13 basses reach the layouts the small oracles never
+        # do: every stage tensor is wider than its reduced axis, and with
+        # integer tables most stage-3 maxima tie; on this seed, both slot
+        # widths decode a path that a stage 3 without the tie repair gets
+        # wrong. Two keys a block splits the four keys.
+        rng = np.random.default_rng(20)
+        small = _wide_integer_tables(rng, 2, 3, 2, 3, 2)
+        for ours, ref in zip(_flat_tables(small), tables_to_flat(small)):
+            np.testing.assert_array_equal(ours, ref)
+        n_keys, n_chords, n_bass = 4, 30, 13
+        if keys_per_block:
+            monkeypatch.setattr(decode, "_STAGE3_BLOCK_ELEMENTS", keys_per_block * n_chords**2 * slot_cap)
+        for trial in range(4):
+            tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, 12, slot_cap)
+            keys, chords, basses, lp, _ = _viterbi_tables(tables)
+            ref_lp, ref_path = flat_viterbi(*_flat_tables(tables))
+            assert lp == ref_lp, f"trial {trial}"
+            rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
             assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
 
     def test_tie_break_on_quantized_tables(self):
@@ -413,6 +482,21 @@ class TestViterbiJoint:
         with pytest.raises(NoAdmissiblePathError, match="frame 1"):
             viterbi_joint(m, Constraints(gamma=5), treble, bass)
 
+    def test_bad_covariance_names_chord_not_working_row(self, trained):
+        # The chord alphabet constraint decodes over a working set, so the
+        # bad chord's row in the emission arrays differs from its index.
+        m, treble, bass, _ = trained
+        m = copy.deepcopy(m)
+        bad = 7  # G:maj, a chord of the toy song
+        working = chord_alphabet_constraint(
+            m.cac, np.concatenate([treble.values.T, bass.values.T], axis=1), m.alphabet.no_chord
+        )
+        row = int(np.flatnonzero(working == bad)[0])
+        assert row != bad
+        m.chord_emis_cov[bad] = -np.eye(12)
+        with pytest.raises(ValueError, match=r"covariance of chord 7 \(G:maj\) is not positive definite"):
+            viterbi_joint(m, Constraints(cac=True), treble, bass)
+
     def test_frame_count_mismatch(self, trained):
         m, treble, bass, _ = trained
         short = make_chromagram(bass.values.T[:-1], "bass")
@@ -426,6 +510,49 @@ class TestViterbiJoint:
             Constraints(tau=14)
         with pytest.raises(ValueError):
             Constraints(gamma=-1)
+
+
+def _fallback_tie_case():
+    """A full121 model trained on two songs of four chords (keys C and G),
+    so that 115 of its 121 chord states share the fallback Gaussian, and a
+    12-frame song whose flat frames (every chroma bin 0.5) tie those
+    states' emissions exactly."""
+    a121 = make_alphabet("full121")
+    rng = np.random.default_rng(41)
+
+    def song(labels, key):
+        chords = [a121.index_of(parse_chord_symbol(lab)) for lab in labels]
+        basses = [derive_bass(a121.symbol_at(c)) for c in chords]
+        t, b = synthetic_frames(chords, basses, "full121", rng=rng)
+        return t, b, make_frame_labels([key] * len(chords), chords, basses)
+
+    songs = []
+    for key, labels in ((0, ("C:maj", "G:maj", "A:min", "N")), (7, ("G:maj", "D:maj", "E:min", "N"))):
+        t, b, frame_labels = song(np.repeat(labels, [4, 4, 4, 2]).tolist() * 2, key)
+        songs.append((make_chromagram(t), make_chromagram(b, "bass"), frame_labels))
+    model = train(songs, TrainConfig(alphabet="full121", alpha=0.1))
+    t, b, _ = song(["N"] * 4 + ["G:maj"] * 4 + ["N"] * 4, 0)
+    flat = np.r_[0:4, 8:12]
+    t[flat] = 0.5
+    b[flat] = 0.5
+    return model, make_chromagram(t), make_chromagram(b, "bass")
+
+
+@pytest.mark.parametrize("constraints", [Constraints(), Constraints(tau=3)], ids=["free", "tau3"])
+def test_fallback_emission_ties_pinned(constraints):
+    # Values recorded before the stage tensors were laid out with the
+    # reduced axis last. Stage 3 ties on two thirds of its blocks here; the
+    # pin fails if stage 1, stage 2 or the final frame takes the last
+    # maximum instead of the first, or if the tie repair takes the highest
+    # tied previous chord.
+    model, treble, bass = _fallback_tie_case()
+    fallback = np.all(model.chord_emis_mean == 0.5, axis=1)
+    assert fallback.sum() == 115
+    path = viterbi_joint(model, constraints, treble, bass)
+    assert path.keys.tolist() == [0] * 9 + [1] * 3
+    assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4
+    assert path.basses.tolist() == [1] * 4 + [7] * 4 + [1] * 4
+    assert repr(path.log_prob) == "173.14618045901557"
 
 
 class TestForwardBackwardEdge:
