@@ -25,6 +25,14 @@ class EmptyAudioError(AudioError):
     """WAV contains no samples."""
 
 
+def _peak(x: np.ndarray) -> float:
+    """Largest |sample|, without an |x| temporary; NaN if any sample is not finite."""
+    hi, lo = float(x.max()), float(x.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        return math.nan
+    return max(hi, -lo)
+
+
 @dataclass
 class AudioBuffer:
     """Mono audio samples in [-1, 1] together with their sample rate in Hz."""
@@ -39,8 +47,8 @@ class AudioBuffer:
         if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
             raise ValueError(f"sample rate must be a positive integer, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)
-        peak = float(np.max(np.abs(self.samples)))
-        if not math.isfinite(peak):  # a NaN or inf sample propagates into the peak
+        peak = _peak(self.samples)
+        if not math.isfinite(peak):
             raise ValueError("audio samples must be finite")
         if peak > 1.0 + 1e-6:
             raise ValueError(f"sample magnitudes exceed 1 (peak {peak:.6g})")
@@ -90,15 +98,19 @@ def load_wav(path) -> AudioBuffer:
             f"{path}: {data.shape[1]} channels (only mono/stereo supported)"
         )
 
+    # Scaled in place: a float64 copy of the file is the only full-size temporary.
     if data.dtype in _INT_SCALE:
-        samples = data.astype(np.float64) / _INT_SCALE[data.dtype]
+        samples = data.astype(np.float64)
+        samples /= _INT_SCALE[data.dtype]
     elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
+        samples = data.astype(np.float64)
+        samples -= 128.0
+        samples /= 128.0
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
-        peak = float(np.max(np.abs(samples)))
+        peak = _peak(samples)  # NaN for a non-finite sample, which AudioBuffer rejects
         if peak > 1.0 + 1e-6:
-            samples = samples / peak
+            samples /= peak
     else:
         raise UnsupportedEncodingError(f"{path}: unsupported sample dtype {data.dtype}")
 
@@ -130,28 +142,110 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     return taps * (up / taps.sum())
 
 
+def zero_extended(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x[lo:hi] with zeros wherever the range leaves the signal.
+
+    A view when the range lies inside x, else a copy of hi - lo samples.
+    """
+    if 0 <= lo and hi <= x.size:
+        return x[lo:hi]
+    out = np.zeros(hi - lo)
+    a, b = max(lo, 0), min(hi, x.size)
+    if a < b:
+        out[a - lo : b - lo] = x[a:b]
+    return out
+
+
+def _upfirdn_len(n_taps: int, n_in: int, up: int, down: int) -> int:
+    """Length of the full upsample-filter-downsample output."""
+    return ((n_in - 1) * up + n_taps - 1) // down + 1
+
+
+# Outputs computed together: a block's per-tap temporaries stay in cache,
+# and per-call overhead stays small beside the arithmetic.
+_RESAMPLE_BLOCK = 1 << 15
+
+
+def _polyphase(x: np.ndarray, up: int, down: int, taps: np.ndarray) -> np.ndarray:
+    """Upsample by `up`, filter with `taps`, downsample by `down`, trim.
+
+    Gives the bits of scipy.signal.resample_poly(x, up, down, window=taps)
+    (up and down coprime): the same padding of the filter and the same
+    trimming, and each output accumulates x[j] * h from 0.0 in increasing
+    j, every product and every sum rounded on its own, as upfirdn does.
+
+    Output i = m * up + r reads filter phase t(r) at inputs
+    m * down + first[r] + k, for taps k = 0 .. n_taps - 1. A block of m
+    values has its input deinterleaved once into `down` contiguous rows,
+    so for one tap each phase reads a contiguous row slice: one gather of
+    those slices, one multiply and one add per tap cover the whole block.
+    """
+    n_in = x.size
+    n_out = -(-n_in * up // down)
+    half_len = (taps.size - 1) // 2
+    n_pre = down - half_len % down
+    n_pre_remove = (half_len + n_pre) // down
+    n_post = 0
+    while _upfirdn_len(taps.size + n_pre + n_post, n_in, up, down) < n_out + n_pre_remove:
+        n_post += 1
+    h = np.concatenate((np.zeros(n_pre), taps * up, np.zeros(n_post)))
+    h = np.concatenate((h, np.zeros(-h.size % up)))
+    phases = h.reshape(-1, up).T[:, ::-1]  # phase t, taps in input order
+    n_taps = phases.shape[1]
+
+    shifts = (np.arange(up) + n_pre_remove) * down
+    first = shifts // up - n_taps + 1  # input index of tap 0 for outputs m = 0
+    coef = np.ascontiguousarray(phases[shifts % up].T)[:, :, None]  # (tap, r, 1)
+    offset = first - first[0]  # >= 0: first[] increases with r
+    live = np.flatnonzero(np.any(phases != 0.0, axis=0))
+    m_block = max(1, _RESAMPLE_BLOCK // up)
+    n_cols = m_block + (int(offset[-1]) + n_taps - 1) // down
+    c = offset + np.arange(n_taps)[:, None]  # (tap, r): input offset in the block
+    starts = c % down * n_cols + c // down  # the same, as a row slice start
+
+    out = np.empty(n_out)
+    acc = np.empty((up, m_block))
+    prod = np.empty((up, m_block))
+    for i0 in range(0, n_out, m_block * up):
+        lo = i0 // up * down + int(first[0])
+        window = zero_extended(x, lo, lo + n_cols * down)
+        rows = np.ascontiguousarray(window.reshape(n_cols, down).T).ravel()
+        slices = np.lib.stride_tricks.sliding_window_view(rows, m_block)
+        acc.fill(0.0)
+        # A tap that is zero in every phase is skipped: acc starts at +0.0, so
+        # it is never -0.0, and adding a signed zero leaves it unchanged.
+        for k in live:
+            if up == 1:
+                np.multiply(slices[starts[k, 0]], coef[k, 0, 0], out=prod[0])
+            else:
+                np.multiply(slices[starts[k]], coef[k], out=prod)
+            acc += prod
+        i1 = min(n_out, i0 + m_block * up)
+        out[i0:i1] = acc.T.ravel()[: i1 - i0]
+    return out
+
+
 def resample(buf: AudioBuffer, target_sr: int) -> AudioBuffer:
     """Resample to target_sr with a windowed-sinc polyphase filter.
 
-    Output duration equals the input duration within one output sample
-    period. If filter ringing pushes the peak past full scale, the whole
-    buffer is rescaled to peak 1 (shape-preserving).
+    numpy only, with the bits of scipy.signal.resample_poly for the taps
+    of _resample_taps; the source is read in blocks, so apart from the
+    output no array grows with the signal. Output duration equals the
+    input duration within one output sample period. If filter ringing
+    pushes the peak past full scale, the whole buffer is rescaled in place
+    to peak 1 (shape-preserving).
     """
     if target_sr <= 0:
         raise ValueError(f"target sample rate must be positive, got {target_sr}")
     target_sr = int(target_sr)
     if target_sr == buf.sample_rate:
         return buf
-    # Imported here: scipy.signal is most of the package's import time, and
-    # processes that only decode never resample.
-    from scipy.signal import resample_poly
-
     g = math.gcd(buf.sample_rate, target_sr)
     up, down = target_sr // g, buf.sample_rate // g
-    out = resample_poly(buf.samples, up, down, window=_resample_taps(up, down))
-    peak = float(np.max(np.abs(out)))
+    out = _polyphase(buf.samples, up, down, _resample_taps(up, down))
+    peak = _peak(out)
     if peak > 1.0:
-        out = out / peak
+        out /= peak
     return AudioBuffer(out, target_sr)
 
 

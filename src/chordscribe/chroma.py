@@ -9,12 +9,13 @@ weighted dB values per pitch class meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, zero_extended
 
 # Analysis bands as inclusive MIDI note ranges: bass A1-G#3 (55-207.65 Hz),
 # treble A3-G#6 (220-1661.2 Hz).
@@ -148,6 +149,35 @@ def _frame_grid(n_samples: int, hop: int, sr: int):
     return centers, starts, ends
 
 
+@functools.lru_cache(maxsize=16)
+def _kernel_bank(sr: int, cfg: ChromaConfig) -> tuple:
+    """(L, w*cos, w*sin) for each bin of cfg at sample rate sr.
+
+    Built once per (sr, cfg) and shared, so the arrays are read-only.
+    Callers pass cfg with a fixed hop: the kernels do not depend on it.
+    """
+    bank = []
+    for f in cfg.bin_frequencies():
+        L = max(1, int(round(cfg.q_factor * sr / f)))
+        w = np.hamming(L)
+        # Q cycles over the ideal window Q*SR/f, i.e. f/SR cycles per
+        # sample; using the rounded L in the exponent would quantize the
+        # analyzed frequency by up to f/(2L).
+        phase = 2.0 * np.pi * (f / sr) * np.arange(L)
+        kern_cos = w * np.cos(phase)
+        kern_sin = w * np.sin(phase)
+        kern_cos.flags.writeable = kern_sin.flags.writeable = False
+        bank.append((L, kern_cos, kern_sin))
+    return tuple(bank)
+
+
+# Frames per matrix-vector product. At 64, OpenBLAS gives the same bits
+# with one thread or two, where a product over all frames or over 256 does
+# not (a test pins this); and a block's (frames, L) window matrix stays
+# small however long the signal is.
+_CQ_BLOCK = 64
+
+
 def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
     """Constant-Q magnitude spectrogram.
 
@@ -155,6 +185,9 @@ def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
     centered on the frame, Hamming-tapered, multiplied against a complex
     exponential completing Q cycles over the window; magnitudes are
     normalized by L_s. Windows reaching past the signal edges see zeros.
+
+    Frames are taken 64 at a time, so memory beyond the signal and the
+    output stays a few MB; the kernels come from a per-process cache.
     """
     freqs = cfg.bin_frequencies()
     sr = buf.sample_rate
@@ -164,26 +197,18 @@ def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
         )
     x = buf.samples
     centers, starts, ends = _frame_grid(x.size, cfg.hop, sr)
+    bank = _kernel_bank(sr, replace(cfg, hop=1))
+    reach = max(L for L, _, _ in bank)
 
-    lengths = np.maximum(1, np.round(cfg.q_factor * sr / freqs)).astype(np.int64)
-    # Last frame center can sit up to hop/2 past the signal end.
-    pad = int(lengths.max() // 2 + cfg.hop + 2)
-    padded = np.pad(x, pad)
     mags = np.empty((freqs.size, centers.size))
-    for s, (f, L) in enumerate(zip(freqs, lengths)):
-        L = int(L)
-        w = np.hamming(L)
-        # Q cycles over the ideal window Q*SR/f, i.e. f/SR cycles per
-        # sample; using the rounded L in the exponent would quantize the
-        # analyzed frequency by up to f/(2L).
-        phase = 2.0 * np.pi * (f / sr) * np.arange(L)
-        kern_cos = w * np.cos(phase)
-        kern_sin = w * np.sin(phase)
-        first = centers - L // 2 + pad
-        rows = np.lib.stride_tricks.sliding_window_view(padded, L)[first]
-        re = rows @ kern_cos
-        im = rows @ kern_sin
-        mags[s] = np.hypot(re, im) / L
+    for b in range(0, centers.size, _CQ_BLOCK):
+        block = centers[b : b + _CQ_BLOCK]
+        # Window s of frame c covers [c - L_s//2, c - L_s//2 + L_s).
+        lo = int(block[0]) - reach // 2
+        seg = zero_extended(x, lo, int(block[-1]) - reach // 2 + reach)
+        for s, (L, kern_cos, kern_sin) in enumerate(bank):
+            rows = np.lib.stride_tricks.sliding_window_view(seg, L)[block - L // 2 - lo]
+            mags[s, b : b + block.size] = np.hypot(rows @ kern_cos, rows @ kern_sin) / L
     return SpectralMatrix(mags, freqs, starts, ends)
 
 
@@ -368,9 +393,10 @@ def read_chromagram(path) -> Chromagram:
     return Chromagram(values, starts, ends, band)
 
 
-def read_beats(path) -> np.ndarray:
-    """Beat file: one timestamp in seconds per line, finite and strictly
-    increasing; blank lines and `#` comments are skipped."""
+def read_beats(path, end: float = math.inf) -> np.ndarray:
+    """Beat file: one timestamp in seconds per line, finite, strictly
+    increasing and no later than `end`; blank lines and `#` comments are
+    skipped."""
     beats = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -385,5 +411,10 @@ def read_beats(path) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: beat time {beat} is not finite")
             if beats and beat <= beats[-1]:
                 raise ValueError(f"{path}:{lineno}: beat time {beat} does not follow {beats[-1]}")
+            if beat > end:
+                raise ValueError(
+                    f"{path}:{lineno}: beat time {beat} is past the end of the audio"
+                    f" (latest allowed {end:.6g} s)"
+                )
             beats.append(beat)
     return np.asarray(beats, dtype=np.float64)

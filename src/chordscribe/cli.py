@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 import time
@@ -193,12 +194,15 @@ def _stems(directory: Path, suffix: str) -> list[str]:
     return sorted(p.name[: -len(suffix)] for p in directory.glob(f"*{suffix}"))
 
 
-def _beats_for(cfg: RunConfig, stem: str, duration: float) -> np.ndarray:
-    """Beat timestamps from the beats directory, else a fixed grid."""
+def _beats_for(cfg: RunConfig, stem: str, duration: float, end: float = math.inf) -> np.ndarray:
+    """Beat timestamps from the beats directory, else a fixed grid.
+
+    A beat later than `end` is an error naming its file and line.
+    """
     if cfg.beats_dir:
         beat_file = Path(cfg.beats_dir) / f"{stem}.txt"
         if beat_file.exists():
-            beats = chroma_mod.read_beats(beat_file)
+            beats = chroma_mod.read_beats(beat_file, end)
             if beats.size >= 2:
                 return beats
         print(f"note: no usable beats for {stem}; using {cfg.beat_period}s grid", file=sys.stderr)
@@ -214,7 +218,8 @@ def _chroma_one(job):
     buf = audio_io.resample(buf, cfg.sample_rate)
     cents = chroma_mod.estimate_tuning(buf)
     f_ref = 440.0 * 2.0 ** (cents / 1200.0)
-    beats = _beats_for(cfg, stem, buf.duration)
+    # One hop of slack: the last frame may reach that far past the audio.
+    beats = _beats_for(cfg, stem, buf.duration, end=buf.duration + cfg.hop / cfg.sample_rate)
     for band, make in (("treble", chroma_mod.treble_config), ("bass", chroma_mod.bass_config)):
         band_cfg = make(
             q_factor=cfg.q_factor,

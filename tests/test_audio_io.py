@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ from scipy.io import wavfile
 
 import chordscribe
 from chordscribe.audio_io import (
+    _RESAMPLE_BLOCK,
     AudioBuffer,
     EmptyAudioError,
     UnreadableFileError,
     UnsupportedEncodingError,
+    _resample_taps,
     load_wav,
     resample,
     synthesize_triads,
@@ -146,6 +149,55 @@ class TestResample:
         assert np.max(np.abs(out.samples)) <= 1.0 + 1e-6
 
 
+RATE_PAIRS = [(44100, 11025), (48000, 11025), (22050, 11025), (8000, 11025), (16000, 11025)]
+
+
+def scipy_resample(x, src, dst):
+    """The reference: scipy's resample_poly with the package's taps, divided
+    by its peak when that exceeds 1, as resample documents."""
+    from scipy.signal import resample_poly
+
+    g = math.gcd(src, dst)
+    up, down = dst // g, src // g
+    y = resample_poly(x, up, down, window=_resample_taps(up, down))
+    peak = np.max(np.abs(y))
+    return y / peak if peak > 1.0 else y
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # also tells 0.0 from -0.0
+
+
+class TestResampleMatchesScipy:
+    @pytest.mark.parametrize("src, dst", RATE_PAIRS)
+    def test_bits_equal_resample_poly(self, src, dst):
+        g = math.gcd(src, dst)
+        up, down = dst // g, src // g
+        filter_span = _resample_taps(up, down).size // up  # input samples under the filter
+        block = _RESAMPLE_BLOCK // up * down  # input samples that fill one output block
+        rng = np.random.default_rng(src)
+        for n in (1, filter_span // 2, 4001, block - 1, block, block + 1):
+            x = rng.uniform(-0.5, 0.5, n)
+            assert_same_bits(resample(AudioBuffer(x, src), dst).samples, scipy_resample(x, src, dst))
+
+    def test_rescaled_peak_matches(self):
+        # ringing past full scale: the output is divided by its peak
+        from scipy.signal import resample_poly
+
+        x = np.sign(np.sin(2 * np.pi * 400 * np.arange(44100) / 44100)) * 0.999
+        assert np.max(np.abs(resample_poly(x, 1, 4, window=_resample_taps(1, 4)))) > 1.0
+        assert_same_bits(resample(AudioBuffer(x, 44100), 11025).samples, scipy_resample(x, 44100, 11025))
+
+    def test_stereo_wav(self, tmp_path):
+        rng = np.random.default_rng(3)
+        p = tmp_path / "stereo.wav"
+        wavfile.write(p, 48000, rng.integers(-20000, 20000, (48000 + 7, 2)).astype(np.int16))
+        buf = load_wav(p)
+        assert_same_bits(resample(buf, 11025).samples, scipy_resample(buf.samples, 48000, 11025))
+
+
 class TestSynthesizeTriads:
     def test_c_major_peaks(self):
         buf = synthesize_triads([({0, 4, 7}, 0, 1.0)], 11025)
@@ -199,8 +251,9 @@ class TestAudioBuffer:
 
 
 def test_package_import_defers_scipy_signal():
-    # scipy dominates import time; only resampling, WAV reading or writing,
-    # Gaussian densities and the paired t-test need it.
+    # scipy dominates import time; only WAV reading or writing, Gaussian
+    # densities and the paired t-test need it. Nothing imports scipy.signal
+    # (see test_chroma_command_never_imports_scipy_signal).
     mods = ("scipy.signal", "scipy.io", "scipy.linalg", "scipy.special")
     code = f"import sys, chordscribe; print(*(m in sys.modules for m in {mods!r}))"
     src = str(Path(chordscribe.__file__).parents[1])
@@ -209,3 +262,21 @@ def test_package_import_defers_scipy_signal():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False False False False"
+
+
+def test_chroma_command_never_imports_scipy_signal(tmp_path):
+    # the resampler is numpy's own: a chroma run that resamples loads no scipy.signal
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    write_wav(audio / "song.wav", synthesize_triads([({0, 4, 7}, 0, 1.0)], 22050))
+    argv = ["chroma", "--audio-dir", str(audio), "--chroma-dir", str(tmp_path / "chroma")]
+    code = (
+        "import sys; from chordscribe.cli import main; "
+        f"rc = main({argv!r}); print(rc, 'scipy.signal' in sys.modules)"
+    )
+    src = str(Path(chordscribe.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.split()[-2:] == ["0", "False"]

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -8,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import chordscribe
 from chordscribe.audio_io import AudioBuffer, synthesize_triads
 from chordscribe.chroma import (
+    _kernel_bank,
     Chromagram,
     SpectralMatrix,
     a_weighting,
@@ -33,6 +38,66 @@ from chordscribe.chroma import (
 def sine_buffer(freq, sr=11025, dur=2.0, amp=0.6):
     t = np.arange(int(sr * dur)) / sr
     return AudioBuffer(amp * np.sin(2 * np.pi * freq * t), sr)
+
+
+CQ_HASH = """
+import hashlib
+import numpy as np
+from chordscribe.audio_io import AudioBuffer
+from chordscribe.chroma import bass_config, constant_q, estimate_tuning, treble_config
+buf = AudioBuffer(np.random.default_rng(1).uniform(-0.5, 0.5, 11025 * 30), 11025)
+h = hashlib.sha256()
+for cfg in (treble_config(), bass_config()):
+    h.update(constant_q(buf, cfg).values.tobytes())
+h.update(repr(estimate_tuning(buf)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_constant_q_bits_do_not_depend_on_blas_threads():
+    # One matrix-vector product over all frames of a 30 s song gives other
+    # bits with two OpenBLAS threads than with one, and so do 256-frame
+    # blocks; 64-frame blocks give the one-thread bits either way.
+    src = str(Path(chordscribe.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run(
+            [sys.executable, "-c", CQ_HASH],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+class TestKernelBank:
+    def test_cached_kernels_equal_fresh_ones(self):
+        cfg = replace(bass_config(), hop=1)
+        cached = _kernel_bank(11025, cfg)
+        assert _kernel_bank(11025, cfg) is cached
+        fresh = _kernel_bank.__wrapped__(11025, cfg)
+        assert len(cached) == len(fresh) == cfg.bin_frequencies().size
+        for (L, cos_a, sin_a), (M, cos_b, sin_b) in zip(cached, fresh):
+            assert L == M == cos_a.size
+            assert cos_a.tobytes() == cos_b.tobytes() and sin_a.tobytes() == sin_b.tobytes()
+            assert not cos_a.flags.writeable and not sin_a.flags.writeable
+
+    def test_f_ref_and_rate_get_their_own_bank(self):
+        cfg = replace(treble_config(), hop=1)
+        base = _kernel_bank(11025, cfg)
+        sharp = _kernel_bank(11025, replace(cfg, f_ref=446.0))
+        fast = _kernel_bank(22050, cfg)
+        assert sharp is not base and fast is not base
+        assert not np.array_equal(sharp[0][1], base[0][1])
+        assert fast[0][0] > base[0][0]
+
+    def test_hop_shares_a_bank(self):
+        buf = sine_buffer(440.0)
+        _kernel_bank.cache_clear()
+        constant_q(buf, treble_config(hop=512))
+        constant_q(buf, treble_config(hop=1024))
+        info = _kernel_bank.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestConstantQ:

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
+import chordscribe
+from chordscribe.audio_io import synthesize_triads, write_wav
+from chordscribe.chroma import read_chromagram
 from chordscribe.cli import main, parse_config_file
 
 
@@ -163,6 +172,71 @@ class TestChroma:
             a = (out / f"{stem}.treble.chroma").read_bytes()
             b = (workspace / "chroma" / f"{stem}.treble.chroma").read_bytes()
             assert a == b
+
+
+    @staticmethod
+    def _three_second_song(tmp_path, beats_text):
+        audio, beats = tmp_path / "audio", tmp_path / "beats"
+        audio.mkdir()
+        beats.mkdir()
+        write_wav(audio / "short.wav", synthesize_triads([({0, 4, 7}, 0, 3.0)], 11025))
+        (beats / "short.txt").write_text(beats_text)
+        return ["chroma", "--audio-dir", str(audio), "--chroma-dir", str(tmp_path / "c"), "--beats", str(beats)]
+
+    @pytest.mark.parametrize("last", ["3.2", "1e9"])
+    def test_beat_past_audio_end_names_line(self, tmp_path, capsys, last):
+        argv = self._three_second_song(tmp_path, f"0\n1\n# comment\n2\n{last}\n")
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'beats' / 'short.txt'}:5: beat time {float(last)} is past the end" in err
+        assert not (tmp_path / "c" / "short.treble.chroma").exists()
+
+    @pytest.mark.parametrize("last", ["3.0", "3.09"])
+    def test_beat_at_audio_end_is_legal(self, tmp_path, last):
+        # 3.09 s is within one hop (1024 / 11025 s) of the end
+        assert run(*self._three_second_song(tmp_path, f"0\n1\n2\n{last}\n")) == 0
+        assert read_chromagram(tmp_path / "c" / "short.bass.chroma").ends[-1] == float(last)
+
+
+# Prints the peak resident set after importing the libraries a chroma run
+# loads, then after the run. VmHWM, not ru_maxrss: Linux carries a parent's
+# peak RSS into a child's ru_maxrss across fork and exec.
+PEAK_RSS = """
+import sys
+from scipy.io import wavfile
+from chordscribe.cli import main
+
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+libraries = vm_hwm()
+rc = main(sys.argv[1:])
+print(rc, libraries, vm_hwm())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_five_minute_chroma_peak_memory(tmp_path):
+    sr, n = 44100, 44100 * 300
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    rng = np.random.default_rng(0)
+    wavfile.write(audio / "long.wav", sr, rng.integers(-8000, 8000, n, dtype=np.int16))
+    argv = ["chroma", "--audio-dir", str(audio), "--chroma-dir", str(tmp_path / "chroma")]
+    src = str(Path(chordscribe.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *argv], capture_output=True, text=True, check=True, env=env
+    )
+    rc, libraries, peak = map(int, out.stdout.split()[-3:])
+    assert rc == 0
+    # The int16 file and its float64 copy at the source rate, then the
+    # 11,025 Hz signal; everything else (constant-Q blocks, resampler
+    # blocks, 12 x frames outputs) fits in the margin. Whole-signal
+    # temporaries (|x|, a padded copy, a (frames, L) matrix per bin) do not.
+    arrays = 2 * n + 8 * n + 8 * (n // 4)
+    assert peak - libraries <= arrays + 32 * 2**20
 
 
 class TestTrain:
