@@ -161,9 +161,22 @@ def _upfirdn_len(n_taps: int, n_in: int, up: int, down: int) -> int:
     return ((n_in - 1) * up + n_taps - 1) // down + 1
 
 
-# Outputs computed together: a block's per-tap temporaries stay in cache,
-# and per-call overhead stays small beside the arithmetic.
-_RESAMPLE_BLOCK = 1 << 15
+def _resample_block(up: int) -> int:
+    """Outputs per filter phase computed together.
+
+    At least 1024, so per-call overhead stays small beside the arithmetic,
+    and at least 32K outputs over all phases; a block's input is then
+    m_block * down samples, a few MB at most for common rates.
+    """
+    return max(1 << 10, (1 << 15) // up)
+
+
+# ufunc buffer size while resampling. A product of a (phases, 1) column and
+# a row is a broadcast, and numpy copies broadcast operands through its
+# 8192-element buffers when rows are shorter than that; at 16 the product
+# runs on the rows in place, about 2-3x faster. Speed only: the bits are
+# the same at any buffer size.
+_RESAMPLE_BUFSIZE = 16
 
 
 def _polyphase(x: np.ndarray, up: int, down: int, taps: np.ndarray) -> np.ndarray:
@@ -176,9 +189,12 @@ def _polyphase(x: np.ndarray, up: int, down: int, taps: np.ndarray) -> np.ndarra
 
     Output i = m * up + r reads filter phase t(r) at inputs
     m * down + first[r] + k, for taps k = 0 .. n_taps - 1. A block of m
-    values has its input deinterleaved once into `down` contiguous rows,
-    so for one tap each phase reads a contiguous row slice: one gather of
-    those slices, one multiply and one add per tap cover the whole block.
+    values has its input deinterleaved once into `down` contiguous rows;
+    input row q (offset q from first[0]) feeds the phases r with
+    0 <= q - offset[r] < n_taps, a contiguous range. Taking the rows in
+    increasing q, each row is one multiply by those phases' coefficients
+    (an outer product) and one add into their accumulator rows, so every
+    output still adds its taps in increasing j.
     """
     n_in = x.size
     n_out = -(-n_in * up // down)
@@ -195,33 +211,39 @@ def _polyphase(x: np.ndarray, up: int, down: int, taps: np.ndarray) -> np.ndarra
 
     shifts = (np.arange(up) + n_pre_remove) * down
     first = shifts // up - n_taps + 1  # input index of tap 0 for outputs m = 0
-    coef = np.ascontiguousarray(phases[shifts % up].T)[:, :, None]  # (tap, r, 1)
+    coef = phases[shifts % up]  # (r, tap)
     offset = first - first[0]  # >= 0: first[] increases with r
-    live = np.flatnonzero(np.any(phases != 0.0, axis=0))
-    m_block = max(1, _RESAMPLE_BLOCK // up)
-    n_cols = m_block + (int(offset[-1]) + n_taps - 1) // down
-    c = offset + np.arange(n_taps)[:, None]  # (tap, r): input offset in the block
-    starts = c % down * n_cols + c // down  # the same, as a row slice start
+    n_rows = int(offset[-1]) + n_taps
+    q = np.arange(n_rows)
+    r_lo = np.searchsorted(offset + n_taps - 1, q)  # first phase row q feeds
+    r_hi = np.searchsorted(offset, q, side="right")  # one past the last
+    m_block = _resample_block(up)
+    n_cols = m_block + (n_rows - 1) // down
 
     out = np.empty(n_out)
+    rows = np.empty((down, n_cols))
     acc = np.empty((up, m_block))
-    prod = np.empty((up, m_block))
-    for i0 in range(0, n_out, m_block * up):
-        lo = i0 // up * down + int(first[0])
-        window = zero_extended(x, lo, lo + n_cols * down)
-        rows = np.ascontiguousarray(window.reshape(n_cols, down).T).ravel()
-        slices = np.lib.stride_tricks.sliding_window_view(rows, m_block)
-        acc.fill(0.0)
-        # A tap that is zero in every phase is skipped: acc starts at +0.0, so
-        # it is never -0.0, and adding a signed zero leaves it unchanged.
-        for k in live:
-            if up == 1:
-                np.multiply(slices[starts[k, 0]], coef[k, 0, 0], out=prod[0])
-            else:
-                np.multiply(slices[starts[k]], coef[k], out=prod)
-            acc += prod
-        i1 = min(n_out, i0 + m_block * up)
-        out[i0:i1] = acc.T.ravel()[: i1 - i0]
+    prod = np.empty((int((r_hi - r_lo).max()), m_block))
+    feeds = []  # per row q: (its block values, coefficients, accumulators, product)
+    for qi, a, b in zip(q.tolist(), r_lo.tolist(), r_hi.tolist()):
+        col = coef[np.arange(a, b), qi - offset[a:b]][:, None]
+        row = rows[qi % down, qi // down : qi // down + m_block]
+        feeds.append((row, col, acc[a:b], prod[: b - a]))
+
+    old_bufsize = np.setbufsize(_RESAMPLE_BUFSIZE)
+    try:
+        for i0 in range(0, n_out, m_block * up):
+            lo = i0 // up * down + int(first[0])
+            window = zero_extended(x, lo, lo + n_cols * down)
+            rows[...] = window.reshape(n_cols, down).T
+            acc.fill(0.0)
+            for row, col, a, p in feeds:
+                np.multiply(col, row, out=p)
+                a += p
+            i1 = min(n_out, i0 + m_block * up)
+            out[i0:i1] = acc.T.ravel()[: i1 - i0]
+    finally:
+        np.setbufsize(old_bufsize)
     return out
 
 

@@ -171,10 +171,12 @@ def _kernel_bank(sr: int, cfg: ChromaConfig) -> tuple:
     return tuple(bank)
 
 
-# Frames per matrix-vector product. At 64, OpenBLAS gives the same bits
-# with one thread or two, where a product over all frames or over 256 does
-# not (a test pins this); and a block's (frames, L) window matrix stays
-# small however long the signal is.
+# Frames per matrix-vector product. A block's (frames, L) window matrix
+# stays small however long the signal is. With OpenBLAS 0.3.31 (x86-64),
+# 64-frame products gave the same bits at one and two threads, where
+# products over all frames or over 256 did not. How OpenBLAS splits a
+# product over threads is not documented, so this holds only as far as
+# the test at one and two threads shows it.
 _CQ_BLOCK = 64
 
 

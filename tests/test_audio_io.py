@@ -10,11 +10,11 @@ from scipy.io import wavfile
 
 import chordscribe
 from chordscribe.audio_io import (
-    _RESAMPLE_BLOCK,
     AudioBuffer,
     EmptyAudioError,
     UnreadableFileError,
     UnsupportedEncodingError,
+    _resample_block,
     _resample_taps,
     load_wav,
     resample,
@@ -176,7 +176,7 @@ class TestResampleMatchesScipy:
         g = math.gcd(src, dst)
         up, down = dst // g, src // g
         filter_span = _resample_taps(up, down).size // up  # input samples under the filter
-        block = _RESAMPLE_BLOCK // up * down  # input samples that fill one output block
+        block = _resample_block(up) * down  # input samples that fill one output block
         rng = np.random.default_rng(src)
         for n in (1, filter_span // 2, 4001, block - 1, block, block + 1):
             x = rng.uniform(-0.5, 0.5, n)
