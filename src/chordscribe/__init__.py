@@ -5,6 +5,8 @@ training of a factored key/chord/bass hidden-Markov model -> constrained
 Viterbi decoding with search-space reduction -> interval metrics.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .audio_io import AudioBuffer, load_wav, resample, synthesize_triads, write_wav
@@ -53,82 +55,12 @@ from .decode import (
     score_path,
     viterbi_joint,
 )
-from .evaluate import (
-    EvalReport,
-    aggregate,
-    bass_frame_accuracy,
-    overlap_ratio,
-    paired_t_test,
-    predominant_key_accuracy,
-)
-from .model import (
-    ChordOnlyHmm,
-    HpModel,
-    TrainConfig,
-    gaussian_logpdf,
-    load_model,
-    save_model,
-    train,
-    transpose_labels,
-)
+from .evaluate import EvalReport, aggregate, bass_frame_accuracy, overlap_ratio, paired_t_test
+from .model import ChordOnlyHmm, HpModel, TrainConfig, load_model, save_model, train
 
-__all__ = [
-    "Alphabet",
-    "AudioBuffer",
-    "ChordOnlyHmm",
-    "ChordSymbol",
-    "ChromaConfig",
-    "Chromagram",
-    "Constraints",
-    "DecodePath",
-    "EvalReport",
-    "FrameLabels",
-    "HpModel",
-    "IntervalLabels",
-    "NoAdmissiblePathError",
-    "SpectralMatrix",
-    "TrainConfig",
-    "a_weighting",
-    "aggregate",
-    "bass_config",
-    "bass_frame_accuracy",
-    "beat_sync_labels",
-    "beat_sync_median",
-    "chord_alphabet_constraint",
-    "chord_pitch_classes",
-    "compute_chromagram",
-    "constant_q",
-    "default_beat_grid",
-    "derive_bass",
-    "estimate_tuning",
-    "fold_and_normalize",
-    "forward_backward",
-    "gaussian_logpdf",
-    "load_model",
-    "load_wav",
-    "make_alphabet",
-    "max_gamma_decode",
-    "overlap_ratio",
-    "paired_t_test",
-    "parse_chord_symbol",
-    "parse_key_label",
-    "parse_lab",
-    "pitch_class_index",
-    "predominant_key_accuracy",
-    "prune_chord_to_bass",
-    "prune_key_transitions",
-    "read_beats",
-    "read_chromagram",
-    "resample",
-    "save_model",
-    "score_path",
-    "spl",
-    "synthesize_triads",
-    "train",
-    "transpose_labels",
-    "treble_config",
-    "viterbi_joint",
-    "write_chromagram",
-    "write_lab",
-    "write_wav",
-]
+# Every name imported above; the submodules themselves are not listed.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -7,6 +7,7 @@ is exactly what the 121-state alphabet admits.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -31,8 +32,6 @@ QUALITY_TEMPLATES = {
     "dim": (0, 3, 6),
     "aug": (0, 4, 8),
 }
-
-_QUALITY_ORDER = tuple(QUALITY_TEMPLATES)
 
 # Spellings that mean one of the base qualities directly.
 _QUALITY_SPELLINGS = {
@@ -87,18 +86,6 @@ OOV_REDUCTIONS = {
     "11": "dom7",
     "13": "maj6",
 }
-
-
-def reduce_quality_by_overlap(template: Iterable[int]) -> str:
-    """Nearest base quality: max shared tones, then min symmetric difference,
-    then alphabet order."""
-    src = set(template)
-
-    def rank(q):
-        tgt = set(QUALITY_TEMPLATES[q])
-        return (-len(src & tgt), len(src ^ tgt), _QUALITY_ORDER.index(q))
-
-    return min(_QUALITY_ORDER, key=rank)
 
 
 class LabParseError(Exception):
@@ -315,6 +302,17 @@ class Alphabet:
         if state < 0 or state == self.no_chord:
             return state
         return (state // 12) * 12 + (state % 12 + semitones) % 12
+
+    @functools.cache
+    def key_shift_table(self) -> np.ndarray:
+        """(N_KEYS, size), read-only: row k holds shift(state, -tonic of k)
+        for every chord state, the state with the same role relative to a
+        C tonic. Built once per alphabet."""
+        states = np.arange(self.size)
+        tonic = np.arange(N_KEYS)[:, None] % 12
+        table = np.where(states == self.no_chord, states, states - states % 12 + (states - tonic) % 12)
+        table.flags.writeable = False
+        return table
 
 
 def make_alphabet(kind: str) -> Alphabet:

@@ -131,15 +131,16 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     """Windowed-sinc low-pass for polyphase resampling.
 
     Cutoff sits at 0.45x the smaller of the source/target Nyquist rates
-    (band-limited correctness, not archival quality). Coefficients are
-    scaled so DC gain after polyphase interpolation is exactly 1.
+    (band-limited correctness, not archival quality). Coefficients sum to
+    1; the polyphase filter applies the interpolation gain `up`, so the DC
+    gain of the resampler is 1.
     """
     # Cycles per sample at the upsampled rate.
     cutoff = 0.45 / (2.0 * max(up, down))
     half = int(math.ceil(12.0 / (2.0 * cutoff)))
     n = np.arange(-half, half + 1, dtype=np.float64)
     taps = 2.0 * cutoff * np.sinc(2.0 * cutoff * n) * np.blackman(2 * half + 1)
-    return taps * (up / taps.sum())
+    return taps * (1.0 / taps.sum())
 
 
 def zero_extended(x: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -415,7 +415,7 @@ def read_beats(path, end: float = math.inf) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: beat time {beat} does not follow {beats[-1]}")
             if beat > end:
                 raise ValueError(
-                    f"{path}:{lineno}: beat time {beat} is past the end of the audio"
+                    f"{path}:{lineno}: beat time {beat} is past the end of the song"
                     f" (latest allowed {end:.6g} s)"
                 )
             beats.append(beat)

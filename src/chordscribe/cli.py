@@ -384,7 +384,8 @@ def _song_metrics(cfg: RunConfig, stem: str, pred_dir: Path) -> tuple[dict, floa
     bass_path = pred_dir / f"{stem}.bass.lab"
     if bass_path.exists():
         pred_bass = parse_lab(bass_path)
-        beats = _beats_for(cfg, stem, gt_chords.span[1])
+        end = gt_chords.span[1]
+        beats = _beats_for(cfg, stem, end, end=end)
         gt_states = np.array(
             [
                 -1 if lab is None else derive_bass(parse_chord_symbol(lab))

@@ -228,9 +228,10 @@ def _build_tables(
         lf = np.log(key_trans)
         lh = np.log(m.bass_trans)
         lr = np.log(bass_given_chord[working])
-        lg = np.log(
-            np.stack([m.chord_trans_for_key(k)[np.ix_(working, working)] for k in range(N_KEYS)])
-        )
+        # chord_trans_for_key(k) at the working set, for every key at once
+        rel = m.alphabet.key_shift_table()[:, working]  # (24, Cw)
+        mode = np.arange(N_KEYS)[:, None, None] // 12
+        lg = np.log(m.chord_trans_rel[mode, rel[:, :, None], rel[:, None, :]])
 
     emis_c = gaussian_logpdf_frames(
         t_frames,

@@ -113,16 +113,6 @@ def first_key(iv: IntervalLabels) -> int:
     raise ValueError("ground truth contains no key")
 
 
-def predominant_key_accuracy(preds, gts) -> float:
-    """Share of songs whose most prevalent predicted key equals the first
-    ground-truth key."""
-    preds, gts = list(preds), list(gts)
-    if len(preds) != len(gts) or not preds:
-        raise ValueError("need matching non-empty prediction/ground-truth lists")
-    hits = sum(1 for p, g in zip(preds, gts) if predominant_key(p) == first_key(g))
-    return hits / len(preds)
-
-
 def bass_frame_accuracy(pred, gt) -> float:
     """Fraction of frames with equal bass state, given two per-frame
     bass-state arrays; unlabeled (negative) ground-truth frames are

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import N_BASS, N_KEYS, UNLABELED, Alphabet, FrameLabels
-from .annotations import make_alphabet, transpose_key
+from .annotations import N_BASS, N_KEYS, UNLABELED, Alphabet, make_alphabet
 from .chroma import Chromagram
 
 
@@ -79,12 +78,8 @@ class HpModel:
 
     def chord_trans_for_key(self, key_state: int) -> np.ndarray:
         """Absolute chord transition table under a concrete key."""
-        tonic, mode = key_state % 12, key_state // 12
-        rel = self.chord_trans_rel[mode]
-        perm = np.array(
-            [self.alphabet.shift(c, -tonic) for c in range(self.n_chords)], dtype=np.int64
-        )
-        return rel[np.ix_(perm, perm)]
+        perm = self.alphabet.key_shift_table()[key_state]
+        return self.chord_trans_rel[key_state // 12][np.ix_(perm, perm)]
 
 
 def _normalize_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -217,53 +212,29 @@ def train(dataset, cfg: TrainConfig) -> HpModel:
     )
 
 
-def transpose_labels(fl: FrameLabels, semitones: int, alphabet: Alphabet) -> FrameLabels:
-    """Shift chord roots, key tonics, and bass pitch classes by a semitone
-    count; modes/qualities, no-chord, no-bass, and unlabeled frames are
-    fixed points."""
-    if not 0 <= semitones <= 11:
-        raise ValueError("semitones must be in 0..11")
-    chord = np.array([alphabet.shift(c, semitones) for c in fl.chord], dtype=np.int64)
-    key = np.array([transpose_key(k, semitones) for k in fl.key], dtype=np.int64)
-    bass = np.where((fl.bass >= 0) & (fl.bass < 12), (fl.bass + semitones) % 12, fl.bass)
-    return FrameLabels(key, chord, bass, fl.starts.copy(), fl.ends.copy())
-
-
-def gaussian_logpdf(x, mean, cov) -> float:
-    """Exact multivariate normal log density. Raises on a covariance that
-    is not symmetric positive definite."""
-    from scipy.linalg import cho_factor, cho_solve  # imported here to keep scipy out of package import
-
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
-    if not np.allclose(cov, cov.T, atol=1e-10):
-        raise ValueError("covariance must be symmetric")
-    try:
-        factor = cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance is not positive definite") from exc
-    d = mean.size
-    diff = x - mean
-    maha = float(diff @ cho_solve(factor, diff))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
-
-
 def gaussian_logpdf_frames(
     frames: np.ndarray, means: np.ndarray, covs: np.ndarray, state_name=None
 ) -> np.ndarray:
     """Log densities of every frame under every state Gaussian: (T, n).
 
-    state_name(s) names row s in the error for a covariance that is not
-    positive definite; by default the row is called "state s"."""
-    from scipy.linalg import cho_factor, cho_solve
+    Each distinct Gaussian (equal bytes of mean and covariance) is
+    evaluated once, at the first row that has it, and every row sharing it
+    gets that column: identical states get identical bits, which the
+    decoder's tie-breaks rely on. state_name(s) names row s in the error
+    for a covariance that is not positive definite; by default the row is
+    called "state s"."""
+    from scipy.linalg import cho_factor, cho_solve  # imported here to keep scipy out of package import
 
     frames = np.asarray(frames, dtype=np.float64)
     t, d = frames.shape
     n = means.shape[0]
     out = np.empty((t, n))
+    first_row = {}
     for s in range(n):
+        s0 = first_row.setdefault(means[s].tobytes() + covs[s].tobytes(), s)
+        if s0 < s:
+            out[:, s] = out[:, s0]
+            continue
         try:
             factor = cho_factor(covs[s], lower=True)
         except np.linalg.LinAlgError as exc:

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from chordscribe.annotations import FrameLabels, make_alphabet
+from chordscribe.annotations import FrameLabels, make_alphabet, transpose_key
 from chordscribe.chroma import Chromagram
 
 
@@ -24,6 +24,18 @@ def make_frame_labels(key, chord, bass, dt=0.5):
     key = np.asarray(key)
     starts, ends = frame_grid(key.size, dt)
     return FrameLabels(key, np.asarray(chord), np.asarray(bass), starts, ends)
+
+
+def transpose_labels(fl, semitones, alphabet):
+    """Shift chord roots, key tonics, and bass pitch classes by a semitone
+    count; modes/qualities, no-chord, no-bass, and unlabeled frames are
+    fixed points."""
+    if not 0 <= semitones <= 11:
+        raise ValueError("semitones must be in 0..11")
+    chord = np.array([alphabet.shift(c, semitones) for c in fl.chord], dtype=np.int64)
+    key = np.array([transpose_key(k, semitones) for k in fl.key], dtype=np.int64)
+    bass = np.where((fl.bass >= 0) & (fl.bass < 12), (fl.bass + semitones) % 12, fl.bass)
+    return FrameLabels(key, chord, bass, fl.starts.copy(), fl.ends.copy())
 
 
 def chord_template(pcs, high=0.9, low=0.1):

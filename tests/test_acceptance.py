@@ -16,6 +16,7 @@ from conftest import (
     split_flat_path,
     synthetic_frames,
     tables_to_flat,
+    transpose_labels,
 )
 
 from chordscribe.annotations import (
@@ -44,7 +45,7 @@ from chordscribe.decode import (
     viterbi_joint,
 )
 from chordscribe.evaluate import aggregate, overlap_ratio, paired_t_test
-from chordscribe.model import ChordOnlyHmm, TrainConfig, train, transpose_labels
+from chordscribe.model import ChordOnlyHmm, TrainConfig, train
 
 
 def report(name, detail=""):

@@ -12,6 +12,7 @@ from chordscribe.annotations import (
     NO_CHORD,
     OOV_REDUCTIONS,
     OOV_TEMPLATES,
+    QUALITY_TEMPLATES,
     UNLABELED,
     Alphabet,
     ChordSymbol,
@@ -26,10 +27,22 @@ from chordscribe.annotations import (
     parse_chord_symbol,
     parse_key_label,
     parse_lab,
-    reduce_quality_by_overlap,
     transpose_key,
     write_lab,
 )
+
+
+def reduce_quality_by_overlap(template) -> str:
+    """Nearest base quality: max shared tones, then min symmetric difference,
+    then alphabet order."""
+    order = tuple(QUALITY_TEMPLATES)
+    src = set(template)
+
+    def rank(q):
+        tgt = set(QUALITY_TEMPLATES[q])
+        return (-len(src & tgt), len(src ^ tgt), order.index(q))
+
+    return min(order, key=rank)
 
 
 class TestParseLab:

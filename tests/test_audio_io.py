@@ -148,6 +148,14 @@ class TestResample:
         out = resample(AudioBuffer(x, 22050), 11025)
         assert np.max(np.abs(out.samples)) <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("src", [48000, 44100, 22050, 16000, 8000])
+    def test_unit_gain(self, src):
+        # a 440 Hz tone keeps its level: sources with up > 1 used to come
+        # out `up` times too loud and then be normalized to peak 1
+        x = 0.5 * np.sin(2 * np.pi * 440 * np.arange(src) / src)
+        out = resample(AudioBuffer(x, src), 11025)
+        assert 0.49 < np.max(np.abs(out.samples)) < 0.51
+
 
 RATE_PAIRS = [(44100, 11025), (48000, 11025), (22050, 11025), (8000, 11025), (16000, 11025)]
 

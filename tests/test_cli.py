@@ -485,6 +485,31 @@ class TestEval:
         csv = (tmp_path / "report3" / "report.csv").read_text()
         assert "songB,or_majmin,0.000000" in csv
 
+    @pytest.mark.parametrize("last", ["6.0", "6.5", "1e9"])
+    def test_beat_past_annotation_end_names_line(self, workspace, tmp_path, capsys, last):
+        # songA's chord annotation ends at 6.0 s; a beat exactly there is legal
+        beats = tmp_path / "beats"
+        beats.mkdir()
+        (beats / "songA.txt").write_text(f"0\n1.5\n# comment\n3\n4.5\n{last}\n")
+        (beats / "songB.txt").write_text((workspace / "beats" / "songB.txt").read_text())
+        code = run(
+            "eval",
+            "--pred-dir",
+            str(workspace / "pred"),
+            "--chords-dir",
+            str(workspace / "chords"),
+            "--beats",
+            str(beats),
+            "--output-dir",
+            str(tmp_path / "r"),
+        )
+        err = capsys.readouterr().err
+        if last == "6.0":
+            assert code == 0 and "flagged" not in err
+        else:
+            assert code == 1
+            assert f"flagged: songA: {beats / 'songA.txt'}:6: beat time {float(last)} is past the end" in err
+
     def test_compare_t_test_row(self, workspace, tmp_path, capsys):
         # second prediction dir: perfect on songA, degraded on songB
         pred2 = tmp_path / "pred2"

@@ -497,6 +497,21 @@ class TestViterbiJoint:
         with pytest.raises(ValueError, match=r"covariance of chord 7 \(G:maj\) is not positive definite"):
             viterbi_joint(m, Constraints(cac=True), treble, bass)
 
+    def test_chord_tables_gathered_at_working_set(self, trained):
+        m, treble, bass, _ = trained
+        m = copy.deepcopy(m)
+        m.chord_trans_rel = np.random.default_rng(6).random(m.chord_trans_rel.shape)
+        m.chord_trans_rel[:, 3, 5] = 0.0  # a -inf cell
+        sizes = []
+        for constraints in (Constraints(gamma=0, tau=3, cac=True), Constraints()):
+            tables = decode._build_tables(m, constraints, treble, bass)
+            w = tables.working
+            want = np.stack([m.chord_trans_for_key(k)[np.ix_(w, w)] for k in range(24)])
+            with np.errstate(divide="ignore"):
+                assert tables.lg.tobytes() == np.log(want).tobytes()
+            sizes.append(w.size)
+        assert 1 < sizes[0] < sizes[1] == m.n_chords  # a proper working set, then all chords
+
     def test_frame_count_mismatch(self, trained):
         m, treble, bass, _ = trained
         short = make_chromagram(bass.values.T[:-1], "bass")

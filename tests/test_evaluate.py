@@ -12,8 +12,17 @@ from chordscribe.evaluate import (
     overlap_ratio,
     paired_t_test,
     predominant_key,
-    predominant_key_accuracy,
 )
+
+
+def predominant_key_accuracy(preds, gts) -> float:
+    """Share of songs whose most prevalent predicted key equals the first
+    ground-truth key."""
+    preds, gts = list(preds), list(gts)
+    if len(preds) != len(gts) or not preds:
+        raise ValueError("need matching non-empty prediction/ground-truth lists")
+    hits = sum(1 for p, g in zip(preds, gts) if predominant_key(p) == first_key(g))
+    return hits / len(preds)
 
 
 def iv(*records):

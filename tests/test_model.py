@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_chromagram, make_frame_labels, synthetic_frames
+from conftest import make_chromagram, make_frame_labels, synthetic_frames, transpose_labels
 from hypothesis import given, settings, strategies as st
 
 from chordscribe.annotations import chord_pitch_classes, make_alphabet
@@ -13,15 +13,35 @@ from chordscribe.model import (
     HpModel,
     ModelFormatError,
     TrainConfig,
-    gaussian_logpdf,
     gaussian_logpdf_frames,
     load_model,
     save_model,
     train,
-    transpose_labels,
 )
 
 A25 = make_alphabet("majmin25")
+
+
+def gaussian_logpdf(x, mean, cov) -> float:
+    """Exact multivariate normal log density of one frame, the scalar
+    reference for gaussian_logpdf_frames. Raises on a covariance that is
+    not symmetric positive definite."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    x = np.asarray(x, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
+    cov = np.asarray(cov, dtype=np.float64)
+    if not np.allclose(cov, cov.T, atol=1e-10):
+        raise ValueError("covariance must be symmetric")
+    try:
+        factor = cho_factor(cov, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance is not positive definite") from exc
+    d = mean.size
+    diff = x - mean
+    maha = float(diff @ cho_solve(factor, diff))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
 
 
 def fixture_dataset(alpha_kind="majmin25"):
@@ -192,6 +212,27 @@ class TestTransposition:
         np.testing.assert_allclose(m3.init_bass[perm_b], m0.init_bass)
 
 
+class TestKeyShiftTable:
+    @pytest.mark.parametrize("kind", ["majmin25", "full121"])
+    def test_chord_trans_for_key_matches_shift(self, kind):
+        m = train(fixture_dataset(kind), TrainConfig(alphabet=kind))
+        m.chord_trans_rel = np.random.default_rng(4).random(m.chord_trans_rel.shape)
+        a = m.alphabet
+        for k in range(24):
+            # the construction from Alphabet.shift, one chord state at a time
+            perm = np.array([a.shift(c, -(k % 12)) for c in range(a.size)])
+            want = m.chord_trans_rel[k // 12][np.ix_(perm, perm)]
+            assert np.array_equal(m.chord_trans_for_key(k), want)
+            assert np.array_equal(a.key_shift_table()[k], perm)
+
+    def test_built_once_per_alphabet_and_read_only(self):
+        table = make_alphabet("full121").key_shift_table()
+        assert table is make_alphabet("full121").key_shift_table()
+        assert table is not A25.key_shift_table()
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+
+
 class TestGaussianLogpdf:
     def test_identity_cov_at_mode(self):
         mean = np.zeros(12)
@@ -231,6 +272,54 @@ class TestGaussianLogpdf:
         mat = gaussian_logpdf_frames(xs, mean[None, :], cov[None, :, :])
         for i in range(4):
             assert mat[i, 0] == pytest.approx(gaussian_logpdf(xs[i], mean, cov), abs=1e-10)
+
+    @staticmethod
+    def _states_with_repeats(rng):
+        """Six states, rows 1, 3 and 5 sharing one Gaussian (like untrained
+        states sharing the fallback) and rows 0 and 4 another."""
+        means = rng.random((6, 12))
+        a = rng.standard_normal((6, 12, 12)) * 0.1
+        covs = a @ a.transpose(0, 2, 1) + np.eye(12) * 0.3
+        for dst, src in ((3, 1), (5, 1), (4, 0)):
+            means[dst], covs[dst] = means[src], covs[src]
+        return means, covs
+
+    def test_equal_states_get_equal_bits(self):
+        rng = np.random.default_rng(8)
+        means, covs = self._states_with_repeats(rng)
+        xs = rng.random((7, 12))
+        mat = gaussian_logpdf_frames(xs, means, covs)
+        for dst, src in ((3, 1), (5, 1), (4, 0)):
+            assert mat[:, dst].tobytes() == mat[:, src].tobytes()
+        for s in range(6):
+            # each column is the one-state evaluation, bit for bit
+            alone = gaussian_logpdf_frames(xs, means[s : s + 1], covs[s : s + 1])
+            assert mat[:, s].tobytes() == alone[:, 0].tobytes()
+            for i in range(7):
+                assert mat[i, s] == pytest.approx(gaussian_logpdf(xs[i], means[s], covs[s]), abs=1e-10)
+
+    def test_mutated_covariance_is_reevaluated(self):
+        rng = np.random.default_rng(9)
+        means, covs = self._states_with_repeats(rng)
+        xs = rng.random((5, 12))
+        before = gaussian_logpdf_frames(xs, means, covs)
+        for s in (1, 3):
+            # in place, so a cache keyed on the array object would go stale;
+            # row 1 is the row its group was evaluated at, row 3 is not
+            covs[s] *= 2.0
+            after = gaussian_logpdf_frames(xs, means, covs)
+            assert not np.array_equal(after[:, s], before[:, s])
+            for i in range(5):
+                assert after[i, s] == pytest.approx(gaussian_logpdf(xs[i], means[s], covs[s]), abs=1e-10)
+            np.testing.assert_array_equal(np.delete(after, s, axis=1), np.delete(before, s, axis=1))
+            before = after
+
+    def test_bad_shared_covariance_names_its_first_row(self):
+        means, covs = self._states_with_repeats(np.random.default_rng(10))
+        for s in (1, 3, 5):
+            covs[s] = -np.eye(12)
+        with pytest.raises(ValueError, match="covariance of row 1 is not positive definite"):
+            gaussian_logpdf_frames(np.zeros((2, 12)), means, covs, lambda s: f"row {s}")
 
 
 class TestSerialization:

@@ -1,0 +1,253 @@
+"""Check that two source trees give the same answers on a fixed pipeline.
+
+Runs one scenario set with the working tree's `src/` and with the `src/`
+of a git ref, and compares every output file:
+
+    synth  four seeded songs (three at 44.1 kHz, one at 22.05 kHz) with
+           chord, key and beat files, plus one-song sources at 48, 16 and
+           8 kHz that only go through `chroma`
+    chroma with beat files
+    train  majmin25 and full121
+    decode gamma=0, tau=3, CAC (both models); full121 unconstrained; and a
+           `--jobs 2` sweep gamma in {0, 2} x tau in {1, 3, 13} with CAC
+    eval   the tight full121 decode, `--compare` against the unconstrained
+
+The inputs are written once, by the working tree, and both trees read the
+same files. Every run pins the BLAS thread count to 1, because `.chroma`
+and model bits can depend on it. Files must be byte-identical, except
+`timing.csv`, where `feature_s` and `decode_s` are skipped and log-probs
+are compared to 1e-9. For each file that differs, the first differing
+line is printed. Exit status: 0 when nothing differs, 1 otherwise.
+
+The ref's tree is extracted with `git archive`, which gives the committed
+files of the ref and leaves nothing registered in the repository.
+
+    python tools/same_answers.py                  # working tree vs HEAD
+    python tools/same_answers.py --ref origin/main --work /tmp/sa  # keeps /tmp/sa
+
+Needs the Python standard library, git, and the packages chordscribe
+itself needs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+LOG_PROB_TOL = 1e-9
+TIMING_SKIPPED = ("feature_s", "decode_s")
+
+# Diatonic harmony (root offset from the tonic, quality) with inversions and
+# sevenths, so that the full121 alphabet sees more than triads.
+_HARMONY = ((0, "maj"), (0, "maj/3"), (2, "min"), (4, "min7"), (5, "maj"), (5, "maj/5"),
+            (7, "7"), (7, "maj"), (9, "min"), (11, "dim"))  # fmt: skip
+_PITCH = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
+# (stem, sample rate, seconds); "main" songs go through the whole pipeline.
+MAIN_SONGS = (("song0", 44100, 30.0), ("song1", 44100, 30.0), ("song2", 44100, 24.0),
+              ("song3", 22050, 24.0))  # fmt: skip
+RATE_SONGS = (("rate48k", 48000, 12.0), ("rate16k", 16000, 12.0), ("rate8k", 8000, 12.0))
+
+
+def _script(rng: random.Random, seconds: float) -> tuple[str, str]:
+    """(key label, `chord duration` lines) filling `seconds`; chord changes
+    fall on quarter seconds, so some land between beats."""
+    tonic = rng.randrange(12)
+    lines, t = ["N 0.5"], 0.5
+    while t < seconds - 1e-9:
+        dur = min(rng.choice((1.0, 1.25, 1.5, 2.0, 2.75)), seconds - t)
+        offset, quality = rng.choice(_HARMONY)
+        lines.append(f"{_PITCH[(tonic + offset) % 12]}:{quality} {dur}")
+        t += dur
+    return f"{_PITCH[tonic]}:maj", "\n".join(lines) + "\n"
+
+
+def _env(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.update({name: "1" for name in BLAS_THREAD_VARS})
+    return env
+
+
+def _cli(src: Path, cwd: Path, log: Path, *argv: str) -> int:
+    """One `chordscribe` command of the tree at `src`; output goes to `log`."""
+    with open(log, "w") as fh:
+        return subprocess.run(
+            [sys.executable, "-m", "chordscribe.cli", *argv],
+            cwd=cwd, env=_env(src), stdout=fh, stderr=subprocess.STDOUT,
+        ).returncode  # fmt: skip
+
+
+def write_inputs(src: Path, root: Path, seed: int = 7) -> None:
+    """Seeded WAVs and chord/key/beat files under root, made by `synth`."""
+    rng = random.Random(seed)
+    for group, songs in (("main", MAIN_SONGS), ("rates", RATE_SONGS)):
+        for d in ("audio", "chords", "keys", "beats"):
+            (root / group / d).mkdir(parents=True, exist_ok=True)
+        for stem, rate, seconds in songs:
+            key, script = _script(rng, seconds)
+            (root / "script.txt").write_text(script)
+            (root / "synth.cfg").write_text(f"sample_rate = {rate}\n")
+            out = root / group / "audio" / stem
+            log = root / f"synth_{stem}.log"
+            argv = ("synth", "--config", str(root / "synth.cfg"), str(root / "script.txt"), str(out), "--key", key)
+            if _cli(src, root, log, *argv) != 0:
+                raise SystemExit(f"synth failed for {stem}; see {log}")
+            for suffix, d in ((".chords.lab", "chords"), (".keys.lab", "keys"), (".beats.txt", "beats")):
+                target = root / group / d / (stem + (".txt" if d == "beats" else ".lab"))
+                os.replace(f"{out}{suffix}", target)
+
+
+def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, argv) of every command, in order; outputs are relative to the
+    tree's own output directory, inputs absolute, so both trees name the
+    same paths in what they write."""
+    main, rates = inputs / "main", inputs / "rates"
+    songs = ("--chords-dir", str(main / "chords"), "--keys-dir", str(main / "keys"))
+    steps = [
+        ("chroma", ("chroma", "--audio-dir", str(main / "audio"), "--chroma-dir", "chroma",
+                    "--beats", str(main / "beats"))),
+        ("chroma_rates", ("chroma", "--audio-dir", str(rates / "audio"), "--chroma-dir", "chroma_rates",
+                          "--beats", str(rates / "beats"))),
+    ]  # fmt: skip
+    for alphabet in ("majmin25", "full121"):
+        steps.append((f"train_{alphabet}", ("train", "--chroma-dir", "chroma", *songs,
+                      "--alphabet", alphabet, "--model", f"models/{alphabet}.txt")))  # fmt: skip
+        steps.append((f"decode_tight_{alphabet}", ("decode", "--chroma-dir", "chroma",
+                      "--model", f"models/{alphabet}.txt", "--gamma", "0", "--tau", "3", "--cac",
+                      "--output-dir", f"decode/tight_{alphabet}")))  # fmt: skip
+    full = ("--chroma-dir", "chroma", "--model", "models/full121.txt")
+    steps += [
+        ("decode_free", ("decode", *full, "--output-dir", "decode/free")),
+        ("decode_sweep", ("decode", *full, "--gamma", "0,2", "--tau", "1,3,13", "--cac", "--jobs", "2",
+                          "--output-dir", "decode/sweep")),
+        ("eval", ("eval", "--pred-dir", "decode/tight_full121", *songs, "--beats", str(main / "beats"),
+                  "--compare", "decode/free", "--output-dir", "eval")),
+    ]  # fmt: skip
+    return steps
+
+
+def run_tree(src: Path, out: Path, inputs: Path) -> dict[str, int]:
+    """Every scenario step with the tree at `src`; returns exit codes."""
+    (out / "logs").mkdir(parents=True, exist_ok=True)
+    origin = subprocess.run(
+        [sys.executable, "-c", "import chordscribe; print(chordscribe.__file__)"],
+        env=_env(src), capture_output=True, text=True, check=True,
+    ).stdout.strip()  # fmt: skip
+    if not Path(origin).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"chordscribe imported from {origin}, not from {src}")
+    return {name: _cli(src, out, out / "logs" / f"{name}.log", *argv) for name, argv in scenario_steps(inputs)}
+
+
+def _first_difference(a: list[str], b: list[str]) -> str:
+    for i, (x, y) in enumerate(zip(a, b), 1):
+        if x != y:
+            return f"line {i}:\n    ref: {x}\n    new: {y}"
+    return f"line {min(len(a), len(b)) + 1}: one file ends ({len(a)} against {len(b)} lines)"
+
+
+def _timing_difference(a: str, b: str) -> str | None:
+    """timing.csv without the timing columns, log-probs to LOG_PROB_TOL."""
+    rows_a, rows_b = list(csv.DictReader(io.StringIO(a))), list(csv.DictReader(io.StringIO(b)))
+    if len(rows_a) != len(rows_b):
+        return f"{len(rows_a)} against {len(rows_b)} rows"
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b), 2):
+        for col in sorted(set(ra) | set(rb)):
+            if col in TIMING_SKIPPED:
+                continue
+            x, y = ra.get(col), rb.get(col)
+            if col == "log_prob" and x is not None and y is not None:
+                if abs(float(x) - float(y)) <= LOG_PROB_TOL:
+                    continue
+            elif x == y:
+                continue
+            return f"line {i}, column {col}:\n    ref: {x}\n    new: {y}"
+    return None
+
+
+def compare_trees(ref: Path, new: Path) -> tuple[int, list[str]]:
+    """(number of output files, one report per file that differs or exists
+    on one side only); the command logs are not compared."""
+    files = {p.relative_to(root) for root in (ref, new) for p in root.rglob("*") if p.is_file()}
+    files = sorted(f for f in files if f.parts[0] != "logs")
+    reports = []
+    for rel in files:
+        a, b = ref / rel, new / rel
+        if not (a.exists() and b.exists()):
+            reports.append(f"{rel}: only in {'ref' if a.exists() else 'new'}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        ta, tb = a.read_text(), b.read_text()
+        if rel.name == "timing.csv":
+            what = _timing_difference(ta, tb)
+            if what is None:
+                continue
+        else:
+            what = _first_difference(ta.splitlines(), tb.splitlines())
+        reports.append(f"{rel}: {what}")
+    return len(files), reports
+
+
+def extract_ref(ref: str, dest: Path) -> None:
+    """The committed files of `ref` under dest."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", ref], capture_output=True)
+    if archive.returncode != 0:
+        raise SystemExit(f"git archive {ref} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ref", default="HEAD", help="git ref of the tree to compare against (default HEAD)")
+    parser.add_argument("--work", help="work directory, kept afterwards (default: a temporary one)")
+    args = parser.parse_args(argv)
+
+    work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="same_answers_"))
+    work.mkdir(parents=True, exist_ok=True)
+    try:
+        extract_ref(args.ref, work / "ref_tree")
+        inputs = work / "inputs"
+        write_inputs(REPO / "src", inputs)
+        codes = {}
+        for side, src in (("ref", work / "ref_tree" / "src"), ("new", REPO / "src")):
+            print(f"running {side} ({args.ref if side == 'ref' else 'working tree'})", flush=True)
+            codes[side] = run_tree(src, work / side, inputs)
+        # a step that fails on either side is reported: it leaves less to compare
+        reports = [
+            f"step {name}: exit {codes['ref'][name]} (ref), {codes['new'][name]} (new); see logs/{name}.log"
+            for name in codes["ref"]
+            if codes["ref"][name] or codes["new"][name]
+        ]
+        n_files, differences = compare_trees(work / "ref", work / "new")
+        reports += differences
+        for line in reports:
+            print(line)
+        print(f"{n_files} output files compared against {args.ref}: {len(reports)} differences")
+        return 1 if reports else 0
+    finally:
+        if args.work:
+            print(f"work directory: {work}")
+        else:
+            shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
