@@ -227,12 +227,6 @@ N_KEYS = len(KEY_LABELS)
 N_BASS = len(BASS_LABELS)
 
 
-def transpose_key(state: int, semitones: int) -> int:
-    if state < 0:
-        return state
-    return (state + semitones) % 12 + 12 * (state // 12)
-
-
 # --- alphabets ---------------------------------------------------------------
 
 # (quality, bass_degree) blocks of the 121-chord alphabet, 12 roots each.

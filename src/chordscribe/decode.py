@@ -29,6 +29,16 @@ max over its middle axis in one ufunc reduction and finds the first
 predecessor that reaches it by comparison. A stage-3 cell ties when its
 maximum survives knocking out the argmax, and only then is the tie
 repaired.
+
+Stage 3 runs dense, over every previous chord, when its tensor fits one
+block (tight decodes) or a frame keeps over a quarter of the chords (as when
+unseen chords share one Gaussian and tie); otherwise each row (k, u) takes
+only the previous chords an exact bound keeps. With mx the row's maximum,
+at cp0, chord c's cell is at least mx + lg[k, cp0, c] and chord cp adds at
+most max lg[k], so cp below mx + min_c lg[k, cp0, c] - max lg[k] cannot
+win or tie; a slack of 1e-9 * (1 + |mx| + |min| + |max|) dwarfs the float
+roundings (each under 2**-53 of that sum). A -inf minimum keeps the row
+whole, a dead row one chord.
 """
 
 from __future__ import annotations
@@ -42,11 +52,10 @@ from .chroma import Chromagram
 from .model import ChordOnlyHmm, HpModel, gaussian_logpdf_frames
 
 _TIE_BIG = np.int32(2**30)
-# Stage 3 takes live target keys in blocks whose (k, c_prev, c, slot) tensor
-# stays within this many elements: all live keys of a tight (tau=3, CAC)
-# decode share one block, and unconstrained full121 takes one key a block to
-# bound memory.
+# Stage 3's block budget in elements, and its form rules (module docstring)
 _STAGE3_BLOCK_ELEMENTS = 2**18
+_STAGE3_DENSE_ELEMENTS = _STAGE3_BLOCK_ELEMENTS
+_STAGE3_GATHER_COST = 4  # a gathered element costs about four dense ones
 
 
 class NoAdmissiblePathError(Exception):
@@ -139,21 +148,21 @@ def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
     alpha = np.empty((T, n))
     pred = np.empty((T, n))  # pred[t] = alpha[t-1] @ A, the one-step prediction
     pred[0] = hmm.init
-    for t in range(T):
-        if t > 0:
-            pred[t] = alpha[t - 1] @ hmm.trans
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for t in range(T):
+            if t > 0:
+                pred[t] = alpha[t - 1] @ hmm.trans
             x = np.log(pred[t]) + log_e[t]
-        peak = x.max()
-        if not np.isfinite(peak):
-            raise ValueError(f"no admissible chord state at frame {t}")
-        alpha[t] = np.exp(x - peak)
-        alpha[t] /= alpha[t].sum()
+            peak = x.max()
+            if not np.isfinite(peak):
+                raise ValueError(f"no admissible chord state at frame {t}")
+            alpha[t] = np.exp(x - peak)
+            alpha[t] /= alpha[t].sum()
     post = np.empty((T, n))
     post[-1] = alpha[-1]
+    denom = np.where(pred > 0, pred, 1.0)  # post is 0 where pred is, and 0/1 = 0
     for t in range(T - 2, -1, -1):
-        ratio = np.divide(post[t + 1], pred[t + 1], out=np.zeros(n), where=pred[t + 1] > 0)
-        post[t] = alpha[t] * (hmm.trans @ ratio)
+        post[t] = alpha[t] * (hmm.trans @ (post[t + 1] / denom[t + 1]))
         post[t] /= post[t].sum()
     return post
 
@@ -271,6 +280,20 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets):
     return keys, slots, lh_g, starts, pred, lf_pred, rank, n_b
 
 
+def _stage3_candidates(stage_k, lower, scale):
+    """(L, U, D) previous chords of each stage-3 row (k, u) that the bound
+    keeps, ascending, padded to the widest row with chords it drops."""
+    cp0 = stage_k.argmax(axis=-1)[..., None]
+    mx = stage_k.max(axis=-1, keepdims=True)
+    k = np.arange(len(stage_k))[:, None, None]
+    thr = mx + lower[k, cp0] - 1e-9 * (1 + np.abs(mx) + scale[k, cp0])
+    keep = stage_k >= np.where(mx > -np.inf, thr, np.inf)
+    n = keep.sum(axis=-1)
+    cand = (cp0 + np.arange(max(1, n.max(initial=0)))) % stage_k.shape[-1]
+    cand[n > 1] = np.argsort(~keep[n > 1], axis=-1, kind="stable")[:, : cand.shape[-1]]
+    return cand
+
+
 def _viterbi_tables(tables: _LogTables):
     """Staged Viterbi over prepared log tables; dimensions come from the
     table shapes. Returns (keys, chord_positions, basses, log_prob,
@@ -297,13 +320,16 @@ def _viterbi_tables(tables: _LogTables):
     # Flat (k, c, b) backpointers in full coordinates; dead cells keep a
     # zero backpointer, and no surviving path ever follows one.
     backptr = np.zeros((T, live.size, cw, s), dtype=np.min_scalar_type(n_keys * cw * n_bass - 1))
-    # With no bass cap the slots are the identity gather; plain broadcasts
-    # avoid materializing stage_k at every (chord, slot) pair.
-    full_slots = s == n_bass
     lr_slots = np.take_along_axis(tables.lr, tables.slots, axis=1)
     lg_live = np.ascontiguousarray(tables.lg[live].transpose(0, 2, 1))  # (L, c, c_prev)
-    block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * cw * s))
-    starts_c = np.arange(0, min(block, live.size) * cw * s * cw, cw).reshape(-1, cw, s)
+    dense = live.size * cw * s * cw <= _STAGE3_DENSE_ELEMENTS
+    # the bound's terms per (key, previous chord); -inf: no bound
+    colmin = lg_live.min(axis=1)
+    gmax = lg_live.max(axis=(1, 2), initial=-np.inf)[:, None]
+    lower = np.full_like(colmin, -np.inf)
+    np.subtract(colmin, gmax, out=lower, where=np.isfinite(colmin))
+    scale = np.abs(colmin) + np.abs(gmax)
+    lg_rows = (np.arange(live.size * cw) * cw).reshape(live.size, cw, 1, 1)
     key_idx = np.arange(live.size)[:, None, None]
     chord_ids = np.arange(cw)
     n_expanded = 0
@@ -330,20 +356,28 @@ def _viterbi_tables(tables: _LogTables):
         from_row = pred[key_idx, from_d]  # (L, U, Cw)
         n_expanded += cw * n_bass * fin_f
 
-        # stage 3: collapse previous chord over the last axis of the
-        # (k, c, S, c_prev) tensor, a block of live keys at a time, only at
-        # each chord's admissible bass slots
+        # stage 3: collapse previous chord over the last axis of (k, c, S, W) at
+        # the bass slots; W: every previous chord or the candidates kept
         extra = lr_slots + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
         v = np.empty((live.size, cw, s))
+        if not dense:
+            cand = _stage3_candidates(stage_k, lower, scale)  # (L, U, D)
+            sk = np.take_along_axis(stage_k, cand, axis=-1)
+        wide = dense or cand.shape[2] * _STAGE3_GATHER_COST > cw
+        # elements per (k, c, S) cell: Cw dense; pruned, 3 D and 24 for the tail
+        block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * s * (cw if wide else 3 * cand.shape[2] + 24)))
         for k0 in range(0, live.size, block):
             ks = slice(k0, k0 + block)
-            if full_slots:
-                val = stage_k[ks, None] + lg_live[ks, :, None]  # (k, c, B, c_prev)
-            else:
+            if wide:
                 val = np.take(stage_k[ks], slot_t, axis=1)  # (k, c, S, c_prev)
                 val += lg_live[ks, :, None]
+            else:
+                # (k, c, S, D) flat lg_live index; % cw is the previous chord
+                at_lg = np.take(cand[ks], slot_t, axis=1) + lg_rows[ks]
+                val = np.take(sk[ks], slot_t, axis=1)
+                val += lg_live.reshape(-1)[at_lg]
             from_c = val.argmax(axis=-1)
-            row_starts = starts_c[: len(from_c)]
+            row_starts = np.arange(0, val.size, val.shape[-1]).reshape(from_c.shape)
             at = from_c + row_starts
             best = val.reshape(-1)[at]
             # a cell ties when its maximum survives knocking out the argmax;
@@ -353,12 +387,14 @@ def _viterbi_tables(tables: _LogTables):
             np.put(val, at, -np.inf)
             second = val.reshape(-1)[val.argmax(axis=-1) + row_starts]
             ties = np.isfinite(best) & (second == best)
+            if not wide:
+                from_c = at_lg.reshape(-1)[at] % cw
             if ties.any():
                 np.put(val, at, best)
                 order = keys_p[from_row[ks]] * 256 + chord_ids  # (k, U, c_prev)
-                order = order[:, None] if full_slots else np.take(order, slot_t, axis=1)
-                composite = np.where(val == best[..., None], order, _TIE_BIG)
-                from_c = np.where(ties, composite.argmin(axis=-1), from_c)
+                order = order if wide else np.take_along_axis(order, cand[ks], axis=-1)
+                composite = np.where(val == best[..., None], np.take(order, slot_t, axis=1), _TIE_BIG)
+                from_c = np.where(ties, composite.min(axis=-1) % 256, from_c)
             row = from_row[ks][key_idx[: len(from_c)], slot_t, from_c]
             bbar = slots_p[from_c, from_s[row, slot_t, from_c]]
             v[ks] = best + extra

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from chordscribe.annotations import FrameLabels, make_alphabet, transpose_key
+from chordscribe.annotations import FrameLabels, make_alphabet
 from chordscribe.chroma import Chromagram
 
 
@@ -24,6 +24,14 @@ def make_frame_labels(key, chord, bass, dt=0.5):
     key = np.asarray(key)
     starts, ends = frame_grid(key.size, dt)
     return FrameLabels(key, np.asarray(chord), np.asarray(bass), starts, ends)
+
+
+def transpose_key(state: int, semitones: int) -> int:
+    """Shift a key's tonic by a semitone count, keeping its mode; unlabeled
+    (negative) states are fixed points."""
+    if state < 0:
+        return state
+    return (state + semitones) % 12 + 12 * (state // 12)
 
 
 def transpose_labels(fl, semitones, alphabet):

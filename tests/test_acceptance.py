@@ -336,17 +336,28 @@ def test_constraint_behavior(full_model):
     rng, model, a121, vocab = full_model
     treble, bass, true_chords, _ = _frame_song(rng, vocab, a121, 500)
 
-    t0 = time.perf_counter()
-    free = viterbi_joint(model, Constraints(), treble, bass)
-    free_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    tight = viterbi_joint(model, Constraints(gamma=0, tau=3, cac=True), treble, bass)
-    tight_time = time.perf_counter() - t0
+    # Three interleaved pairs, compared by their fastest run: after an idle
+    # spell the first decodes of a process can run many times slower, which
+    # says nothing about the decoder.
+    times = {"free": [], "tight": []}
+    paths = {"free": [], "tight": []}
+    for _ in range(3):
+        for name, constraints in (("free", Constraints()), ("tight", Constraints(gamma=0, tau=3, cac=True))):
+            t0 = time.perf_counter()
+            path = viterbi_joint(model, constraints, treble, bass)
+            times[name].append(time.perf_counter() - t0)
+            paths[name].append(path)
+    for runs in paths.values():
+        for path in runs[1:]:
+            for field in ("keys", "chords", "basses"):
+                np.testing.assert_array_equal(getattr(path, field), getattr(runs[0], field))
+            assert path.log_prob == runs[0].log_prob
+    free, tight = paths["free"][0], paths["tight"][0]
 
     acc_free = float(np.mean(free.chords == true_chords))
     acc_tight = float(np.mean(tight.chords == true_chords))
     trans_ratio = free.expanded_transitions / tight.expanded_transitions
-    wall_ratio = free_time / tight_time
+    wall_ratio = min(times["free"]) / min(times["tight"])
     assert trans_ratio >= 10.0
     assert wall_ratio >= 10.0
     assert acc_free - acc_tight < 0.02

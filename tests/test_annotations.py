@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import transpose_key
 from hypothesis import given, settings, strategies as st
 
 from chordscribe.annotations import (
@@ -27,7 +28,6 @@ from chordscribe.annotations import (
     parse_chord_symbol,
     parse_key_label,
     parse_lab,
-    transpose_key,
     write_lab,
 )
 

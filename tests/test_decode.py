@@ -1,3 +1,4 @@
+import contextlib
 import copy
 
 import numpy as np
@@ -191,17 +192,35 @@ class TestChordAlphabetConstraint:
         assert set(admissible.tolist()) == {0, 2}
 
 
+STAGE3_FORMS = {
+    "dense": {"_STAGE3_DENSE_ELEMENTS": 2**62},
+    "pruned": {"_STAGE3_DENSE_ELEMENTS": -1, "_STAGE3_GATHER_COST": 0},
+}
+
+
+@contextlib.contextmanager
+def stage3_form(form):
+    """Force stage 3 dense (every previous chord) or pruned (the previous
+    chords the bound keeps) on every frame, whatever the table sizes."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in STAGE3_FORMS[form].items():
+            patch.setattr(decode, name, value)
+        yield
+
+
 def _assert_matches_enumeration(tables, flat, trial):
     n_chords, n_bass = tables.lr.shape
     ref_lp, ref_path = enumerate_best_path(*flat)
-    if not np.isfinite(ref_lp):
-        with pytest.raises(NoAdmissiblePathError):
-            _viterbi_tables(tables)
-        return
-    keys, chords, basses, lp, _ = _viterbi_tables(tables)
-    assert lp == pytest.approx(ref_lp, abs=1e-9), f"trial {trial}"
-    rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
-    assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+    for form in STAGE3_FORMS:
+        if not np.isfinite(ref_lp):
+            with stage3_form(form), pytest.raises(NoAdmissiblePathError):
+                _viterbi_tables(tables)
+            continue
+        with stage3_form(form):
+            keys, chords, basses, lp, _ = _viterbi_tables(tables)
+        assert lp == pytest.approx(ref_lp, abs=1e-9), f"trial {trial}, {form}"
+        rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
+        assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
 
 
 def _integer_log_tables(tables, rng):
@@ -239,6 +258,28 @@ def _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, slot_cap):
     )
 
 
+def _dead_transition_case(tables, t0=5, a=0, b=1):
+    """Frame t0 favours chord a by about 100 nats and frame t0 + 1 chord b
+    by about 200, but a -> b is -inf in every key: so a is the maximum of
+    the stage-3 rows at t0 + 1, and b's winner there lies about 100 nats
+    below it."""
+    tables.emis_c[t0] = -100.0
+    tables.emis_c[t0, a] = -1.0
+    tables.emis_c[t0 + 1] = -200.0
+    tables.emis_c[t0 + 1, b] = -1.0
+    tables.lg[:, a, b] = -np.inf
+    return tables
+
+
+def _offset_tables(tables, offset):
+    """Every chord transition made finite (-1), then every log table shifted
+    by offset; -inf entries stay -inf."""
+    tables.lg[~np.isfinite(tables.lg)] = -1.0
+    for name in ("lpi_k", "lpi_c", "lpi_b", "lf", "lg", "lh", "lr", "emis_c", "emis_b"):
+        getattr(tables, name)[:] += offset
+    return tables
+
+
 def _flat_tables(tables):
     """tables_to_flat by broadcasting, summing in the same order."""
     n_keys, n_chords, _ = tables.lg.shape
@@ -272,9 +313,11 @@ class TestViterbiOracle:
     @pytest.mark.parametrize("keys_per_block", [None, 2])
     def test_key_blocks_match_enumeration(self, monkeypatch, keys_per_block):
         # Stage 3 takes the target keys in blocks under an element budget.
-        # Two keys a block over three or five keys leaves a partial last
-        # block; None keeps the default budget, where all keys share one.
-        # Odd trials use integer log tables, so the tie repair runs on blocks.
+        # Two keys a block of the dense form over three or five keys leaves a
+        # partial last block (the pruned form, which counts more arrays a
+        # key, takes one key a block); None keeps the default budget, where
+        # all keys share one. Odd trials use integer log tables, so the tie
+        # repair runs on blocks.
         rng = np.random.default_rng(12)
         for trial in range(40):
             n_keys, n_chords, n_bass = rng.choice([(3, 2, 2), (5, 2, 2), (3, 3, 2)])
@@ -340,7 +383,14 @@ class TestViterbiOracle:
         # do: every stage tensor is wider than its reduced axis, and with
         # integer tables most stage-3 maxima tie; on this seed, both slot
         # widths decode a path that a stage 3 without the tie repair gets
-        # wrong. Two keys a block splits the four keys.
+        # wrong. Two keys a block splits the four keys (one or two for the
+        # pruned form, which budgets more arrays a key).
+        # Two more inputs aim at its bound. In the first, the row maximum's
+        # previous chord has a -inf transition into the chord that frame 6
+        # needs, whose winner lies about 100 nats below the row maximum. The
+        # second offsets every log table of the integer trials, with their
+        # chord transitions made finite so that the bound prunes, by -1e6:
+        # ties stay exact at large magnitudes.
         rng = np.random.default_rng(20)
         small = _wide_integer_tables(rng, 2, 3, 2, 3, 2)
         for ours, ref in zip(_flat_tables(small), tables_to_flat(small)):
@@ -348,13 +398,42 @@ class TestViterbiOracle:
         n_keys, n_chords, n_bass = 4, 30, 13
         if keys_per_block:
             monkeypatch.setattr(decode, "_STAGE3_BLOCK_ELEMENTS", keys_per_block * n_chords**2 * slot_cap)
-        for trial in range(4):
-            tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, 12, slot_cap)
-            keys, chords, basses, lp, _ = _viterbi_tables(tables)
+        trials = [_wide_integer_tables(rng, n_keys, n_chords, n_bass, 12, slot_cap) for _ in range(4)]
+        trials.append(_dead_transition_case(copy.deepcopy(trials[0])))
+        trials += [_offset_tables(copy.deepcopy(tables), -1e6) for tables in trials[:4]]
+        for trial, tables in enumerate(trials):
             ref_lp, ref_path = flat_viterbi(*_flat_tables(tables))
-            assert lp == ref_lp, f"trial {trial}"
             rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
-            assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+            for form in STAGE3_FORMS:
+                with stage3_form(form):
+                    keys, chords, basses, lp, _ = _viterbi_tables(tables)
+                assert lp == ref_lp, f"trial {trial}, {form}"
+                assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+
+    def test_pruned_stage3_keeps_float_ties_below_the_bound(self):
+        # Chord 0 sits one ulp below the bound's threshold for the row whose
+        # maximum is chord 1, yet in floats its path into chord 0 ties chord
+        # 1's, and the tie goes to chord 0; the slack keeps it.
+        mx, m, g = -12.3, -2.3, -0.1  # row max, chord 1's column min, max lg
+        a = np.nextafter(mx + (m - g), -np.inf)
+        assert a + g == mx + m
+        tables = decode._LogTables(
+            lpi_k=np.zeros(1),
+            lpi_c=np.zeros(2),
+            lpi_b=np.zeros(1),
+            lf=np.zeros((1, 1)),
+            lg=np.array([[[g, -0.2], [m, -0.5]]]),
+            lh=np.zeros((1, 1)),
+            lr=np.zeros((2, 1)),
+            slots=np.zeros((2, 1), dtype=np.int64),
+            working=np.arange(2),
+            emis_c=np.array([[a, mx], [0.0, -1000.0]]),
+            emis_b=np.zeros((2, 1)),
+        )
+        for form in STAGE3_FORMS:
+            with stage3_form(form):
+                keys, chords, basses, lp, _ = _viterbi_tables(tables)
+            assert chords.tolist() == [0, 0] and lp == a + g, form
 
     def test_tie_break_on_quantized_tables(self):
         # integer-valued log tables make ties exact; the decoder must agree
@@ -369,10 +448,12 @@ class TestViterbiOracle:
             tables.lr[:] = -rng.integers(1, 4, size=tables.lr.shape).astype(float)
             flat = tables_to_flat(tables)
             ref_lp, ref_path = enumerate_best_path(*flat)
-            keys, chords, basses, lp, _ = _viterbi_tables(tables)
-            assert lp == ref_lp
             rk, rc, rb = split_flat_path(ref_path, 2, 2)
-            assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+            for form in STAGE3_FORMS:
+                with stage3_form(form):
+                    keys, chords, basses, lp, _ = _viterbi_tables(tables)
+                assert lp == ref_lp
+                assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
             n_ties += 1
         assert n_ties == 120
 
@@ -563,11 +644,13 @@ def test_fallback_emission_ties_pinned(constraints):
     model, treble, bass = _fallback_tie_case()
     fallback = np.all(model.chord_emis_mean == 0.5, axis=1)
     assert fallback.sum() == 115
-    path = viterbi_joint(model, constraints, treble, bass)
-    assert path.keys.tolist() == [0] * 9 + [1] * 3
-    assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4
-    assert path.basses.tolist() == [1] * 4 + [7] * 4 + [1] * 4
-    assert repr(path.log_prob) == "173.14618045901557"
+    for form in STAGE3_FORMS:
+        with stage3_form(form):
+            path = viterbi_joint(model, constraints, treble, bass)
+        assert path.keys.tolist() == [0] * 9 + [1] * 3
+        assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4
+        assert path.basses.tolist() == [1] * 4 + [7] * 4 + [1] * 4
+        assert repr(path.log_prob) == "173.14618045901557"
 
 
 class TestForwardBackwardEdge:

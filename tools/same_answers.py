@@ -8,8 +8,9 @@ of a git ref, and compares every output file:
            8 kHz that only go through `chroma`
     chroma with beat files
     train  majmin25 and full121
-    decode gamma=0, tau=3, CAC (both models); full121 unconstrained; and a
-           `--jobs 2` sweep gamma in {0, 2} x tau in {1, 3, 13} with CAC
+    decode gamma=0, tau=3, CAC (both models); full121 unconstrained and
+           tau=3 alone; and a `--jobs 2` sweep gamma in {0, 2} x
+           tau in {1, 3, 13} with CAC
     eval   the tight full121 decode, `--compare` against the unconstrained
 
 The inputs are written once, by the working tree, and both trees read the
@@ -135,6 +136,7 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
     full = ("--chroma-dir", "chroma", "--model", "models/full121.txt")
     steps += [
         ("decode_free", ("decode", *full, "--output-dir", "decode/free")),
+        ("decode_tau", ("decode", *full, "--tau", "3", "--output-dir", "decode/tau")),
         ("decode_sweep", ("decode", *full, "--gamma", "0,2", "--tau", "1,3,13", "--cac", "--jobs", "2",
                           "--output-dir", "decode/sweep")),
         ("eval", ("eval", "--pred-dir", "decode/tight_full121", *songs, "--beats", str(main / "beats"),
