@@ -49,7 +49,6 @@ from .decode import (
     NoAdmissiblePathError,
     chord_alphabet_constraint,
     forward_backward,
-    max_gamma_decode,
     prune_chord_to_bass,
     prune_key_transitions,
     score_path,

@@ -88,8 +88,23 @@ OOV_REDUCTIONS = {
 }
 
 
-class LabParseError(Exception):
-    """Malformed annotation file; message carries path and line number."""
+class LabParseError(ValueError):
+    """Malformed text input (label, beat, chroma, config or script file);
+    the message starts `path:line:`, or `path:` for a whole-file fault."""
+
+
+def read_lines(path, take) -> None:
+    """Call take(line) on each stripped line of the text file at path,
+    skipping blank lines and `#` comments. A ValueError from take comes
+    back as a LabParseError `path:line: message`."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
+                    take(line)
+                except ValueError as exc:
+                    raise LabParseError(f"{path}:{lineno}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -244,7 +259,6 @@ _FULL_BLOCKS = (
 )
 
 _MAJ_LIKE = {"maj", "maj6", "maj7", "dom7", "aug"}
-_MIN_LIKE = {"min", "min7", "dim"}
 
 
 @dataclass(frozen=True)
@@ -358,26 +372,26 @@ def make_intervals(records: Iterable[tuple[float, float, str]], origin="<records
 
 
 def parse_lab(path) -> IntervalLabels:
-    """Read a `.lab` file: `start end label` per line, `#` comments and
-    blank lines skipped. Lines are sorted; overlaps and reversed intervals
-    are errors naming the line."""
+    """Read a `.lab` file: `start end label` per line, times finite, `#`
+    comments and blank lines skipped. Lines are sorted; overlaps and
+    reversed intervals are errors naming the line."""
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) < 3:
-                raise LabParseError(f"{path}:{lineno}: expected `start end label`, got {line!r}")
-            try:
-                start, end = float(fields[0]), float(fields[1])
-            except ValueError as exc:
-                raise LabParseError(f"{path}:{lineno}: bad timestamp in {line!r}") from exc
-            label = " ".join(fields[2:])
-            if end <= start:
-                raise LabParseError(f"{path}:{lineno}: end {end} not after start {start}")
-            records.append((start, end, label))
+
+    def take(line):
+        fields = line.split()
+        if len(fields) < 3:
+            raise ValueError(f"expected `start end label`, got {line!r}")
+        try:
+            start, end = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise ValueError(f"bad timestamp in {line!r}") from None
+        if not (np.isfinite(start) and np.isfinite(end)):
+            raise ValueError(f"interval times must be finite, got {line!r}")
+        if end <= start:
+            raise ValueError(f"end {end} not after start {start}")
+        records.append((start, end, " ".join(fields[2:])))
+
+    read_lines(path, take)
     return make_intervals(records, origin=str(path))
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .annotations import read_lines
 from .audio_io import AudioBuffer, zero_extended
 
 # Analysis bands as inclusive MIDI note ranges: bass A1-G#3 (55-207.65 Hz),
@@ -96,12 +97,6 @@ class SpectralMatrix:
         return self.starts.size
 
 
-def _nonfinite_frames(values, starts, ends) -> np.ndarray:
-    """Indices of frames with a NaN or infinite value or time."""
-    ok = np.isfinite(values).all(axis=0) & np.isfinite(starts) & np.isfinite(ends)
-    return np.flatnonzero(~ok)
-
-
 @dataclass
 class Chromagram:
     """12 x T matrix of normalized pitch-class values in [0, 1]."""
@@ -121,9 +116,9 @@ class Chromagram:
             raise ValueError("frame count mismatch")
         if self.band not in ("bass", "treble"):
             raise ValueError(f"band must be 'bass' or 'treble', got {self.band!r}")
-        bad = _nonfinite_frames(self.values, self.starts, self.ends)
-        if bad.size:
-            raise ValueError(f"chromagram frame {bad[0]} holds a non-finite value")
+        ok = np.isfinite(self.values).all(axis=0) & np.isfinite(self.starts) & np.isfinite(self.ends)
+        if not ok.all():
+            raise ValueError(f"chromagram frame {np.argmin(ok)} holds a non-finite value")
         if self.values.size and (self.values.min() < -1e-9 or self.values.max() > 1.0 + 1e-9):
             raise ValueError("chromagram entries must lie in [0, 1]")
 
@@ -369,30 +364,36 @@ def write_chromagram(path, chroma: Chromagram) -> None:
 
 
 def read_chromagram(path) -> Chromagram:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: bad chromagram header")
-        band, n_frames = header[0], int(header[1])
-        starts, ends, cols, linenos = [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 14:
-                raise ValueError(f"{path}:{lineno}: expected 14 fields, got {len(fields)}")
-            starts.append(float(fields[0]))
-            ends.append(float(fields[1]))
-            cols.append([float(v) for v in fields[2:]])
-            linenos.append(lineno)
+    """Read write_chromagram's format; blank lines and `#` comments are
+    skipped. The header needs at least one frame, and each row 14 finite
+    numbers with values in [0, 1]."""
+    header, starts, ends, cols = [], [], [], []
+
+    def take(line):
+        fields = line.split()
+        if not header:
+            if len(fields) != 2 or fields[0] not in ("bass", "treble") or not fields[1].isdigit():
+                raise ValueError(f"expected a header `treble|bass n_frames`, got {line!r}")
+            if int(fields[1]) < 1:
+                raise ValueError("a chromagram needs at least one frame")
+            header.extend((fields[0], int(fields[1])))
+            return
+        if len(fields) != 14:
+            raise ValueError(f"expected 14 fields, got {len(fields)}")
+        row = [float(v) for v in fields]
+        if not all(map(math.isfinite, row)) or min(row[2:]) < -1e-9 or max(row[2:]) > 1 + 1e-9:
+            raise ValueError("a chromagram row needs finite times and values in [0, 1]")
+        starts.append(row[0])
+        ends.append(row[1])
+        cols.append(row[2:])
+
+    read_lines(path, take)
+    if not header:
+        raise ValueError(f"{path}: no chromagram header")
+    band, n_frames = header
     if len(cols) != n_frames:
         raise ValueError(f"{path}: header says {n_frames} frames, file has {len(cols)}")
-    values = np.array(cols).T if cols else np.zeros((12, 0))
-    starts, ends = np.array(starts), np.array(ends)
-    bad = _nonfinite_frames(values, starts, ends)
-    if bad.size:
-        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value in chromagram row")
-    return Chromagram(values, starts, ends, band)
+    return Chromagram(np.array(cols).T, np.array(starts), np.array(ends), band)
 
 
 def read_beats(path, end: float = math.inf) -> np.ndarray:
@@ -400,23 +401,19 @@ def read_beats(path, end: float = math.inf) -> np.ndarray:
     increasing and no later than `end`; blank lines and `#` comments are
     skipped."""
     beats = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                beat = float(line.split()[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected a beat time in seconds, got {line!r}") from None
-            if not np.isfinite(beat):
-                raise ValueError(f"{path}:{lineno}: beat time {beat} is not finite")
-            if beats and beat <= beats[-1]:
-                raise ValueError(f"{path}:{lineno}: beat time {beat} does not follow {beats[-1]}")
-            if beat > end:
-                raise ValueError(
-                    f"{path}:{lineno}: beat time {beat} is past the end of the song"
-                    f" (latest allowed {end:.6g} s)"
-                )
-            beats.append(beat)
+
+    def take(line):
+        try:
+            beat = float(line.split()[0])
+        except ValueError:
+            raise ValueError(f"expected a beat time in seconds, got {line!r}") from None
+        if not np.isfinite(beat):
+            raise ValueError(f"beat time {beat} is not finite")
+        if beats and beat <= beats[-1]:
+            raise ValueError(f"beat time {beat} does not follow {beats[-1]}")
+        if beat > end:
+            raise ValueError(f"beat time {beat} is past the end of the song (latest allowed {end:.6g} s)")
+        beats.append(beat)
+
+    read_lines(path, take)
     return np.asarray(beats, dtype=np.float64)

@@ -36,6 +36,7 @@ from .annotations import (
     most_prevalent_labels,
     parse_chord_symbol,
     parse_lab,
+    read_lines,
     write_lab,
 )
 from .decode import Constraints, viterbi_joint
@@ -77,51 +78,39 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` text; `#` comments and blank lines ignored."""
+    """RunConfig fields from flat `key = value` text; `#` comments and blank
+    lines ignored. A value takes the type of its field's default (paths,
+    whose default is None, stay strings); the sweeps are set through the
+    `gamma` and `tau` keys only."""
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("gammas", "taus")}
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+
+    def take(line):
+        if "=" not in line:
+            raise ValueError(f"expected key=value, got {line!r}")
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in ("gamma", "tau"):
+            values[f"{key}s"] = _sweep(val)
+        elif key not in defaults:
+            raise ValueError(f"unknown config key {key!r}")
+        elif isinstance(defaults[key], bool):
+            values[key] = val.lower() in ("1", "true", "yes")
+        elif isinstance(defaults[key], (int, float)):
+            values[key] = type(defaults[key])(val)
+        else:
+            values[key] = val
+
+    read_lines(path, take)
     return values
 
 
 def _sweep(text: str) -> tuple:
-    out = []
-    for piece in str(text).split(","):
-        piece = piece.strip().lower()
-        out.append(None if piece in ("", "none") else int(piece))
-    return tuple(out)
-
-
-def _convert(default, val: str):
-    """A config-file value in the type of its RunConfig default; paths,
-    whose default is None, stay strings."""
-    if isinstance(default, bool):
-        return val.lower() in ("1", "true", "yes")
-    if isinstance(default, (int, float)):
-        return type(default)(val)
-    return val
+    return tuple(None if p.strip().lower() in ("", "none") else int(p) for p in str(text).split(","))
 
 
 def build_config(args) -> RunConfig:
-    cfg = RunConfig()
     config_path = getattr(args, "config", None) or os.environ.get("HP_CONFIG")
-    file_values = parse_config_file(config_path) if config_path else {}
-    # The sweeps are set through the `gamma` and `tau` keys only.
-    defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("gammas", "taus")}
-    for key, val in file_values.items():
-        if key in ("gamma", "tau"):
-            cfg = replace(cfg, **{f"{key}s": _sweep(val)})
-        elif key in defaults:
-            cfg = replace(cfg, **{key: _convert(defaults[key], val)})
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+    cfg = replace(RunConfig(), **parse_config_file(config_path)) if config_path else RunConfig()
     for f in fields(RunConfig):
         if f.name in ("gammas", "taus", "cac"):
             continue
@@ -455,23 +444,27 @@ def cmd_synth(cfg: RunConfig, script_path: str, out_stem: str, key: str) -> int:
     """Render a `chord duration` script into a WAV plus matching chord,
     key, and beat annotation files."""
     records = []
-    with open(script_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields_ = line.split()
-            if len(fields_) != 2:
-                raise SystemExit(f"error: {script_path}:{lineno}: expected `chord duration`")
-            records.append((fields_[0], float(fields_[1])))
+
+    def take(line):
+        fields_ = line.split()
+        if len(fields_) != 2:
+            raise ValueError("expected `chord duration`")
+        dur = float(fields_[1])
+        if not 0 < dur < math.inf:
+            raise ValueError(f"duration {dur} is not a positive number of seconds")
+        records.append((fields_[0], parse_chord_symbol(fields_[0]), dur))
+
+    try:
+        read_lines(script_path, take)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     if not records:
         raise SystemExit(f"error: {script_path}: empty script")
 
     segments = []
     lab_records = []
     t = 0.0
-    for label, dur in records:
-        sym = parse_chord_symbol(label)
+    for label, sym, dur in records:
         if sym.is_no_chord:
             segments.append(np.zeros(int(round(dur * cfg.sample_rate))))
         else:

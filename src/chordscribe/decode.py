@@ -167,18 +167,10 @@ def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
     return post
 
 
-def max_gamma_decode(hmm: ChordOnlyHmm, obs: np.ndarray):
-    """Most probable state per frame under the posterior marginals.
-
-    Returns (states, posteriors); ties take the lowest state index.
-    """
-    post = forward_backward(hmm, obs)
-    return np.argmax(post, axis=1), post
-
-
 def chord_alphabet_constraint(hmm: ChordOnlyHmm, obs: np.ndarray, no_chord: int) -> np.ndarray:
-    """Distinct chords of the first-pass decode, plus no-chord, ascending."""
-    states, _ = max_gamma_decode(hmm, obs)
+    """Distinct chords of the first-pass decode (the most probable state per
+    frame, ties to the lowest), plus no-chord, ascending."""
+    states = forward_backward(hmm, obs).argmax(axis=1)
     return np.union1d(np.unique(states), [no_chord]).astype(np.int64)
 
 

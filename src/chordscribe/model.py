@@ -92,10 +92,6 @@ def _normalize_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _normalize_vector(counts: np.ndarray, alpha: float) -> np.ndarray:
-    return _normalize_rows(counts[None, :], alpha)[0]
-
-
 def _fit_gaussians(frames_per_state, dim, epsilon, state_names, warnings_out):
     """Sample mean and MLE covariance (+ epsilon*I) per state; states with
     no observations get a flat fallback (mean 0.5, cov 0.1*I) and a
@@ -189,9 +185,9 @@ def train(dataset, cfg: TrainConfig) -> HpModel:
 
     return HpModel(
         alphabet=alphabet,
-        init_key=_normalize_vector(init_key_c, cfg.alpha),
-        init_chord=_normalize_vector(init_chord_c, cfg.alpha),
-        init_bass=_normalize_vector(init_bass_c, cfg.alpha),
+        init_key=_normalize_rows(init_key_c, cfg.alpha),
+        init_chord=_normalize_rows(init_chord_c, cfg.alpha),
+        init_bass=_normalize_rows(init_bass_c, cfg.alpha),
         key_trans=_normalize_rows(key_c, cfg.alpha),
         chord_trans_rel=_normalize_rows(rel_c, cfg.alpha),
         bass_given_chord=_normalize_rows(bc_c, cfg.alpha),
@@ -203,7 +199,7 @@ def train(dataset, cfg: TrainConfig) -> HpModel:
         key_trans_counts=key_c,
         chord_bass_counts=bc_c,
         cac=ChordOnlyHmm(
-            init=_normalize_vector(init_chord_c, cfg.alpha),
+            init=_normalize_rows(init_chord_c, cfg.alpha),
             trans=_normalize_rows(cac_c, cfg.alpha),
             means=cac_mean,
             covs=cac_cov,

@@ -41,7 +41,7 @@ from chordscribe.decode import (
     Constraints,
     NoAdmissiblePathError,
     _viterbi_tables,
-    max_gamma_decode,
+    forward_backward,
     viterbi_joint,
 )
 from chordscribe.evaluate import aggregate, overlap_ratio, paired_t_test
@@ -113,7 +113,7 @@ def test_max_posterior_oracle_100_models():
         )
         T = int(rng.integers(1, 6))
         obs = rng.random((T, d))
-        _, post = max_gamma_decode(hmm, obs)
+        post = forward_backward(hmm, obs)
         from chordscribe.model import gaussian_logpdf_frames
 
         log_e = gaussian_logpdf_frames(obs, hmm.means, hmm.covs)

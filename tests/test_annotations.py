@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -69,6 +70,13 @@ class TestParseLab:
         p = tmp_path / "d.lab"
         p.write_text("0.0 1.0 C:maj\nbogus\n")
         with pytest.raises(LabParseError, match="d.lab:2"):
+            parse_lab(p)
+
+    @pytest.mark.parametrize("line", ["nan 2 G:maj", "1 inf G:maj"])
+    def test_non_finite_time_names_line(self, tmp_path, line):
+        p = tmp_path / "g.lab"
+        p.write_text(f"0.0 1.0 C:maj\n{line}\n")
+        with pytest.raises(LabParseError, match=f"^{re.escape(str(p))}:2: interval times must be finite"):
             parse_lab(p)
 
     def test_overlap_rejected(self, tmp_path):

@@ -380,7 +380,7 @@ class TestChromagramIO:
     @settings(deadline=None)
     @given(
         st.data(),
-        st.lists(st.floats(1e-3, 10.0), max_size=50),  # frame durations
+        st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=50),  # frame durations; read needs one
         st.sampled_from(["bass", "treble"]),
     )
     def test_roundtrip(self, data, durations, band):

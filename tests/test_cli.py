@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,15 @@ class TestSynth:
         (tmp_path / "empty.txt").write_text("\n")
         with pytest.raises(SystemExit):
             run("synth", str(tmp_path / "empty.txt"), str(tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "script, line",
+        [("# intro\n\nH:maj 1.0\n", 3), ("C:maj 1.0\nG:maj 0\n", 2), ("C:maj 1.0\nN nan\n", 2)],
+    )
+    def test_bad_line_exits_naming_line(self, tmp_path, script, line):
+        (tmp_path / "bad.txt").write_text(script)
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(str(tmp_path / 'bad.txt'))}:{line}: "):
+            run("synth", str(tmp_path / "bad.txt"), str(tmp_path / "out"))
 
 
 class TestChroma:
@@ -415,6 +425,18 @@ class TestDecode:
                 "--output-dir",
                 str(tmp_path / "o"),
             )
+
+    def test_chroma_without_frames_names_file(self, workspace, tmp_path, capsys):
+        """A `.chroma` header of 0 frames is rejected at its line, and the
+        per-song error on stderr names the file."""
+        chroma = tmp_path / "chroma"
+        chroma.mkdir()
+        (chroma / "empty.treble.chroma").write_text("treble 0\n")
+        (chroma / "empty.bass.chroma").write_text("bass 0\n")
+        argv = ["--chroma-dir", str(chroma), "--model", str(workspace / "model.txt")]
+        assert run("decode", *argv, "--output-dir", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert f"error: empty: {chroma / 'empty.treble.chroma'}:1: a chromagram needs at least one frame" in err
 
 
 class TestEval:

@@ -23,7 +23,6 @@ from chordscribe.decode import (
     _viterbi_tables,
     chord_alphabet_constraint,
     forward_backward,
-    max_gamma_decode,
     prune_chord_to_bass,
     prune_key_transitions,
     score_path,
@@ -113,6 +112,9 @@ class TestPruneChordToBass:
 
 
 class TestMaxGammaDecode:
+    """The first pass's max-posterior decode: forward_backward, then the
+    argmax of each frame."""
+
     def _hmm(self, rng, n=3, d=2):
         means = rng.random((n, d))
         covs = np.tile(np.eye(d) * 0.05, (n, 1, 1))
@@ -124,7 +126,8 @@ class TestMaxGammaDecode:
         rng = np.random.default_rng(0)
         hmm = self._hmm(rng)
         obs = rng.random((1, 2))
-        states, post = max_gamma_decode(hmm, obs)
+        post = forward_backward(hmm, obs)
+        states = post.argmax(axis=1)
         from chordscribe.model import gaussian_logpdf_frames
 
         direct = np.log(hmm.init) + gaussian_logpdf_frames(obs, hmm.means, hmm.covs)[0]
@@ -136,7 +139,7 @@ class TestMaxGammaDecode:
         for _ in range(25):
             hmm = self._hmm(rng)
             obs = rng.random((4, 2))
-            _, post = max_gamma_decode(hmm, obs)
+            post = forward_backward(hmm, obs)
             from chordscribe.model import gaussian_logpdf_frames
 
             log_e = gaussian_logpdf_frames(obs, hmm.means, hmm.covs)
@@ -147,7 +150,7 @@ class TestMaxGammaDecode:
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(2)
         hmm = self._hmm(rng, n=5, d=3)
-        _, post = max_gamma_decode(hmm, rng.random((20, 3)))
+        post = forward_backward(hmm, rng.random((20, 3)))
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
 
     def test_uniform_symmetric_ties_pick_lowest(self):
@@ -158,7 +161,8 @@ class TestMaxGammaDecode:
             np.zeros((n, 2)),
             np.tile(np.eye(2), (n, 1, 1)),
         )
-        states, post = max_gamma_decode(hmm, np.zeros((6, 2)))
+        post = forward_backward(hmm, np.zeros((6, 2)))
+        states = post.argmax(axis=1)
         np.testing.assert_allclose(post, 1 / n, atol=1e-12)
         assert np.all(states == 0)
 

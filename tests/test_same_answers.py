@@ -20,15 +20,28 @@ def _tree(root: Path, files: dict) -> Path:
     return root
 
 
-def test_timing_skips_seconds_and_compares_log_prob_to_tolerance(tmp_path):
+def test_timing_skips_seconds_and_compares_log_prob_as_written(tmp_path):
     ref = _tree(tmp_path / "ref", {"d/timing.csv": HEADER + "0,3,a,60,0.0018,0.2626,757032,2796.0410\n"})
     new = _tree(tmp_path / "new", {"d/timing.csv": HEADER + "0,3,a,60,0.0100,0.0154,757032,2796.0410\n"})
     assert same_answers.compare_trees(ref, new) == (1, [])
-    (new / "d/timing.csv").write_text(HEADER + "0,3,a,60,0.0100,0.0154,757032,2796.0411\n")
+    (new / "d/timing.csv").write_text(HEADER + "0,3,a,60,0.0100,0.0154,757032,2796.041\n")
     n, reports = same_answers.compare_trees(ref, new)
     assert len(reports) == 1 and "column log_prob" in reports[0]
     (new / "d/timing.csv").write_text(HEADER + "0,3,a,60,0.0018,0.2626,757033,2796.0410\n")
     assert "column transitions" in same_answers.compare_trees(ref, new)[1][0]
+
+
+def test_log_probs_compared_to_tolerance(tmp_path):
+    ref = _tree(tmp_path / "ref", {"log_probs.txt": "tight/a -2796.041012345678\nfree/a -2790.5\n"})
+    new = _tree(tmp_path / "new", {"log_probs.txt": "tight/a -2796.0410123456785\nfree/a -2790.5\n"})
+    assert same_answers.compare_trees(ref, new) == (1, [])
+    (new / "log_probs.txt").write_text("tight/a -2796.04101235\nfree/a -2790.5\n")
+    assert same_answers.compare_trees(ref, new)[1] == [
+        "log_probs.txt: line 1:\n    ref: tight/a -2796.041012345678\n    new: tight/a -2796.04101235"
+    ]
+    for text in ("tight/b -2796.041012345678\nfree/a -2790.5\n", "tight/a -2796.041012345678\n"):
+        (new / "log_probs.txt").write_text(text)
+        assert len(same_answers.compare_trees(ref, new)[1]) == 1
 
 
 def test_reports_first_differing_line_and_one_sided_files(tmp_path):

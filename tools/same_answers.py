@@ -12,13 +12,18 @@ of a git ref, and compares every output file:
            tau=3 alone; and a `--jobs 2` sweep gamma in {0, 2} x
            tau in {1, 3, 13} with CAC
     eval   the tight full121 decode, `--compare` against the unconstrained
+    log-probs  the tight and the unconstrained full121 decodes again, in
+           one process calling `viterbi_joint`, written as
+           `setting/stem repr(log_prob)` lines to `log_probs.txt`
 
 The inputs are written once, by the working tree, and both trees read the
 same files. Every run pins the BLAS thread count to 1, because `.chroma`
 and model bits can depend on it. Files must be byte-identical, except
-`timing.csv`, where `feature_s` and `decode_s` are skipped and log-probs
-are compared to 1e-9. For each file that differs, the first differing
-line is printed. Exit status: 0 when nothing differs, 1 otherwise.
+`timing.csv`, where `feature_s` and `decode_s` are skipped (its log-probs,
+rounded to 4 decimals, are compared as written), and `log_probs.txt`,
+whose full-precision log-probs are compared to 1e-9. For each file that
+differs, the first differing line is printed. Exit status: 0 when nothing
+differs, 1 otherwise.
 
 The ref's tree is extracted with `git archive`, which gives the committed
 files of the ref and leaves nothing registered in the repository.
@@ -65,6 +70,25 @@ _PITCH = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 MAIN_SONGS = (("song0", 44100, 30.0), ("song1", 44100, 30.0), ("song2", 44100, 24.0),
               ("song3", 22050, 24.0))  # fmt: skip
 RATE_SONGS = (("rate48k", 48000, 12.0), ("rate16k", 16000, 12.0), ("rate8k", 8000, 12.0))
+
+# Run in the tree's output directory after the CLI steps: the full-precision
+# log-prob of each full121 song, tight and unconstrained.
+LOG_PROB_SCRIPT = """
+from pathlib import Path
+from chordscribe.chroma import read_chromagram
+from chordscribe.decode import Constraints, viterbi_joint
+from chordscribe.model import load_model
+
+model = load_model("models/full121.txt")
+lines = []
+for setting, constraints in (("tight", Constraints(gamma=0, tau=3, cac=True)), ("free", Constraints())):
+    for treble in sorted(Path("chroma").glob("*.treble.chroma")):
+        stem = treble.name.removesuffix(".treble.chroma")
+        bass = read_chromagram(treble.with_name(stem + ".bass.chroma"))
+        log_prob = viterbi_joint(model, constraints, read_chromagram(treble), bass).log_prob
+        lines.append(f"{setting}/{stem} {log_prob!r}\\n")
+Path("log_probs.txt").write_text("".join(lines))
+"""
 
 
 def _script(rng: random.Random, seconds: float) -> tuple[str, str]:
@@ -154,7 +178,12 @@ def run_tree(src: Path, out: Path, inputs: Path) -> dict[str, int]:
     ).stdout.strip()  # fmt: skip
     if not Path(origin).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"chordscribe imported from {origin}, not from {src}")
-    return {name: _cli(src, out, out / "logs" / f"{name}.log", *argv) for name, argv in scenario_steps(inputs)}
+    codes = {name: _cli(src, out, out / "logs" / f"{name}.log", *argv) for name, argv in scenario_steps(inputs)}
+    with open(out / "logs" / "log_probs.log", "w") as fh:
+        codes["log_probs"] = subprocess.run(
+            [sys.executable, "-c", LOG_PROB_SCRIPT], cwd=out, env=_env(src), stdout=fh, stderr=subprocess.STDOUT
+        ).returncode
+    return codes
 
 
 def _first_difference(a: list[str], b: list[str]) -> str:
@@ -165,21 +194,27 @@ def _first_difference(a: list[str], b: list[str]) -> str:
 
 
 def _timing_difference(a: str, b: str) -> str | None:
-    """timing.csv without the timing columns, log-probs to LOG_PROB_TOL."""
+    """timing.csv without the timing columns."""
     rows_a, rows_b = list(csv.DictReader(io.StringIO(a))), list(csv.DictReader(io.StringIO(b)))
     if len(rows_a) != len(rows_b):
         return f"{len(rows_a)} against {len(rows_b)} rows"
     for i, (ra, rb) in enumerate(zip(rows_a, rows_b), 2):
         for col in sorted(set(ra) | set(rb)):
-            if col in TIMING_SKIPPED:
-                continue
             x, y = ra.get(col), rb.get(col)
-            if col == "log_prob" and x is not None and y is not None:
-                if abs(float(x) - float(y)) <= LOG_PROB_TOL:
-                    continue
-            elif x == y:
-                continue
-            return f"line {i}, column {col}:\n    ref: {x}\n    new: {y}"
+            if col not in TIMING_SKIPPED and x != y:
+                return f"line {i}, column {col}:\n    ref: {x}\n    new: {y}"
+    return None
+
+
+def _log_prob_difference(a: str, b: str) -> str | None:
+    """log_probs.txt: the same songs in order, log-probs to LOG_PROB_TOL."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        (song_x, lp_x), (song_y, lp_y) = x.split(), y.split()
+        if song_x != song_y or not abs(float(lp_x) - float(lp_y)) <= LOG_PROB_TOL:
+            return f"line {i}:\n    ref: {x}\n    new: {y}"
+    if len(lines_a) != len(lines_b):
+        return _first_difference(lines_a, lines_b)
     return None
 
 
@@ -197,8 +232,8 @@ def compare_trees(ref: Path, new: Path) -> tuple[int, list[str]]:
         if a.read_bytes() == b.read_bytes():
             continue
         ta, tb = a.read_text(), b.read_text()
-        if rel.name == "timing.csv":
-            what = _timing_difference(ta, tb)
+        if rel.name in ("timing.csv", "log_probs.txt"):
+            what = (_timing_difference if rel.name == "timing.csv" else _log_prob_difference)(ta, tb)
             if what is None:
                 continue
         else:
