@@ -49,9 +49,7 @@ from .decode import (
     NoAdmissiblePathError,
     chord_alphabet_constraint,
     forward_backward,
-    prune_chord_to_bass,
     prune_key_transitions,
-    score_path,
     viterbi_joint,
 )
 from .evaluate import EvalReport, aggregate, bass_frame_accuracy, overlap_ratio, paired_t_test

@@ -77,10 +77,14 @@ class RunConfig:
     train_fraction: float = 2.0 / 3.0
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def parse_config_file(path) -> dict:
     """RunConfig fields from flat `key = value` text; `#` comments and blank
     lines ignored. A value takes the type of its field's default (paths,
-    whose default is None, stay strings); the sweeps are set through the
+    whose default is None, stay strings): a boolean is one of _BOOLEANS in
+    any case, a number must be finite. The sweeps are set through the
     `gamma` and `tau` keys only."""
     defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("gammas", "taus")}
     values = {}
@@ -94,9 +98,13 @@ def parse_config_file(path) -> dict:
         elif key not in defaults:
             raise ValueError(f"unknown config key {key!r}")
         elif isinstance(defaults[key], bool):
-            values[key] = val.lower() in ("1", "true", "yes")
+            if val.lower() not in _BOOLEANS:
+                raise ValueError(f"{key}: expected one of {'/'.join(_BOOLEANS)}, got {val!r}")
+            values[key] = _BOOLEANS[val.lower()]
         elif isinstance(defaults[key], (int, float)):
             values[key] = type(defaults[key])(val)
+            if not math.isfinite(values[key]):
+                raise ValueError(f"{key} must be finite, got {val!r}")
         else:
             values[key] = val
 
@@ -256,6 +264,10 @@ def cmd_train(cfg: RunConfig) -> int:
     chroma_dir, _ = _require_dirs(cfg, ["chroma_dir", "chords_dir"])
     if not cfg.model_path:
         raise SystemExit("error: model_path is required")
+    try:
+        train_config = TrainConfig(alphabet=cfg.alphabet, alpha=cfg.alpha, epsilon=cfg.epsilon)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     stems = _stems(chroma_dir, ".treble.chroma")
     stems = [s for s in stems if (Path(cfg.chords_dir) / f"{s}.lab").exists()]
     if not stems:
@@ -275,7 +287,7 @@ def cmd_train(cfg: RunConfig) -> int:
         print("error: no loadable training songs", file=sys.stderr)
         return 1
 
-    model = train(dataset, TrainConfig(alphabet=cfg.alphabet, alpha=cfg.alpha, epsilon=cfg.epsilon))
+    model = train(dataset, train_config)
     model_path = Path(cfg.model_path)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_via(model_path, lambda p, m: save_model(m, p), model)

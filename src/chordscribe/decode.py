@@ -19,16 +19,13 @@ maximizing state, and each backpointer the lowest maximizing predecessor,
 which together select the optimal path whose reversed state sequence is
 lexicographically smallest.
 
-Each stage keeps the axis it maximizes over where numpy reduces it without
-a transposed copy. Stages 1 and 3 put it last and contiguous: stage 1 works
-on (previous key, target bass, chord, previous slot) and stage 3 on (key,
-chord, slot, previous chord), so the chord transitions are transposed once
-per decode and the stage outputs are already in the order the next stage
-reads. Stage 2, (key, predecessor, target bass, previous chord), takes the
-max over its middle axis in one ufunc reduction and finds the first
-predecessor that reaches it by comparison. A stage-3 cell ties when its
-maximum survives knocking out the argmax, and only then is the tie
-repaired.
+`_viterbi_tables` drives three parts. `_layout` sets up what no frame
+changes: how frame 1 reads frame 0 and how later frames read theirs, each
+with its step's expanded-transition count, and stage 3's chord
+transitions and bound terms. `_step` takes one frame through `_stage1`,
+`_stage2` and `_stage3`, each reducing the axis it maximizes over without
+a transposed copy, and returns the frame's v and backpointers.
+`_backtrace` walks the path back from the final frame.
 
 Stage 3 runs dense, over every previous chord, when its tensor fits one
 block (tight decodes) or a frame keeps over a quarter of the chords (as when
@@ -44,6 +41,7 @@ whole, a dead row one chord.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,14 +123,6 @@ def top_bass_states(m: HpModel, tau: int | None) -> np.ndarray:
     return np.sort(order[:, :s], axis=1)
 
 
-def prune_chord_to_bass(m: HpModel, tau: int) -> np.ndarray:
-    """Chord-to-bass table keeping only each chord's tau top-counted basses."""
-    slots = top_bass_states(m, tau)
-    out = np.zeros_like(m.bass_given_chord)
-    np.put_along_axis(out, slots, np.take_along_axis(m.bass_given_chord, slots, axis=1), axis=1)
-    return out
-
-
 # --- chord-only first pass ------------------------------------------------------
 
 
@@ -187,7 +177,7 @@ class _LogTables:
     lf: np.ndarray  # (24, 24) key transitions
     lg: np.ndarray  # (24, Cw, Cw) chord transitions per key
     lh: np.ndarray  # (13, 13) bass transitions
-    lr: np.ndarray  # (Cw, 13) bass given chord
+    lr: np.ndarray  # (Cw, S) bass given chord, at each chord's bass slots
     slots: np.ndarray  # (Cw, S) admissible bass targets per chord
     working: np.ndarray  # (Cw,) chord states in original alphabet indices
     emis_c: np.ndarray  # (T, Cw)
@@ -199,28 +189,20 @@ def _build_tables(
 ) -> _LogTables:
     if treble.n_frames != bass.n_frames:
         raise ValueError("treble and bass chromagrams must have equal frame counts")
-    t_frames = treble.values.T
-    b_frames = bass.values.T
-    n_frames = t_frames.shape[0]
-
-    key_trans = (
-        prune_key_transitions(m, constraints.gamma) if constraints.gamma is not None else m.key_trans
-    )
-    bass_given_chord = (
-        prune_chord_to_bass(m, constraints.tau) if constraints.tau is not None else m.bass_given_chord
-    )
-    slots = top_bass_states(m, constraints.tau)
+    t_frames, b_frames = treble.values.T, bass.values.T
+    key_trans = m.key_trans if constraints.gamma is None else prune_key_transitions(m, constraints.gamma)
 
     # The chord alphabet constraint zeroes transitions whose endpoints fall
     # outside the first-pass chord set, which for two or more frames is the
     # same as restricting the chord state space; a single frame has no
     # transitions to prune, so it keeps the full alphabet.
-    if constraints.cac and n_frames >= 2:
+    if constraints.cac and treble.n_frames >= 2:
         working = chord_alphabet_constraint(
             m.cac, np.concatenate([t_frames, b_frames], axis=1), m.alphabet.no_chord
         )
     else:
         working = np.arange(m.n_chords, dtype=np.int64)
+    slots = top_bass_states(m, constraints.tau)[working]
 
     with np.errstate(divide="ignore"):
         lpi_k = np.log(m.init_key)
@@ -228,8 +210,8 @@ def _build_tables(
         lpi_b = np.log(m.init_bass)
         lf = np.log(key_trans)
         lh = np.log(m.bass_trans)
-        lr = np.log(bass_given_chord[working])
-        # chord_trans_for_key(k) at the working set, for every key at once
+        lr = np.log(np.take_along_axis(m.bass_given_chord[working], slots, axis=1))
+        # each key's mode table at the working set, chords shifted so the tonic is C
         rel = m.alphabet.key_shift_table()[:, working]  # (24, Cw)
         mode = np.arange(N_KEYS)[:, None, None] // 12
         lg = np.log(m.chord_trans_rel[mode, rel[:, :, None], rel[:, None, :]])
@@ -241,26 +223,27 @@ def _build_tables(
         lambda row: f"chord {working[row]} ({m.alphabet.label_at(working[row])})",
     )
     emis_b = gaussian_logpdf_frames(b_frames, m.bass_emis_mean, m.bass_emis_cov)
-    return _LogTables(
-        lpi_k, lpi_c, lpi_b, lf, lg, lh, lr, slots[working], working, emis_c, emis_b
-    )
+    return _LogTables(lpi_k, lpi_c, lpi_b, lf, lg, lh, lr, slots, working, emis_c, emis_b)
 
 
-def _prev_layout(tables: _LogTables, keys, slots, live, targets):
-    """How one step reads the previous frame's v: its rows are `keys`, its
-    bass axis holds `slots` (Cw, Sp). Returns (keys, slots, lh_g, starts,
-    pred, lf_pred, rank, n_b):
-    - lh_g (U, Cw, Sp): the bass transition from each chord's previous
-      slot to each target bass, previous slot last;
-    - starts (Kp, U, Cw): the flat index of the first element of each
-      stage-1 row, so that starts + argmax addresses the row's maximum;
-    - pred (L, D): per live target key, the rows with a finite transition
-      into it, ascending and padded with -inf transitions to the largest
-      in-degree D, and lf_pred (L, D, 1, 1) those transitions;
-    - rank (D, 1, 1): D down to 1, which marks the first maximizing
-      predecessor;
-    - n_b: the step's stage-1 expanded transitions, counted over all keys
-      and target basses."""
+class _Prev(NamedTuple):
+    """How one step reads the previous frame's v: the keys of its rows and
+    the basses (Cw, Sp) of its slots."""
+
+    keys: np.ndarray
+    slots: np.ndarray
+    lh_g: np.ndarray  # (U, Cw, Sp) from each slot to each stage-1 target bass
+    starts: np.ndarray  # (Kp, U, Cw) flat index of each stage-1 row's first element
+    pred: np.ndarray  # (L, D) each live key's predecessors, ascending, padded
+    lf_pred: np.ndarray  # (L, D, 1, 1) their transitions, -inf as padding
+    rank: np.ndarray  # (D, 1, 1) D down to 1: marks the first maximizing predecessor
+    n_expanded: int  # the step's expanded transitions
+
+
+def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
+    """n_expanded counts stage 1 over all keys and target basses, stage 2
+    over every finite key transition and stage 3 over every finite chord
+    transition into each bass slot."""
     fin = np.isfinite(tables.lf[np.ix_(keys, live)]).T  # (L, Kp)
     deg = max(1, int(fin.sum(axis=1).max(initial=0)))
     pred = np.argsort(~fin, axis=1, kind="stable")[:, :deg]
@@ -268,8 +251,82 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets):
     rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
     lh_g = np.ascontiguousarray(tables.lh[slots][:, :, targets].transpose(2, 0, 1))
     starts = np.arange(0, lh_g.size * keys.size, slots.shape[1]).reshape(keys.size, *lh_g.shape[:2])
-    n_b = tables.lf.shape[0] * int(np.isfinite(tables.lh).sum(axis=1)[slots].sum())
-    return keys, slots, lh_g, starts, pred, lf_pred, rank, n_b
+    n_keys, cw, _ = tables.lg.shape
+    n_expanded = (
+        n_keys * int(np.isfinite(tables.lh).sum(axis=1)[slots].sum())
+        + cw * tables.lh.shape[0] * int(np.isfinite(tables.lf).sum())
+        + tables.slots.shape[1] * int(np.isfinite(tables.lg).sum())
+    )
+    return _Prev(keys, slots, lh_g, starts, pred, lf_pred, rank, n_expanded)
+
+
+class _Layout(NamedTuple):
+    """What every step reads and no frame changes."""
+
+    tables: _LogTables
+    live: np.ndarray  # (L,) the keys some finite transition reaches
+    first: _Prev  # frame 1 reads frame 0: every key and bass
+    rest: _Prev  # later frames read the live keys at the bass slots
+    slot_t: np.ndarray  # (Cw, S) column of each bass slot among stage 1's targets
+    lg_live: np.ndarray  # (L, c, c_prev) chord transitions into the live keys
+    dense: bool  # stage 3 takes every previous chord on every frame
+    lower: np.ndarray  # (L, c_prev) the stage-3 bound's term, -inf for none,
+    scale: np.ndarray  # and its magnitude, for the slack
+    lg_rows: np.ndarray  # (L, Cw, 1, 1) flat lg_live index of each row
+    key_idx: np.ndarray  # (L, 1, 1)
+    bp_dtype: np.dtype  # holds a flat (row, chord, slot) index of any v
+
+
+def _layout(tables: _LogTables) -> _Layout:
+    n_keys, cw, _ = tables.lg.shape
+    n_bass = tables.lh.shape[0]
+    live = np.flatnonzero(np.isfinite(tables.lf).any(axis=0))
+    targets = np.unique(tables.slots)  # stage-1 target basses
+    first = _prev_layout(tables, np.arange(n_keys), np.tile(np.arange(n_bass), (cw, 1)), live, targets)
+    rest = _prev_layout(tables, live, tables.slots, live, targets)
+    lg_live = np.ascontiguousarray(tables.lg[live].transpose(0, 2, 1))  # transposed once per decode
+    dense = lg_live.size * tables.slots.shape[1] <= _STAGE3_DENSE_ELEMENTS
+    colmin = lg_live.min(axis=1)
+    gmax = lg_live.max(axis=(1, 2), initial=-np.inf)[:, None]
+    lower = np.full_like(colmin, -np.inf)
+    np.subtract(colmin, gmax, out=lower, where=np.isfinite(colmin))
+    slot_t = np.searchsorted(targets, tables.slots)
+    scale = np.abs(colmin) + np.abs(gmax)
+    lg_rows = (np.arange(live.size * cw) * cw).reshape(live.size, cw, 1, 1)
+    key_idx = np.arange(live.size)[:, None, None]
+    bp_dtype = np.min_scalar_type(n_keys * cw * n_bass - 1)
+    return _Layout(
+        tables, live, first, rest, slot_t, lg_live, dense, lower, scale, lg_rows, key_idx, bp_dtype
+    )
+
+
+def _step(layout: _Layout, v: np.ndarray, t: int):
+    """Frame t's v (L, Cw, S) from frame t - 1's, and frame t's
+    backpointers: per cell, the flat (row, chord, slot) index in frame
+    t - 1's v of the previous state its best path comes from."""
+    prev = layout.first if t == 1 else layout.rest
+    stage_b, from_s = _stage1(prev, v)
+    stage_k, from_row = _stage2(layout, prev, stage_b)
+    return _stage3(layout, prev, t, stage_k, from_row, from_s)
+
+
+def _stage1(prev: _Prev, v):
+    """Collapse the previous bass over the last axis of (Kp, U, Cw, Sp),
+    to the lowest maximizing slot (bass); returns maxima and slots."""
+    tmp = v[:, None] + prev.lh_g
+    from_s = tmp.argmax(axis=-1)
+    return tmp.reshape(-1)[from_s + prev.starts], from_s
+
+
+def _stage2(layout: _Layout, prev: _Prev, stage_b):
+    """Collapse the previous key over axis 1 of (L, D, U, Cw), where the
+    largest rank equal to the max marks the first maximizing predecessor;
+    returns the (L, U, Cw) maxima and the stage_b rows they come from."""
+    tmp = np.take(stage_b, prev.pred, axis=0)
+    tmp += prev.lf_pred
+    stage_k = tmp.max(axis=1)
+    from_d = prev.rank.shape[0] - (np.equal(tmp, stage_k[:, None]) * prev.rank).max(axis=1)
+    return stage_k, prev.pred[layout.key_idx, from_d]
 
 
 def _stage3_candidates(stage_k, lower, scale):
@@ -286,131 +343,103 @@ def _stage3_candidates(stage_k, lower, scale):
     return cand
 
 
+def _stage3(layout: _Layout, prev: _Prev, t, stage_k, from_row, from_s):
+    """Collapse the previous chord over the last axis of (k, c, S, W), W
+    every previous chord or the candidates the bound keeps, in key blocks
+    under the element budget; returns frame t's v and backpointers."""
+    tables, slot_t = layout.tables, layout.slot_t
+    n_live, cw, s = layout.live.size, tables.working.size, tables.slots.shape[1]
+    cand = None if layout.dense else _stage3_candidates(stage_k, layout.lower, layout.scale)
+    if cand is not None and cand.shape[2] * _STAGE3_GATHER_COST > cw:
+        cand = None  # gathering this many would cost more than every chord
+    # elements per (k, c, S) cell: Cw dense; pruned, 3 D and 24 for the tail
+    block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * s * (cw if cand is None else 3 * cand.shape[2] + 24)))
+    prev_k = stage_k if cand is None else np.take_along_axis(stage_k, cand, axis=-1)
+    extra = tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
+    v = np.empty((n_live, cw, s))
+    backptr = np.empty(v.shape, dtype=layout.bp_dtype)
+    for k0 in range(0, n_live, block):
+        ks = slice(k0, k0 + block)
+        best, from_c = _stage3_block(layout, ks, prev_k, cand, from_row)
+        row = from_row[ks][layout.key_idx[: len(from_c)], slot_t, from_c]
+        v[ks] = best + extra
+        backptr[ks] = (row * cw + from_c) * prev.slots.shape[1] + from_s[row, slot_t, from_c]
+    return v, backptr
+
+
+def _stage3_block(layout: _Layout, ks, prev_k, cand, from_row):
+    """Stage 3 on the keys ks: per (k, c, S) cell, the maximum and its
+    previous chord, the lowest in (previous key, chord) order among tied
+    maxima. prev_k holds stage 2's maxima at every previous chord, or at
+    the candidates cand (L, U, D) when it is not None."""
+    slot_t, lg_live = layout.slot_t, layout.lg_live
+    cw = lg_live.shape[1]
+    val = np.take(prev_k[ks], slot_t, axis=1)  # (k, c, S, W)
+    if cand is None:
+        val += lg_live[ks, :, None]
+    else:
+        # flat lg_live index of each (k, c, S, D) entry; % cw is the previous chord
+        at_lg = np.take(cand[ks], slot_t, axis=1) + layout.lg_rows[ks]
+        val += lg_live.reshape(-1)[at_lg]
+    from_c = val.argmax(axis=-1)
+    row_starts = np.arange(0, val.size, val.shape[-1]).reshape(from_c.shape)
+    at = from_c + row_starts
+    best = val.reshape(-1)[at]
+    # a cell ties when its live maximum survives knocking out the argmax;
+    # argmax took the lowest previous chord, but the canonical order is
+    # previous key first, so a tie is re-picked
+    np.put(val, at, -np.inf)
+    second = val.reshape(-1)[val.argmax(axis=-1) + row_starts]
+    ties = np.isfinite(best) & (second == best)
+    if cand is not None:
+        from_c = at_lg.reshape(-1)[at] % cw
+    if ties.any():
+        np.put(val, at, best)
+        order = from_row[ks] * 256 + np.arange(cw)  # (k, U, c_prev); rows ascend with keys
+        order = order if cand is None else np.take_along_axis(order, cand[ks], axis=-1)
+        composite = np.where(val == best[..., None], np.take(order, slot_t, axis=1), _TIE_BIG)
+        from_c = np.where(ties, composite.min(axis=-1) % 256, from_c)
+    return best, from_c
+
+
+def _backtrace(layout: _Layout, backptr: list, v: np.ndarray):
+    """(keys, chord positions, basses, log_prob) of the path that ends at
+    the final frame's lowest maximizing cell and follows backptr[t], frame
+    t's backpointers, back to frame 0."""
+    first, rest, cw = layout.first, layout.rest, layout.tables.working.size
+    rows, chords, slots = np.empty((3, len(backptr)), dtype=np.int64)  # cells of each frame's v
+    r, c, j = np.unravel_index(int(np.argmax(v)), v.shape)
+    log_prob = float(v[r, c, j])
+    for t in range(len(backptr) - 1, -1, -1):
+        rows[t], chords[t], slots[t] = r, c, j
+        if t > 0:
+            sp = (first if t == 1 else rest).slots.shape[1]
+            r, rem = divmod(int(backptr[t][r, c, j]), cw * sp)
+            c, j = divmod(rem, sp)
+    keys = np.r_[first.keys[rows[:1]], rest.keys[rows[1:]]]
+    basses = np.r_[first.slots[chords[:1], slots[:1]], rest.slots[chords[1:], slots[1:]]]
+    return keys, chords, basses, log_prob
+
+
 def _viterbi_tables(tables: _LogTables):
     """Staged Viterbi over prepared log tables; dimensions come from the
     table shapes. Returns (keys, chord_positions, basses, log_prob,
     n_expanded) with chord positions indexing the working set."""
-    T = tables.emis_c.shape[0]
-    n_keys = tables.lf.shape[0]
-    n_bass = tables.lh.shape[0]
-    cw = tables.working.size
-    s = tables.slots.shape[1]
-
+    layout = _layout(tables)
     v = (
         tables.lpi_k[:, None, None]
         + (tables.lpi_c + tables.emis_c[0])[None, :, None]
         + (tables.lpi_b + tables.emis_b[0])[None, None, :]
     )
-    if not np.isfinite(v.max()):
-        raise NoAdmissiblePathError(0)
-
-    live = np.flatnonzero(np.isfinite(tables.lf).any(axis=0))
-    targets = np.unique(tables.slots)  # stage-1 target basses
-    slot_t = np.searchsorted(targets, tables.slots)  # (Cw, S) columns of targets
-    first = _prev_layout(tables, np.arange(n_keys), np.tile(np.arange(n_bass), (cw, 1)), live, targets)
-    rest = _prev_layout(tables, live, tables.slots, live, targets)
-    # Flat (k, c, b) backpointers in full coordinates; dead cells keep a
-    # zero backpointer, and no surviving path ever follows one.
-    backptr = np.zeros((T, live.size, cw, s), dtype=np.min_scalar_type(n_keys * cw * n_bass - 1))
-    lr_slots = np.take_along_axis(tables.lr, tables.slots, axis=1)
-    lg_live = np.ascontiguousarray(tables.lg[live].transpose(0, 2, 1))  # (L, c, c_prev)
-    dense = live.size * cw * s * cw <= _STAGE3_DENSE_ELEMENTS
-    # the bound's terms per (key, previous chord); -inf: no bound
-    colmin = lg_live.min(axis=1)
-    gmax = lg_live.max(axis=(1, 2), initial=-np.inf)[:, None]
-    lower = np.full_like(colmin, -np.inf)
-    np.subtract(colmin, gmax, out=lower, where=np.isfinite(colmin))
-    scale = np.abs(colmin) + np.abs(gmax)
-    lg_rows = (np.arange(live.size * cw) * cw).reshape(live.size, cw, 1, 1)
-    key_idx = np.arange(live.size)[:, None, None]
-    chord_ids = np.arange(cw)
-    n_expanded = 0
-    fin_f = int(np.isfinite(tables.lf).sum())
-    fin_g = int(np.isfinite(tables.lg).sum())
-
-    for t in range(1, T):
-        keys_p, slots_p, lh_g, starts, pred, lf_pred, rank, n_b = first if t == 1 else rest
-        # stage 1: collapse previous bass over the last axis of the
-        # (Kp, U, Cw, Sp) tensor (lowest maximizing slot wins; slots ascend,
-        # so that is the lowest bass)
-        tmp = v[:, None] + lh_g
-        from_s = tmp.argmax(axis=-1)  # (Kp, U, Cw) previous slot
-        stage_b = tmp.reshape(-1)[from_s + starts]
-        n_expanded += n_b
-
-        # stage 2: collapse previous key over each live key's predecessors;
-        # the max reduces axis 1 without a transposed copy, and the largest
-        # rank among the entries equal to it marks the first one
-        tmp = np.take(stage_b, pred, axis=0)  # (L, D, U, Cw)
-        tmp += lf_pred
-        stage_k = tmp.max(axis=1)
-        from_d = rank.shape[0] - (np.equal(tmp, stage_k[:, None]) * rank).max(axis=1)
-        from_row = pred[key_idx, from_d]  # (L, U, Cw)
-        n_expanded += cw * n_bass * fin_f
-
-        # stage 3: collapse previous chord over the last axis of (k, c, S, W) at
-        # the bass slots; W: every previous chord or the candidates kept
-        extra = lr_slots + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
-        v = np.empty((live.size, cw, s))
-        if not dense:
-            cand = _stage3_candidates(stage_k, lower, scale)  # (L, U, D)
-            sk = np.take_along_axis(stage_k, cand, axis=-1)
-        wide = dense or cand.shape[2] * _STAGE3_GATHER_COST > cw
-        # elements per (k, c, S) cell: Cw dense; pruned, 3 D and 24 for the tail
-        block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * s * (cw if wide else 3 * cand.shape[2] + 24)))
-        for k0 in range(0, live.size, block):
-            ks = slice(k0, k0 + block)
-            if wide:
-                val = np.take(stage_k[ks], slot_t, axis=1)  # (k, c, S, c_prev)
-                val += lg_live[ks, :, None]
-            else:
-                # (k, c, S, D) flat lg_live index; % cw is the previous chord
-                at_lg = np.take(cand[ks], slot_t, axis=1) + lg_rows[ks]
-                val = np.take(sk[ks], slot_t, axis=1)
-                val += lg_live.reshape(-1)[at_lg]
-            from_c = val.argmax(axis=-1)
-            row_starts = np.arange(0, val.size, val.shape[-1]).reshape(from_c.shape)
-            at = from_c + row_starts
-            best = val.reshape(-1)[at]
-            # a cell ties when its maximum survives knocking out the argmax;
-            # a tie at a live maximum needs re-picking, as argmax took the
-            # lowest previous chord but the canonical order is previous key
-            # first; dead cells (-inf) need no repair
-            np.put(val, at, -np.inf)
-            second = val.reshape(-1)[val.argmax(axis=-1) + row_starts]
-            ties = np.isfinite(best) & (second == best)
-            if not wide:
-                from_c = at_lg.reshape(-1)[at] % cw
-            if ties.any():
-                np.put(val, at, best)
-                order = keys_p[from_row[ks]] * 256 + chord_ids  # (k, U, c_prev)
-                order = order if wide else np.take_along_axis(order, cand[ks], axis=-1)
-                composite = np.where(val == best[..., None], np.take(order, slot_t, axis=1), _TIE_BIG)
-                from_c = np.where(ties, composite.min(axis=-1) % 256, from_c)
-            row = from_row[ks][key_idx[: len(from_c)], slot_t, from_c]
-            bbar = slots_p[from_c, from_s[row, slot_t, from_c]]
-            v[ks] = best + extra
-            backptr[t, ks] = (keys_p[row] * cw + from_c) * n_bass + bbar
-        n_expanded += s * fin_g
-
+    T = tables.emis_c.shape[0]
+    backptr = [None] * T  # frame t's backpointers; frame 0 has none
+    for t in range(T):
+        if t > 0:
+            v, backptr[t] = _step(layout, v, t)
         if not np.isfinite(v.max(initial=-np.inf)):
             raise NoAdmissiblePathError(t)
-
-    keys_v, slots_v = (first if T == 1 else rest)[:2]
-    r, c, pos = np.unravel_index(int(np.argmax(v)), v.shape)
-    log_prob = float(v[r, c, pos])
-    key_row = np.zeros(n_keys, dtype=np.int64)
-    key_row[live] = np.arange(live.size)
-    slot_of = np.zeros((cw, n_bass), dtype=np.int64)
-    np.put_along_axis(slot_of, tables.slots, np.arange(s)[None], axis=1)
-    k, b = int(keys_v[r]), int(slots_v[c, pos])
-    keys, chords, basses = np.empty((3, T), dtype=np.int64)
-    for t in range(T - 1, -1, -1):
-        keys[t], chords[t], basses[t] = k, c, b
-        if t > 0:
-            k, rem = divmod(int(backptr[t, key_row[k], c, slot_of[c, b]]), cw * n_bass)
-            c, b = divmod(rem, n_bass)
-    return keys, chords, basses, log_prob, n_expanded
+    n_expanded = 0 if T == 1 else layout.first.n_expanded + (T - 2) * layout.rest.n_expanded
+    return (*_backtrace(layout, backptr, v), n_expanded)
 
 
 def viterbi_joint(
@@ -426,43 +455,3 @@ def viterbi_joint(
     tables = _build_tables(m, constraints, treble, bass)
     keys, chord_pos, basses, log_prob, n_expanded = _viterbi_tables(tables)
     return DecodePath(keys, tables.working[chord_pos], basses, log_prob, n_expanded)
-
-
-def score_path(
-    m: HpModel,
-    constraints: Constraints,
-    treble: Chromagram,
-    bass: Chromagram,
-    keys,
-    chords,
-    basses,
-) -> float:
-    """Joint log-probability of a given state path under the same
-    constraint-applied tables the decoder uses."""
-    tables = _build_tables(m, constraints, treble, bass)
-    pos = {c: i for i, c in enumerate(tables.working.tolist())}
-    keys = np.asarray(keys)
-    chords = np.asarray(chords)
-    basses = np.asarray(basses)
-    if any(c not in pos for c in chords.tolist()):
-        return -np.inf
-    cw_idx = np.array([pos[c] for c in chords.tolist()])
-    lp = (
-        tables.lpi_k[keys[0]]
-        + tables.lpi_c[cw_idx[0]]
-        + tables.lpi_b[basses[0]]
-        + tables.emis_c[0, cw_idx[0]]
-        + tables.emis_b[0, basses[0]]
-    )
-    for t in range(1, keys.size):
-        lp += (
-            tables.lf[keys[t - 1], keys[t]]
-            + tables.lg[keys[t], cw_idx[t - 1], cw_idx[t]]
-            + tables.lr[cw_idx[t], basses[t]]
-            + tables.lh[basses[t - 1], basses[t]]
-            + tables.emis_c[t, cw_idx[t]]
-            + tables.emis_b[t, basses[t]]
-        )
-        if basses[t] not in tables.slots[cw_idx[t]]:
-            lp = -np.inf
-    return float(lp)

@@ -28,10 +28,10 @@ class TrainConfig:
     epsilon: float = 1e-4  # diagonal covariance regularizer
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("smoothing alpha must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("covariance regularizer must be > 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"smoothing alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"covariance regularizer epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass
@@ -52,7 +52,7 @@ class HpModel:
     chord_trans_rel holds the two key-relative chord transition tables
     (row 0: major-mode contexts, row 1: minor), indexed by chord states
     transposed so the key tonic is C. The absolute table for a concrete
-    key is a permutation of the relevant mode table (chord_trans_for_key).
+    key is the mode table permuted by the key's row of key_shift_table.
     """
 
     alphabet: Alphabet
@@ -75,11 +75,6 @@ class HpModel:
     @property
     def n_chords(self) -> int:
         return self.alphabet.size
-
-    def chord_trans_for_key(self, key_state: int) -> np.ndarray:
-        """Absolute chord transition table under a concrete key."""
-        perm = self.alphabet.key_shift_table()[key_state]
-        return self.chord_trans_rel[key_state // 12][np.ix_(perm, perm)]
 
 
 def _normalize_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -331,9 +326,9 @@ def load_model(path) -> HpModel:
     values their kind allows; anything else raises ModelFormatError naming
     the file, the line and the table."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     if not lines or lines[0] != _FORMAT_HEADER:
         raise ModelFormatError(f"{path}: not a {_FORMAT_HEADER!r} file")

@@ -138,9 +138,7 @@ def random_log_tables(rng, n_keys=2, n_chords=3, n_bass=2, T=4, sparsity=0.0, sl
     slots = np.sort(
         np.array([rng.choice(n_bass, size=s, replace=False) for _ in range(n_chords)]), axis=1
     )
-    lr = np.full((n_chords, n_bass), -np.inf)
-    lr_vals = dirich((n_chords, n_bass))
-    np.put_along_axis(lr, slots, np.take_along_axis(lr_vals, slots, axis=1), axis=1)
+    lr = np.take_along_axis(dirich((n_chords, n_bass)), slots, axis=1)
 
     tables = _LogTables(
         lpi_k=dirich((n_keys,)),
@@ -158,8 +156,23 @@ def random_log_tables(rng, n_keys=2, n_chords=3, n_bass=2, T=4, sparsity=0.0, sl
     return tables, tables_to_flat(tables)
 
 
+def wide_lr(tables):
+    """(Cw, n_bass) bass-given-chord table of the flat product space: the
+    decoder's lr at each chord's bass slots, -inf off them."""
+    out = np.full((tables.working.size, tables.lh.shape[0]), -np.inf)
+    np.put_along_axis(out, tables.slots, tables.lr, axis=1)
+    return out
+
+
+def chord_trans_for_key(m, key_state):
+    """Absolute chord transition table under a concrete key."""
+    perm = m.alphabet.key_shift_table()[key_state]
+    return m.chord_trans_rel[key_state // 12][np.ix_(perm, perm)]
+
+
 def tables_to_flat(tables):
     """Expand factored log tables into flat product-state (init, trans, emis)."""
+    lr = wide_lr(tables)
     n_keys = tables.lf.shape[0]
     n_bass = tables.lh.shape[0]
     n_chords = tables.working.size
@@ -186,7 +199,7 @@ def tables_to_flat(tables):
                             log_trans[flat(kp, cp, bp), flat(k, c, b)] = (
                                 tables.lf[kp, k]
                                 + tables.lg[k, cp, c]
-                                + tables.lr[c, b]
+                                + lr[c, b]
                                 + tables.lh[bp, b]
                             )
     return log_init, log_trans, log_emis

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     enumerate_best_path,
     brute_force_posteriors,
+    chord_trans_for_key,
     flat_viterbi,
     make_chromagram,
     make_frame_labels,
@@ -13,6 +14,7 @@ from conftest import (
     split_flat_path,
     synthetic_frames,
     tables_to_flat,
+    wide_lr,
 )
 
 from chordscribe import decode
@@ -23,9 +25,7 @@ from chordscribe.decode import (
     _viterbi_tables,
     chord_alphabet_constraint,
     forward_backward,
-    prune_chord_to_bass,
     prune_key_transitions,
-    score_path,
     top_bass_states,
     viterbi_joint,
 )
@@ -80,6 +80,45 @@ class TestPruneKeyTransitions:
         m = self._with_counts(trained, {(0, 0): 5})
         pruned = prune_key_transitions(m, 0)
         assert pruned[0].sum() < 1.0
+
+
+def prune_chord_to_bass(m, tau):
+    """Chord-to-bass table keeping only each chord's tau top-counted basses."""
+    slots = top_bass_states(m, tau)
+    out = np.zeros_like(m.bass_given_chord)
+    np.put_along_axis(out, slots, np.take_along_axis(m.bass_given_chord, slots, axis=1), axis=1)
+    return out
+
+
+def score_path(m, constraints, treble, bass, keys, chords, basses):
+    """Joint log-probability of a given state path under the same
+    constraint-applied tables the decoder uses."""
+    tables = decode._build_tables(m, constraints, treble, bass)
+    lr = wide_lr(tables)
+    pos = {c: i for i, c in enumerate(tables.working.tolist())}
+    keys = np.asarray(keys)
+    chords = np.asarray(chords)
+    basses = np.asarray(basses)
+    if any(c not in pos for c in chords.tolist()):
+        return -np.inf
+    cw_idx = np.array([pos[c] for c in chords.tolist()])
+    lp = (
+        tables.lpi_k[keys[0]]
+        + tables.lpi_c[cw_idx[0]]
+        + tables.lpi_b[basses[0]]
+        + tables.emis_c[0, cw_idx[0]]
+        + tables.emis_b[0, basses[0]]
+    )
+    for t in range(1, keys.size):
+        lp += (
+            tables.lf[keys[t - 1], keys[t]]
+            + tables.lg[keys[t], cw_idx[t - 1], cw_idx[t]]
+            + lr[cw_idx[t], basses[t]]
+            + tables.lh[basses[t - 1], basses[t]]
+            + tables.emis_c[t, cw_idx[t]]
+            + tables.emis_b[t, basses[t]]
+        )
+    return float(lp)
 
 
 class TestPruneChordToBass:
@@ -213,7 +252,7 @@ def stage3_form(form):
 
 
 def _assert_matches_enumeration(tables, flat, trial):
-    n_chords, n_bass = tables.lr.shape
+    n_chords, n_bass = tables.working.size, tables.lh.shape[0]
     ref_lp, ref_path = enumerate_best_path(*flat)
     for form in STAGE3_FORMS:
         if not np.isfinite(ref_lp):
@@ -245,8 +284,7 @@ def _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, slot_cap):
         return x
 
     slots = np.sort([rng.choice(n_bass, size=slot_cap, replace=False) for _ in range(n_chords)], axis=1)
-    lr = np.full((n_chords, n_bass), -np.inf)
-    np.put_along_axis(lr, slots, ints((n_chords, slot_cap)), axis=1)
+    lr = ints((n_chords, slot_cap))
     return decode._LogTables(
         lpi_k=ints(n_keys, 0.0),
         lpi_c=ints(n_chords, 0.0),
@@ -295,7 +333,7 @@ def _flat_tables(tables):
     log_trans = (
         tables.lf[:, None, None, :, None, None]  # (k_prev, c_prev, b_prev, k, c, b)
         + tables.lg.transpose(1, 0, 2)[None, :, None, :, :, None]
-        + tables.lr
+        + wide_lr(tables)
         + tables.lh[None, None, :, None, None, :]
     )
     return log_init, log_trans.reshape(n, n), log_emis
@@ -470,6 +508,55 @@ class TestViterbiOracle:
         assert np.all(keys == 0) and np.all(chords == 0) and np.all(basses == 0)
 
 
+def _flat_cells(keys, slots, n_chords, n_bass):
+    """Flat (key, chord, bass) index of each cell of a v whose rows are
+    `keys` and whose bass axis holds `slots`."""
+    return (keys[:, None, None] * n_chords + np.arange(n_chords)[:, None]) * n_bass + slots
+
+
+class TestStep:
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "integer"])
+    def test_one_step_matches_flat_maximum(self, tied):
+        # One frame on its own, from a drawn previous v: at frame 1, which
+        # reads every key and bass, and at frame 2, which reads the live
+        # keys at the bass slots. Odd trials leave one key without a
+        # predecessor. Integer tables and v tie exactly, so each
+        # backpointer must be the lowest (key, chord, bass) predecessor.
+        rng = np.random.default_rng(33)
+        for trial in range(30):
+            n_keys, n_chords, n_bass = rng.choice([(3, 4, 3), (4, 5, 2), (2, 6, 4)])
+            slot_cap = int(rng.integers(1, n_bass + 1))
+            sparsity = 0.2 * (trial % 3 == 0)
+            tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, 3, sparsity, slot_cap)
+            if trial % 2:
+                tables.lf[:, rng.integers(n_keys)] = -np.inf
+            if tied:
+                _integer_log_tables(tables, rng)
+            _, log_trans, log_emis = _flat_tables(tables)
+            layout = decode._layout(tables)
+            cells = _flat_cells(layout.live, tables.slots, n_chords, n_bass)
+            # with no live key every path dies at frame 1, so frame 2 never runs
+            for t, prev in ((1, layout.first), (2, layout.rest))[: 1 + bool(layout.live.size)]:
+                prev_cells = _flat_cells(prev.keys, prev.slots, n_chords, n_bass)
+                draw = rng.integers(-3, 0, prev_cells.shape) if tied else rng.normal(size=prev_cells.shape)
+                v_prev = np.where(rng.random(prev_cells.shape) < 0.1, -np.inf, draw)
+                score = np.full(log_trans.shape[0], -np.inf)
+                score[prev_cells] = v_prev
+                score = score[:, None] + log_trans  # (previous state, state)
+                want = score.max(axis=0) + log_emis[t]
+                outside = np.ones(want.size, dtype=bool)
+                outside[cells] = False
+                assert np.all(want[outside] == -np.inf), f"trial {trial}: a state outside the layout lives"
+                lowest = np.argmax(score >= score.max(axis=0) - 1e-9, axis=0)
+                for form in STAGE3_FORMS:
+                    with stage3_form(form):
+                        v, backptr = decode._step(decode._layout(tables), v_prev, t)
+                    np.testing.assert_allclose(v, want[cells], rtol=0, atol=1e-9)
+                    live = np.isfinite(v)
+                    got = prev_cells.ravel()[backptr[live]]
+                    assert got.tolist() == lowest[cells][live].tolist(), f"trial {trial}, t={t}, {form}"
+
+
 class TestViterbiJoint:
     def test_single_frame_argmax(self, trained):
         m, treble, bass, _ = trained
@@ -591,9 +678,11 @@ class TestViterbiJoint:
         for constraints in (Constraints(gamma=0, tau=3, cac=True), Constraints()):
             tables = decode._build_tables(m, constraints, treble, bass)
             w = tables.working
-            want = np.stack([m.chord_trans_for_key(k)[np.ix_(w, w)] for k in range(24)])
+            want = np.stack([chord_trans_for_key(m, k)[np.ix_(w, w)] for k in range(24)])
+            pruned = prune_chord_to_bass(m, constraints.tau or 13)[w]
             with np.errstate(divide="ignore"):
                 assert tables.lg.tobytes() == np.log(want).tobytes()
+                assert wide_lr(tables).tobytes() == np.log(pruned).tobytes()
             sizes.append(w.size)
         assert 1 < sizes[0] < sizes[1] == m.n_chords  # a proper working set, then all chords
 

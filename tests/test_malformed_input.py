@@ -4,7 +4,8 @@ Each valid file is written with blank lines and `#` comments mixed in and
 must read back to exactly what was written. Each malformed file holds one
 bad line (or one whole-file fault) and must be rejected with a ValueError
 whose message starts `path:line:` at that line (`path:` for a whole-file
-fault), never an IndexError, a TypeError or a message naming no file.
+fault), never an IndexError, a TypeError, a UnicodeDecodeError or a
+message naming no file.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from chordscribe.annotations import parse_lab
 from chordscribe.chroma import read_beats, read_chromagram
 from chordscribe.cli import main, parse_config_file
+from chordscribe.model import ModelFormatError, TrainConfig, load_model
 
 FUZZ = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -23,6 +25,7 @@ NOISE = st.sampled_from(["", "   ", "\t", "# comment", "  # 1 2 x", "#"])
 LABELS = st.sampled_from(["C:maj", "N", "G:min7", "A#:maj/3", "Key C"])
 TIMES = st.floats(0.0, 1e4, allow_subnormal=False)
 STEPS = st.floats(1e-3, 100.0)
+NOT_UTF8 = "\udcff"  # _write writes it as the byte 0xff, which is not UTF-8
 
 
 def _is_float(text: str) -> bool:
@@ -61,10 +64,11 @@ def _inject(data, lines: list[str], bad: str, first: int = 0) -> tuple[str, int]
 
 
 def _write(path, text: str):
-    """Write text to a new file at path: truncating a file on every example
-    takes tens of milliseconds on some file systems."""
+    """Write text as UTF-8 to a new file at path, each NOT_UTF8 as its raw
+    byte: truncating a file on every example takes tens of milliseconds on
+    some file systems."""
     path.unlink(missing_ok=True)
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -122,6 +126,7 @@ def bad_lab_lines(draw):
                 f"{s!r}",
                 f"{e!r} {s!r} {label}",  # reversed
                 f"{s!r} {s!r} {label}",  # empty
+                f"{s!r} {e!r} {label}{NOT_UTF8}",
             ]
         )
     )
@@ -180,9 +185,11 @@ def test_valid_chroma_reads_back(tmp_path, data, chroma):
 def bad_chroma_rows(draw):
     fields = [repr(v) for v in draw(st.lists(st.floats(0.0, 1.0), min_size=14, max_size=14))]
     i = draw(st.integers(0, 13))
-    kind = draw(st.sampled_from(["number", "count", "range"]))
+    kind = draw(st.sampled_from(["number", "count", "range", "bytes"]))
     if kind == "number":
         fields[i] = draw(BAD_NUMBERS)
+    elif kind == "bytes":
+        fields[i] += NOT_UTF8
     elif kind == "count":
         fields = fields[: draw(st.integers(1, 13))] if draw(st.booleans()) else fields + ["0.5"]
     else:
@@ -245,12 +252,14 @@ def test_valid_beats_read_back(tmp_path, data, beats):
 
 
 @FUZZ
-@given(st.data(), BEATS, st.sampled_from(["number", "repeat", "past_end"]))
+@given(st.data(), BEATS, st.sampled_from(["number", "bytes", "repeat", "past_end"]))
 def test_bad_beat_line_named(tmp_path, data, beats, kind):
     lines = [repr(b) for b in beats]
     path = tmp_path / "song.txt"
     if kind == "number":
         text, lineno = _inject(data, lines, data.draw(BAD_NUMBERS))
+    elif kind == "bytes":  # a comment is read too
+        text, lineno = _inject(data, lines, f"# beat {NOT_UTF8}")
     elif kind == "repeat":  # equal to or before the beat it follows
         i = data.draw(st.integers(1, len(lines)))
         repeat = repr(beats[i - 1] - data.draw(st.sampled_from([0.0, 0.5])))
@@ -271,7 +280,10 @@ CONFIG_VALUES = {
     "alpha": st.floats(0.0, 1.0).map(lambda v: (repr(v), v)),
     "alphabet": st.sampled_from(["majmin25", "full121"]).map(lambda v: (v, v)),
     "chroma_dir": st.sampled_from(["c", "out/chroma", "a b"]).map(lambda v: (v, v)),
-    "cac": st.sampled_from([("yes", True), ("True", True), ("1", True), ("no", False), ("0", False)]),
+    "cac": st.sampled_from(
+        [("yes", True), ("True", True), ("TRUE", True), ("1", True)]
+        + [("no", False), ("No", False), ("false", False), ("0", False)]
+    ),
     "gamma": st.sampled_from([("0", (0,)), ("0, none", (0, None)), ("None", (None,))]),
     "tau": st.sampled_from([("3", (3,)), ("1,3,13", (1, 3, 13))]),
 }
@@ -292,7 +304,10 @@ def test_valid_config_reads_back(tmp_path, data, keys):
 BAD_CONFIG_LINES = st.one_of(
     st.sampled_from(["hop", "no equals sign", "gammas = 0", "taus = 3", "window = hann", "hopp = 1", "= 3"]),
     st.builds("hop = {}".format, BAD_NUMBERS),
-    st.builds("alpha = {}".format, BAD_NUMBERS.filter(lambda t: not _is_float(t))),
+    st.builds("alpha = {}".format, BAD_NUMBERS),
+    st.builds("q_factor = {}".format, st.sampled_from(["nan", "inf", "-inf", "1e999"])),
+    st.builds("cac = {}".format, st.sampled_from(["maybe", "2", "on", "off", "", "y", "truee"])),
+    st.just(f"alphabet = full121{NOT_UTF8}"),
     st.builds("jobs = {}".format, st.sampled_from(["1.5", "two", ""])),
     st.builds("gamma = {}".format, st.sampled_from(["x", "0,x", "1.5"])),
     st.builds("tau = {}".format, st.sampled_from(["three", "3;4"])),
@@ -320,6 +335,10 @@ def test_bad_config_line_named(tmp_path, data, bad):
         ("nan.lab", "0 1 C:maj\nnan 2 G:maj\n", 2),
         ("inf.lab", "0 1 C:maj\n1 inf G:maj\n", 2),
         ("hop.cfg", "alpha = 0.1\nhop = abc\n", 2),
+        ("nan.cfg", "hop = 512\nalpha = nan\n", 2),
+        ("maybe.cfg", "cac = maybe\n", 1),
+        ("bytes.lab", f"0 1 C:maj\n1 2 G:maj {NOT_UTF8}\udcfe\n", 2),
+        ("bytes.chroma", f"# {NOT_UTF8}\ntreble 1\n", 1),
     ],
 )
 def test_once_unnamed_inputs_name_file_and_line(tmp_path, name, text, line):
@@ -334,3 +353,31 @@ def test_synth_bad_duration_exits_naming_line(tmp_path):
     _write(path, "C:maj 1.0\nC:maj x\n")
     with pytest.raises(SystemExit, match=f"^error: {re.escape(str(path))}:2: "):
         main(["synth", str(path), str(tmp_path / "out")])
+
+
+def test_synth_script_not_utf8_exits_naming_line(tmp_path):
+    path = tmp_path / "script.txt"
+    _write(path, f"C:maj 1.0\nC:maj{NOT_UTF8} 1.0\n")
+    with pytest.raises(SystemExit, match=f"^error: {re.escape(str(path))}:2: byte 0xff is not UTF-8"):
+        main(["synth", str(path), str(tmp_path / "out")])
+
+
+def test_model_file_not_utf8_names_file(tmp_path):
+    path = _write(tmp_path / "model.txt", f"chordscribe-model{NOT_UTF8}\n")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: .*0xff"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field", ["alpha", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_alpha_nan_exits(tmp_path):
+    (tmp_path / "chroma").mkdir()
+    (tmp_path / "chords").mkdir()
+    argv = ["--chroma-dir", str(tmp_path / "chroma"), "--chords-dir", str(tmp_path / "chords")]
+    with pytest.raises(SystemExit, match="^error: smoothing alpha must be finite and >= 0, got nan"):
+        main(["train", *argv, "--model", str(tmp_path / "m.txt"), "--alpha", "nan"])

@@ -8,13 +8,14 @@ of a git ref, and compares every output file:
            8 kHz that only go through `chroma`
     chroma with beat files
     train  majmin25 and full121
-    decode gamma=0, tau=3, CAC (both models); full121 unconstrained and
-           tau=3 alone; and a `--jobs 2` sweep gamma in {0, 2} x
-           tau in {1, 3, 13} with CAC
+    decode gamma=0, tau=3, CAC (both models); full121 unconstrained,
+           tau=3 alone and gamma=0 alone (a live-key subset with every
+           chord and all 13 basses); and a `--jobs 2` sweep
+           gamma in {0, 2} x tau in {1, 3, 13} with CAC
     eval   the tight full121 decode, `--compare` against the unconstrained
-    log-probs  the tight and the unconstrained full121 decodes again, in
-           one process calling `viterbi_joint`, written as
-           `setting/stem repr(log_prob)` lines to `log_probs.txt`
+    log-probs  the tight, the unconstrained and the gamma=0 full121
+           decodes again, in one process calling `viterbi_joint`, written
+           as `setting/stem repr(log_prob)` lines to `log_probs.txt`
 
 The inputs are written once, by the working tree, and both trees read the
 same files. Every run pins the BLAS thread count to 1, because `.chroma`
@@ -72,7 +73,7 @@ MAIN_SONGS = (("song0", 44100, 30.0), ("song1", 44100, 30.0), ("song2", 44100, 2
 RATE_SONGS = (("rate48k", 48000, 12.0), ("rate16k", 16000, 12.0), ("rate8k", 8000, 12.0))
 
 # Run in the tree's output directory after the CLI steps: the full-precision
-# log-prob of each full121 song, tight and unconstrained.
+# log-prob of each full121 song, tight, unconstrained and gamma-only.
 LOG_PROB_SCRIPT = """
 from pathlib import Path
 from chordscribe.chroma import read_chromagram
@@ -81,7 +82,8 @@ from chordscribe.model import load_model
 
 model = load_model("models/full121.txt")
 lines = []
-for setting, constraints in (("tight", Constraints(gamma=0, tau=3, cac=True)), ("free", Constraints())):
+tight = Constraints(gamma=0, tau=3, cac=True)
+for setting, constraints in (("tight", tight), ("free", Constraints()), ("gamma", Constraints(gamma=0))):
     for treble in sorted(Path("chroma").glob("*.treble.chroma")):
         stem = treble.name.removesuffix(".treble.chroma")
         bass = read_chromagram(treble.with_name(stem + ".bass.chroma"))
@@ -161,6 +163,7 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
     steps += [
         ("decode_free", ("decode", *full, "--output-dir", "decode/free")),
         ("decode_tau", ("decode", *full, "--tau", "3", "--output-dir", "decode/tau")),
+        ("decode_gamma", ("decode", *full, "--gamma", "0", "--output-dir", "decode/gamma")),
         ("decode_sweep", ("decode", *full, "--gamma", "0,2", "--tau", "1,3,13", "--cac", "--jobs", "2",
                           "--output-dir", "decode/sweep")),
         ("eval", ("eval", "--pred-dir", "decode/tight_full121", *songs, "--beats", str(main / "beats"),
