@@ -348,6 +348,8 @@ def default_beat_grid(duration: float, period: float = 0.5) -> np.ndarray:
     """Pseudo-beats every `period` seconds covering [0, duration]."""
     if duration <= 0:
         raise ValueError("duration must be positive")
+    if not period > 0:
+        raise ValueError("period must be positive")
     beats = np.arange(0.0, duration, period)
     if beats.size == 0 or duration - beats[-1] > 1e-9:
         beats = np.append(beats, duration)

@@ -84,8 +84,8 @@ def parse_config_file(path) -> dict:
     """RunConfig fields from flat `key = value` text; `#` comments and blank
     lines ignored. A value takes the type of its field's default (paths,
     whose default is None, stay strings): a boolean is one of _BOOLEANS in
-    any case, a number must be finite. The sweeps are set through the
-    `gamma` and `tau` keys only."""
+    any case, a number must be finite, and beat_period positive. The sweeps
+    are set through the `gamma` and `tau` keys only."""
     defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("gammas", "taus")}
     values = {}
 
@@ -105,6 +105,8 @@ def parse_config_file(path) -> dict:
             values[key] = type(defaults[key])(val)
             if not math.isfinite(values[key]):
                 raise ValueError(f"{key} must be finite, got {val!r}")
+            if key == "beat_period" and values[key] <= 0:
+                raise ValueError(f"beat_period must be positive, got {val!r}")
         else:
             values[key] = val
 
@@ -163,19 +165,33 @@ def _atomic_write_via(path: Path, writer, payload) -> None:
     os.replace(tmp, path)
 
 
-def _run_per_song(fn, jobs: list[tuple], workers: int, report) -> int:
-    """Run fn(job) for every job, a tuple whose first item is the song
-    stem, and hand each result to report in job order: in this process, or
-    in one pool of `workers` processes when workers > 1. A job that raises
-    is reported on stderr under its stem instead. Returns the number of
-    failed jobs."""
+_worker_call = None  # a pool worker's fn and shared values, set once by _init_worker
+
+
+def _init_worker(fn, *shared):
+    global _worker_call
+    _worker_call = functools.partial(fn, *shared)
+
+
+def _call_in_worker(job):
+    return _worker_call(job)
+
+
+def _run_per_song(fn, jobs: list[tuple], workers: int, report, shared: tuple = ()) -> int:
+    """Run fn(*shared, job) for every job, a tuple whose first item is the
+    song stem, and hand each result to report in job order: in this
+    process, or in one pool of `workers` processes when workers > 1, which
+    receive fn and shared once each. A job that raises is reported on
+    stderr under its stem instead. Returns the number of failed jobs."""
     failures = 0
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            outcomes = [pool.submit(fn, job).result for job in jobs]
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn, *shared))
+            )
+            outcomes = [pool.submit(_call_in_worker, job).result for job in jobs]
         else:
-            outcomes = [functools.partial(fn, job) for job in jobs]
+            outcomes = [functools.partial(fn, *shared, job) for job in jobs]
         for job, outcome in zip(jobs, outcomes):
             try:
                 result = outcome()
@@ -313,8 +329,8 @@ def _write_decode_labels(out_dir: Path, stem: str, path, alphabet, starts, ends)
         _atomic_write_via(out_dir / f"{stem}.{kind}.lab", write_lab, merged)
 
 
-def _decode_one(job):
-    stem, model, constraints, chroma_dir, out_dir = job
+def _decode_one(model, job):
+    stem, constraints, chroma_dir, out_dir = job
     t0 = time.perf_counter()
     treble = chroma_mod.read_chromagram(chroma_dir / f"{stem}.treble.chroma")
     bass = chroma_mod.read_chromagram(chroma_dir / f"{stem}.bass.chroma")
@@ -345,7 +361,7 @@ def cmd_decode(cfg: RunConfig) -> int:
         if len(settings) > 1:
             out_dir = out_root / f"g{constraints.gamma}_t{constraints.tau}"
             out_dir.mkdir(parents=True, exist_ok=True)
-        jobs += [(stem, model, constraints, chroma_dir, out_dir) for stem in stems]
+        jobs += [(stem, constraints, chroma_dir, out_dir) for stem in stems]
 
     timing_rows = ["gamma,tau,song,frames,feature_s,decode_s,transitions,log_prob"]
 
@@ -357,7 +373,7 @@ def cmd_decode(cfg: RunConfig) -> int:
         )
         print(f"decode[g={gamma} t={tau}]: {stem} ({t_dec:.2f}s, {expanded} transitions)")
 
-    failures = _run_per_song(_decode_one, jobs, cfg.jobs, report)
+    failures = _run_per_song(_decode_one, jobs, cfg.jobs, report, shared=(model,))
     _atomic_write_via(out_root / "timing.csv", Path.write_text, "\n".join(timing_rows) + "\n")
     return 1 if failures else 0
 
@@ -558,7 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = build_config(args)
+    try:
+        cfg = build_config(args)
+    except ValueError as exc:  # a config line, named as path:line, or a sweep flag
+        raise SystemExit(f"error: {exc}") from None
     if args.command == "chroma":
         return cmd_chroma(cfg)
     if args.command == "train":

@@ -27,15 +27,30 @@ transitions and bound terms. `_step` takes one frame through `_stage1`,
 a transposed copy, and returns the frame's v and backpointers.
 `_backtrace` walks the path back from the final frame.
 
-Stage 3 runs dense, over every previous chord, when its tensor fits one
-block (tight decodes) or a frame keeps over a quarter of the chords (as when
-unseen chords share one Gaussian and tie); otherwise each row (k, u) takes
-only the previous chords an exact bound keeps. With mx the row's maximum,
-at cp0, chord c's cell is at least mx + lg[k, cp0, c] and chord cp adds at
-most max lg[k], so cp below mx + min_c lg[k, cp0, c] - max lg[k] cannot
-win or tie; a slack of 1e-9 * (1 + |mx| + |min| + |max|) dwarfs the float
+Stages 2 and 3 each run dense, over every predecessor, when their tensor
+fits the dense budget (tight decodes) or a frame keeps over a quarter of
+the predecessors; otherwise they take only the predecessors an exact bound
+keeps. Stage 3 bounds each row (k, u): with mx the row's maximum, at cp0,
+chord c's cell is at least mx + lg[k, cp0, c] and chord cp adds at most
+max lg[k], so cp below mx + min_c lg[k, cp0, c] - max lg[k] cannot win or
+tie; a slack of 1e-9 * (1 + |mx| + |min| + |max|) dwarfs the float
 roundings (each under 2**-53 of that sum). A -inf minimum keeps the row
-whole, a dead row one chord.
+whole, a dead row one chord. Stage 2 bounds each column n = (u, c) of the
+previous rows d: with mx the column's maximum, at d0, key l's cell is at
+least mx + lf[d0, l], and row d adds lf[d, l], so d below mx - delta[d0, d],
+delta[d0, d] = max_l (lf[d, l] - lf[d0, l]), cannot win or tie at any key.
+delta is +inf when d reaches a key that d0 does not, which keeps d, and a
+key neither reaches counts as -inf. The slack 1e-9 * (1 + |mx| + 2 max |lf|)
+covers the roundings of the sums and of delta alike. A dead column keeps
+d0 alone. Frame 1 under a flat key prior keeps most rows and stays dense.
+Kept rows are taken in ascending order and the lowest maximizing one wins,
+as in the dense form; a dead cell takes its key's first predecessor, as
+the dense form's ranks do.
+
+When every stage-3 row keeps one previous chord (most frames of an
+unconstrained decode), that chord is its cells' maximum and nothing ties
+it, so stage 3 takes the gathered value and the candidate as they are,
+with no argmax or tie check.
 """
 
 from __future__ import annotations
@@ -50,10 +65,11 @@ from .chroma import Chromagram
 from .model import ChordOnlyHmm, HpModel, gaussian_logpdf_frames
 
 _TIE_BIG = np.int32(2**30)
-# Stage 3's block budget in elements, and its form rules (module docstring)
+# Stage 3's block budget in elements, and the form rules of stages 2 and 3
+# (module docstring)
 _STAGE3_BLOCK_ELEMENTS = 2**18
-_STAGE3_DENSE_ELEMENTS = _STAGE3_BLOCK_ELEMENTS
-_STAGE3_GATHER_COST = 4  # a gathered element costs about four dense ones
+_DENSE_ELEMENTS = _STAGE3_BLOCK_ELEMENTS
+_GATHER_COST = 4  # a gathered element costs about four dense ones
 
 
 class NoAdmissiblePathError(Exception):
@@ -234,6 +250,11 @@ class _Prev(NamedTuple):
     slots: np.ndarray
     lh_g: np.ndarray  # (U, Cw, Sp) from each slot to each stage-1 target bass
     starts: np.ndarray  # (Kp, U, Cw) flat index of each stage-1 row's first element
+    lf_rows: np.ndarray  # (L, Kp) from each row to each live key, -inf for none
+    delta: np.ndarray  # (Kp, Kp) [a, d]: the most row d gains over row a at any live key
+    scale: float  # twice the largest finite |lf_rows|, for the stage-2 slack
+    gaps: bool  # some row does not reach some live key
+    dense: bool  # stage 2 takes every predecessor on every frame
     pred: np.ndarray  # (L, D) each live key's predecessors, ascending, padded
     lf_pred: np.ndarray  # (L, D, 1, 1) their transitions, -inf as padding
     rank: np.ndarray  # (D, 1, 1) D down to 1: marks the first maximizing predecessor
@@ -244,20 +265,26 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
     """n_expanded counts stage 1 over all keys and target basses, stage 2
     over every finite key transition and stage 3 over every finite chord
     transition into each bass slot."""
-    fin = np.isfinite(tables.lf[np.ix_(keys, live)]).T  # (L, Kp)
+    lf_rows = np.ascontiguousarray(tables.lf[np.ix_(keys, live)].T)
+    fin = np.isfinite(lf_rows)
+    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN, which fmax skips
+        delta = np.fmax.reduce(lf_rows[:, None, :] - lf_rows[:, :, None], axis=0, initial=-np.inf)
+    scale = 2 * float(np.abs(lf_rows[fin]).max(initial=0))
     deg = max(1, int(fin.sum(axis=1).max(initial=0)))
     pred = np.argsort(~fin, axis=1, kind="stable")[:, :deg]
-    lf_pred = tables.lf[keys[pred], live[:, None]][:, :, None, None]
+    lf_pred = np.take_along_axis(lf_rows, pred, axis=1)[:, :, None, None]
     rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
     lh_g = np.ascontiguousarray(tables.lh[slots][:, :, targets].transpose(2, 0, 1))
     starts = np.arange(0, lh_g.size * keys.size, slots.shape[1]).reshape(keys.size, *lh_g.shape[:2])
+    dense = live.size * deg * lh_g.shape[0] * lh_g.shape[1] <= _DENSE_ELEMENTS
     n_keys, cw, _ = tables.lg.shape
     n_expanded = (
         n_keys * int(np.isfinite(tables.lh).sum(axis=1)[slots].sum())
         + cw * tables.lh.shape[0] * int(np.isfinite(tables.lf).sum())
         + tables.slots.shape[1] * int(np.isfinite(tables.lg).sum())
     )
-    return _Prev(keys, slots, lh_g, starts, pred, lf_pred, rank, n_expanded)
+    gaps = not fin.all()
+    return _Prev(keys, slots, lh_g, starts, lf_rows, delta, scale, gaps, dense, pred, lf_pred, rank, n_expanded)
 
 
 class _Layout(NamedTuple):
@@ -274,6 +301,8 @@ class _Layout(NamedTuple):
     scale: np.ndarray  # and its magnitude, for the slack
     lg_rows: np.ndarray  # (L, Cw, 1, 1) flat lg_live index of each row
     key_idx: np.ndarray  # (L, 1, 1)
+    row_base: np.ndarray  # (L, Cw, S) flat index of each cell's (k, u, 0) in a stage-2 output
+    col_base: np.ndarray  # (Cw, S) and of its (u, 0) in one (U, Cw) block
     bp_dtype: np.dtype  # holds a flat (row, chord, slot) index of any v
 
 
@@ -285,7 +314,7 @@ def _layout(tables: _LogTables) -> _Layout:
     first = _prev_layout(tables, np.arange(n_keys), np.tile(np.arange(n_bass), (cw, 1)), live, targets)
     rest = _prev_layout(tables, live, tables.slots, live, targets)
     lg_live = np.ascontiguousarray(tables.lg[live].transpose(0, 2, 1))  # transposed once per decode
-    dense = lg_live.size * tables.slots.shape[1] <= _STAGE3_DENSE_ELEMENTS
+    dense = lg_live.size * tables.slots.shape[1] <= _DENSE_ELEMENTS
     colmin = lg_live.min(axis=1)
     gmax = lg_live.max(axis=(1, 2), initial=-np.inf)[:, None]
     lower = np.full_like(colmin, -np.inf)
@@ -294,9 +323,12 @@ def _layout(tables: _LogTables) -> _Layout:
     scale = np.abs(colmin) + np.abs(gmax)
     lg_rows = (np.arange(live.size * cw) * cw).reshape(live.size, cw, 1, 1)
     key_idx = np.arange(live.size)[:, None, None]
+    col_base = slot_t * cw
+    row_base = key_idx * (targets.size * cw) + col_base
     bp_dtype = np.min_scalar_type(n_keys * cw * n_bass - 1)
     return _Layout(
-        tables, live, first, rest, slot_t, lg_live, dense, lower, scale, lg_rows, key_idx, bp_dtype
+        tables, live, first, rest, slot_t, lg_live, dense, lower, scale, lg_rows, key_idx, row_base, col_base,
+        bp_dtype,
     )
 
 
@@ -319,14 +351,51 @@ def _stage1(prev: _Prev, v):
 
 
 def _stage2(layout: _Layout, prev: _Prev, stage_b):
-    """Collapse the previous key over axis 1 of (L, D, U, Cw), where the
-    largest rank equal to the max marks the first maximizing predecessor;
-    returns the (L, U, Cw) maxima and the stage_b rows they come from."""
+    """Collapse the previous key: returns the (L, U, Cw) maxima and the
+    stage_b rows they come from, the first maximizing predecessor. Pruned,
+    over the rows the bound keeps; dense, over axis 1 of (L, D, U, Cw),
+    where the largest rank equal to the max marks that predecessor."""
+    if not prev.dense:
+        cand = _stage2_candidates(prev, stage_b)
+        if cand.shape[0] * _GATHER_COST <= prev.pred.shape[1]:
+            return _stage2_pruned(prev, stage_b, cand)
     tmp = np.take(stage_b, prev.pred, axis=0)
     tmp += prev.lf_pred
     stage_k = tmp.max(axis=1)
     from_d = prev.rank.shape[0] - (np.equal(tmp, stage_k[:, None]) * prev.rank).max(axis=1)
     return stage_k, prev.pred[layout.key_idx, from_d]
+
+
+def _stage2_candidates(prev: _Prev, stage_b):
+    """(D, N) rows of each stage-2 column n = (u, c) that the bound keeps,
+    ascending, padded to the widest column with repeats of its maximizing
+    row d0, which is all a dead column keeps."""
+    cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)  # (N, Kp)
+    d0 = cols.argmax(axis=1)
+    mx = np.take_along_axis(cols, d0[:, None], axis=1)
+    with np.errstate(invalid="ignore"):  # a dead column's inf - inf
+        thr = np.where(mx > -np.inf, mx - 1e-9 * (1 + np.abs(mx) + prev.scale), np.inf)
+        keep = cols >= thr - np.take(prev.delta, d0, axis=0)
+    at, rows = np.nonzero(keep)
+    count = np.bincount(at, minlength=len(cols))
+    cand = np.tile(d0, (max(1, int(count.max(initial=0))), 1))
+    cand[np.arange(at.size) - (np.cumsum(count) - count)[at], at] = rows
+    return cand
+
+
+def _stage2_pruned(prev: _Prev, stage_b, cand):
+    """Stage 2 over the candidate rows cand (D, N): the maximum of (L, D, N),
+    and the lowest maximizing row by D masked copies, lowest row last."""
+    val = np.take(prev.lf_rows, cand, axis=1)
+    val += np.take_along_axis(stage_b.reshape(len(stage_b), -1), cand, axis=0)
+    stage_k = val.max(axis=1)
+    from_row = np.repeat(cand[-1:], len(val), axis=0)
+    for j in range(len(cand) - 2, -1, -1):
+        np.copyto(from_row, cand[j], where=val[:, j] == stage_k)
+    if prev.gaps:  # a dead cell comes from its key's first predecessor, as in the dense form
+        np.copyto(from_row, prev.pred[:, :1], where=stage_k == -np.inf)
+    shape = (len(val), *stage_b.shape[1:])
+    return stage_k.reshape(shape), from_row.reshape(shape)
 
 
 def _stage3_candidates(stage_k, lower, scale):
@@ -347,10 +416,10 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, from_row, from_s):
     """Collapse the previous chord over the last axis of (k, c, S, W), W
     every previous chord or the candidates the bound keeps, in key blocks
     under the element budget; returns frame t's v and backpointers."""
-    tables, slot_t = layout.tables, layout.slot_t
+    tables = layout.tables
     n_live, cw, s = layout.live.size, tables.working.size, tables.slots.shape[1]
     cand = None if layout.dense else _stage3_candidates(stage_k, layout.lower, layout.scale)
-    if cand is not None and cand.shape[2] * _STAGE3_GATHER_COST > cw:
+    if cand is not None and cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
     # elements per (k, c, S) cell: Cw dense; pruned, 3 D and 24 for the tail
     block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * s * (cw if cand is None else 3 * cand.shape[2] + 24)))
@@ -358,12 +427,16 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, from_row, from_s):
     extra = tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
     v = np.empty((n_live, cw, s))
     backptr = np.empty(v.shape, dtype=layout.bp_dtype)
+    n_cols = from_s[0].size
     for k0 in range(0, n_live, block):
         ks = slice(k0, k0 + block)
         best, from_c = _stage3_block(layout, ks, prev_k, cand, from_row)
-        row = from_row[ks][layout.key_idx[: len(from_c)], slot_t, from_c]
+        row = np.take(from_row, layout.row_base[ks] + from_c)
+        at_s = row * n_cols
+        at_s += layout.col_base
+        at_s += from_c
         v[ks] = best + extra
-        backptr[ks] = (row * cw + from_c) * prev.slots.shape[1] + from_s[row, slot_t, from_c]
+        backptr[ks] = (row * cw + from_c) * prev.slots.shape[1] + np.take(from_s, at_s)
     return v, backptr
 
 
@@ -378,9 +451,10 @@ def _stage3_block(layout: _Layout, ks, prev_k, cand, from_row):
     if cand is None:
         val += lg_live[ks, :, None]
     else:
-        # flat lg_live index of each (k, c, S, D) entry; % cw is the previous chord
-        at_lg = np.take(cand[ks], slot_t, axis=1) + layout.lg_rows[ks]
-        val += lg_live.reshape(-1)[at_lg]
+        prev_c = np.take(cand[ks], slot_t, axis=1)  # previous chord of each (k, c, S, D) entry
+        val += np.take(lg_live, prev_c + layout.lg_rows[ks])
+        if cand.shape[2] == 1:  # one candidate: it is the maximum, and nothing ties it
+            return val[..., 0], prev_c[..., 0]
     from_c = val.argmax(axis=-1)
     row_starts = np.arange(0, val.size, val.shape[-1]).reshape(from_c.shape)
     at = from_c + row_starts
@@ -392,7 +466,7 @@ def _stage3_block(layout: _Layout, ks, prev_k, cand, from_row):
     second = val.reshape(-1)[val.argmax(axis=-1) + row_starts]
     ties = np.isfinite(best) & (second == best)
     if cand is not None:
-        from_c = at_lg.reshape(-1)[at] % cw
+        from_c = np.take(prev_c, at)
     if ties.any():
         np.put(val, at, best)
         order = from_row[ks] * 256 + np.arange(cw)  # (k, U, c_prev); rows ascend with keys

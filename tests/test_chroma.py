@@ -417,6 +417,11 @@ class TestChromagramIO:
         beats = default_beat_grid(1.7, 0.5)
         np.testing.assert_allclose(beats, [0.0, 0.5, 1.0, 1.5, 1.7])
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
+    def test_default_beat_grid_rejects_nonpositive_period(self, period):
+        with pytest.raises(ValueError, match="period must be positive"):
+            default_beat_grid(2.0, period)
+
 
 class TestReadBeats:
     def test_reads_times_skipping_comments(self, tmp_path):

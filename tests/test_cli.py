@@ -387,16 +387,17 @@ class TestDecode:
 
     def test_parallel_sweep_matches_serial(self, workspace, tmp_path, monkeypatch):
         import chordscribe.cli as cli
+        from chordscribe.model import HpModel
 
         pools, submitted = [], []
 
         class CountingPool(cli.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                pools.append(self)
+                pools.append(kwargs["initargs"])
                 super().__init__(*args, **kwargs)
 
             def submit(self, fn, *args, **kwargs):
-                submitted.append(args[0][0])
+                submitted.append(args[0])
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
@@ -409,10 +410,17 @@ class TestDecode:
             outputs[jobs] = {
                 p.relative_to(out): p.read_bytes() for p in sorted(out.glob("*/*.lab"))
             }
-        assert len(outputs["1"]) == 2 * 2 * 3  # settings x songs x key/chord/bass
+            # timing.csv without its feature_s and decode_s columns
+            rows = [r.split(",") for r in (out / "timing.csv").read_text().splitlines()]
+            outputs[jobs]["timing"] = [r[:4] + r[6:] for r in rows]
+        assert len(outputs["1"]) == 2 * 2 * 3 + 1  # settings x songs x key/chord/bass, timing
         assert outputs["2"] == outputs["1"]
-        assert len(pools) == 1  # one pool for the whole sweep
-        assert sorted(submitted) == ["songA", "songA", "songB", "songB"]
+        # one pool for the whole sweep, which receives the model once per
+        # worker; the jobs carry only the song and the setting
+        assert len(pools) == 1
+        assert [type(x) for x in pools[0][1:]] == [HpModel]
+        assert sorted(job[0] for job in submitted) == ["songA", "songA", "songB", "songB"]
+        assert not any(isinstance(x, HpModel) for job in submitted for x in job)
 
     def test_missing_model_exits(self, workspace, tmp_path):
         with pytest.raises(SystemExit):
@@ -571,6 +579,14 @@ class TestEval:
 
 
 class TestConfigFile:
+    def test_nonpositive_beat_period_exits_naming_line(self, workspace, tmp_path, capsys):
+        cfg_file = tmp_path / "grid.cfg"
+        cfg_file.write_text(f"audio_dir = {workspace / 'audio'}\nbeat_period = -1\n")
+        argv = ["chroma", "--config", str(cfg_file), "--chroma-dir", str(tmp_path / "c")]
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(str(cfg_file))}:2: beat_period must be positive"):
+            run(*argv)
+        assert "need at least 2 beats" not in capsys.readouterr().err
+
     def test_parse_and_override(self, tmp_path, workspace):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(

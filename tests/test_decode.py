@@ -235,18 +235,18 @@ class TestChordAlphabetConstraint:
         assert set(admissible.tolist()) == {0, 2}
 
 
-STAGE3_FORMS = {
-    "dense": {"_STAGE3_DENSE_ELEMENTS": 2**62},
-    "pruned": {"_STAGE3_DENSE_ELEMENTS": -1, "_STAGE3_GATHER_COST": 0},
+STAGE_FORMS = {
+    "dense": {"_DENSE_ELEMENTS": 2**62},
+    "pruned": {"_DENSE_ELEMENTS": -1, "_GATHER_COST": 0},
 }
 
 
 @contextlib.contextmanager
-def stage3_form(form):
-    """Force stage 3 dense (every previous chord) or pruned (the previous
-    chords the bound keeps) on every frame, whatever the table sizes."""
+def stage_form(form):
+    """Force stages 2 and 3 dense (every previous key and chord) or pruned
+    (the ones their bounds keep) on every frame, whatever the table sizes."""
     with pytest.MonkeyPatch.context() as patch:
-        for name, value in STAGE3_FORMS[form].items():
+        for name, value in STAGE_FORMS[form].items():
             patch.setattr(decode, name, value)
         yield
 
@@ -254,12 +254,12 @@ def stage3_form(form):
 def _assert_matches_enumeration(tables, flat, trial):
     n_chords, n_bass = tables.working.size, tables.lh.shape[0]
     ref_lp, ref_path = enumerate_best_path(*flat)
-    for form in STAGE3_FORMS:
+    for form in STAGE_FORMS:
         if not np.isfinite(ref_lp):
-            with stage3_form(form), pytest.raises(NoAdmissiblePathError):
+            with stage_form(form), pytest.raises(NoAdmissiblePathError):
                 _viterbi_tables(tables)
             continue
-        with stage3_form(form):
+        with stage_form(form):
             keys, chords, basses, lp, _ = _viterbi_tables(tables)
         assert lp == pytest.approx(ref_lp, abs=1e-9), f"trial {trial}, {form}"
         rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
@@ -412,11 +412,13 @@ class TestViterbiOracle:
         rng = np.random.default_rng(8)
         for _ in range(10):
             tables, flat = random_log_tables(rng, 3, 4, 3, T=12, slot_cap=2)
-            keys, chords, basses, lp, _ = _viterbi_tables(tables)
             ref_lp, ref_path = flat_viterbi(*flat)
-            assert lp == pytest.approx(ref_lp, abs=1e-9)
             rk, rc, rb = split_flat_path(ref_path, 4, 3)
-            assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+            for form in STAGE_FORMS:
+                with stage_form(form):
+                    keys, chords, basses, lp, _ = _viterbi_tables(tables)
+                assert lp == pytest.approx(ref_lp, abs=1e-9)
+                assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
 
     @pytest.mark.parametrize("slot_cap", [13, 3])
     @pytest.mark.parametrize("keys_per_block", [None, 2])
@@ -446,8 +448,8 @@ class TestViterbiOracle:
         for trial, tables in enumerate(trials):
             ref_lp, ref_path = flat_viterbi(*_flat_tables(tables))
             rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
-            for form in STAGE3_FORMS:
-                with stage3_form(form):
+            for form in STAGE_FORMS:
+                with stage_form(form):
                     keys, chords, basses, lp, _ = _viterbi_tables(tables)
                 assert lp == ref_lp, f"trial {trial}, {form}"
                 assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
@@ -472,10 +474,36 @@ class TestViterbiOracle:
             emis_c=np.array([[a, mx], [0.0, -1000.0]]),
             emis_b=np.zeros((2, 1)),
         )
-        for form in STAGE3_FORMS:
-            with stage3_form(form):
+        for form in STAGE_FORMS:
+            with stage_form(form):
                 keys, chords, basses, lp, _ = _viterbi_tables(tables)
             assert chords.tolist() == [0, 0] and lp == a + g, form
+
+    def test_pruned_stage2_keeps_float_ties_below_the_bound(self):
+        # Key 1 holds the frame-0 maximum mx, and key 0 sits one ulp below
+        # the stage-2 threshold mx - (q - p) that key 1 sets for key 0's
+        # row, yet in floats its path into key 0 ties key 1's, and the tie
+        # goes to key 0; the slack keeps it. Key 1 is reached by nothing.
+        mx, p, q = -12.3, -2.3, -0.1  # key 1's v, key 1 -> 0, key 0 -> 0
+        a = np.nextafter(mx + (p - q), -np.inf)
+        assert a + q == mx + p and a < mx - (q - p)
+        tables = decode._LogTables(
+            lpi_k=np.array([a, mx]),
+            lpi_c=np.zeros(1),
+            lpi_b=np.zeros(1),
+            lf=np.array([[q, -np.inf], [p, -np.inf]]),
+            lg=np.zeros((2, 1, 1)),
+            lh=np.zeros((1, 1)),
+            lr=np.zeros((1, 1)),
+            slots=np.zeros((1, 1), dtype=np.int64),
+            working=np.arange(1),
+            emis_c=np.zeros((2, 1)),
+            emis_b=np.zeros((2, 1)),
+        )
+        for form in STAGE_FORMS:
+            with stage_form(form):
+                keys, chords, basses, lp, _ = _viterbi_tables(tables)
+            assert keys.tolist() == [0, 0] and lp == a + q, form
 
     def test_tie_break_on_quantized_tables(self):
         # integer-valued log tables make ties exact; the decoder must agree
@@ -491,8 +519,8 @@ class TestViterbiOracle:
             flat = tables_to_flat(tables)
             ref_lp, ref_path = enumerate_best_path(*flat)
             rk, rc, rb = split_flat_path(ref_path, 2, 2)
-            for form in STAGE3_FORMS:
-                with stage3_form(form):
+            for form in STAGE_FORMS:
+                with stage_form(form):
                     keys, chords, basses, lp, _ = _viterbi_tables(tables)
                 assert lp == ref_lp
                 assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
@@ -515,23 +543,36 @@ def _flat_cells(keys, slots, n_chords, n_bass):
 
 
 class TestStep:
-    @pytest.mark.parametrize("tied", [False, True], ids=["random", "integer"])
-    def test_one_step_matches_flat_maximum(self, tied):
+    @pytest.mark.parametrize("case", ["random", "integer", "key-tie", "partial-reach"])
+    def test_one_step_matches_flat_maximum(self, case):
         # One frame on its own, from a drawn previous v: at frame 1, which
         # reads every key and bass, and at frame 2, which reads the live
-        # keys at the bass slots. Odd trials leave one key without a
-        # predecessor. Integer tables and v tie exactly, so each
-        # backpointer must be the lowest (key, chord, bass) predecessor.
+        # keys at the bass slots. Odd random and integer trials leave one
+        # key without a predecessor. Integer tables and v tie exactly, so
+        # each backpointer must be the lowest (key, chord, bass)
+        # predecessor. Two cases aim at the stage-2 bound. Key-tie: two
+        # previous keys a < b have equal transitions and equal rows of v,
+        # above every other row, so each cell they reach ties between them
+        # and must come from a. Partial-reach: key b is reached from every
+        # key but a, whose row of v is the largest, so the bound (+inf for
+        # that pair) must drop no row that reaches b.
         rng = np.random.default_rng(33)
+        tied = case in ("integer", "key-tie")
         for trial in range(30):
             n_keys, n_chords, n_bass = rng.choice([(3, 4, 3), (4, 5, 2), (2, 6, 4)])
             slot_cap = int(rng.integers(1, n_bass + 1))
-            sparsity = 0.2 * (trial % 3 == 0)
+            sparsity = 0.2 * (trial % 3 == 0) if case in ("random", "integer") else 0.0
             tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, 3, sparsity, slot_cap)
-            if trial % 2:
+            if trial % 2 and case in ("random", "integer"):
                 tables.lf[:, rng.integers(n_keys)] = -np.inf
+            if case in ("key-tie", "partial-reach"):
+                a, b = np.sort(rng.choice(n_keys, 2, replace=False))
+            if case == "partial-reach":
+                tables.lf[a, b] = -np.inf
             if tied:
                 _integer_log_tables(tables, rng)
+            if case == "key-tie":
+                tables.lf[b] = tables.lf[a]
             _, log_trans, log_emis = _flat_tables(tables)
             layout = decode._layout(tables)
             cells = _flat_cells(layout.live, tables.slots, n_chords, n_bass)
@@ -540,6 +581,11 @@ class TestStep:
                 prev_cells = _flat_cells(prev.keys, prev.slots, n_chords, n_bass)
                 draw = rng.integers(-3, 0, prev_cells.shape) if tied else rng.normal(size=prev_cells.shape)
                 v_prev = np.where(rng.random(prev_cells.shape) < 0.1, -np.inf, draw)
+                rows = {int(k): r for r, k in enumerate(prev.keys)}
+                if case == "key-tie":
+                    v_prev[rows[a]] = v_prev[rows[b]] = 0.0
+                if case == "partial-reach":
+                    v_prev[rows[a]] += 10.0
                 score = np.full(log_trans.shape[0], -np.inf)
                 score[prev_cells] = v_prev
                 score = score[:, None] + log_trans  # (previous state, state)
@@ -547,14 +593,64 @@ class TestStep:
                 outside = np.ones(want.size, dtype=bool)
                 outside[cells] = False
                 assert np.all(want[outside] == -np.inf), f"trial {trial}: a state outside the layout lives"
-                lowest = np.argmax(score >= score.max(axis=0) - 1e-9, axis=0)
-                for form in STAGE3_FORMS:
-                    with stage3_form(form):
+                top = score >= score.max(axis=0) - 1e-9
+                lowest = np.argmax(top, axis=0)
+                if case == "key-tie":  # a and b both reach every live cell's maximum
+                    key_of = np.arange(top.shape[0]) // (n_chords * n_bass)
+                    both = top[key_of == a].any(axis=0) & top[key_of == b].any(axis=0)
+                    assert np.all(both[cells][np.isfinite(want[cells])])
+                for form in STAGE_FORMS:
+                    with stage_form(form):
                         v, backptr = decode._step(decode._layout(tables), v_prev, t)
                     np.testing.assert_allclose(v, want[cells], rtol=0, atol=1e-9)
                     live = np.isfinite(v)
                     got = prev_cells.ravel()[backptr[live]]
                     assert got.tolist() == lowest[cells][live].tolist(), f"trial {trial}, t={t}, {form}"
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "integer"])
+    def test_forms_agree_bit_for_bit(self, tied):
+        # Every frame's v and backpointers, dead cells included, equal
+        # between the dense and the pruned forms of stages 2 and 3. The
+        # random tables' chord emissions spread over hundreds of nats, as a
+        # trained model's do, so most frames keep one previous chord per
+        # stage-3 row and take the one-candidate tail; the integer tables,
+        # with -inf holes in every transition table, tie everywhere and
+        # leave keys that some rows do not reach.
+        rng = np.random.default_rng(34)
+        n_keys, n_chords, n_bass, T = 4, 30, 13, 10
+        if tied:
+            tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, 3)
+        else:
+            tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, T, slot_cap=3)
+            tables.emis_c[:] = rng.normal(scale=100.0, size=tables.emis_c.shape)
+        layouts = {}
+        for form in STAGE_FORMS:
+            with stage_form(form):
+                layouts[form] = decode._layout(tables)
+        v = (
+            tables.lpi_k[:, None, None]
+            + (tables.lpi_c + tables.emis_c[0])[None, :, None]
+            + (tables.lpi_b + tables.emis_b[0])[None, None, :]
+        )
+        one_candidate = 0
+        for t in range(1, T):
+            out, stage2 = {}, {}
+            for form, layout in layouts.items():
+                prev = layout.first if t == 1 else layout.rest
+                with stage_form(form):
+                    stage2[form] = decode._stage2(layout, prev, decode._stage1(prev, v)[0])
+                    out[form] = decode._step(layout, v, t)
+            for dense, pruned in zip(stage2["dense"], stage2["pruned"]):
+                assert np.array_equal(dense, pruned), f"frame {t}, stage 2"
+            stage_k, layout = stage2["pruned"][0], layouts["pruned"]
+            one_candidate += decode._stage3_candidates(stage_k, layout.lower, layout.scale).shape[2] == 1
+            (v, bp_dense), (v_pruned, bp_pruned) = out["dense"], out["pruned"]
+            assert v.tobytes() == v_pruned.tobytes(), f"frame {t}"
+            assert bp_dense.dtype == bp_pruned.dtype and np.array_equal(bp_dense, bp_pruned), f"frame {t}"
+        if tied:
+            assert layouts["pruned"].rest.gaps
+        else:
+            assert one_candidate >= (T - 1) // 2
 
 
 class TestViterbiJoint:
@@ -737,8 +833,8 @@ def test_fallback_emission_ties_pinned(constraints):
     model, treble, bass = _fallback_tie_case()
     fallback = np.all(model.chord_emis_mean == 0.5, axis=1)
     assert fallback.sum() == 115
-    for form in STAGE3_FORMS:
-        with stage3_form(form):
+    for form in STAGE_FORMS:
+        with stage_form(form):
             path = viterbi_joint(model, constraints, treble, bass)
         assert path.keys.tolist() == [0] * 9 + [1] * 3
         assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4

@@ -307,6 +307,7 @@ BAD_CONFIG_LINES = st.one_of(
     st.builds("alpha = {}".format, BAD_NUMBERS),
     st.builds("q_factor = {}".format, st.sampled_from(["nan", "inf", "-inf", "1e999"])),
     st.builds("cac = {}".format, st.sampled_from(["maybe", "2", "on", "off", "", "y", "truee"])),
+    st.builds("beat_period = {}".format, st.sampled_from(["0", "-1", "-0.5", "0.0", "-0"])),
     st.just(f"alphabet = full121{NOT_UTF8}"),
     st.builds("jobs = {}".format, st.sampled_from(["1.5", "two", ""])),
     st.builds("gamma = {}".format, st.sampled_from(["x", "0,x", "1.5"])),
@@ -337,6 +338,7 @@ def test_bad_config_line_named(tmp_path, data, bad):
         ("hop.cfg", "alpha = 0.1\nhop = abc\n", 2),
         ("nan.cfg", "hop = 512\nalpha = nan\n", 2),
         ("maybe.cfg", "cac = maybe\n", 1),
+        ("period.cfg", "hop = 512\nbeat_period = -1\n", 2),
         ("bytes.lab", f"0 1 C:maj\n1 2 G:maj {NOT_UTF8}\udcfe\n", 2),
         ("bytes.chroma", f"# {NOT_UTF8}\ntreble 1\n", 1),
     ],
