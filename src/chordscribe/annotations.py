@@ -307,18 +307,12 @@ class Alphabet:
     def label_at(self, state: int) -> str:
         return self.symbol_at(state).label()
 
-    def shift(self, state: int, semitones: int) -> int:
-        """Transpose a chord state's root; no-chord and unlabeled are fixed
-        points."""
-        if state < 0 or state == self.no_chord:
-            return state
-        return (state // 12) * 12 + (state % 12 + semitones) % 12
-
     @functools.cache
     def key_shift_table(self) -> np.ndarray:
-        """(N_KEYS, size), read-only: row k holds shift(state, -tonic of k)
-        for every chord state, the state with the same role relative to a
-        C tonic. Built once per alphabet."""
+        """(N_KEYS, size), read-only: row k moves every chord state's root
+        down by key k's tonic (no-chord stays), to its role relative to a C
+        tonic. Training counts chord transitions through it and decoding
+        expands them through it. Built once per alphabet."""
         states = np.arange(self.size)
         tonic = np.arange(N_KEYS)[:, None] % 12
         table = np.where(states == self.no_chord, states, states - states % 12 + (states - tonic) % 12)

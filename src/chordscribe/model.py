@@ -87,106 +87,86 @@ def _normalize_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _fit_gaussians(frames_per_state, dim, epsilon, state_names, warnings_out):
-    """Sample mean and MLE covariance (+ epsilon*I) per state; states with
-    no observations get a flat fallback (mean 0.5, cov 0.1*I) and a
-    warning."""
-    n = len(frames_per_state)
+def _fit_gaussians(frames, states, n, epsilon, state_names, warnings_out):
+    """Sample mean and MLE covariance (+ epsilon*I) of the frames of each
+    state 0..n-1, taken in frame order; states with no observations get a
+    flat fallback (mean 0.5, cov 0.1*I) and a warning."""
+    dim = frames.shape[1]
     means = np.full((n, dim), 0.5)
     covs = np.tile(0.1 * np.eye(dim), (n, 1, 1))
-    for s, rows in enumerate(frames_per_state):
-        if len(rows) == 0:
+    for s in range(n):
+        x = frames[states == s]
+        if len(x) == 0:
             warnings_out.append(f"no emission observations for {state_names(s)}")
             continue
-        x = np.asarray(rows)
         means[s] = x.mean(axis=0)
         centered = x - means[s]
         covs[s] = centered.T @ centered / x.shape[0] + epsilon * np.eye(dim)
     return means, covs
 
 
+def _counts(shape, *idx) -> np.ndarray:
+    """Table counting the index tuples (idx[0][t], idx[1][t], ...) over
+    frames t, except every tuple that holds an UNLABELED entry."""
+    labeled = np.logical_and.reduce([i != UNLABELED for i in idx])
+    out = np.zeros(shape)
+    np.add.at(out, tuple(i[labeled] for i in idx), 1)
+    return out
+
+
 def train(dataset, cfg: TrainConfig) -> HpModel:
     """Estimate every table of the model from labeled chromagram frames.
 
     dataset: iterable of (treble Chromagram, bass Chromagram, FrameLabels)
-    with equal frame counts per song. UNLABELED states are excluded from
-    every count they touch; transition counts need both endpoints labeled
-    (plus the key at the target frame, for chord transitions).
-    """
+    with equal frame counts per song, counted as one concatenation. One
+    rule holds for every count: it is skipped when a state it reads is
+    UNLABELED, and frame t - 1's states are UNLABELED at each song's first
+    frame, so no transition crosses two songs. A chord transition also
+    reads frame t's key, whose row of key_shift_table transposes both
+    chords. p(bass | chord) skips each song's first frame, where the
+    initial bass distribution applies instead."""
     dataset = list(dataset)
     if not dataset:
         raise ValueError("empty training dataset")
+    for treble, bass, labels in dataset:
+        if not (len(labels) == treble.n_frames == bass.n_frames):
+            raise ValueError("label/chromagram frame counts differ")
     alphabet = make_alphabet(cfg.alphabet)
     n_chords = alphabet.size
 
-    init_key_c = np.zeros(N_KEYS)
-    init_chord_c = np.zeros(n_chords)
-    init_bass_c = np.zeros(N_BASS)
-    key_c = np.zeros((N_KEYS, N_KEYS))
-    rel_c = np.zeros((2, n_chords, n_chords))
-    bc_c = np.zeros((n_chords, N_BASS))
-    bb_c = np.zeros((N_BASS, N_BASS))
-    cac_c = np.zeros((n_chords, n_chords))
+    t_frames = np.concatenate([treble.values.T for treble, _, _ in dataset])
+    b_frames = np.concatenate([bass.values.T for _, bass, _ in dataset])
+    k, c, b = (np.concatenate([getattr(fl, f) for *_, fl in dataset]) for f in ("key", "chord", "bass"))
+    first = np.isin(np.arange(len(k)), np.cumsum([0] + [len(fl) for *_, fl in dataset[:-1]]))
+    kp, cp, bp = (np.where(first, UNLABELED, np.roll(x, 1)) for x in (k, c, b))  # frame t - 1
+    shift = alphabet.key_shift_table()
 
-    chord_frames = [[] for _ in range(n_chords)]
-    bass_frames = [[] for _ in range(N_BASS)]
-    cac_frames = [[] for _ in range(n_chords)]
+    def relative(chords):  # chord states moved by the target frame's key, tonic on C
+        return np.where(chords == UNLABELED, UNLABELED, shift[k, chords])
 
-    for treble, bass_ch, labels in dataset:
-        t_frames = treble.values.T
-        b_frames = bass_ch.values.T
-        if not (len(labels) == t_frames.shape[0] == b_frames.shape[0]):
-            raise ValueError("label/chromagram frame counts differ")
-        k, c, b = labels.key, labels.chord, labels.bass
-        joint = np.concatenate([t_frames, b_frames], axis=1)
-
-        if k[0] != UNLABELED:
-            init_key_c[k[0]] += 1
-        if c[0] != UNLABELED:
-            init_chord_c[c[0]] += 1
-        if b[0] != UNLABELED:
-            init_bass_c[b[0]] += 1
-
-        for t in range(1, len(labels)):
-            if k[t - 1] != UNLABELED and k[t] != UNLABELED:
-                key_c[k[t - 1], k[t]] += 1
-            if c[t - 1] != UNLABELED and c[t] != UNLABELED:
-                cac_c[c[t - 1], c[t]] += 1
-                if k[t] != UNLABELED:
-                    tonic, mode = k[t] % 12, k[t] // 12
-                    rel_c[mode, alphabet.shift(c[t - 1], -tonic), alphabet.shift(c[t], -tonic)] += 1
-            if c[t] != UNLABELED and b[t] != UNLABELED:
-                bc_c[c[t], b[t]] += 1
-            if b[t - 1] != UNLABELED and b[t] != UNLABELED:
-                bb_c[b[t - 1], b[t]] += 1
-
-        for t in range(len(labels)):
-            if c[t] != UNLABELED:
-                chord_frames[c[t]].append(t_frames[t])
-                cac_frames[c[t]].append(joint[t])
-            if b[t] != UNLABELED:
-                bass_frames[b[t]].append(b_frames[t])
+    init_chord_c = _counts(n_chords, np.where(first, c, UNLABELED))
+    key_c = _counts((N_KEYS, N_KEYS), kp, k)
+    rel_c = _counts((2, n_chords, n_chords), k // 12, relative(cp), relative(c))  # mode; -1 // 12 is -1
+    bc_c = _counts((n_chords, N_BASS), np.where(first, UNLABELED, c), b)
+    cac_c = _counts((n_chords, n_chords), cp, c)
 
     warnings: list[str] = []
-    chord_mean, chord_cov = _fit_gaussians(
-        chord_frames, 12, cfg.epsilon, alphabet.label_at, warnings
-    )
-    bass_mean, bass_cov = _fit_gaussians(
-        bass_frames, 12, cfg.epsilon, lambda s: f"bass {s}", warnings
-    )
+    chord_mean, chord_cov = _fit_gaussians(t_frames, c, n_chords, cfg.epsilon, alphabet.label_at, warnings)
+    bass_mean, bass_cov = _fit_gaussians(b_frames, b, N_BASS, cfg.epsilon, lambda s: f"bass {s}", warnings)
     cac_mean, cac_cov = _fit_gaussians(
-        cac_frames, 24, cfg.epsilon, lambda s: f"{alphabet.label_at(s)} (chord-only)", warnings
-    )
+        np.hstack([t_frames, b_frames]), c, n_chords, cfg.epsilon,
+        lambda s: f"{alphabet.label_at(s)} (chord-only)", warnings,
+    )  # fmt: skip
 
     return HpModel(
         alphabet=alphabet,
-        init_key=_normalize_rows(init_key_c, cfg.alpha),
+        init_key=_normalize_rows(_counts(N_KEYS, np.where(first, k, UNLABELED)), cfg.alpha),
         init_chord=_normalize_rows(init_chord_c, cfg.alpha),
-        init_bass=_normalize_rows(init_bass_c, cfg.alpha),
+        init_bass=_normalize_rows(_counts(N_BASS, np.where(first, b, UNLABELED)), cfg.alpha),
         key_trans=_normalize_rows(key_c, cfg.alpha),
         chord_trans_rel=_normalize_rows(rel_c, cfg.alpha),
         bass_given_chord=_normalize_rows(bc_c, cfg.alpha),
-        bass_trans=_normalize_rows(bb_c, cfg.alpha),
+        bass_trans=_normalize_rows(_counts((N_BASS, N_BASS), bp, b), cfg.alpha),
         chord_emis_mean=chord_mean,
         chord_emis_cov=chord_cov,
         bass_emis_mean=bass_mean,

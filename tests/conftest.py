@@ -34,13 +34,22 @@ def transpose_key(state: int, semitones: int) -> int:
     return (state + semitones) % 12 + 12 * (state // 12)
 
 
+def shift_chord(alphabet, state: int, semitones: int) -> int:
+    """Transpose a chord state's root, one state at a time; no-chord and
+    unlabeled (negative) states are fixed points. The reference for
+    Alphabet.key_shift_table."""
+    if state < 0 or state == alphabet.no_chord:
+        return state
+    return (state // 12) * 12 + (state % 12 + semitones) % 12
+
+
 def transpose_labels(fl, semitones, alphabet):
     """Shift chord roots, key tonics, and bass pitch classes by a semitone
     count; modes/qualities, no-chord, no-bass, and unlabeled frames are
     fixed points."""
     if not 0 <= semitones <= 11:
         raise ValueError("semitones must be in 0..11")
-    chord = np.array([alphabet.shift(c, semitones) for c in fl.chord], dtype=np.int64)
+    chord = np.array([shift_chord(alphabet, c, semitones) for c in fl.chord], dtype=np.int64)
     key = np.array([transpose_key(k, semitones) for k in fl.key], dtype=np.int64)
     bass = np.where((fl.bass >= 0) & (fl.bass < 12), (fl.bass + semitones) % 12, fl.bass)
     return FrameLabels(key, chord, bass, fl.starts.copy(), fl.ends.copy())

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import transpose_key
+from conftest import shift_chord, transpose_key
 from hypothesis import given, settings, strategies as st
 
 from chordscribe.annotations import (
@@ -261,9 +261,9 @@ class TestAlphabet:
         a = make_alphabet("full121")
         amaj3 = a.index_of(parse_chord_symbol("A:maj/3"))
         cmaj3 = a.index_of(parse_chord_symbol("C:maj/3"))
-        assert a.shift(amaj3, 3) == cmaj3
-        assert a.shift(a.no_chord, 5) == a.no_chord
-        assert a.shift(amaj3, 12) == amaj3
+        assert shift_chord(a, amaj3, 3) == cmaj3
+        assert shift_chord(a, a.no_chord, 5) == a.no_chord
+        assert shift_chord(a, amaj3, 12) == amaj3
 
 
 class TestParseKeyLabel:

@@ -9,16 +9,20 @@ from conftest import (
     chord_trans_for_key,
     make_chromagram,
     make_frame_labels,
+    shift_chord,
     synthetic_frames,
     transpose_labels,
 )
 from hypothesis import given, settings, strategies as st
 
-from chordscribe.annotations import chord_pitch_classes, make_alphabet
+from chordscribe.annotations import N_BASS, N_KEYS, UNLABELED, chord_pitch_classes, make_alphabet
 from chordscribe.model import (
+    _SCHEMA,
+    ChordOnlyHmm,
     HpModel,
     ModelFormatError,
     TrainConfig,
+    _normalize_rows,
     gaussian_logpdf_frames,
     load_model,
     save_model,
@@ -48,6 +52,113 @@ def gaussian_logpdf(x, mean, cov) -> float:
     maha = float(diff @ cho_solve(factor, diff))
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+
+
+def _reference_gaussians(frames_per_state, dim, epsilon, state_names, warnings_out):
+    """_fit_gaussians over one list of frame rows per state."""
+    n = len(frames_per_state)
+    means = np.full((n, dim), 0.5)
+    covs = np.tile(0.1 * np.eye(dim), (n, 1, 1))
+    for s, rows in enumerate(frames_per_state):
+        if len(rows) == 0:
+            warnings_out.append(f"no emission observations for {state_names(s)}")
+            continue
+        x = np.asarray(rows)
+        means[s] = x.mean(axis=0)
+        centered = x - means[s]
+        covs[s] = centered.T @ centered / x.shape[0] + epsilon * np.eye(dim)
+    return means, covs
+
+
+def reference_train(dataset, cfg: TrainConfig) -> HpModel:
+    """train as a per-song, per-frame loop with one UNLABELED check per
+    count, transposing chords one state at a time: the reference for the
+    array form."""
+    dataset = list(dataset)
+    if not dataset:
+        raise ValueError("empty training dataset")
+    alphabet = make_alphabet(cfg.alphabet)
+    n_chords = alphabet.size
+
+    init_key_c = np.zeros(N_KEYS)
+    init_chord_c = np.zeros(n_chords)
+    init_bass_c = np.zeros(N_BASS)
+    key_c = np.zeros((N_KEYS, N_KEYS))
+    rel_c = np.zeros((2, n_chords, n_chords))
+    bc_c = np.zeros((n_chords, N_BASS))
+    bb_c = np.zeros((N_BASS, N_BASS))
+    cac_c = np.zeros((n_chords, n_chords))
+
+    chord_frames = [[] for _ in range(n_chords)]
+    bass_frames = [[] for _ in range(N_BASS)]
+    cac_frames = [[] for _ in range(n_chords)]
+
+    for treble, bass_ch, labels in dataset:
+        t_frames = treble.values.T
+        b_frames = bass_ch.values.T
+        if not (len(labels) == t_frames.shape[0] == b_frames.shape[0]):
+            raise ValueError("label/chromagram frame counts differ")
+        k, c, b = labels.key, labels.chord, labels.bass
+        joint = np.concatenate([t_frames, b_frames], axis=1)
+
+        if k[0] != UNLABELED:
+            init_key_c[k[0]] += 1
+        if c[0] != UNLABELED:
+            init_chord_c[c[0]] += 1
+        if b[0] != UNLABELED:
+            init_bass_c[b[0]] += 1
+
+        for t in range(1, len(labels)):
+            if k[t - 1] != UNLABELED and k[t] != UNLABELED:
+                key_c[k[t - 1], k[t]] += 1
+            if c[t - 1] != UNLABELED and c[t] != UNLABELED:
+                cac_c[c[t - 1], c[t]] += 1
+                if k[t] != UNLABELED:
+                    tonic, mode = k[t] % 12, k[t] // 12
+                    prev, cur = shift_chord(alphabet, c[t - 1], -tonic), shift_chord(alphabet, c[t], -tonic)
+                    rel_c[mode, prev, cur] += 1
+            if c[t] != UNLABELED and b[t] != UNLABELED:
+                bc_c[c[t], b[t]] += 1
+            if b[t - 1] != UNLABELED and b[t] != UNLABELED:
+                bb_c[b[t - 1], b[t]] += 1
+
+        for t in range(len(labels)):
+            if c[t] != UNLABELED:
+                chord_frames[c[t]].append(t_frames[t])
+                cac_frames[c[t]].append(joint[t])
+            if b[t] != UNLABELED:
+                bass_frames[b[t]].append(b_frames[t])
+
+    warnings: list[str] = []
+    chord_mean, chord_cov = _reference_gaussians(chord_frames, 12, cfg.epsilon, alphabet.label_at, warnings)
+    bass_mean, bass_cov = _reference_gaussians(bass_frames, 12, cfg.epsilon, lambda s: f"bass {s}", warnings)
+    cac_mean, cac_cov = _reference_gaussians(
+        cac_frames, 24, cfg.epsilon, lambda s: f"{alphabet.label_at(s)} (chord-only)", warnings
+    )
+
+    return HpModel(
+        alphabet=alphabet,
+        init_key=_normalize_rows(init_key_c, cfg.alpha),
+        init_chord=_normalize_rows(init_chord_c, cfg.alpha),
+        init_bass=_normalize_rows(init_bass_c, cfg.alpha),
+        key_trans=_normalize_rows(key_c, cfg.alpha),
+        chord_trans_rel=_normalize_rows(rel_c, cfg.alpha),
+        bass_given_chord=_normalize_rows(bc_c, cfg.alpha),
+        bass_trans=_normalize_rows(bb_c, cfg.alpha),
+        chord_emis_mean=chord_mean,
+        chord_emis_cov=chord_cov,
+        bass_emis_mean=bass_mean,
+        bass_emis_cov=bass_cov,
+        key_trans_counts=key_c,
+        chord_bass_counts=bc_c,
+        cac=ChordOnlyHmm(
+            init=_normalize_rows(init_chord_c, cfg.alpha),
+            trans=_normalize_rows(cac_c, cfg.alpha),
+            means=cac_mean,
+            covs=cac_cov,
+        ),
+        train_warnings=warnings,
+    )
 
 
 def fixture_dataset(alpha_kind="majmin25"):
@@ -225,8 +336,8 @@ class TestKeyShiftTable:
         m.chord_trans_rel = np.random.default_rng(4).random(m.chord_trans_rel.shape)
         a = m.alphabet
         for k in range(24):
-            # the construction from Alphabet.shift, one chord state at a time
-            perm = np.array([a.shift(c, -(k % 12)) for c in range(a.size)])
+            # the construction from shift_chord, one chord state at a time
+            perm = np.array([shift_chord(a, c, -(k % 12)) for c in range(a.size)])
             want = m.chord_trans_rel[k // 12][np.ix_(perm, perm)]
             assert np.array_equal(chord_trans_for_key(m, k), want)
             assert np.array_equal(a.key_shift_table()[k], perm)
@@ -366,13 +477,14 @@ class TestSerialization:
 
 
 @st.composite
-def labelled_songs(draw):
-    """An alphabet and one to three songs of random frames, every label
-    possibly UNLABELED (-1)."""
+def labelled_songs(draw, max_songs=3, labels=st.integers):
+    """An alphabet and one to max_songs songs of random frames, every label
+    possibly UNLABELED (-1); labels(-1, n - 1) draws one label of n
+    states."""
     kind = draw(st.sampled_from(["majmin25", "full121"]))
     size = make_alphabet(kind).size
-    frame = st.tuples(st.integers(-1, 23), st.integers(-1, size - 1), st.integers(-1, 12))
-    songs = draw(st.lists(st.lists(frame, min_size=1, max_size=12), min_size=1, max_size=3))
+    frame = st.tuples(labels(-1, 23), labels(-1, size - 1), labels(-1, 12))
+    songs = draw(st.lists(st.lists(frame, min_size=1, max_size=12), min_size=1, max_size=max_songs))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dataset = []
     for song in songs:
@@ -400,6 +512,25 @@ def test_trained_model_roundtrip_byte_identical(songs, alpha):
         assert first.read_bytes() == second.read_bytes()
     assert back.alphabet == m.alphabet
     np.testing.assert_array_equal(back.cac.covs, m.cac.covs)
+
+
+def _often_unlabeled(lo, hi):
+    """Labels that are UNLABELED about half the time, so unlabeled frames
+    fall at song starts and ends and between labeled ones."""
+    return st.just(lo) | st.integers(lo + 1, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_songs(max_songs=4, labels=_often_unlabeled), st.sampled_from([0.0, 0.1]))
+def test_train_matches_per_frame_reference(songs, alpha):
+    kind, dataset = songs
+    cfg = TrainConfig(alphabet=kind, alpha=alpha)
+    got, want = train(dataset, cfg), reference_train(dataset, cfg)
+    for name, _, _ in _SCHEMA:
+        owner_got, owner_want = (m.cac if name.startswith("cac_") else m for m in (got, want))
+        field = name.removeprefix("cac_")
+        assert np.array_equal(getattr(owner_got, field), getattr(owner_want, field)), name
+    assert got.train_warnings == want.train_warnings
 
 
 class TestModelValidation:

@@ -7,7 +7,9 @@ of a git ref, and compares every output file:
            chord, key and beat files, plus one-song sources at 48, 16 and
            8 kHz that only go through `chroma`
     chroma with beat files
-    train  majmin25 and full121
+    train  majmin25 and full121; and full121 with no key files, alpha 0
+           and every song in training, so every key is unlabeled and the
+           key-relative chord rows stay all zero
     decode gamma=0, tau=3, CAC (both models); full121 unconstrained,
            tau=3 alone and gamma=0 alone (a live-key subset with every
            chord and all 13 basses); and a `--jobs 2` sweep
@@ -159,6 +161,9 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
         steps.append((f"decode_tight_{alphabet}", ("decode", "--chroma-dir", "chroma",
                       "--model", f"models/{alphabet}.txt", "--gamma", "0", "--tau", "3", "--cac",
                       "--output-dir", f"decode/tight_{alphabet}")))  # fmt: skip
+    steps.append(("train_keyless", ("train", "--chroma-dir", "chroma", "--chords-dir", str(main / "chords"),
+                  "--alphabet", "full121", "--alpha", "0", "--train-fraction", "1.0",
+                  "--model", "models/full121_keyless.txt")))  # fmt: skip
     full = ("--chroma-dir", "chroma", "--model", "models/full121.txt")
     steps += [
         ("decode_free", ("decode", *full, "--output-dir", "decode/free")),
