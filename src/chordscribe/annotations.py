@@ -419,7 +419,8 @@ class FrameLabels:
     """Per-frame key/chord/bass states aligned to beat frames.
 
     UNLABELED (-1) marks frames outside annotation coverage; they are
-    excluded from training and evaluation.
+    excluded from training and evaluation. A state below it is an error
+    that names the field and the frame.
     """
 
     key: np.ndarray
@@ -437,6 +438,11 @@ class FrameLabels:
         sizes = {a.size for a in (self.key, self.chord, self.bass, self.starts, self.ends)}
         if len(sizes) != 1:
             raise ValueError("frame label arrays must share one length")
+        for field in ("key", "chord", "bass"):
+            states = getattr(self, field)
+            bad = np.flatnonzero(states < UNLABELED)
+            if bad.size:
+                raise ValueError(f"{field} state {states[bad[0]]} at frame {bad[0]} is below UNLABELED ({UNLABELED})")
 
     def __len__(self) -> int:
         return self.key.size

@@ -47,6 +47,19 @@ Kept rows are taken in ascending order and the lowest maximizing one wins,
 as in the dense form; a dead cell takes its key's first predecessor, as
 the dense form's ranks do.
 
+Stage 1 bounds each cell (k, c) of the previous v over its bass slots s:
+with mx the cell's maximum, at s0, its value at target bass u is at least
+mx + lh[s0, u], and slot s adds lh[s, u], so s below mx - delta_s[s0, s],
+delta_s[s0, s] = max_u (lh[s, u] - lh[s0, u]), cannot win or tie at any
+target; the slack 1e-9 * (1 + |mx| + 2 max |lh|) covers the roundings, as
+in stage 2. When every live cell keeps s0 alone (nearly every frame of an
+unconstrained decode), stage 1 takes mx + lh[s0, u] and s0 at every
+target u, as they are; a frame where some cell keeps more runs dense.
+Stage 1 stays dense on every frame when its tensor fits the dense budget
+(tight decodes, and the frames after frame 1 under tau or gamma alone) or
+a bass transition is -inf, where the dense form gives a dead target slot
+0 and the tail would give it s0.
+
 When every stage-3 row keeps one previous chord (most frames of an
 unconstrained decode), that chord is its cells' maximum and nothing ties
 it, so stage 3 takes the gathered value and the candidate as they are,
@@ -65,8 +78,8 @@ from .chroma import Chromagram
 from .model import ChordOnlyHmm, HpModel, gaussian_logpdf_frames
 
 _TIE_BIG = np.int32(2**30)
-# Stage 3's block budget in elements, and the form rules of stages 2 and 3
-# (module docstring)
+# Stage 3's block budget in elements, and the form rules of stages 1, 2
+# and 3 (module docstring)
 _STAGE3_BLOCK_ELEMENTS = 2**18
 _DENSE_ELEMENTS = _STAGE3_BLOCK_ELEMENTS
 _GATHER_COST = 4  # a gathered element costs about four dense ones
@@ -250,6 +263,10 @@ class _Prev(NamedTuple):
     slots: np.ndarray
     lh_g: np.ndarray  # (U, Cw, Sp) from each slot to each stage-1 target bass
     starts: np.ndarray  # (Kp, U, Cw) flat index of each stage-1 row's first element
+    lh_rows: np.ndarray  # (Cw * Sp, U) row c * Sp + s: lh_g[:, c, s]
+    delta_s: np.ndarray  # (Cw * Sp, Sp) [c * Sp + a, s]: the most slot s gains over slot a at any target
+    scale_s: float  # twice the largest |lh_g|, for the stage-1 slack
+    dense_s: bool  # stage 1 takes every previous slot on every frame
     lf_rows: np.ndarray  # (L, Kp) from each row to each live key, -inf for none
     delta: np.ndarray  # (Kp, Kp) [a, d]: the most row d gains over row a at any live key
     scale: float  # twice the largest finite |lf_rows|, for the stage-2 slack
@@ -276,6 +293,11 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
     rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
     lh_g = np.ascontiguousarray(tables.lh[slots][:, :, targets].transpose(2, 0, 1))
     starts = np.arange(0, lh_g.size * keys.size, slots.shape[1]).reshape(keys.size, *lh_g.shape[:2])
+    lh_rows = np.ascontiguousarray(lh_g.reshape(len(lh_g), -1).T)
+    with np.errstate(invalid="ignore"):  # -inf - -inf; a table with -inf keeps stage 1 dense
+        delta_s = (lh_g[:, :, None, :] - lh_g[..., None]).max(axis=0).reshape(lh_rows.shape[0], -1)
+    scale_s = 2 * float(np.abs(lh_g).max(initial=0))
+    dense_s = keys.size * lh_g.size <= _DENSE_ELEMENTS or not np.isfinite(scale_s)
     dense = live.size * deg * lh_g.shape[0] * lh_g.shape[1] <= _DENSE_ELEMENTS
     n_keys, cw, _ = tables.lg.shape
     n_expanded = (
@@ -284,7 +306,10 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
         + tables.slots.shape[1] * int(np.isfinite(tables.lg).sum())
     )
     gaps = not fin.all()
-    return _Prev(keys, slots, lh_g, starts, lf_rows, delta, scale, gaps, dense, pred, lf_pred, rank, n_expanded)
+    return _Prev(
+        keys, slots, lh_g, starts, lh_rows, delta_s, scale_s, dense_s, lf_rows, delta, scale, gaps, dense, pred,
+        lf_pred, rank, n_expanded,
+    )
 
 
 class _Layout(NamedTuple):
@@ -344,7 +369,22 @@ def _step(layout: _Layout, v: np.ndarray, t: int):
 
 def _stage1(prev: _Prev, v):
     """Collapse the previous bass over the last axis of (Kp, U, Cw, Sp),
-    to the lowest maximizing slot (bass); returns maxima and slots."""
+    to the lowest maximizing slot (bass); returns the (Kp, U, Cw) maxima
+    and slots. Unless dense, a frame whose bound keeps only each cell's
+    maximizing slot s0 takes it at every target bass."""
+    if not prev.dense_s:
+        s0 = v.argmax(axis=-1)
+        mx = np.take_along_axis(v, s0[..., None], axis=-1)
+        row = s0 + np.arange(0, prev.lh_rows.shape[0], v.shape[-1])  # (Kp, Cw) rows c * Sp + s0
+        alive = mx > -np.inf
+        thr = np.where(alive, mx - 1e-9 * (1 + np.abs(mx) + prev.scale_s), np.inf)
+        # a live cell keeps s0 at least and a dead one nothing, so equal
+        # counts mean that every live cell keeps s0 alone
+        if np.count_nonzero(v >= thr - np.take(prev.delta_s, row, axis=0)) == np.count_nonzero(alive):
+            stage_b = np.take(prev.lh_rows, row, axis=0)  # (Kp, Cw, U)
+            stage_b += mx
+            stage_b = np.ascontiguousarray(stage_b.transpose(0, 2, 1))
+            return stage_b, np.broadcast_to(s0[:, None], stage_b.shape)
     tmp = v[:, None] + prev.lh_g
     from_s = tmp.argmax(axis=-1)
     return tmp.reshape(-1)[from_s + prev.starts], from_s
@@ -402,7 +442,7 @@ def _stage3_candidates(stage_k, lower, scale):
     """(L, U, D) previous chords of each stage-3 row (k, u) that the bound
     keeps, ascending, padded to the widest row with chords it drops."""
     cp0 = stage_k.argmax(axis=-1)[..., None]
-    mx = stage_k.max(axis=-1, keepdims=True)
+    mx = np.take_along_axis(stage_k, cp0, axis=-1)
     k = np.arange(len(stage_k))[:, None, None]
     thr = mx + lower[k, cp0] - 1e-9 * (1 + np.abs(mx) + scale[k, cp0])
     keep = stage_k >= np.where(mx > -np.inf, thr, np.inf)

@@ -124,15 +124,23 @@ def train(dataset, cfg: TrainConfig) -> HpModel:
     frame, so no transition crosses two songs. A chord transition also
     reads frame t's key, whose row of key_shift_table transposes both
     chords. p(bass | chord) skips each song's first frame, where the
-    initial bass distribution applies instead."""
+    initial bass distribution applies instead. A state at or above its
+    count (24 keys, the alphabet's chords, 13 basses) is an error naming
+    the song, by its position in dataset, and the frame."""
     dataset = list(dataset)
     if not dataset:
         raise ValueError("empty training dataset")
-    for treble, bass, labels in dataset:
-        if not (len(labels) == treble.n_frames == bass.n_frames):
-            raise ValueError("label/chromagram frame counts differ")
     alphabet = make_alphabet(cfg.alphabet)
     n_chords = alphabet.size
+    for song, (treble, bass, labels) in enumerate(dataset):
+        if not (len(labels) == treble.n_frames == bass.n_frames):
+            raise ValueError("label/chromagram frame counts differ")
+        for name, n in (("key", N_KEYS), ("chord", n_chords), ("bass", N_BASS)):
+            states = getattr(labels, name)
+            bad = np.flatnonzero(states >= n)
+            if bad.size:
+                state, frame = states[bad[0]], bad[0]
+                raise ValueError(f"song {song}: {name} state {state} at frame {frame} exceeds the last, {n - 1}")
 
     t_frames = np.concatenate([treble.values.T for treble, _, _ in dataset])
     b_frames = np.concatenate([bass.values.T for _, bass, _ in dataset])

@@ -18,6 +18,7 @@ from chordscribe.annotations import (
     UNLABELED,
     Alphabet,
     ChordSymbol,
+    FrameLabels,
     LabParseError,
     beat_sync_labels,
     chord_pitch_classes,
@@ -341,6 +342,15 @@ class TestBeatSyncLabels:
         iv = self._iv([(0.0, 1.0, "N")])
         with pytest.raises(ValueError):
             most_prevalent_labels(iv, [0.0, 0.5, 0.4])
+
+
+@pytest.mark.parametrize("field", ["key", "chord", "bass"])
+def test_frame_labels_reject_states_below_unlabeled(field):
+    states = {name: [0, UNLABELED, 0, 0] for name in ("key", "chord", "bass")}
+    states[field] = [0, UNLABELED, UNLABELED - 1, 0]
+    grid = np.arange(4.0)
+    with pytest.raises(ValueError, match=rf"^{field} state -2 at frame 2 is below UNLABELED \(-1\)$"):
+        FrameLabels(**states, starts=grid, ends=grid + 1)
 
 
 class TestFrameLabelIO:

@@ -243,12 +243,20 @@ STAGE_FORMS = {
 
 @contextlib.contextmanager
 def stage_form(form):
-    """Force stages 2 and 3 dense (every previous key and chord) or pruned
-    (the ones their bounds keep) on every frame, whatever the table sizes."""
+    """Force stages 1, 2 and 3 dense (every previous bass, key and chord)
+    or pruned (the ones their bounds keep) on every frame, whatever the
+    table sizes; stage 1 stays dense under either form when a bass
+    transition is -inf."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in STAGE_FORMS[form].items():
             patch.setattr(decode, name, value)
         yield
+
+
+def _took_stage1_tail(from_s):
+    """Whether stage 1 took its one-slot tail, which returns each cell's
+    maximizing slot broadcast over the target basses."""
+    return from_s.strides[1] == 0
 
 
 def _assert_matches_enumeration(tables, flat, trial):
@@ -505,6 +513,60 @@ class TestViterbiOracle:
                 keys, chords, basses, lp, _ = _viterbi_tables(tables)
             assert keys.tolist() == [0, 0] and lp == a + q, form
 
+    def test_pruned_stage1_keeps_float_ties_below_the_bound(self):
+        # Bass 1 holds the frame-0 maximum mx, and bass 0 sits one ulp below
+        # the stage-1 threshold mx - (q - p) that bass 1 sets for it, yet in
+        # floats its path into bass 0 ties bass 1's, and the tie goes to the
+        # lower bass; the slack keeps it. Into bass 1, bass 1 wins by far.
+        mx, p, q = -12.3, -2.3, -0.1  # bass 1's v, bass 1 -> 0, bass 0 -> 0
+        a = np.nextafter(mx + (p - q), -np.inf)
+        assert a + q == mx + p and a < mx - (q - p)
+        tables = decode._LogTables(
+            lpi_k=np.zeros(1),
+            lpi_c=np.zeros(1),
+            lpi_b=np.array([a, mx]),
+            lf=np.zeros((1, 1)),
+            lg=np.zeros((1, 1, 1)),
+            lh=np.array([[q, -5.0], [p, -1.0]]),
+            lr=np.zeros((1, 2)),
+            slots=np.array([[0, 1]]),
+            working=np.arange(1),
+            emis_c=np.zeros((2, 1)),
+            emis_b=np.array([[0.0, 0.0], [0.0, -1000.0]]),
+        )
+        for form in STAGE_FORMS:
+            with stage_form(form):
+                keys, chords, basses, lp, _ = _viterbi_tables(tables)
+            assert basses.tolist() == [0, 0] and lp == a + q, form
+
+    def test_stage1_stays_dense_when_a_bass_transition_is_minus_inf(self):
+        # Bass 0 holds the frame-0 maximum, but it cannot move to bass 1,
+        # which frame 1 needs: the best path there comes from bass 1. Taking
+        # each cell's maximizing slot at every target would lose that path,
+        # so a -inf bass transition keeps stage 1 dense.
+        tables = decode._LogTables(
+            lpi_k=np.zeros(1),
+            lpi_c=np.zeros(1),
+            lpi_b=np.array([0.0, -5.0]),
+            lf=np.zeros((1, 1)),
+            lg=np.zeros((1, 1, 1)),
+            lh=np.array([[0.0, -np.inf], [-1.0, -1.0]]),
+            lr=np.zeros((1, 2)),
+            slots=np.array([[0, 1]]),
+            working=np.arange(1),
+            emis_c=np.zeros((2, 1)),
+            emis_b=np.array([[0.0, 0.0], [-1000.0, 0.0]]),
+        )
+        ref_lp, ref_path = flat_viterbi(*tables_to_flat(tables))
+        assert split_flat_path(ref_path, 1, 2)[2] == [1, 1] and ref_lp == -6.0
+        for form in STAGE_FORMS:
+            with stage_form(form):
+                layout = decode._layout(tables)
+                v = tables.lpi_b[None, None] + tables.emis_b[0]
+                assert not _took_stage1_tail(decode._stage1(layout.first, v)[1]), form
+                keys, chords, basses, lp, _ = _viterbi_tables(tables)
+            assert basses.tolist() == [1, 1] and lp == ref_lp, form
+
     def test_tie_break_on_quantized_tables(self):
         # integer-valued log tables make ties exact; the decoder must agree
         # with enumeration's reversed-lexicographic rule on every one
@@ -543,7 +605,7 @@ def _flat_cells(keys, slots, n_chords, n_bass):
 
 
 class TestStep:
-    @pytest.mark.parametrize("case", ["random", "integer", "key-tie", "partial-reach"])
+    @pytest.mark.parametrize("case", ["random", "integer", "key-tie", "partial-reach", "bass-tail"])
     def test_one_step_matches_flat_maximum(self, case):
         # One frame on its own, from a drawn previous v: at frame 1, which
         # reads every key and bass, and at frame 2, which reads the live
@@ -555,9 +617,13 @@ class TestStep:
         # above every other row, so each cell they reach ties between them
         # and must come from a. Partial-reach: key b is reached from every
         # key but a, whose row of v is the largest, so the bound (+inf for
-        # that pair) must drop no row that reaches b.
+        # that pair) must drop no row that reaches b. Bass-tail aims at the
+        # stage-1 bound: every bass transition is finite and v spreads over
+        # hundreds of nats, so the pruned form mostly takes stage 1's
+        # one-slot tail.
         rng = np.random.default_rng(33)
         tied = case in ("integer", "key-tie")
+        steps = tails = 0
         for trial in range(30):
             n_keys, n_chords, n_bass = rng.choice([(3, 4, 3), (4, 5, 2), (2, 6, 4)])
             slot_cap = int(rng.integers(1, n_bass + 1))
@@ -580,6 +646,8 @@ class TestStep:
             for t, prev in ((1, layout.first), (2, layout.rest))[: 1 + bool(layout.live.size)]:
                 prev_cells = _flat_cells(prev.keys, prev.slots, n_chords, n_bass)
                 draw = rng.integers(-3, 0, prev_cells.shape) if tied else rng.normal(size=prev_cells.shape)
+                if case == "bass-tail":
+                    draw *= 100.0
                 v_prev = np.where(rng.random(prev_cells.shape) < 0.1, -np.inf, draw)
                 rows = {int(k): r for r, k in enumerate(prev.keys)}
                 if case == "key-tie":
@@ -601,28 +669,47 @@ class TestStep:
                     assert np.all(both[cells][np.isfinite(want[cells])])
                 for form in STAGE_FORMS:
                     with stage_form(form):
-                        v, backptr = decode._step(decode._layout(tables), v_prev, t)
+                        formed = decode._layout(tables)
+                        v, backptr = decode._step(formed, v_prev, t)
+                        if form == "pruned":
+                            formed_prev = formed.first if t == 1 else formed.rest
+                            tails += _took_stage1_tail(decode._stage1(formed_prev, v_prev)[1])
                     np.testing.assert_allclose(v, want[cells], rtol=0, atol=1e-9)
                     live = np.isfinite(v)
                     got = prev_cells.ravel()[backptr[live]]
                     assert got.tolist() == lowest[cells][live].tolist(), f"trial {trial}, t={t}, {form}"
+                steps += 1
+        if case == "bass-tail":
+            assert tails >= steps // 2, (tails, steps)
 
-    @pytest.mark.parametrize("tied", [False, True], ids=["random", "integer"])
-    def test_forms_agree_bit_for_bit(self, tied):
-        # Every frame's v and backpointers, dead cells included, equal
-        # between the dense and the pruned forms of stages 2 and 3. The
-        # random tables' chord emissions spread over hundreds of nats, as a
-        # trained model's do, so most frames keep one previous chord per
-        # stage-3 row and take the one-candidate tail; the integer tables,
-        # with -inf holes in every transition table, tie everywhere and
-        # leave keys that some rows do not reach.
+    @pytest.mark.parametrize("case", ["random", "integer", "bass-tail"])
+    def test_forms_agree_bit_for_bit(self, case):
+        # Every frame's v and backpointers, and the outputs of stages 1 and
+        # 2, dead cells included, equal between the dense and the pruned
+        # forms of stages 1, 2 and 3. The random tables' chord emissions
+        # spread over hundreds of nats, as a trained model's do, so most
+        # frames keep one previous chord per stage-3 row and take the
+        # one-candidate tail; the integer tables, with -inf holes in every
+        # transition table, tie everywhere and leave keys that some rows do
+        # not reach. Bass-tail spreads the bass emissions over thousands of
+        # nats and keeps every bass transition finite, so most frames keep one previous bass per
+        # stage-1 cell and take the one-slot tail, with -inf holes in the
+        # other tables and one chord impossible throughout, whose dead cells
+        # keep slot 0 as in the dense form (the chord's -inf column keeps
+        # stage 3's rows whole).
         rng = np.random.default_rng(34)
         n_keys, n_chords, n_bass, T = 4, 30, 13, 10
-        if tied:
+        if case == "integer":
             tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, 3)
         else:
-            tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, T, slot_cap=3)
+            tables, _ = random_log_tables(
+                rng, n_keys, n_chords, n_bass, T, sparsity=0.1 * (case == "bass-tail"), slot_cap=3
+            )
             tables.emis_c[:] = rng.normal(scale=100.0, size=tables.emis_c.shape)
+        if case == "bass-tail":
+            tables.lh[~np.isfinite(tables.lh)] = -5.0
+            tables.emis_b[:] = rng.normal(scale=1e4, size=tables.emis_b.shape)
+            tables.lpi_c[1] = tables.lg[:, :, 1] = -np.inf
         layouts = {}
         for form in STAGE_FORMS:
             with stage_form(form):
@@ -632,25 +719,30 @@ class TestStep:
             + (tables.lpi_c + tables.emis_c[0])[None, :, None]
             + (tables.lpi_b + tables.emis_b[0])[None, None, :]
         )
-        one_candidate = 0
+        one_candidate = one_slot = 0
         for t in range(1, T):
-            out, stage2 = {}, {}
+            out, stage1, stage2 = {}, {}, {}
             for form, layout in layouts.items():
                 prev = layout.first if t == 1 else layout.rest
                 with stage_form(form):
-                    stage2[form] = decode._stage2(layout, prev, decode._stage1(prev, v)[0])
+                    stage1[form] = decode._stage1(prev, v)
+                    stage2[form] = decode._stage2(layout, prev, stage1[form][0])
                     out[form] = decode._step(layout, v, t)
-            for dense, pruned in zip(stage2["dense"], stage2["pruned"]):
-                assert np.array_equal(dense, pruned), f"frame {t}, stage 2"
+            one_slot += _took_stage1_tail(stage1["pruned"][1])
+            for stage, got in (("stage 1", stage1), ("stage 2", stage2)):
+                for dense, pruned in zip(got["dense"], got["pruned"]):
+                    assert dense.dtype == pruned.dtype and np.array_equal(dense, pruned), f"frame {t}, {stage}"
             stage_k, layout = stage2["pruned"][0], layouts["pruned"]
             one_candidate += decode._stage3_candidates(stage_k, layout.lower, layout.scale).shape[2] == 1
             (v, bp_dense), (v_pruned, bp_pruned) = out["dense"], out["pruned"]
             assert v.tobytes() == v_pruned.tobytes(), f"frame {t}"
             assert bp_dense.dtype == bp_pruned.dtype and np.array_equal(bp_dense, bp_pruned), f"frame {t}"
-        if tied:
+        if case == "integer":
             assert layouts["pruned"].rest.gaps
-        else:
+        elif case == "random":
             assert one_candidate >= (T - 1) // 2
+        else:
+            assert one_slot >= (T - 1) // 2 and not np.isfinite(v[:, 1]).any()
 
 
 class TestViterbiJoint:

@@ -260,6 +260,20 @@ class TestTrainValidation:
         with pytest.raises(ValueError):
             train([(make_chromagram(t), make_chromagram(b, "bass"), labels)], TrainConfig())
 
+    @pytest.mark.parametrize("field, last", [("key", N_KEYS - 1), ("chord", 24), ("bass", N_BASS - 1)])
+    def test_states_past_the_last_name_song_and_frame(self, field, last):
+        songs = []
+        for song in range(2):
+            states = {name: [0, 0, UNLABELED] for name in ("key", "chord", "bass")}
+            if song == 1:
+                states[field] = [0, last, last + 1]
+            t, b = synthetic_frames([0, 0, 0], [0, 0, 0])
+            labels = make_frame_labels(states["key"], states["chord"], states["bass"])
+            songs.append((make_chromagram(t), make_chromagram(b, "bass"), labels))
+        msg = rf"^song 1: {field} state {last + 1} at frame 2 exceeds the last, {last}$"
+        with pytest.raises(ValueError, match=msg):
+            train(songs, TrainConfig(alphabet="majmin25"))
+
     def test_unseen_states_reported_and_usable(self):
         m = train(fixture_dataset(), TrainConfig(alpha=0.1))
         assert any("no emission observations" in w for w in m.train_warnings)
