@@ -60,10 +60,15 @@ Stage 1 stays dense on every frame when its tensor fits the dense budget
 a bass transition is -inf, where the dense form gives a dead target slot
 0 and the tail would give it s0.
 
-When every stage-3 row keeps one previous chord (most frames of an
-unconstrained decode), that chord is its cells' maximum and nothing ties
-it, so stage 3 takes the gathered value and the candidate as they are,
-with no argmax or tie check.
+Stage 1's tail writes its maxima once as (U, Cw, Kp), which stage 2
+reads as (Kp, U, Cw) with each column n = (u, c) one contiguous row of
+Kp keys, and returns s0 alone, (Kp, Cw), as its slots. A frame's
+backpointers are uint16 (L, Cw, S): per cell, the flat (row, chord, slot)
+index in the previous v, packed from stage 2's row, stage 3's chord and
+stage 1's slot. When every stage-3 row (k, u) keeps one previous chord
+(most frames of an unconstrained decode), it is the row's maximum, nothing
+ties it and all the row's cells share one previous state: stage 3 takes
+the gathered values as they are and packs one index per row.
 """
 
 from __future__ import annotations
@@ -167,21 +172,23 @@ def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
     alpha = np.empty((T, n))
     pred = np.empty((T, n))  # pred[t] = alpha[t-1] @ A, the one-step prediction
     pred[0] = hmm.init
+    x = np.empty(n)  # one frame's work buffer, forward then backward
     with np.errstate(divide="ignore"):
         for t in range(T):
             if t > 0:
-                pred[t] = alpha[t - 1] @ hmm.trans
-            x = np.log(pred[t]) + log_e[t]
+                np.matmul(alpha[t - 1], hmm.trans, out=pred[t])
+            np.add(np.log(pred[t], out=x), log_e[t], out=x)
             peak = x.max()
             if not np.isfinite(peak):
                 raise ValueError(f"no admissible chord state at frame {t}")
-            alpha[t] = np.exp(x - peak)
+            np.exp(np.subtract(x, peak, out=x), out=alpha[t])
             alpha[t] /= alpha[t].sum()
     post = np.empty((T, n))
     post[-1] = alpha[-1]
     denom = np.where(pred > 0, pred, 1.0)  # post is 0 where pred is, and 0/1 = 0
     for t in range(T - 2, -1, -1):
-        post[t] = alpha[t] * (hmm.trans @ (post[t + 1] / denom[t + 1]))
+        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=post[t])
+        post[t] *= alpha[t]
         post[t] /= post[t].sum()
     return post
 
@@ -263,7 +270,6 @@ class _Prev(NamedTuple):
     slots: np.ndarray
     lh_g: np.ndarray  # (U, Cw, Sp) from each slot to each stage-1 target bass
     starts: np.ndarray  # (Kp, U, Cw) flat index of each stage-1 row's first element
-    lh_rows: np.ndarray  # (Cw * Sp, U) row c * Sp + s: lh_g[:, c, s]
     delta_s: np.ndarray  # (Cw * Sp, Sp) [c * Sp + a, s]: the most slot s gains over slot a at any target
     scale_s: float  # twice the largest |lh_g|, for the stage-1 slack
     dense_s: bool  # stage 1 takes every previous slot on every frame
@@ -293,9 +299,8 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
     rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
     lh_g = np.ascontiguousarray(tables.lh[slots][:, :, targets].transpose(2, 0, 1))
     starts = np.arange(0, lh_g.size * keys.size, slots.shape[1]).reshape(keys.size, *lh_g.shape[:2])
-    lh_rows = np.ascontiguousarray(lh_g.reshape(len(lh_g), -1).T)
     with np.errstate(invalid="ignore"):  # -inf - -inf; a table with -inf keeps stage 1 dense
-        delta_s = (lh_g[:, :, None, :] - lh_g[..., None]).max(axis=0).reshape(lh_rows.shape[0], -1)
+        delta_s = (lh_g[:, :, None, :] - lh_g[..., None]).max(axis=0).reshape(-1, slots.shape[1])
     scale_s = 2 * float(np.abs(lh_g).max(initial=0))
     dense_s = keys.size * lh_g.size <= _DENSE_ELEMENTS or not np.isfinite(scale_s)
     dense = live.size * deg * lh_g.shape[0] * lh_g.shape[1] <= _DENSE_ELEMENTS
@@ -307,7 +312,7 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
     )
     gaps = not fin.all()
     return _Prev(
-        keys, slots, lh_g, starts, lh_rows, delta_s, scale_s, dense_s, lf_rows, delta, scale, gaps, dense, pred,
+        keys, slots, lh_g, starts, delta_s, scale_s, dense_s, lf_rows, delta, scale, gaps, dense, pred,
         lf_pred, rank, n_expanded,
     )
 
@@ -326,8 +331,7 @@ class _Layout(NamedTuple):
     scale: np.ndarray  # and its magnitude, for the slack
     lg_rows: np.ndarray  # (L, Cw, 1, 1) flat lg_live index of each row
     key_idx: np.ndarray  # (L, 1, 1)
-    row_base: np.ndarray  # (L, Cw, S) flat index of each cell's (k, u, 0) in a stage-2 output
-    col_base: np.ndarray  # (Cw, S) and of its (u, 0) in one (U, Cw) block
+    key_u: np.ndarray  # (L, Cw, S) flat index of each cell's row (k, u) in a stage-2 output's (L, U)
     bp_dtype: np.dtype  # holds a flat (row, chord, slot) index of any v
 
 
@@ -348,12 +352,10 @@ def _layout(tables: _LogTables) -> _Layout:
     scale = np.abs(colmin) + np.abs(gmax)
     lg_rows = (np.arange(live.size * cw) * cw).reshape(live.size, cw, 1, 1)
     key_idx = np.arange(live.size)[:, None, None]
-    col_base = slot_t * cw
-    row_base = key_idx * (targets.size * cw) + col_base
+    key_u = key_idx * targets.size + slot_t
     bp_dtype = np.min_scalar_type(n_keys * cw * n_bass - 1)
     return _Layout(
-        tables, live, first, rest, slot_t, lg_live, dense, lower, scale, lg_rows, key_idx, row_base, col_base,
-        bp_dtype,
+        tables, live, first, rest, slot_t, lg_live, dense, lower, scale, lg_rows, key_idx, key_u, bp_dtype
     )
 
 
@@ -371,20 +373,20 @@ def _stage1(prev: _Prev, v):
     """Collapse the previous bass over the last axis of (Kp, U, Cw, Sp),
     to the lowest maximizing slot (bass); returns the (Kp, U, Cw) maxima
     and slots. Unless dense, a frame whose bound keeps only each cell's
-    maximizing slot s0 takes it at every target bass."""
+    maximizing slot s0 takes it at every target bass, in stage 2's column
+    order, and returns s0 as the slots (module docstring)."""
     if not prev.dense_s:
         s0 = v.argmax(axis=-1)
         mx = np.take_along_axis(v, s0[..., None], axis=-1)
-        row = s0 + np.arange(0, prev.lh_rows.shape[0], v.shape[-1])  # (Kp, Cw) rows c * Sp + s0
+        row = s0 + np.arange(0, prev.delta_s.shape[0], v.shape[-1])  # (Kp, Cw) rows c * Sp + s0
         alive = mx > -np.inf
         thr = np.where(alive, mx - 1e-9 * (1 + np.abs(mx) + prev.scale_s), np.inf)
         # a live cell keeps s0 at least and a dead one nothing, so equal
         # counts mean that every live cell keeps s0 alone
         if np.count_nonzero(v >= thr - np.take(prev.delta_s, row, axis=0)) == np.count_nonzero(alive):
-            stage_b = np.take(prev.lh_rows, row, axis=0)  # (Kp, Cw, U)
-            stage_b += mx
-            stage_b = np.ascontiguousarray(stage_b.transpose(0, 2, 1))
-            return stage_b, np.broadcast_to(s0[:, None], stage_b.shape)
+            stage_b = np.take(prev.lh_g.reshape(len(prev.lh_g), -1), row.T, axis=1)  # (U, Cw, Kp)
+            stage_b += mx[..., 0].T
+            return stage_b.transpose(2, 0, 1), s0
     tmp = v[:, None] + prev.lh_g
     from_s = tmp.argmax(axis=-1)
     return tmp.reshape(-1)[from_s + prev.starts], from_s
@@ -401,6 +403,8 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b):
             return _stage2_pruned(prev, stage_b, cand)
     tmp = np.take(stage_b, prev.pred, axis=0)
     tmp += prev.lf_pred
+    if tmp.shape[1] == 1:  # one predecessor per key: gamma-pruned models trained without modulations
+        return tmp[:, 0], np.broadcast_to(prev.pred[:, :, None], tmp[:, 0].shape)
     stage_k = tmp.max(axis=1)
     from_d = prev.rank.shape[0] - (np.equal(tmp, stage_k[:, None]) * prev.rank).max(axis=1)
     return stage_k, prev.pred[layout.key_idx, from_d]
@@ -410,13 +414,13 @@ def _stage2_candidates(prev: _Prev, stage_b):
     """(D, N) rows of each stage-2 column n = (u, c) that the bound keeps,
     ascending, padded to the widest column with repeats of its maximizing
     row d0, which is all a dead column keeps."""
-    cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)  # (N, Kp)
+    cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)  # (N, Kp), as stage 1's tail wrote it
     d0 = cols.argmax(axis=1)
     mx = np.take_along_axis(cols, d0[:, None], axis=1)
     with np.errstate(invalid="ignore"):  # a dead column's inf - inf
         thr = np.where(mx > -np.inf, mx - 1e-9 * (1 + np.abs(mx) + prev.scale), np.inf)
         keep = cols >= thr - np.take(prev.delta, d0, axis=0)
-    at, rows = np.nonzero(keep)
+    at, rows = np.divmod(np.flatnonzero(keep), keep.shape[1])
     count = np.bincount(at, minlength=len(cols))
     cand = np.tile(d0, (max(1, int(count.max(initial=0))), 1))
     cand[np.arange(at.size) - (np.cumsum(count) - count)[at], at] = rows
@@ -454,30 +458,44 @@ def _stage3_candidates(stage_k, lower, scale):
 
 def _stage3(layout: _Layout, prev: _Prev, t, stage_k, from_row, from_s):
     """Collapse the previous chord over the last axis of (k, c, S, W), W
-    every previous chord or the candidates the bound keeps, in key blocks
-    under the element budget; returns frame t's v and backpointers."""
+    every previous chord or the candidates the bound keeps, whole when each
+    row keeps one and otherwise in key blocks under the element budget;
+    returns frame t's v and backpointers."""
     tables = layout.tables
     n_live, cw, s = layout.live.size, tables.working.size, tables.slots.shape[1]
     cand = None if layout.dense else _stage3_candidates(stage_k, layout.lower, layout.scale)
     if cand is not None and cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
-    # elements per (k, c, S) cell: Cw dense; pruned, 3 D and 24 for the tail
-    block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * s * (cw if cand is None else 3 * cand.shape[2] + 24)))
-    prev_k = stage_k if cand is None else np.take_along_axis(stage_k, cand, axis=-1)
     extra = tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
+    prev_k = stage_k if cand is None else np.take_along_axis(stage_k, cand, axis=-1)
+    if cand is not None and cand.shape[2] == 1:
+        v = np.take(layout.lg_live, np.take(cand, layout.key_u) + layout.lg_rows[..., 0])  # (L, Cw, S)
+        v += np.take(prev_k, layout.key_u)
+        v += extra
+        at = np.arange(0, stage_k.size, cw).reshape(cand.shape) + cand  # (L, U, 1) in stage 2's output
+        packed = _pack(prev, from_row, from_s, at, layout.key_idx, cand).astype(layout.bp_dtype)
+        return v, np.take(packed, layout.key_u)
+    # elements per (k, c, S) cell: Cw dense; pruned, 3 D and 24 for the tie path
+    block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * s * (cw if cand is None else 3 * cand.shape[2] + 24)))
     v = np.empty((n_live, cw, s))
     backptr = np.empty(v.shape, dtype=layout.bp_dtype)
-    n_cols = from_s[0].size
     for k0 in range(0, n_live, block):
         ks = slice(k0, k0 + block)
         best, from_c = _stage3_block(layout, ks, prev_k, cand, from_row)
-        row = np.take(from_row, layout.row_base[ks] + from_c)
-        at_s = row * n_cols
-        at_s += layout.col_base
-        at_s += from_c
         v[ks] = best + extra
-        backptr[ks] = (row * cw + from_c) * prev.slots.shape[1] + np.take(from_s, at_s)
+        backptr[ks] = _pack(prev, from_row, from_s, layout.key_u[ks] * cw + from_c, layout.key_idx[ks], from_c)
     return v, backptr
+
+
+def _pack(prev: _Prev, from_row, from_s, at, k, from_c):
+    """Backpointers of the stage-2 cells at flat indices at of (L, U, Cw),
+    on rows k with previous chords from_c: the flat (row, chord, slot)
+    index in the previous v of each cell's best previous state."""
+    row = np.take(from_row, at)
+    flat = row * from_row.shape[-1] + from_c  # (row, chord) of the previous v
+    # stage 1's tail gives one slot per (row, chord), its dense form one per (row, u, chord)
+    slot = np.take(from_s, flat if from_s.ndim == 2 else (row - k) * from_s[0].size + at)
+    return flat * prev.slots.shape[1] + slot
 
 
 def _stage3_block(layout: _Layout, ks, prev_k, cand, from_row):
@@ -493,8 +511,6 @@ def _stage3_block(layout: _Layout, ks, prev_k, cand, from_row):
     else:
         prev_c = np.take(cand[ks], slot_t, axis=1)  # previous chord of each (k, c, S, D) entry
         val += np.take(lg_live, prev_c + layout.lg_rows[ks])
-        if cand.shape[2] == 1:  # one candidate: it is the maximum, and nothing ties it
-            return val[..., 0], prev_c[..., 0]
     from_c = val.argmax(axis=-1)
     row_starts = np.arange(0, val.size, val.shape[-1]).reshape(from_c.shape)
     at = from_c + row_starts

@@ -192,7 +192,7 @@ def train(dataset, cfg: TrainConfig) -> HpModel:
 
 
 def gaussian_logpdf_frames(
-    frames: np.ndarray, means: np.ndarray, covs: np.ndarray, state_name=None
+    frames: np.ndarray, means: np.ndarray, covs: np.ndarray, state_name=lambda s: f"state {s}"
 ) -> np.ndarray:
     """Log densities of every frame under every state Gaussian: (T, n).
 
@@ -200,13 +200,17 @@ def gaussian_logpdf_frames(
     evaluated once, at the first row that has it, and every row sharing it
     gets that column: identical states get identical bits, which the
     decoder's tie-breaks rely on. state_name(s) names row s in the error
-    for a covariance that is not positive definite; by default the row is
-    called "state s"."""
-    from scipy.linalg import cho_factor, cho_solve  # imported here to keep scipy out of package import
+    for a mean or covariance that is not finite, or a covariance that is
+    not positive definite. The Cholesky factor and solve are LAPACK's
+    potrf and potrs, which scipy's cho_factor and cho_solve call."""
+    from scipy.linalg.lapack import dpotrf, dpotrs  # imported here to keep scipy out of package import
 
     frames = np.asarray(frames, dtype=np.float64)
     t, d = frames.shape
     n = means.shape[0]
+    if not np.isfinite(frames).all():
+        raise ValueError("frames must be finite")
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     out = np.empty((t, n))
     first_row = {}
     for s in range(n):
@@ -214,14 +218,14 @@ def gaussian_logpdf_frames(
         if s0 < s:
             out[:, s] = out[:, s0]
             continue
-        try:
-            factor = cho_factor(covs[s], lower=True)
-        except np.linalg.LinAlgError as exc:
-            name = f"state {s}" if state_name is None else state_name(s)
-            raise ValueError(f"covariance of {name} is not positive definite") from exc
+        if not finite[s]:
+            raise ValueError(f"mean or covariance of {state_name(s)} is not finite")
+        factor, info = dpotrf(covs[s], lower=True, clean=False)
+        if info != 0:
+            raise ValueError(f"covariance of {state_name(s)} is not positive definite")
         diff = frames - means[s]
-        maha = np.einsum("td,td->t", diff, cho_solve(factor, diff.T).T)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        maha = np.einsum("td,td->t", diff, dpotrs(factor, diff.T, lower=True)[0].T)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
         out[:, s] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
     return out
 

@@ -253,10 +253,19 @@ def stage_form(form):
         yield
 
 
+def _frame0_v(tables):
+    """Frame 0's v, as `_viterbi_tables` starts it: every key and bass."""
+    return (
+        tables.lpi_k[:, None, None]
+        + (tables.lpi_c + tables.emis_c[0])[None, :, None]
+        + (tables.lpi_b + tables.emis_b[0])[None, None, :]
+    )
+
+
 def _took_stage1_tail(from_s):
     """Whether stage 1 took its one-slot tail, which returns each cell's
-    maximizing slot broadcast over the target basses."""
-    return from_s.strides[1] == 0
+    maximizing slot once, (Kp, Cw), not per target bass."""
+    return from_s.ndim == 2
 
 
 def _assert_matches_enumeration(tables, flat, trial):
@@ -605,7 +614,7 @@ def _flat_cells(keys, slots, n_chords, n_bass):
 
 
 class TestStep:
-    @pytest.mark.parametrize("case", ["random", "integer", "key-tie", "partial-reach", "bass-tail"])
+    @pytest.mark.parametrize("case", ["random", "integer", "key-tie", "partial-reach", "bass-tail", "one-predecessor"])
     def test_one_step_matches_flat_maximum(self, case):
         # One frame on its own, from a drawn previous v: at frame 1, which
         # reads every key and bass, and at frame 2, which reads the live
@@ -620,7 +629,8 @@ class TestStep:
         # that pair) must drop no row that reaches b. Bass-tail aims at the
         # stage-1 bound: every bass transition is finite and v spreads over
         # hundreds of nats, so the pruned form mostly takes stage 1's
-        # one-slot tail.
+        # one-slot tail. One-predecessor: each key is reached from one drawn
+        # key alone, so the dense stage 2 has a single predecessor to take.
         rng = np.random.default_rng(33)
         tied = case in ("integer", "key-tie")
         steps = tails = 0
@@ -639,8 +649,13 @@ class TestStep:
                 _integer_log_tables(tables, rng)
             if case == "key-tie":
                 tables.lf[b] = tables.lf[a]
+            if case == "one-predecessor":
+                reach = np.zeros(tables.lf.shape, dtype=bool)
+                reach[rng.integers(n_keys, size=n_keys), np.arange(n_keys)] = True
+                tables.lf[~reach] = -np.inf
             _, log_trans, log_emis = _flat_tables(tables)
             layout = decode._layout(tables)
+            assert case != "one-predecessor" or layout.first.pred.shape[1] == layout.rest.pred.shape[1] == 1
             cells = _flat_cells(layout.live, tables.slots, n_chords, n_bass)
             # with no live key every path dies at frame 1, so frame 2 never runs
             for t, prev in ((1, layout.first), (2, layout.rest))[: 1 + bool(layout.live.size)]:
@@ -714,11 +729,7 @@ class TestStep:
         for form in STAGE_FORMS:
             with stage_form(form):
                 layouts[form] = decode._layout(tables)
-        v = (
-            tables.lpi_k[:, None, None]
-            + (tables.lpi_c + tables.emis_c[0])[None, :, None]
-            + (tables.lpi_b + tables.emis_b[0])[None, None, :]
-        )
+        v = _frame0_v(tables)
         one_candidate = one_slot = 0
         for t in range(1, T):
             out, stage1, stage2 = {}, {}, {}
@@ -729,6 +740,9 @@ class TestStep:
                     stage2[form] = decode._stage2(layout, prev, stage1[form][0])
                     out[form] = decode._step(layout, v, t)
             one_slot += _took_stage1_tail(stage1["pruned"][1])
+            if _took_stage1_tail(stage1["pruned"][1]):  # compare its slots broadcast over the target basses
+                stage_b, s0 = stage1["pruned"]
+                stage1["pruned"] = stage_b, np.broadcast_to(s0[:, None], stage_b.shape)
             for stage, got in (("stage 1", stage1), ("stage 2", stage2)):
                 for dense, pruned in zip(got["dense"], got["pruned"]):
                     assert dense.dtype == pruned.dtype and np.array_equal(dense, pruned), f"frame {t}, {stage}"
@@ -932,6 +946,30 @@ def test_fallback_emission_ties_pinned(constraints):
         assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4
         assert path.basses.tolist() == [1] * 4 + [7] * 4 + [1] * 4
         assert repr(path.log_prob) == "173.14618045901557"
+
+
+@pytest.mark.parametrize(
+    ("constraints", "shape"),
+    [
+        (Constraints(), (24, 121, 13)),
+        (Constraints(tau=3), (24, 121, 3)),
+        (Constraints(gamma=0, tau=3, cac=True), (2, 3, 3)),
+    ],
+    ids=["free", "tau3", "tight"],
+)
+def test_backpointer_format_pinned(constraints, shape):
+    # Each frame's backpointers are one uint16 flat (row, chord, slot) index
+    # per (live key, chord, bass slot) cell, under either stage form: the
+    # long-song memory figures (75.5 KB a free full121 frame) rest on it.
+    model, treble, bass = _fallback_tie_case()
+    tables = decode._build_tables(model, constraints, treble, bass)
+    for form in STAGE_FORMS:
+        with stage_form(form):
+            layout = decode._layout(tables)
+            v = _frame0_v(tables)
+            for t in range(1, treble.n_frames):
+                v, backptr = decode._step(layout, v, t)
+                assert (backptr.dtype, backptr.shape) == (np.uint16, shape), f"frame {t}, {form}"
 
 
 class TestForwardBackwardEdge:

@@ -452,6 +452,18 @@ class TestGaussianLogpdf:
         with pytest.raises(ValueError, match="covariance of row 1 is not positive definite"):
             gaussian_logpdf_frames(np.zeros((2, 12)), means, covs, lambda s: f"row {s}")
 
+    def test_non_finite_gaussian_names_its_row(self):
+        means, covs = self._states_with_repeats(np.random.default_rng(12))
+        covs[2, 0, 5] = np.nan  # the upper triangle, which the factorization never reads
+        with pytest.raises(ValueError, match="mean or covariance of row 2 is not finite"):
+            gaussian_logpdf_frames(np.zeros((2, 12)), means, covs, lambda s: f"row {s}")
+        covs[2, 0, 5] = covs[2, 5, 0]
+        means[4, 3] = np.inf
+        with pytest.raises(ValueError, match="mean or covariance of state 4 is not finite"):
+            gaussian_logpdf_frames(np.zeros((2, 12)), means, covs)
+        with pytest.raises(ValueError, match="frames must be finite"):
+            gaussian_logpdf_frames(np.full((2, 12), np.nan), means[:1], covs[:1])
+
 
 class TestSerialization:
     def test_roundtrip_exact(self, tmp_path):
