@@ -24,11 +24,12 @@ changes: how frame 1 reads frame 0 and how later frames read theirs, each
 with its step's expanded-transition count, and stage 3's chord
 transitions and bound terms. `_step` takes one frame through `_stage1`,
 `_stage2` and `_stage3`, each reducing the axis it maximizes over without
-a transposed copy, and returns the frame's v and backpointers.
-`_backtrace` walks the path back from the final frame.
+a transposed copy, or through `_stage1` and `_fused_step`, and returns the
+frame's v and backpointers. `_backtrace` walks the path back from the
+final frame.
 
 Stages 2 and 3 each run dense, over every predecessor, when their tensor
-fits the dense budget (tight decodes) or a frame keeps over a quarter of
+fits the dense budget (small layouts) or a frame keeps over a quarter of
 the predecessors; otherwise they take only the predecessors an exact bound
 keeps. Stage 3 bounds each row (k, u): with mx the row's maximum, at cp0,
 chord c's cell is at least mx + lg[k, cp0, c] and chord cp adds at most
@@ -69,10 +70,29 @@ stage 1's slot. When every stage-3 row (k, u) keeps one previous chord
 (most frames of an unconstrained decode), it is the row's maximum, nothing
 ties it and all the row's cells share one previous state: stage 3 takes
 the gathered values as they are and packs one index per row.
+
+Stages 2 and 3 fuse into one step when each live key has one predecessor
+(D == 1, every frame of a tight decode), stage 1 runs dense and the fused
+(L * Cw * S, Cw) table fits its budget. Per target cell (k, c, s), with u
+its stage-1 target bass and d the key's one predecessor, a row of the
+table gathers stage 1's maxima at (d, u) over every previous chord cp,
+adds lf[d, k] and then lg[k, cp, c], the staged form's two adds in its
+order, and one argmax takes the row; the frame's lr + emis_c + emis_b is
+summed as stage 3 sums it. This is the staged step: stage 2 has one row to
+take at each cp, so its sum is the fused entry's before lg, and stage 3's
+argmax over the same sums takes the same first maximal chord, so no tie
+repair is needed. A dead cell takes chord 0 at d, as in the staged form,
+where stage 3's argmax over -inf takes chord 0 and stage 2's row there is
+d. The backpointer is a table entry (row * Cw + cp) * Sp plus stage 1's
+slot at the winner. With D > 1 the two forms can differ (rounding can
+merge two rows' distinct stage-2 sums once lg is added, and the fused
+argmax would take the lower row where stage 2 takes the strict maximum),
+so those layouts stay staged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,6 +107,7 @@ _TIE_BIG = np.int32(2**30)
 # and 3 (module docstring)
 _STAGE3_BLOCK_ELEMENTS = 2**18
 _DENSE_ELEMENTS = _STAGE3_BLOCK_ELEMENTS
+_FUSED_ELEMENTS = _DENSE_ELEMENTS  # the fused stage 2-3 table's budget
 _GATHER_COST = 4  # a gathered element costs about four dense ones
 
 
@@ -179,17 +200,19 @@ def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
                 np.matmul(alpha[t - 1], hmm.trans, out=pred[t])
             np.add(np.log(pred[t], out=x), log_e[t], out=x)
             peak = x.max()
-            if not np.isfinite(peak):
+            if not math.isfinite(peak):
                 raise ValueError(f"no admissible chord state at frame {t}")
-            np.exp(np.subtract(x, peak, out=x), out=alpha[t])
-            alpha[t] /= alpha[t].sum()
+            a = alpha[t]
+            np.exp(np.subtract(x, peak, out=x), out=a)
+            np.divide(a, a.sum(), out=a)
     post = np.empty((T, n))
     post[-1] = alpha[-1]
     denom = np.where(pred > 0, pred, 1.0)  # post is 0 where pred is, and 0/1 = 0
     for t in range(T - 2, -1, -1):
-        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=post[t])
-        post[t] *= alpha[t]
-        post[t] /= post[t].sum()
+        p = post[t]
+        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=p)
+        np.multiply(p, alpha[t], out=p)
+        np.divide(p, p.sum(), out=p)
     return post
 
 
@@ -282,6 +305,37 @@ class _Prev(NamedTuple):
     lf_pred: np.ndarray  # (L, D, 1, 1) their transitions, -inf as padding
     rank: np.ndarray  # (D, 1, 1) D down to 1: marks the first maximizing predecessor
     n_expanded: int  # the step's expanded transitions
+    fused: _Fused | None = None  # stages 2 and 3 as one argmax, when they fit its budget
+
+
+class _Fused(NamedTuple):
+    """Stages 2 and 3 over an (L * Cw * S, Cw) table: a row per target
+    cell (k, c, s), a column per previous chord."""
+
+    rows: np.ndarray  # (L * Cw * S,) each cell's (predecessor row, u) in stage 1's output as (Kp * U, Cw)
+    lf: np.ndarray  # (L * Cw * S, 1) each cell's key transition
+    lg: np.ndarray  # (L * Cw * S, Cw) each entry's chord transition
+    starts: np.ndarray  # (L * Cw * S,) flat index of each row's first entry
+    bp: np.ndarray  # (Kp * U * Cw,) (row * Cw + chord) * Sp of each stage-1 output element
+
+
+def _fused_layout(prev: _Prev, lg_live, slot_t) -> _Fused | None:
+    """The fused tables, when each live key has one predecessor, stage 1
+    runs dense and they fit the budget."""
+    n_live, deg = prev.pred.shape
+    cw, s = slot_t.shape
+    n_u = prev.lh_g.shape[0]
+    if deg > 1 or not prev.dense_s or n_live * cw * s * cw > _FUSED_ELEMENTS:
+        return None
+    shape = (n_live, cw, s)
+    bp = (np.arange(prev.keys.size)[:, None, None] * cw + np.arange(cw)) * prev.slots.shape[1]
+    return _Fused(
+        (prev.pred.reshape(n_live, 1, 1) * n_u + slot_t).ravel(),
+        np.broadcast_to(prev.lf_pred.reshape(n_live, 1, 1), shape).reshape(-1, 1),
+        np.broadcast_to(lg_live[:, :, None], (*shape, cw)).reshape(-1, cw),
+        np.arange(0, n_live * cw * s * cw, cw),
+        np.broadcast_to(bp, (prev.keys.size, n_u, cw)).ravel(),
+    )
 
 
 def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
@@ -343,12 +397,13 @@ def _layout(tables: _LogTables) -> _Layout:
     first = _prev_layout(tables, np.arange(n_keys), np.tile(np.arange(n_bass), (cw, 1)), live, targets)
     rest = _prev_layout(tables, live, tables.slots, live, targets)
     lg_live = np.ascontiguousarray(tables.lg[live].transpose(0, 2, 1))  # transposed once per decode
+    slot_t = np.searchsorted(targets, tables.slots)
+    first, rest = (prev._replace(fused=_fused_layout(prev, lg_live, slot_t)) for prev in (first, rest))
     dense = lg_live.size * tables.slots.shape[1] <= _DENSE_ELEMENTS
     colmin = lg_live.min(axis=1)
     gmax = lg_live.max(axis=(1, 2), initial=-np.inf)[:, None]
     lower = np.full_like(colmin, -np.inf)
     np.subtract(colmin, gmax, out=lower, where=np.isfinite(colmin))
-    slot_t = np.searchsorted(targets, tables.slots)
     scale = np.abs(colmin) + np.abs(gmax)
     lg_rows = (np.arange(live.size * cw) * cw).reshape(live.size, cw, 1, 1)
     key_idx = np.arange(live.size)[:, None, None]
@@ -365,8 +420,27 @@ def _step(layout: _Layout, v: np.ndarray, t: int):
     t - 1's v of the previous state its best path comes from."""
     prev = layout.first if t == 1 else layout.rest
     stage_b, from_s = _stage1(prev, v)
+    if prev.fused is not None:
+        return _fused_step(layout, prev, t, stage_b, from_s)
     stage_k, from_row = _stage2(layout, prev, stage_b)
     return _stage3(layout, prev, t, stage_k, from_row, from_s)
+
+
+def _fused_step(layout: _Layout, prev: _Prev, t, stage_b, from_s):
+    """Stages 2 and 3 as one argmax per target cell over its previous
+    chords at its key's one predecessor, summed as the staged form sums
+    them; returns frame t's v and backpointers (module docstring)."""
+    f, tables = prev.fused, layout.tables
+    cw = stage_b.shape[-1]
+    val = np.take(stage_b.reshape(-1, cw), f.rows, axis=0)
+    val += f.lf
+    val += f.lg
+    at = val.argmax(axis=1)
+    v = np.take(val, at + f.starts).reshape(layout.live.size, *tables.slots.shape)
+    v += tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
+    win = f.rows * cw + at  # the winner's flat index in stage 1's output
+    backptr = np.take(f.bp, win) + np.take(from_s, win)
+    return v, backptr.astype(layout.bp_dtype).reshape(v.shape)
 
 
 def _stage1(prev: _Prev, v):

@@ -236,8 +236,9 @@ class TestChordAlphabetConstraint:
 
 
 STAGE_FORMS = {
-    "dense": {"_DENSE_ELEMENTS": 2**62},
-    "pruned": {"_DENSE_ELEMENTS": -1, "_GATHER_COST": 0},
+    "dense": {"_DENSE_ELEMENTS": 2**62, "_FUSED_ELEMENTS": -1},
+    "pruned": {"_DENSE_ELEMENTS": -1, "_GATHER_COST": 0, "_FUSED_ELEMENTS": -1},
+    "fused": {"_DENSE_ELEMENTS": 2**62, "_FUSED_ELEMENTS": 2**20},
 }
 
 
@@ -245,8 +246,10 @@ STAGE_FORMS = {
 def stage_form(form):
     """Force stages 1, 2 and 3 dense (every previous bass, key and chord)
     or pruned (the ones their bounds keep) on every frame, whatever the
-    table sizes; stage 1 stays dense under either form when a bass
-    transition is -inf."""
+    table sizes, or stage 1 dense and stages 2 and 3 fused into one argmax
+    per cell wherever each live key has one predecessor and the fused table
+    holds at most 2**20 elements, dense elsewhere; stage 1 stays dense
+    under every form when a bass transition is -inf."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in STAGE_FORMS[form].items():
             patch.setattr(decode, name, value)
@@ -685,10 +688,12 @@ class TestStep:
                 for form in STAGE_FORMS:
                     with stage_form(form):
                         formed = decode._layout(tables)
+                        formed_prev = formed.first if t == 1 else formed.rest
                         v, backptr = decode._step(formed, v_prev, t)
                         if form == "pruned":
-                            formed_prev = formed.first if t == 1 else formed.rest
                             tails += _took_stage1_tail(decode._stage1(formed_prev, v_prev)[1])
+                    one_pred = formed_prev.pred.shape[1] == 1
+                    assert (formed_prev.fused is not None) == (form == "fused" and one_pred), form
                     np.testing.assert_allclose(v, want[cells], rtol=0, atol=1e-9)
                     live = np.isfinite(v)
                     got = prev_cells.ravel()[backptr[live]]
@@ -697,40 +702,55 @@ class TestStep:
         if case == "bass-tail":
             assert tails >= steps // 2, (tails, steps)
 
-    @pytest.mark.parametrize("case", ["random", "integer", "bass-tail"])
+    @pytest.mark.parametrize(
+        "case", ["random", "integer", "bass-tail", "one-predecessor", "integer-one-predecessor"]
+    )
     def test_forms_agree_bit_for_bit(self, case):
         # Every frame's v and backpointers, and the outputs of stages 1 and
-        # 2, dead cells included, equal between the dense and the pruned
-        # forms of stages 1, 2 and 3. The random tables' chord emissions
-        # spread over hundreds of nats, as a trained model's do, so most
-        # frames keep one previous chord per stage-3 row and take the
-        # one-candidate tail; the integer tables, with -inf holes in every
-        # transition table, tie everywhere and leave keys that some rows do
-        # not reach. Bass-tail spreads the bass emissions over thousands of
-        # nats and keeps every bass transition finite, so most frames keep one previous bass per
+        # 2, dead cells included, equal between the dense, the pruned and
+        # the fused forms. The random tables' chord emissions spread over
+        # hundreds of nats, as a trained model's do, so most frames keep one
+        # previous chord per stage-3 row and take the one-candidate tail;
+        # the integer tables, with -inf holes in every transition table, tie
+        # everywhere and leave keys that some rows do not reach. Bass-tail
+        # spreads the bass emissions over thousands of nats and keeps every
+        # bass transition finite, so most frames keep one previous bass per
         # stage-1 cell and take the one-slot tail, with -inf holes in the
         # other tables and one chord impossible throughout, whose dead cells
         # keep slot 0 as in the dense form (the chord's -inf column keeps
-        # stage 3's rows whole).
+        # stage 3's rows whole). Each of these reaches a key from up to four
+        # keys, so the fused form runs them staged. The one-predecessor
+        # cases keep each key's transition from one key, so the fused step
+        # runs every frame: on the sparse random tables with one chord
+        # impossible but without bass-tail's spread bass emissions, where
+        # adding lf and lg in the other order changes bits and the dead
+        # cells take the fused step's previous states, and on the integer
+        # tables, where it breaks ties between previous chords.
         rng = np.random.default_rng(34)
         n_keys, n_chords, n_bass, T = 4, 30, 13, 10
-        if case == "integer":
+        one_pred = case.endswith("one-predecessor")
+        if case.startswith("integer"):
             tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, 3)
         else:
             tables, _ = random_log_tables(
-                rng, n_keys, n_chords, n_bass, T, sparsity=0.1 * (case == "bass-tail"), slot_cap=3
+                rng, n_keys, n_chords, n_bass, T, sparsity=0.1 * (case != "random"), slot_cap=3
             )
             tables.emis_c[:] = rng.normal(scale=100.0, size=tables.emis_c.shape)
         if case == "bass-tail":
             tables.lh[~np.isfinite(tables.lh)] = -5.0
             tables.emis_b[:] = rng.normal(scale=1e4, size=tables.emis_b.shape)
+        if case in ("bass-tail", "one-predecessor"):
             tables.lpi_c[1] = tables.lg[:, :, 1] = -np.inf
+        if one_pred:
+            lf = np.eye(n_keys)[[1, 0, 3, 2]] > 0
+            tables.lf[~lf] = -np.inf
         layouts = {}
         for form in STAGE_FORMS:
             with stage_form(form):
                 layouts[form] = decode._layout(tables)
+        assert layouts["fused"].rest.pred.shape[1] == (1 if one_pred else n_keys)
         v = _frame0_v(tables)
-        one_candidate = one_slot = 0
+        one_candidate = one_slot = fused = dead = 0
         for t in range(1, T):
             out, stage1, stage2 = {}, {}, {}
             for form, layout in layouts.items():
@@ -739,24 +759,61 @@ class TestStep:
                     stage1[form] = decode._stage1(prev, v)
                     stage2[form] = decode._stage2(layout, prev, stage1[form][0])
                     out[form] = decode._step(layout, v, t)
+                fused += form == "fused" and prev.fused is not None
             one_slot += _took_stage1_tail(stage1["pruned"][1])
             if _took_stage1_tail(stage1["pruned"][1]):  # compare its slots broadcast over the target basses
                 stage_b, s0 = stage1["pruned"]
                 stage1["pruned"] = stage_b, np.broadcast_to(s0[:, None], stage_b.shape)
             for stage, got in (("stage 1", stage1), ("stage 2", stage2)):
-                for dense, pruned in zip(got["dense"], got["pruned"]):
-                    assert dense.dtype == pruned.dtype and np.array_equal(dense, pruned), f"frame {t}, {stage}"
+                for form in ("pruned", "fused"):
+                    for dense, other in zip(got["dense"], got[form]):
+                        assert dense.dtype == other.dtype and np.array_equal(dense, other), f"frame {t}, {stage}"
             stage_k, layout = stage2["pruned"][0], layouts["pruned"]
             one_candidate += decode._stage3_candidates(stage_k, layout.lower, layout.scale).shape[2] == 1
-            (v, bp_dense), (v_pruned, bp_pruned) = out["dense"], out["pruned"]
-            assert v.tobytes() == v_pruned.tobytes(), f"frame {t}"
-            assert bp_dense.dtype == bp_pruned.dtype and np.array_equal(bp_dense, bp_pruned), f"frame {t}"
-        if case == "integer":
+            v, bp = out["dense"]
+            dead += np.count_nonzero(v == -np.inf)
+            for form in ("pruned", "fused"):
+                assert v.tobytes() == out[form][0].tobytes(), f"frame {t}, {form}"
+                assert bp.dtype == out[form][1].dtype and np.array_equal(bp, out[form][1]), f"frame {t}, {form}"
+        assert fused == (T - 1 if one_pred else 0) and (dead > 0 or not one_pred)
+        if case.startswith("integer"):
             assert layouts["pruned"].rest.gaps
         elif case == "random":
             assert one_candidate >= (T - 1) // 2
-        else:
-            assert one_slot >= (T - 1) // 2 and not np.isfinite(v[:, 1]).any()
+        elif case == "bass-tail":
+            assert one_slot >= (T - 1) // 2
+        if case in ("bass-tail", "one-predecessor"):
+            assert not np.isfinite(v[:, 1]).any()
+
+    def test_fused_step_needs_one_predecessor_per_key(self):
+        # Rows a < b reach key 0 with stage-2 sums one ulp apart just below
+        # 1, and key 0's chord transition 2 carries both sums across 2, where
+        # they round to the same 3. The staged form takes the strict stage-2
+        # maximum, row b, where one argmax over both rows' sums with lg
+        # would take row a; so a layout with two predecessors for a key
+        # builds no fused step, even under the fused form.
+        x_b = np.nextafter(1.0, 0.0)
+        x_a, g = np.nextafter(x_b, 0.0), 2.0
+        assert x_a < x_b and x_a + g == x_b + g
+        tables = decode._LogTables(
+            lpi_k=np.array([x_a, x_b]),
+            lpi_c=np.zeros(1),
+            lpi_b=np.zeros(1),
+            lf=np.array([[0.0, -np.inf], [0.0, -np.inf]]),
+            lg=np.full((2, 1, 1), g),
+            lh=np.zeros((1, 1)),
+            lr=np.zeros((1, 1)),
+            slots=np.zeros((1, 1), dtype=np.int64),
+            working=np.arange(1),
+            emis_c=np.zeros((2, 1)),
+            emis_b=np.zeros((2, 1)),
+        )
+        for form in STAGE_FORMS:
+            with stage_form(form):
+                layout = decode._layout(tables)
+                keys, chords, basses, lp, _ = _viterbi_tables(tables)
+            assert layout.first.pred.shape[1] == 2 and layout.first.fused is None, form
+            assert keys.tolist() == [1, 0] and lp == x_b + g, form
 
 
 class TestViterbiJoint:
@@ -929,23 +986,46 @@ def _fallback_tie_case():
     return model, make_chromagram(t), make_chromagram(b, "bass")
 
 
-@pytest.mark.parametrize("constraints", [Constraints(), Constraints(tau=3)], ids=["free", "tau3"])
-def test_fallback_emission_ties_pinned(constraints):
+@pytest.mark.parametrize(
+    ("constraints", "keys", "log_prob"),
+    [
+        (Constraints(), [0] * 9 + [1] * 3, "173.14618045901557"),
+        (Constraints(tau=3), [0] * 9 + [1] * 3, "173.14618045901557"),
+        (Constraints(gamma=0, tau=3, cac=True), [0] * 12, "173.081805782094"),
+    ],
+    ids=["free", "tau3", "tight"],
+)
+def test_fallback_emission_ties_pinned(constraints, keys, log_prob):
     # Values recorded before the stage tensors were laid out with the
-    # reduced axis last. Stage 3 ties on two thirds of its blocks here; the
-    # pin fails if stage 1, stage 2 or the final frame takes the last
-    # maximum instead of the first, or if the tie repair takes the highest
-    # tied previous chord.
+    # reduced axis last, and the tight ones before stages 2 and 3 were
+    # fused. Stage 3 ties on two thirds of its blocks here; the pin fails if
+    # stage 1, stage 2 or the final frame takes the last maximum instead of
+    # the first, or if the tie repair (or the fused argmax) takes the
+    # highest tied previous chord.
     model, treble, bass = _fallback_tie_case()
     fallback = np.all(model.chord_emis_mean == 0.5, axis=1)
     assert fallback.sum() == 115
     for form in STAGE_FORMS:
         with stage_form(form):
             path = viterbi_joint(model, constraints, treble, bass)
-        assert path.keys.tolist() == [0] * 9 + [1] * 3
+        assert path.keys.tolist() == keys
         assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4
         assert path.basses.tolist() == [1] * 4 + [7] * 4 + [1] * 4
-        assert repr(path.log_prob) == "173.14618045901557"
+        assert repr(path.log_prob) == log_prob
+
+
+@pytest.mark.parametrize(
+    ("constraints", "fused"),
+    [(Constraints(), False), (Constraints(tau=3), False), (Constraints(gamma=0, tau=3, cac=True), True)],
+    ids=["free", "tau3", "tight"],
+)
+def test_only_tight_decodes_fuse_stages_2_and_3(constraints, fused):
+    # At the default budgets a tight layout (one predecessor per key) takes
+    # the fused step on every frame; a free or tau-only full121 one stays
+    # staged.
+    model, treble, bass = _fallback_tie_case()
+    layout = decode._layout(decode._build_tables(model, constraints, treble, bass))
+    assert (layout.first.fused is not None, layout.rest.fused is not None) == (fused, fused)
 
 
 @pytest.mark.parametrize(
