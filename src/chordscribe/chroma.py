@@ -360,9 +360,8 @@ def write_chromagram(path, chroma: Chromagram) -> None:
     """Text format: header `band n_frames`, then `start end v0 .. v11` rows."""
     with open(path, "w") as fh:
         fh.write(f"{chroma.band} {chroma.n_frames}\n")
-        for i in range(chroma.n_frames):
-            vals = " ".join(repr(float(v)) for v in chroma.values[:, i])
-            fh.write(f"{float(chroma.starts[i])!r} {float(chroma.ends[i])!r} {vals}\n")
+        for start, end, row in zip(chroma.starts.tolist(), chroma.ends.tolist(), chroma.values.T.tolist()):
+            fh.write(f"{start!r} {end!r} {' '.join(map(repr, row))}\n")
 
 
 def read_chromagram(path) -> Chromagram:

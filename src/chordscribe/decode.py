@@ -19,75 +19,57 @@ maximizing state, and each backpointer the lowest maximizing predecessor,
 which together select the optimal path whose reversed state sequence is
 lexicographically smallest.
 
-`_viterbi_tables` drives three parts. `_layout` sets up what no frame
-changes: how frame 1 reads frame 0 and how later frames read theirs, each
-with its step's expanded-transition count, and stage 3's chord
-transitions and bound terms. `_step` takes one frame through `_stage1`,
-`_stage2` and `_stage3`, each reducing the axis it maximizes over without
-a transposed copy, or through `_stage1` and `_fused_step`, and returns the
-frame's v and backpointers. `_backtrace` walks the path back from the
-final frame.
+`_layout` sets up what no frame changes; `_step` takes one frame through
+`_stage1`, `_stage2` and `_stage3` (or `_stage1` and `_fused_step`) and
+returns its v and backpointers (L, Cw, S): per cell the flat (row, chord,
+slot) index in the previous v, uint16 for full121; `_backtrace` walks back.
 
-Stages 2 and 3 each run dense, over every predecessor, when their tensor
-fits the dense budget (small layouts) or a frame keeps over a quarter of
-the predecessors; otherwise they take only the predecessors an exact bound
-keeps. Stage 3 bounds each row (k, u): with mx the row's maximum, at cp0,
-chord c's cell is at least mx + lg[k, cp0, c] and chord cp adds at most
-max lg[k], so cp below mx + min_c lg[k, cp0, c] - max lg[k] cannot win or
-tie; a slack of 1e-9 * (1 + |mx| + |min| + |max|) dwarfs the float
-roundings (each under 2**-53 of that sum). A -inf minimum keeps the row
-whole, a dead row one chord. Stage 2 bounds each column n = (u, c) of the
-previous rows d: with mx the column's maximum, at d0, key l's cell is at
-least mx + lf[d0, l], and row d adds lf[d, l], so d below mx - delta[d0, d],
-delta[d0, d] = max_l (lf[d, l] - lf[d0, l]), cannot win or tie at any key.
-delta is +inf when d reaches a key that d0 does not, which keeps d, and a
-key neither reaches counts as -inf. The slack 1e-9 * (1 + |mx| + 2 max |lf|)
-covers the roundings of the sums and of delta alike. A dead column keeps
-d0 alone. Frame 1 under a flat key prior keeps most rows and stays dense.
-Kept rows are taken in ascending order and the lowest maximizing one wins,
-as in the dense form; a dead cell takes its key's first predecessor, as
-the dense form's ranks do.
+Each stage runs dense, over every predecessor, when its tensor fits the
+dense budget or a frame keeps over a quarter of the predecessors, and
+otherwise over the predecessors an exact bound keeps. Stage 3 bounds each
+row (k, u): with mx the row's maximum, at cp0, chord c's cell is at least
+mx + lg[k, cp0, c] and chord cp adds at most max lg[k], so cp below
+mx + min_c lg[k, cp0, c] - max lg[k] cannot win or tie; a slack of
+1e-9 * (1 + |mx| + |min| + |max|) dwarfs the float roundings (each under
+2**-53 of that sum). A -inf minimum keeps the row whole. Stage 2 bounds
+each column n = (u, c) of the previous rows d: with mx at d0, row d below
+mx - delta[d0, d], delta[d0, d] = max_l (lf[d, l] - lf[d0, l]), cannot win
+or tie at any key l (+inf when d reaches a key d0 does not; a key neither
+reaches counts as -inf), with the slack 1e-9 * (1 + |mx| + 2 max |lf|).
+Frame 1 under a flat key prior keeps most rows and stays dense. Stage 1
+bounds each cell (k, c) over its slots s alike, with delta_s[s0, s] =
+max_u (lh[s, u] - lh[s0, u]); when every live cell keeps s0 alone (nearly
+every frame of an unconstrained decode) it takes mx + lh[s0, u] and s0 at
+every target u, written as (U, Cw, Kp) so that stage 2 reads each column
+as one contiguous row of keys, and any other frame runs dense. A -inf bass
+transition keeps stage 1 dense, where a dead target slot takes slot 0.
+Stages 1 and 3 find "every cell keeps its maximum alone" by counting kept
+entries against live cells (a dead cell keeps nothing). Kept predecessors
+ascend and the lowest maximizing one wins, as in the dense forms; a dead
+cell takes its key's first predecessor in stage 2 and chord 0 in stage 3.
 
-Stage 1 bounds each cell (k, c) of the previous v over its bass slots s:
-with mx the cell's maximum, at s0, its value at target bass u is at least
-mx + lh[s0, u], and slot s adds lh[s, u], so s below mx - delta_s[s0, s],
-delta_s[s0, s] = max_u (lh[s, u] - lh[s0, u]), cannot win or tie at any
-target; the slack 1e-9 * (1 + |mx| + 2 max |lh|) covers the roundings, as
-in stage 2. When every live cell keeps s0 alone (nearly every frame of an
-unconstrained decode), stage 1 takes mx + lh[s0, u] and s0 at every
-target u, as they are; a frame where some cell keeps more runs dense.
-Stage 1 stays dense on every frame when its tensor fits the dense budget
-(tight decodes, and the frames after frame 1 under tau or gamma alone) or
-a bass transition is -inf, where the dense form gives a dead target slot
-0 and the tail would give it s0.
+Stage 2 returns a reader of the rows its maxima come from. The pruned form
+keeps its (L, D, N) sums and finds a cell's first maximizing row only
+where stage 3 reads it (the L * U rows' winners when every stage-3 row
+keeps one chord), or at every cell by D masked copies; the dense forms
+hold the whole array. The pruned stage 3 works on rows: all cells (k, c, s)
+with u = slot_t[c, s] share the row (k, u)'s candidates, so it gathers each
+candidate's whole row lg[k, cp, :], adds its stage-2 maximum, reduces
+(L, U, D, Cw) over D in key blocks under the budget and reads each cell at
+(k, u, c). The first maximum is the lowest candidate
+chord; where two candidates reach it, the lowest (previous key, chord)
+wins. A row that keeps one chord has nothing to tie and one previous state
+for all its cells, packed once.
 
-Stage 1's tail writes its maxima once as (U, Cw, Kp), which stage 2
-reads as (Kp, U, Cw) with each column n = (u, c) one contiguous row of
-Kp keys, and returns s0 alone, (Kp, Cw), as its slots. A frame's
-backpointers are uint16 (L, Cw, S): per cell, the flat (row, chord, slot)
-index in the previous v, packed from stage 2's row, stage 3's chord and
-stage 1's slot. When every stage-3 row (k, u) keeps one previous chord
-(most frames of an unconstrained decode), it is the row's maximum, nothing
-ties it and all the row's cells share one previous state: stage 3 takes
-the gathered values as they are and packs one index per row.
-
-Stages 2 and 3 fuse into one step when each live key has one predecessor
-(D == 1, every frame of a tight decode), stage 1 runs dense and the fused
-(L * Cw * S, Cw) table fits its budget. Per target cell (k, c, s), with u
-its stage-1 target bass and d the key's one predecessor, a row of the
-table gathers stage 1's maxima at (d, u) over every previous chord cp,
-adds lf[d, k] and then lg[k, cp, c], the staged form's two adds in its
-order, and one argmax takes the row; the frame's lr + emis_c + emis_b is
-summed as stage 3 sums it. This is the staged step: stage 2 has one row to
-take at each cp, so its sum is the fused entry's before lg, and stage 3's
-argmax over the same sums takes the same first maximal chord, so no tie
-repair is needed. A dead cell takes chord 0 at d, as in the staged form,
-where stage 3's argmax over -inf takes chord 0 and stage 2's row there is
-d. The backpointer is a table entry (row * Cw + cp) * Sp plus stage 1's
-slot at the winner. With D > 1 the two forms can differ (rounding can
-merge two rows' distinct stage-2 sums once lg is added, and the fused
-argmax would take the lower row where stage 2 takes the strict maximum),
-so those layouts stay staged.
+Stages 2 and 3 fuse into one argmax per target cell when each live key
+has one predecessor d (D == 1, every frame of a tight decode), stage 1
+runs dense and the (L * Cw * S, Cw) table fits its budget: a row of it
+holds stage 1's maxima at (d, u) over every previous chord plus lf[d, k]
+and then lg[k, cp, c], the staged adds in order, so the argmax takes the
+staged maximum and its first chord, dead cells included, and the
+backpointer is (row * Cw + cp) * Sp plus stage 1's slot at the winner.
+With D > 1, rounding can merge two rows' distinct stage-2 sums once lg is
+added, where one argmax would take the lower row, so those stay staged.
 """
 
 from __future__ import annotations
@@ -383,9 +365,10 @@ class _Layout(NamedTuple):
     dense: bool  # stage 3 takes every previous chord on every frame
     lower: np.ndarray  # (L, c_prev) the stage-3 bound's term, -inf for none,
     scale: np.ndarray  # and its magnitude, for the slack
-    lg_rows: np.ndarray  # (L, Cw, 1, 1) flat lg_live index of each row
+    lg_from: np.ndarray  # (L * c_prev, c) chord transitions out of each (live key, previous chord)
     key_idx: np.ndarray  # (L, 1, 1)
     key_u: np.ndarray  # (L, Cw, S) flat index of each cell's row (k, u) in a stage-2 output's (L, U)
+    cells: np.ndarray  # (L, Cw, S) flat index of each cell's (k, u, c) in a stage-2 output
     bp_dtype: np.dtype  # holds a flat (row, chord, slot) index of any v
 
 
@@ -396,21 +379,24 @@ def _layout(tables: _LogTables) -> _Layout:
     targets = np.unique(tables.slots)  # stage-1 target basses
     first = _prev_layout(tables, np.arange(n_keys), np.tile(np.arange(n_bass), (cw, 1)), live, targets)
     rest = _prev_layout(tables, live, tables.slots, live, targets)
-    lg_live = np.ascontiguousarray(tables.lg[live].transpose(0, 2, 1))  # transposed once per decode
+    lg_from = tables.lg[live].reshape(-1, cw)
+    dense = lg_from.size * tables.slots.shape[1] <= _DENSE_ELEMENTS
+    lg_live = lg_from.reshape(live.size, cw, cw).transpose(0, 2, 1)
+    if dense:  # dense stage 3 reads it on every frame, so it is transposed once per decode
+        lg_live = np.ascontiguousarray(lg_live)
     slot_t = np.searchsorted(targets, tables.slots)
     first, rest = (prev._replace(fused=_fused_layout(prev, lg_live, slot_t)) for prev in (first, rest))
-    dense = lg_live.size * tables.slots.shape[1] <= _DENSE_ELEMENTS
     colmin = lg_live.min(axis=1)
     gmax = lg_live.max(axis=(1, 2), initial=-np.inf)[:, None]
     lower = np.full_like(colmin, -np.inf)
     np.subtract(colmin, gmax, out=lower, where=np.isfinite(colmin))
     scale = np.abs(colmin) + np.abs(gmax)
-    lg_rows = (np.arange(live.size * cw) * cw).reshape(live.size, cw, 1, 1)
     key_idx = np.arange(live.size)[:, None, None]
     key_u = key_idx * targets.size + slot_t
+    cells = key_u * cw + np.arange(cw)[:, None]
     bp_dtype = np.min_scalar_type(n_keys * cw * n_bass - 1)
     return _Layout(
-        tables, live, first, rest, slot_t, lg_live, dense, lower, scale, lg_rows, key_idx, key_u, bp_dtype
+        tables, live, first, rest, slot_t, lg_live, dense, lower, scale, lg_from, key_idx, key_u, cells, bp_dtype
     )
 
 
@@ -422,8 +408,8 @@ def _step(layout: _Layout, v: np.ndarray, t: int):
     stage_b, from_s = _stage1(prev, v)
     if prev.fused is not None:
         return _fused_step(layout, prev, t, stage_b, from_s)
-    stage_k, from_row = _stage2(layout, prev, stage_b)
-    return _stage3(layout, prev, t, stage_k, from_row, from_s)
+    stage_k, rows = _stage2(layout, prev, stage_b)
+    return _stage3(layout, prev, t, stage_k, rows, from_s)
 
 
 def _fused_step(layout: _Layout, prev: _Prev, t, stage_b, from_s):
@@ -467,10 +453,11 @@ def _stage1(prev: _Prev, v):
 
 
 def _stage2(layout: _Layout, prev: _Prev, stage_b):
-    """Collapse the previous key: returns the (L, U, Cw) maxima and the
-    stage_b rows they come from, the first maximizing predecessor. Pruned,
-    over the rows the bound keeps; dense, over axis 1 of (L, D, U, Cw),
-    where the largest rank equal to the max marks that predecessor."""
+    """Collapse the previous key: returns the (L, U, Cw) maxima and a reader
+    of the stage_b rows they come from, the first maximizing predecessor, at
+    the flat indices at or, with none, at every cell. Pruned, over the rows
+    the bound keeps; dense, over axis 1 of (L, D, U, Cw), where the largest
+    rank equal to the max marks that predecessor."""
     if not prev.dense:
         cand = _stage2_candidates(prev, stage_b)
         if cand.shape[0] * _GATHER_COST <= prev.pred.shape[1]:
@@ -478,10 +465,12 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b):
     tmp = np.take(stage_b, prev.pred, axis=0)
     tmp += prev.lf_pred
     if tmp.shape[1] == 1:  # one predecessor per key: gamma-pruned models trained without modulations
-        return tmp[:, 0], np.broadcast_to(prev.pred[:, :, None], tmp[:, 0].shape)
-    stage_k = tmp.max(axis=1)
-    from_d = prev.rank.shape[0] - (np.equal(tmp, stage_k[:, None]) * prev.rank).max(axis=1)
-    return stage_k, prev.pred[layout.key_idx, from_d]
+        stage_k, from_row = tmp[:, 0], np.broadcast_to(prev.pred[:, :, None], tmp[:, 0].shape)
+    else:
+        stage_k = tmp.max(axis=1)
+        from_d = prev.rank.shape[0] - (np.equal(tmp, stage_k[:, None]) * prev.rank).max(axis=1)
+        from_row = prev.pred[layout.key_idx, from_d]
+    return stage_k, lambda at=None: from_row if at is None else np.take(from_row, at)
 
 
 def _stage2_candidates(prev: _Prev, stage_b):
@@ -503,17 +492,28 @@ def _stage2_candidates(prev: _Prev, stage_b):
 
 def _stage2_pruned(prev: _Prev, stage_b, cand):
     """Stage 2 over the candidate rows cand (D, N): the maximum of (L, D, N),
-    and the lowest maximizing row by D masked copies, lowest row last."""
+    and a reader of the lowest maximizing rows by D masked copies, lowest
+    row last, over the sums at the cells it reads."""
     val = np.take(prev.lf_rows, cand, axis=1)
     val += np.take_along_axis(stage_b.reshape(len(stage_b), -1), cand, axis=0)
     stage_k = val.max(axis=1)
-    from_row = np.repeat(cand[-1:], len(val), axis=0)
-    for j in range(len(cand) - 2, -1, -1):
-        np.copyto(from_row, cand[j], where=val[:, j] == stage_k)
-    if prev.gaps:  # a dead cell comes from its key's first predecessor, as in the dense form
-        np.copyto(from_row, prev.pred[:, :1], where=stage_k == -np.inf)
-    shape = (len(val), *stage_b.shape[1:])
-    return stage_k.reshape(shape), from_row.reshape(shape)
+    n_cols, shape = cand.shape[1], (len(val), *stage_b.shape[1:])
+
+    def rows(at=None):
+        if at is None:
+            c, sums, mx, k = cand[:, None], val.transpose(1, 0, 2), stage_k, np.arange(len(val))[:, None]
+        else:  # val's (k, d, n) at each flat (k, n) and every d
+            k, n = np.divmod(at, n_cols)
+            c, mx = np.take(cand, n, axis=1), np.take(stage_k, at)
+            sums = np.take(val, np.add.outer(np.arange(len(cand)) * n_cols, at + k * (len(cand) - 1) * n_cols))
+        row = np.array(np.broadcast_to(c[-1], mx.shape))
+        for j in range(len(c) - 2, -1, -1):
+            np.copyto(row, c[j], where=sums[j] == mx)
+        if prev.gaps:  # a dead cell comes from its key's first predecessor, as in the dense form
+            np.copyto(row, np.take(prev.pred[:, 0], k), where=mx == -np.inf)
+        return row.reshape(shape) if at is None else row
+
+    return stage_k.reshape(shape), rows
 
 
 def _stage3_candidates(stage_k, lower, scale):
@@ -522,69 +522,94 @@ def _stage3_candidates(stage_k, lower, scale):
     cp0 = stage_k.argmax(axis=-1)[..., None]
     mx = np.take_along_axis(stage_k, cp0, axis=-1)
     k = np.arange(len(stage_k))[:, None, None]
+    alive = mx > -np.inf
     thr = mx + lower[k, cp0] - 1e-9 * (1 + np.abs(mx) + scale[k, cp0])
-    keep = stage_k >= np.where(mx > -np.inf, thr, np.inf)
+    keep = stage_k >= np.where(alive, thr, np.inf)
+    # a live row keeps cp0 at least and a dead one nothing, so equal counts
+    # mean that every live row keeps cp0 alone
+    if np.count_nonzero(keep) == np.count_nonzero(alive):
+        return cp0
     n = keep.sum(axis=-1)
-    cand = (cp0 + np.arange(max(1, n.max(initial=0)))) % stage_k.shape[-1]
+    cand = (cp0 + np.arange(n.max())) % stage_k.shape[-1]
     cand[n > 1] = np.argsort(~keep[n > 1], axis=-1, kind="stable")[:, : cand.shape[-1]]
     return cand
 
 
-def _stage3(layout: _Layout, prev: _Prev, t, stage_k, from_row, from_s):
-    """Collapse the previous chord over the last axis of (k, c, S, W), W
-    every previous chord or the candidates the bound keeps, whole when each
-    row keeps one and otherwise in key blocks under the element budget;
-    returns frame t's v and backpointers."""
+def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s):
+    """Collapse the previous chord, dense over every previous chord or in
+    row form over the candidates cand (L, U, D) that the bound keeps, in key
+    blocks under the element budget; returns frame t's v and backpointers."""
     tables = layout.tables
     n_live, cw, s = layout.live.size, tables.working.size, tables.slots.shape[1]
+    extra = tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
     cand = None if layout.dense else _stage3_candidates(stage_k, layout.lower, layout.scale)
     if cand is not None and cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
-    extra = tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
-    prev_k = stage_k if cand is None else np.take_along_axis(stage_k, cand, axis=-1)
-    if cand is not None and cand.shape[2] == 1:
-        v = np.take(layout.lg_live, np.take(cand, layout.key_u) + layout.lg_rows[..., 0])  # (L, Cw, S)
-        v += np.take(prev_k, layout.key_u)
-        v += extra
+    if cand is not None and cand.shape[2] == 1:  # a row's cells share one previous state: pack it once
+        best = np.take(layout.lg_from, cand[..., 0] + layout.key_idx[..., 0] * cw, axis=0)  # (L, U, Cw)
+        best += np.take_along_axis(stage_k, cand, axis=-1)
         at = np.arange(0, stage_k.size, cw).reshape(cand.shape) + cand  # (L, U, 1) in stage 2's output
-        packed = _pack(prev, from_row, from_s, at, layout.key_idx, cand).astype(layout.bp_dtype)
+        packed = _pack(prev, rows(at), from_s, at, layout.key_idx, cand).astype(layout.bp_dtype)
+        v = np.take(best, layout.cells)
+        v += extra
         return v, np.take(packed, layout.key_u)
-    # elements per (k, c, S) cell: Cw dense; pruned, 3 D and 24 for the tie path
+    from_row = rows()
+    # elements per (k, c, S) cell: Cw dense; in row form, 3 D and 24 for the tie path and packing
     block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * s * (cw if cand is None else 3 * cand.shape[2] + 24)))
     v = np.empty((n_live, cw, s))
     backptr = np.empty(v.shape, dtype=layout.bp_dtype)
     for k0 in range(0, n_live, block):
         ks = slice(k0, k0 + block)
-        best, from_c = _stage3_block(layout, ks, prev_k, cand, from_row)
+        if cand is None:
+            best, from_c = _stage3_dense(layout, ks, stage_k, from_row)
+        else:
+            best, from_c = _stage3_rows(layout, ks, stage_k, cand, from_row)
         v[ks] = best + extra
-        backptr[ks] = _pack(prev, from_row, from_s, layout.key_u[ks] * cw + from_c, layout.key_idx[ks], from_c)
+        at = layout.key_u[ks] * cw + from_c
+        backptr[ks] = _pack(prev, np.take(from_row, at), from_s, at, layout.key_idx[ks], from_c)
     return v, backptr
 
 
-def _pack(prev: _Prev, from_row, from_s, at, k, from_c):
+def _stage3_rows(layout: _Layout, ks, stage_k, cand, from_row):
+    """Row-form stage 3 on the keys ks: the maxima over D of (k, U, D, Cw)
+    and their previous chords (module docstring), at the (k, c, S) cells."""
+    cand, cw = cand[ks], stage_k.shape[-1]
+    val = np.take(layout.lg_from, cand + layout.key_idx[ks] * cw, axis=0)
+    val += np.take_along_axis(stage_k[ks], cand, axis=-1)[..., None]
+    best = val.max(axis=2)
+    eq = val == best[:, :, None]
+    from_c = np.repeat(cand[:, :, -1:], cw, axis=2)
+    for j in range(cand.shape[2] - 2, -1, -1):
+        np.copyto(from_c, cand[:, :, j, None], where=eq[:, :, j])
+    # a live cell reaches its maximum at one candidate unless it ties, and a
+    # dead one at all D
+    if np.count_nonzero(eq) > best.size + (cand.shape[2] - 1) * np.count_nonzero(best == -np.inf):
+        k, u, c = np.nonzero((np.count_nonzero(eq, axis=2) > 1) & (best > -np.inf))
+        prev_c = cand[k, u]  # (M, D)
+        order = from_row[ks][k[:, None], u[:, None], prev_c] * 256 + prev_c
+        from_c[k, u, c] = np.where(eq[k, u, :, c], order, _TIE_BIG).min(axis=1) % 256
+    cells = layout.cells[: len(cand)]
+    return np.take(best, cells), np.take(from_c, cells)
+
+
+def _pack(prev: _Prev, row, from_s, at, k, from_c):
     """Backpointers of the stage-2 cells at flat indices at of (L, U, Cw),
-    on rows k with previous chords from_c: the flat (row, chord, slot)
-    index in the previous v of each cell's best previous state."""
-    row = np.take(from_row, at)
-    flat = row * from_row.shape[-1] + from_c  # (row, chord) of the previous v
+    with stage-2 rows row, on live keys k with previous chords from_c: the
+    flat (row, chord, slot) index in the previous v of each best state."""
+    flat = row * from_s.shape[-1] + from_c  # (row, chord) of the previous v
     # stage 1's tail gives one slot per (row, chord), its dense form one per (row, u, chord)
     slot = np.take(from_s, flat if from_s.ndim == 2 else (row - k) * from_s[0].size + at)
     return flat * prev.slots.shape[1] + slot
 
 
-def _stage3_block(layout: _Layout, ks, prev_k, cand, from_row):
-    """Stage 3 on the keys ks: per (k, c, S) cell, the maximum and its
-    previous chord, the lowest in (previous key, chord) order among tied
-    maxima. prev_k holds stage 2's maxima at every previous chord, or at
-    the candidates cand (L, U, D) when it is not None."""
+def _stage3_dense(layout: _Layout, ks, stage_k, from_row):
+    """Dense stage 3 on the keys ks: per (k, c, S) cell, the maximum over
+    every previous chord and its previous chord, the lowest in (previous
+    key, chord) order among tied maxima."""
     slot_t, lg_live = layout.slot_t, layout.lg_live
     cw = lg_live.shape[1]
-    val = np.take(prev_k[ks], slot_t, axis=1)  # (k, c, S, W)
-    if cand is None:
-        val += lg_live[ks, :, None]
-    else:
-        prev_c = np.take(cand[ks], slot_t, axis=1)  # previous chord of each (k, c, S, D) entry
-        val += np.take(lg_live, prev_c + layout.lg_rows[ks])
+    val = np.take(stage_k[ks], slot_t, axis=1)  # (k, c, S, Cw)
+    val += lg_live[ks, :, None]
     from_c = val.argmax(axis=-1)
     row_starts = np.arange(0, val.size, val.shape[-1]).reshape(from_c.shape)
     at = from_c + row_starts
@@ -595,12 +620,9 @@ def _stage3_block(layout: _Layout, ks, prev_k, cand, from_row):
     np.put(val, at, -np.inf)
     second = val.reshape(-1)[val.argmax(axis=-1) + row_starts]
     ties = np.isfinite(best) & (second == best)
-    if cand is not None:
-        from_c = np.take(prev_c, at)
     if ties.any():
         np.put(val, at, best)
         order = from_row[ks] * 256 + np.arange(cw)  # (k, U, c_prev); rows ascend with keys
-        order = order if cand is None else np.take_along_axis(order, cand[ks], axis=-1)
         composite = np.where(val == best[..., None], np.take(order, slot_t, axis=1), _TIE_BIG)
         from_c = np.where(ties, composite.min(axis=-1) % 256, from_c)
     return best, from_c

@@ -277,8 +277,8 @@ def save_model(m: HpModel, path) -> None:
             if arr.shape != shape:
                 raise ValueError(f"table {name} has shape {arr.shape}, expected {shape}")
             fh.write(_table_header(name, shape) + "\n")
-            for row in arr.reshape(shape[0], -1):
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            for row in arr.reshape(shape[0], -1).tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
         fh.write("end\n")
 
 

@@ -710,7 +710,7 @@ class TestStep:
         # 2, dead cells included, equal between the dense, the pruned and
         # the fused forms. The random tables' chord emissions spread over
         # hundreds of nats, as a trained model's do, so most frames keep one
-        # previous chord per stage-3 row and take the one-candidate tail;
+        # previous chord per stage-3 row and pack their backpointers once per row;
         # the integer tables, with -inf holes in every transition table, tie
         # everywhere and leave keys that some rows do not reach. Bass-tail
         # spreads the bass emissions over thousands of nats and keeps every
@@ -757,7 +757,8 @@ class TestStep:
                 prev = layout.first if t == 1 else layout.rest
                 with stage_form(form):
                     stage1[form] = decode._stage1(prev, v)
-                    stage2[form] = decode._stage2(layout, prev, stage1[form][0])
+                    stage_k, rows = decode._stage2(layout, prev, stage1[form][0])
+                    stage2[form] = stage_k, rows(np.arange(stage_k.size).reshape(stage_k.shape))
                     out[form] = decode._step(layout, v, t)
                 fused += form == "fused" and prev.fused is not None
             one_slot += _took_stage1_tail(stage1["pruned"][1])
@@ -1012,6 +1013,82 @@ def test_fallback_emission_ties_pinned(constraints, keys, log_prob):
         assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4
         assert path.basses.tolist() == [1] * 4 + [7] * 4 + [1] * 4
         assert repr(path.log_prob) == log_prob
+
+
+def test_stage3_rows_break_cross_key_ties_as_the_dense_form():
+    # The pruned form takes stage 3 in row form on every frame, where the
+    # fallback Gaussian leaves 115 previous chords in each row and ties
+    # them. On some frames a cell's maximum is reached from several
+    # candidates whose lowest chord does not come from the lowest previous
+    # key, so the first maximum over D is not the winner; and no bass moves
+    # to bass 3, so every row (k, 3) is dead. Each frame's v, backpointers
+    # and their dtype equal the dense form's byte for byte.
+    model, treble, bass = _fallback_tie_case()
+    tables = decode._build_tables(model, Constraints(), treble, bass)
+    tables.lh[:, 3] = -np.inf
+    layouts = {}
+    for form in ("dense", "pruned"):
+        with stage_form(form):
+            layouts[form] = decode._layout(tables)
+    layout = layouts["pruned"]
+    v = _frame0_v(tables)
+    wide = cross = dead = 0
+    for t in range(1, treble.n_frames):
+        prev = layout.first if t == 1 else layout.rest
+        with stage_form("pruned"):
+            stage_k, rows = decode._stage2(layout, prev, decode._stage1(prev, v)[0])
+            cand = decode._stage3_candidates(stage_k, layout.lower, layout.scale)
+            v_rows, bp_rows = decode._step(layout, v, t)
+        with stage_form("dense"):
+            v, bp = decode._step(layouts["dense"], v, t)
+        assert v.tobytes() == v_rows.tobytes(), f"frame {t}"
+        assert bp.dtype == bp_rows.dtype and bp.tobytes() == bp_rows.tobytes(), f"frame {t}"
+        wide += cand.shape[2] > 1
+        dead += np.count_nonzero(stage_k.max(axis=-1) == -np.inf)
+        key_of = np.take_along_axis(rows(), cand, axis=-1)[..., None]  # (L, U, D, 1) each candidate's row
+        for k in range(len(cand)):
+            val = tables.lg[layout.live[k]][cand[k]] + np.take_along_axis(stage_k[k], cand[k], axis=-1)[..., None]
+            best = val.max(axis=1, keepdims=True)
+            tied = (val == best) & (best > -np.inf)  # (U, D, Cw)
+            first = np.take_along_axis(key_of[k], tied.argmax(axis=1)[:, None], axis=1)
+            cross += np.count_nonzero(first > np.where(tied, key_of[k], 99).min(axis=1, keepdims=True))
+    assert wide > 0 and cross > 0 and dead > 0, (wide, cross, dead)
+
+
+@pytest.mark.parametrize("stage1", ["tail", "dense"])
+def test_pruned_stage2_reads_rows_where_asked(stage1):
+    # The pruned stage 2 finds a cell's first maximizing previous row from
+    # its sums only where it is read. At arbitrary cells, and at every cell
+    # at once, that is the row the dense form takes: the lowest maximizing
+    # one, and for a dead cell its key's first predecessor. Random tables
+    # with -inf key transitions leave keys that some rows do not reach, and
+    # one chord impossible at the previous frame kills its columns. Stage 1
+    # takes its one-slot tail (every bass transition finite, v spread over
+    # a million nats) or runs dense (a -inf bass transition).
+    rng = np.random.default_rng(35)
+    gaps = dead = 0
+    for trial in range(12):
+        tables, _ = random_log_tables(rng, 6, 5, 4, 3, sparsity=0.3, slot_cap=2)
+        tables.lh[:] = rng.normal(size=tables.lh.shape)
+        if stage1 == "dense":
+            tables.lh[0, 1] = -np.inf
+        with stage_form("pruned"):
+            layout = decode._layout(tables)
+            prev = layout.rest
+            v = rng.normal(scale=1e6, size=(prev.keys.size, *prev.slots.shape))
+            v[:, rng.integers(prev.slots.shape[0])] = -np.inf
+            stage_b, from_s = decode._stage1(prev, v)
+            cand = decode._stage2_candidates(prev, stage_b)
+            stage_k, rows = decode._stage2_pruned(prev, stage_b, cand)
+        assert from_s.ndim == (2 if stage1 == "tail" else 3)
+        sums = prev.lf_rows[:, :, None] + stage_b.reshape(len(stage_b), -1)  # (L, Kp, N)
+        want = np.where(stage_k.reshape(len(sums), -1) > -np.inf, sums.argmax(axis=1), prev.pred[:, :1])
+        assert np.array_equal(rows(), want.reshape(stage_k.shape)), f"trial {trial}"
+        at = rng.integers(want.size, size=(2, 3, 5))
+        assert np.array_equal(rows(at), want.reshape(-1)[at]), f"trial {trial}"
+        gaps += prev.gaps
+        dead += np.count_nonzero(stage_k == -np.inf)
+    assert gaps > 0 and dead > 0, (gaps, dead)
 
 
 @pytest.mark.parametrize(
