@@ -403,12 +403,7 @@ def _song_metrics(cfg: RunConfig, stem: str, pred_dir: Path) -> tuple[dict, floa
         pred_bass = parse_lab(bass_path)
         end = gt_chords.span[1]
         beats = _beats_for(cfg, stem, end, end=end)
-        gt_states = np.array(
-            [
-                -1 if lab is None else derive_bass(parse_chord_symbol(lab))
-                for lab in most_prevalent_labels(gt_chords, beats)
-            ]
-        )
+        gt_states = beat_sync_labels(gt_chords, beats, make_alphabet(cfg.alphabet)).bass
         pred_states = np.array(
             [
                 -1 if lab is None else _BASS_STATE[lab]

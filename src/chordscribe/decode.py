@@ -26,50 +26,44 @@ slot) index in the previous v, uint16 for full121; `_backtrace` walks back.
 
 Each stage runs dense, over every predecessor, when its tensor fits the
 dense budget or a frame keeps over a quarter of the predecessors, and
-otherwise over the predecessors an exact bound keeps. Stage 3 bounds each
-row (k, u): with mx the row's maximum, at cp0, chord c's cell is at least
-mx + lg[k, cp0, c] and chord cp adds at most max lg[k], so cp below
-mx + min_c lg[k, cp0, c] - max lg[k] cannot win or tie; a slack of
-1e-9 * (1 + |mx| + |min| + |max|) dwarfs the float roundings (each under
-2**-53 of that sum). A -inf minimum keeps the row whole. Stage 2 bounds
-each column n = (u, c) of the previous rows d: with mx at d0, row d below
-mx - delta[d0, d], delta[d0, d] = max_l (lf[d, l] - lf[d0, l]), cannot win
-or tie at any key l (+inf when d reaches a key d0 does not; a key neither
-reaches counts as -inf), with the slack 1e-9 * (1 + |mx| + 2 max |lf|).
-Frame 1 under a flat key prior keeps most rows and stays dense. Stage 1
-bounds each cell (k, c) over its slots s alike, with delta_s[s0, s] =
-max_u (lh[s, u] - lh[s0, u]); when every live cell keeps s0 alone (nearly
-every frame of an unconstrained decode) it takes mx + lh[s0, u] and s0 at
-every target u, written as (U, Cw, Kp) so that stage 2 reads each column
-as one contiguous row of keys, and any other frame runs dense. A -inf bass
-transition keeps stage 1 dense, where a dead target slot takes slot 0.
-Stages 1 and 3 find "every cell keeps its maximum alone" by counting kept
-entries against live cells (a dead cell keeps nothing). Kept predecessors
-ascend and the lowest maximizing one wins, as in the dense forms; a dead
-cell takes its key's first predecessor in stage 2 and chord 0 in stage 3.
+otherwise over the predecessors that one exact bound keeps (`_bound`). In
+a cell whose maximum mx is at predecessor a, predecessor p cannot win or
+tie at any target below mx - drop[a, p], the most p's transitions gain
+over a's at any target; a slack of 1e-9 * (1 + |mx| + scale), scale
+bounding the transitions' magnitudes, dwarfs the float roundings (each
+under 2**-53 of that sum), and a dead cell keeps none. `_delta` gives the
+drops of stage 1, over the slots s of each cell (k, c), max_u (lh[s, u] -
+lh[a, u]), and of stage 2, over the rows d of each column (u, c),
+max_l (lf[d, l] - lf[a, l]) (+inf where only d reaches l); frame 1 under
+a flat key prior keeps most rows and stays dense. Stage 3 drops every
+chord of a row (k, u) by max lg[k] - min_c lg[k, a, c], as chord c's cell
+is at least mx + lg[k, a, c] and any chord adds at most max lg[k]; a -inf
+minimum keeps the row whole. When every live cell keeps a alone (nearly
+every frame of an unconstrained decode), stage 1 takes mx + lh[a, u] and
+a at every target u, as (U, Cw, Kp) so that stage 2 reads each column as
+one contiguous row of keys; it runs dense on any other frame, and on all
+when a bass transition is -inf (a dead target slot takes slot 0). Kept
+predecessors ascend and the lowest maximizing one wins, as in the dense
+forms; a dead cell takes its key's first predecessor in stage 2 and chord
+0 in stage 3.
 
-Stage 2 returns a reader of the rows its maxima come from. The pruned form
-keeps its (L, D, N) sums and finds a cell's first maximizing row only
-where stage 3 reads it (the L * U rows' winners when every stage-3 row
-keeps one chord), or at every cell by D masked copies; the dense forms
-hold the whole array. The pruned stage 3 works on rows: all cells (k, c, s)
-with u = slot_t[c, s] share the row (k, u)'s candidates, so it gathers each
-candidate's whole row lg[k, cp, :], adds its stage-2 maximum, reduces
-(L, U, D, Cw) over D in key blocks under the budget and reads each cell at
-(k, u, c). The first maximum is the lowest candidate
-chord; where two candidates reach it, the lowest (previous key, chord)
-wins. A row that keeps one chord has nothing to tie and one previous state
-for all its cells, packed once.
+Stage 2 returns a reader of the rows its maxima come from: the pruned
+form keeps its (L, D, N) sums and finds a cell's first maximizing row only
+where stage 3 reads it, or at every cell by D masked copies. The pruned
+stage 3 works on rows: all cells (k, c, s) with u = slot_t[c, s] share the
+row (k, u)'s candidates, so it adds each candidate's stage-2 maximum to its
+whole row lg[k, cp, :] and reduces (L, U, D, Cw) over D in key blocks
+under the budget. Where two candidates reach a maximum, the lowest
+(previous key, chord) wins (`_lowest_tied`, as in the dense form). A row
+that keeps one chord has one previous state for all its cells, packed once.
 
 Stages 2 and 3 fuse into one argmax per target cell when each live key
 has one predecessor d (D == 1, every frame of a tight decode), stage 1
-runs dense and the (L * Cw * S, Cw) table fits its budget: a row of it
-holds stage 1's maxima at (d, u) over every previous chord plus lf[d, k]
-and then lg[k, cp, c], the staged adds in order, so the argmax takes the
-staged maximum and its first chord, dead cells included, and the
-backpointer is (row * Cw + cp) * Sp plus stage 1's slot at the winner.
-With D > 1, rounding can merge two rows' distinct stage-2 sums once lg is
-added, where one argmax would take the lower row, so those stay staged.
+runs dense and the (L * Cw * S, Cw) table fits its budget. A row adds
+lf[d, k] and then lg[k, cp, c] to stage 1's maxima at (d, u), the staged
+adds in order, so the argmax takes the staged maximum and its first
+chord, dead cells included. With D > 1, rounding can merge two rows'
+distinct stage-2 sums once lg is added, so those stay staged.
 """
 
 from __future__ import annotations
@@ -285,7 +279,6 @@ class _Prev(NamedTuple):
     dense: bool  # stage 2 takes every predecessor on every frame
     pred: np.ndarray  # (L, D) each live key's predecessors, ascending, padded
     lf_pred: np.ndarray  # (L, D, 1, 1) their transitions, -inf as padding
-    rank: np.ndarray  # (D, 1, 1) D down to 1: marks the first maximizing predecessor
     n_expanded: int  # the step's expanded transitions
     fused: _Fused | None = None  # stages 2 and 3 as one argmax, when they fit its budget
 
@@ -320,23 +313,25 @@ def _fused_layout(prev: _Prev, lg_live, slot_t) -> _Fused | None:
     )
 
 
+def _delta(x):
+    """[..., a, d]: the most x[i, ..., d] exceeds x[i, ..., a] at any i."""
+    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN, which fmax skips
+        return np.fmax.reduce(x[..., None, :] - x[..., None], axis=0, initial=-np.inf)
+
+
 def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
     """n_expanded counts stage 1 over all keys and target basses, stage 2
     over every finite key transition and stage 3 over every finite chord
     transition into each bass slot."""
     lf_rows = np.ascontiguousarray(tables.lf[np.ix_(keys, live)].T)
     fin = np.isfinite(lf_rows)
-    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN, which fmax skips
-        delta = np.fmax.reduce(lf_rows[:, None, :] - lf_rows[:, :, None], axis=0, initial=-np.inf)
     scale = 2 * float(np.abs(lf_rows[fin]).max(initial=0))
     deg = max(1, int(fin.sum(axis=1).max(initial=0)))
     pred = np.argsort(~fin, axis=1, kind="stable")[:, :deg]
     lf_pred = np.take_along_axis(lf_rows, pred, axis=1)[:, :, None, None]
-    rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
     lh_g = np.ascontiguousarray(tables.lh[slots][:, :, targets].transpose(2, 0, 1))
     starts = np.arange(0, lh_g.size * keys.size, slots.shape[1]).reshape(keys.size, *lh_g.shape[:2])
-    with np.errstate(invalid="ignore"):  # -inf - -inf; a table with -inf keeps stage 1 dense
-        delta_s = (lh_g[:, :, None, :] - lh_g[..., None]).max(axis=0).reshape(-1, slots.shape[1])
+    delta_s = _delta(lh_g).reshape(-1, slots.shape[1])  # a table with -inf keeps stage 1 dense
     scale_s = 2 * float(np.abs(lh_g).max(initial=0))
     dense_s = keys.size * lh_g.size <= _DENSE_ELEMENTS or not np.isfinite(scale_s)
     dense = live.size * deg * lh_g.shape[0] * lh_g.shape[1] <= _DENSE_ELEMENTS
@@ -346,10 +341,9 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
         + cw * tables.lh.shape[0] * int(np.isfinite(tables.lf).sum())
         + tables.slots.shape[1] * int(np.isfinite(tables.lg).sum())
     )
-    gaps = not fin.all()
     return _Prev(
-        keys, slots, lh_g, starts, delta_s, scale_s, dense_s, lf_rows, delta, scale, gaps, dense, pred,
-        lf_pred, rank, n_expanded,
+        keys, slots, lh_g, starts, delta_s, scale_s, dense_s, lf_rows, _delta(lf_rows), scale, not fin.all(),
+        dense, pred, lf_pred, n_expanded,
     )
 
 
@@ -363,7 +357,7 @@ class _Layout(NamedTuple):
     slot_t: np.ndarray  # (Cw, S) column of each bass slot among stage 1's targets
     lg_live: np.ndarray  # (L, c, c_prev) chord transitions into the live keys
     dense: bool  # stage 3 takes every previous chord on every frame
-    lower: np.ndarray  # (L, c_prev) the stage-3 bound's term, -inf for none,
+    drop: np.ndarray  # (L * c_prev, 1) the stage-3 bound's drop, +inf where it holds none,
     scale: np.ndarray  # and its magnitude, for the slack
     lg_from: np.ndarray  # (L * c_prev, c) chord transitions out of each (live key, previous chord)
     key_idx: np.ndarray  # (L, 1, 1)
@@ -388,15 +382,16 @@ def _layout(tables: _LogTables) -> _Layout:
     first, rest = (prev._replace(fused=_fused_layout(prev, lg_live, slot_t)) for prev in (first, rest))
     colmin = lg_live.min(axis=1)
     gmax = lg_live.max(axis=(1, 2), initial=-np.inf)[:, None]
-    lower = np.full_like(colmin, -np.inf)
-    np.subtract(colmin, gmax, out=lower, where=np.isfinite(colmin))
+    drop = np.full_like(colmin, np.inf)
+    np.subtract(gmax, colmin, out=drop, where=np.isfinite(colmin))
     scale = np.abs(colmin) + np.abs(gmax)
     key_idx = np.arange(live.size)[:, None, None]
     key_u = key_idx * targets.size + slot_t
     cells = key_u * cw + np.arange(cw)[:, None]
     bp_dtype = np.min_scalar_type(n_keys * cw * n_bass - 1)
     return _Layout(
-        tables, live, first, rest, slot_t, lg_live, dense, lower, scale, lg_from, key_idx, key_u, cells, bp_dtype
+        tables, live, first, rest, slot_t, lg_live, dense, drop.reshape(-1, 1), scale.reshape(-1, 1), lg_from,
+        key_idx, key_u, cells, bp_dtype,
     )
 
 
@@ -429,6 +424,25 @@ def _fused_step(layout: _Layout, prev: _Prev, t, stage_b, from_s):
     return v, backptr.astype(layout.bp_dtype).reshape(v.shape)
 
 
+def _bound(x, drop, scale, base=0, alone=False):
+    """The exact bound over x's last axis (module docstring): each cell's
+    first maximum, at and mx, and the entries it keeps, none in a dead
+    cell; drop's rows, and scale's when it is an array, are read at
+    base + at. With alone, keep is None when as many entries as live cells
+    are kept: each live cell keeps its maximum alone."""
+    at = x.argmax(axis=-1)
+    mx = np.take_along_axis(x, at[..., None], axis=-1)
+    row = at + base
+    if np.ndim(scale):
+        scale = np.take(scale, row, axis=0)
+    alive = mx > -np.inf
+    with np.errstate(invalid="ignore"):  # a dead cell's inf - inf
+        keep = x >= np.where(alive, mx - 1e-9 * (1 + np.abs(mx) + scale), np.inf) - np.take(drop, row, axis=0)
+    if alone and np.count_nonzero(keep) == np.count_nonzero(alive):
+        keep = None
+    return at, mx, keep
+
+
 def _stage1(prev: _Prev, v):
     """Collapse the previous bass over the last axis of (Kp, U, Cw, Sp),
     to the lowest maximizing slot (bass); returns the (Kp, U, Cw) maxima
@@ -436,15 +450,10 @@ def _stage1(prev: _Prev, v):
     maximizing slot s0 takes it at every target bass, in stage 2's column
     order, and returns s0 as the slots (module docstring)."""
     if not prev.dense_s:
-        s0 = v.argmax(axis=-1)
-        mx = np.take_along_axis(v, s0[..., None], axis=-1)
-        row = s0 + np.arange(0, prev.delta_s.shape[0], v.shape[-1])  # (Kp, Cw) rows c * Sp + s0
-        alive = mx > -np.inf
-        thr = np.where(alive, mx - 1e-9 * (1 + np.abs(mx) + prev.scale_s), np.inf)
-        # a live cell keeps s0 at least and a dead one nothing, so equal
-        # counts mean that every live cell keeps s0 alone
-        if np.count_nonzero(v >= thr - np.take(prev.delta_s, row, axis=0)) == np.count_nonzero(alive):
-            stage_b = np.take(prev.lh_g.reshape(len(prev.lh_g), -1), row.T, axis=1)  # (U, Cw, Kp)
+        base = np.arange(0, prev.delta_s.shape[0], v.shape[-1])  # each chord's first row c * Sp
+        s0, mx, keep = _bound(v, prev.delta_s, prev.scale_s, base, alone=True)
+        if keep is None:
+            stage_b = np.take(prev.lh_g.reshape(len(prev.lh_g), -1), (s0 + base).T, axis=1)  # (U, Cw, Kp)
             stage_b += mx[..., 0].T
             return stage_b.transpose(2, 0, 1), s0
     tmp = v[:, None] + prev.lh_g
@@ -457,19 +466,16 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b):
     of the stage_b rows they come from, the first maximizing predecessor, at
     the flat indices at or, with none, at every cell. Pruned, over the rows
     the bound keeps; dense, over axis 1 of (L, D, U, Cw), where the largest
-    rank equal to the max marks that predecessor."""
+    rank (D down to 1) equal to the max marks that predecessor."""
     if not prev.dense:
         cand = _stage2_candidates(prev, stage_b)
         if cand.shape[0] * _GATHER_COST <= prev.pred.shape[1]:
             return _stage2_pruned(prev, stage_b, cand)
     tmp = np.take(stage_b, prev.pred, axis=0)
     tmp += prev.lf_pred
-    if tmp.shape[1] == 1:  # one predecessor per key: gamma-pruned models trained without modulations
-        stage_k, from_row = tmp[:, 0], np.broadcast_to(prev.pred[:, :, None], tmp[:, 0].shape)
-    else:
-        stage_k = tmp.max(axis=1)
-        from_d = prev.rank.shape[0] - (np.equal(tmp, stage_k[:, None]) * prev.rank).max(axis=1)
-        from_row = prev.pred[layout.key_idx, from_d]
+    stage_k, deg = tmp.max(axis=1), tmp.shape[1]
+    rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
+    from_row = prev.pred[layout.key_idx, deg - (np.equal(tmp, stage_k[:, None]) * rank).max(axis=1)]
     return stage_k, lambda at=None: from_row if at is None else np.take(from_row, at)
 
 
@@ -478,11 +484,7 @@ def _stage2_candidates(prev: _Prev, stage_b):
     ascending, padded to the widest column with repeats of its maximizing
     row d0, which is all a dead column keeps."""
     cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)  # (N, Kp), as stage 1's tail wrote it
-    d0 = cols.argmax(axis=1)
-    mx = np.take_along_axis(cols, d0[:, None], axis=1)
-    with np.errstate(invalid="ignore"):  # a dead column's inf - inf
-        thr = np.where(mx > -np.inf, mx - 1e-9 * (1 + np.abs(mx) + prev.scale), np.inf)
-        keep = cols >= thr - np.take(prev.delta, d0, axis=0)
+    d0, _, keep = _bound(cols, prev.delta, prev.scale)
     at, rows = np.divmod(np.flatnonzero(keep), keep.shape[1])
     count = np.bincount(at, minlength=len(cols))
     cand = np.tile(d0, (max(1, int(count.max(initial=0))), 1))
@@ -516,21 +518,15 @@ def _stage2_pruned(prev: _Prev, stage_b, cand):
     return stage_k.reshape(shape), rows
 
 
-def _stage3_candidates(stage_k, lower, scale):
+def _stage3_candidates(stage_k, drop, scale):
     """(L, U, D) previous chords of each stage-3 row (k, u) that the bound
     keeps, ascending, padded to the widest row with chords it drops."""
-    cp0 = stage_k.argmax(axis=-1)[..., None]
-    mx = np.take_along_axis(stage_k, cp0, axis=-1)
-    k = np.arange(len(stage_k))[:, None, None]
-    alive = mx > -np.inf
-    thr = mx + lower[k, cp0] - 1e-9 * (1 + np.abs(mx) + scale[k, cp0])
-    keep = stage_k >= np.where(alive, thr, np.inf)
-    # a live row keeps cp0 at least and a dead one nothing, so equal counts
-    # mean that every live row keeps cp0 alone
-    if np.count_nonzero(keep) == np.count_nonzero(alive):
-        return cp0
+    cw = stage_k.shape[-1]
+    cp0, _, keep = _bound(stage_k, drop, scale, np.arange(len(stage_k))[:, None] * cw, alone=True)
+    if keep is None:
+        return cp0[..., None]
     n = keep.sum(axis=-1)
-    cand = (cp0 + np.arange(n.max())) % stage_k.shape[-1]
+    cand = (cp0[..., None] + np.arange(n.max())) % cw
     cand[n > 1] = np.argsort(~keep[n > 1], axis=-1, kind="stable")[:, : cand.shape[-1]]
     return cand
 
@@ -542,7 +538,7 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s):
     tables = layout.tables
     n_live, cw, s = layout.live.size, tables.working.size, tables.slots.shape[1]
     extra = tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
-    cand = None if layout.dense else _stage3_candidates(stage_k, layout.lower, layout.scale)
+    cand = None if layout.dense else _stage3_candidates(stage_k, layout.drop, layout.scale)
     if cand is not None and cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
     if cand is not None and cand.shape[2] == 1:  # a row's cells share one previous state: pack it once
@@ -586,8 +582,7 @@ def _stage3_rows(layout: _Layout, ks, stage_k, cand, from_row):
     if np.count_nonzero(eq) > best.size + (cand.shape[2] - 1) * np.count_nonzero(best == -np.inf):
         k, u, c = np.nonzero((np.count_nonzero(eq, axis=2) > 1) & (best > -np.inf))
         prev_c = cand[k, u]  # (M, D)
-        order = from_row[ks][k[:, None], u[:, None], prev_c] * 256 + prev_c
-        from_c[k, u, c] = np.where(eq[k, u, :, c], order, _TIE_BIG).min(axis=1) % 256
+        from_c[k, u, c] = _lowest_tied(from_row[ks][k[:, None], u[:, None], prev_c], prev_c, eq[k, u, :, c])
     cells = layout.cells[: len(cand)]
     return np.take(best, cells), np.take(from_c, cells)
 
@@ -606,10 +601,9 @@ def _stage3_dense(layout: _Layout, ks, stage_k, from_row):
     """Dense stage 3 on the keys ks: per (k, c, S) cell, the maximum over
     every previous chord and its previous chord, the lowest in (previous
     key, chord) order among tied maxima."""
-    slot_t, lg_live = layout.slot_t, layout.lg_live
-    cw = lg_live.shape[1]
+    slot_t = layout.slot_t
     val = np.take(stage_k[ks], slot_t, axis=1)  # (k, c, S, Cw)
-    val += lg_live[ks, :, None]
+    val += layout.lg_live[ks, :, None]
     from_c = val.argmax(axis=-1)
     row_starts = np.arange(0, val.size, val.shape[-1]).reshape(from_c.shape)
     at = from_c + row_starts
@@ -622,10 +616,15 @@ def _stage3_dense(layout: _Layout, ks, stage_k, from_row):
     ties = np.isfinite(best) & (second == best)
     if ties.any():
         np.put(val, at, best)
-        order = from_row[ks] * 256 + np.arange(cw)  # (k, U, c_prev); rows ascend with keys
-        composite = np.where(val == best[..., None], np.take(order, slot_t, axis=1), _TIE_BIG)
-        from_c = np.where(ties, composite.min(axis=-1) % 256, from_c)
+        tied = _lowest_tied(np.take(from_row[ks], slot_t, axis=1), np.arange(val.shape[-1]), val == best[..., None])
+        from_c = np.where(ties, tied, from_c)
     return best, from_c
+
+
+def _lowest_tied(rows, chords, tied):
+    """The chord of the lowest (stage-2 row, chord) among the tied entries
+    of the last axis, the canonical order: rows ascend with keys."""
+    return np.where(tied, rows * 256 + chords, _TIE_BIG).min(axis=-1) % 256
 
 
 def _backtrace(layout: _Layout, backptr: list, v: np.ndarray):

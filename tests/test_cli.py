@@ -540,6 +540,24 @@ class TestEval:
             assert code == 1
             assert f"flagged: songA: {beats / 'songA.txt'}:6: beat time {float(last)} is past the end" in err
 
+    def test_f_bass_pinned(self, tmp_path):
+        # Ground-truth basses per beat: C, then E (C:maj/3 has its third in
+        # the bass), then none (2-3 s has no annotation), then G. The
+        # prediction holds C through 2 s and G after, so it matches beats 1
+        # and 4 of the 3 covered ones: f_bass = 2/3. Reading the inversion
+        # as root position would give 1, and scoring the uncovered beat
+        # would give 3/4 or 2/4.
+        for d in ("chords", "pred", "beats"):
+            (tmp_path / d).mkdir()
+        (tmp_path / "chords" / "s.lab").write_text("0 1 C:maj\n1 2 C:maj/3\n3 4 G:maj\n")
+        (tmp_path / "pred" / "s.chord.lab").write_text("0 2 C:maj\n2 4 G:maj\n")
+        (tmp_path / "pred" / "s.bass.lab").write_text("0 2 C\n2 4 G\n")
+        (tmp_path / "beats" / "s.txt").write_text("0\n1\n2\n3\n4\n")
+        argv = ["--pred-dir", str(tmp_path / "pred"), "--chords-dir", str(tmp_path / "chords")]
+        argv += ["--beats", str(tmp_path / "beats"), "--output-dir", str(tmp_path / "r")]
+        assert run("eval", *argv) == 0
+        assert "s,f_bass,0.666667" in (tmp_path / "r" / "report.csv").read_text().splitlines()
+
     def test_compare_t_test_row(self, workspace, tmp_path, capsys):
         # second prediction dir: perfect on songA, degraded on songB
         pred2 = tmp_path / "pred2"

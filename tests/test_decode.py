@@ -770,7 +770,7 @@ class TestStep:
                     for dense, other in zip(got["dense"], got[form]):
                         assert dense.dtype == other.dtype and np.array_equal(dense, other), f"frame {t}, {stage}"
             stage_k, layout = stage2["pruned"][0], layouts["pruned"]
-            one_candidate += decode._stage3_candidates(stage_k, layout.lower, layout.scale).shape[2] == 1
+            one_candidate += decode._stage3_candidates(stage_k, layout.drop, layout.scale).shape[2] == 1
             v, bp = out["dense"]
             dead += np.count_nonzero(v == -np.inf)
             for form in ("pruned", "fused"):
@@ -1037,7 +1037,7 @@ def test_stage3_rows_break_cross_key_ties_as_the_dense_form():
         prev = layout.first if t == 1 else layout.rest
         with stage_form("pruned"):
             stage_k, rows = decode._stage2(layout, prev, decode._stage1(prev, v)[0])
-            cand = decode._stage3_candidates(stage_k, layout.lower, layout.scale)
+            cand = decode._stage3_candidates(stage_k, layout.drop, layout.scale)
             v_rows, bp_rows = decode._step(layout, v, t)
         with stage_form("dense"):
             v, bp = decode._step(layouts["dense"], v, t)
@@ -1103,6 +1103,25 @@ def test_only_tight_decodes_fuse_stages_2_and_3(constraints, fused):
     model, treble, bass = _fallback_tie_case()
     layout = decode._layout(decode._build_tables(model, constraints, treble, bass))
     assert (layout.first.fused is not None, layout.rest.fused is not None) == (fused, fused)
+
+
+def test_gamma_only_staged_one_predecessor_pinned():
+    # The model's songs stay in C and G, so under gamma=0 each of the two
+    # live keys has itself as its one predecessor (D = 1), but the fused
+    # table (2 x 121 x 13 x 121) is over its budget: stages 2 and 3 run
+    # staged, stage 2 dense. Values recorded before stage 2 lost its
+    # one-predecessor branch.
+    model, treble, bass = _fallback_tie_case()
+    constraints = Constraints(gamma=0)
+    layout = decode._layout(decode._build_tables(model, constraints, treble, bass))
+    assert layout.live.tolist() == [0, 7]
+    for prev in (layout.first, layout.rest):
+        assert prev.fused is None and prev.pred.shape[1] == 1 and prev.dense
+    path = viterbi_joint(model, constraints, treble, bass)
+    assert path.keys.tolist() == [0] * 12
+    assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4
+    assert path.basses.tolist() == [1] * 4 + [7] * 4 + [1] * 4
+    assert repr(path.log_prob) == "173.081805782094"
 
 
 @pytest.mark.parametrize(
