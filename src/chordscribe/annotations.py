@@ -7,6 +7,7 @@ is exactly what the 121-state alphabet admits.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import re
 from dataclasses import dataclass
@@ -340,6 +341,13 @@ class IntervalLabels:
         self.ends = np.asarray(self.ends, dtype=np.float64)
         if not (self.starts.size == self.ends.size == len(self.labels)):
             raise ValueError("starts/ends/labels length mismatch")
+        finite = np.isfinite(self.starts) & np.isfinite(self.ends)
+        if not finite.all():
+            raise ValueError(f"record {np.argmin(finite)} has a non-finite time")
+        back = np.flatnonzero(self.starts[1:] < self.starts[:-1])
+        if back.size:
+            i, (s0, s1) = back[0] + 1, self.starts[back[0] : back[0] + 2].tolist()
+            raise ValueError(f"record {i} ({self.labels[i]!r}) starts at {s1!r}, before record {i - 1} at {s0!r}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -453,19 +461,26 @@ def most_prevalent_labels(iv: IntervalLabels, beats) -> list[str | None]:
 
     Ties break toward the label whose earliest contributing record starts
     first. Intervals with no annotation coverage yield None.
+
+    Each beat interval scans, in record order, only the records that can
+    reach it: from the first whose end (as a running maximum over the
+    records) passes its start, to the last that starts before its end.
     """
     beats = np.asarray(beats, dtype=np.float64)
     if np.any(np.diff(beats) <= 0):
         raise ValueError("beats must be strictly increasing")
+    starts, ends, labels = iv.starts.tolist(), iv.ends.tolist(), iv.labels
+    reach = np.maximum.accumulate(iv.ends).tolist()
+    bounds = beats.tolist()
     winners: list[str | None] = []
-    for b0, b1 in zip(beats[:-1], beats[1:]):
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
         overlap: dict[str, float] = {}
         first_start: dict[str, float] = {}
-        for s, e, lab in zip(iv.starts, iv.ends, iv.labels):
-            ov = min(e, b1) - max(s, b0)
+        for i in range(bisect.bisect_right(reach, b0), bisect.bisect_left(starts, b1)):
+            ov = min(ends[i], b1) - max(starts[i], b0)
             if ov > 0:
-                overlap[lab] = overlap.get(lab, 0.0) + ov
-                first_start.setdefault(lab, s)
+                overlap[labels[i]] = overlap.get(labels[i], 0.0) + ov
+                first_start.setdefault(labels[i], starts[i])
         if not overlap:
             winners.append(None)
         else:

@@ -166,13 +166,24 @@ def _kernel_bank(sr: int, cfg: ChromaConfig) -> tuple:
     return tuple(bank)
 
 
-# Frames per matrix-vector product. A block's (frames, L) window matrix
-# stays small however long the signal is. With OpenBLAS 0.3.31 (x86-64),
-# 64-frame products gave the same bits at one and two threads, where
-# products over all frames or over 256 did not. How OpenBLAS splits a
-# product over threads is not documented, so this holds only as far as
-# the test at one and two threads shows it.
+# Frames per block. A block's windows stay small however long the signal
+# is. With OpenBLAS 0.3.31 (x86-64), 64-frame products gave the same bits
+# at one and two threads, where products over all frames or over 256 did
+# not. There a product whose row count is a multiple of 4 also gives each
+# row the bits it gets in a 64-row product (counts of 1, 2, 3, 5, 21 and
+# 22 do not), so a block may be taken as k products of 64/k rows for k up
+# to 16. How OpenBLAS splits a product over threads is not documented, so
+# this holds only as far as the tests at one and two threads show it.
 _CQ_BLOCK = 64
+
+
+def _window_stride(L: int, hop: int) -> int:
+    """The least power of two k with k*hop >= L: the L-sample windows of
+    frames i and i + k then do not overlap."""
+    k = 1
+    while k * hop < L:
+        k *= 2
+    return k
 
 
 def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
@@ -185,6 +196,11 @@ def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
 
     Frames are taken 64 at a time, so memory beyond the signal and the
     output stays a few MB; the kernels come from a per-process cache.
+    For an even hop, frame centers lie exactly hop apart; within a block,
+    bin s then reads the windows of every k-th frame (`_window_stride`) as
+    a strided view of the block's samples, with no copy, in k products of
+    64/k rows, a multiple of 4 (see _CQ_BLOCK). For an odd hop, k > 16, or
+    k > 1 in a short final block, the windows are copied.
     """
     freqs = cfg.bin_frequencies()
     sr = buf.sample_rate
@@ -192,20 +208,35 @@ def constant_q(buf: AudioBuffer, cfg: ChromaConfig) -> SpectralMatrix:
         raise ValueError(
             f"top analysis frequency {freqs[-1]:.1f} Hz exceeds Nyquist ({sr / 2:.1f} Hz)"
         )
-    x = buf.samples
-    centers, starts, ends = _frame_grid(x.size, cfg.hop, sr)
+    # Contiguous, so each view below is a BLAS operand as it stands.
+    x = np.ascontiguousarray(buf.samples)
+    hop, d = cfg.hop, x.itemsize
+    centers, starts, ends = _frame_grid(x.size, hop, sr)
     bank = _kernel_bank(sr, replace(cfg, hop=1))
     reach = max(L for L, _, _ in bank)
+    lengths = np.array([[L] for L, _, _ in bank], dtype=np.float64)
+    every = [_window_stride(L, hop) for L, _, _ in bank]
 
     mags = np.empty((freqs.size, centers.size))
+    re, im = np.empty((freqs.size, _CQ_BLOCK)), np.empty((freqs.size, _CQ_BLOCK))
     for b in range(0, centers.size, _CQ_BLOCK):
         block = centers[b : b + _CQ_BLOCK]
+        n = block.size
         # Window s of frame c covers [c - L_s//2, c - L_s//2 + L_s).
         lo = int(block[0]) - reach // 2
         seg = zero_extended(x, lo, int(block[-1]) - reach // 2 + reach)
-        for s, (L, kern_cos, kern_sin) in enumerate(bank):
-            rows = np.lib.stride_tricks.sliding_window_view(seg, L)[block - L // 2 - lo]
-            mags[s, b : b + block.size] = np.hypot(rows @ kern_cos, rows @ kern_sin) / L
+        for s, ((L, kern_cos, kern_sin), k) in enumerate(zip(bank, every)):
+            first = block - L // 2 - lo
+            if hop % 2 or k > 16 or (k > 1 and n < _CQ_BLOCK):
+                rows = np.ndarray((seg.size - L + 1, L), buffer=seg, strides=(d, d))[first]
+                re[s, :n], im[s, :n] = rows @ kern_cos, rows @ kern_sin
+                continue
+            # [j, i]: the window of frame j + k*i; np.ndarray checks that
+            # the view stays inside seg.
+            rows = np.ndarray((k, n // k, L), buffer=seg, offset=int(first[0]) * d, strides=(hop * d, k * hop * d, d))
+            re[s, :n].reshape(n // k, k)[:] = (rows @ kern_cos).T
+            im[s, :n].reshape(n // k, k)[:] = (rows @ kern_sin).T
+        mags[:, b : b + n] = np.hypot(re[:, :n], im[:, :n]) / lengths
     return SpectralMatrix(mags, freqs, starts, ends)
 
 
@@ -326,22 +357,30 @@ def beat_sync_median(chroma: Chromagram, beats) -> Chromagram:
     Even frame counts take the mean of the two middle values (np.median).
     Empty intervals copy the previous output frame (zeros for a leading
     empty interval).
+
+    The intervals holding c frames take one np.median over a (12,
+    intervals, c) gather, one call per distinct count c; the median of a
+    set does not depend on the order of its values.
     """
     beats = np.asarray(beats, dtype=np.float64)
     if beats.size < 2:
         raise ValueError("need at least 2 beats")
     if np.any(np.diff(beats) <= 0):
         raise ValueError("beats must be strictly increasing")
-    centers = chroma.frame_times
     n_out = beats.size - 1
+    interval = np.searchsorted(beats, chroma.frame_times, side="right") - 1
+    inside = (interval >= 0) & (interval < n_out)
+    frames = np.flatnonzero(inside)[np.argsort(interval[inside], kind="stable")]
+    counts = np.bincount(interval[inside], minlength=n_out)
+    offsets = np.cumsum(counts) - counts
     out = np.zeros((12, n_out))
-    for i in range(n_out):
-        sel = (centers >= beats[i]) & (centers < beats[i + 1])
-        if np.any(sel):
-            out[:, i] = np.median(chroma.values[:, sel], axis=1)
-        elif i > 0:
-            out[:, i] = out[:, i - 1]
-    return Chromagram(out, beats[:-1], beats[1:], chroma.band)
+    for c in np.unique(counts[counts > 0]):
+        held = np.flatnonzero(counts == c)
+        out[:, held] = np.median(chroma.values[:, frames[offsets[held, None] + np.arange(c)]], axis=2)
+    # Each empty interval takes the output of the last one before it that
+    # held a frame; a leading run of them stays zero.
+    last = np.maximum.accumulate(np.where(counts > 0, np.arange(n_out), -1))
+    return Chromagram(np.where(last >= 0, out[:, last], 0.0), beats[:-1], beats[1:], chroma.band)
 
 
 def default_beat_grid(duration: float, period: float = 0.5) -> np.ndarray:

@@ -1,11 +1,28 @@
 """Shared fixture builders and brute-force oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import chordscribe
 from chordscribe.annotations import FrameLabels, make_alphabet
 from chordscribe.chroma import Chromagram
+
+
+def stdout_at_one_and_two_blas_threads(script: str) -> list[str]:
+    """What `script` prints, run in a fresh interpreter with
+    OPENBLAS_NUM_THREADS 1 and then 2."""
+    src = str(Path(chordscribe.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+        outputs.append(out.stdout.strip())
+    return outputs
 
 
 def frame_grid(n, dt=0.5):

@@ -19,6 +19,7 @@ from chordscribe.annotations import (
     Alphabet,
     ChordSymbol,
     FrameLabels,
+    IntervalLabels,
     LabParseError,
     beat_sync_labels,
     chord_pitch_classes,
@@ -291,9 +292,54 @@ class TestParseKeyLabel:
         assert transpose_key(UNLABELED, 3) == UNLABELED
 
 
+def most_prevalent_labels_reference(iv, beats):
+    """most_prevalent_labels, scanning every record for every beat."""
+    beats = np.asarray(beats, dtype=np.float64)
+    winners = []
+    for b0, b1 in zip(beats[:-1], beats[1:]):
+        overlap, first_start = {}, {}
+        for s, e, lab in zip(iv.starts, iv.ends, iv.labels):
+            ov = min(e, b1) - max(s, b0)
+            if ov > 0:
+                overlap[lab] = overlap.get(lab, 0.0) + ov
+                first_start.setdefault(lab, s)
+        winners.append(min(overlap, key=lambda l: (-overlap[l], first_start[l])) if overlap else None)
+    return winners
+
+
 class TestBeatSyncLabels:
     def _iv(self, records):
         return make_intervals(records)
+
+    def test_equals_reference(self):
+        # Records ending exactly on a beat (1.0, 1.5), the 1e-9 overlaps
+        # make_intervals allows (3.0 - 5e-10, and a short record ending
+        # before the long one before it, so ends do not ascend: the beat
+        # between the two ends is reached only by the earlier one), a gap
+        # (3.2 to 4.0) and the end past the last record giving None, and an
+        # overlap tie (2.0-2.5) won by the earlier start.
+        iv = self._iv([
+            (0.25, 1.0, "C:maj"), (1.0, 1.5, "G:maj"), (1.5, 2.25, "C:maj"), (2.25, 3.0, "G:maj"),
+            (3.0 - 5e-10, 3.2, "A:min"), (3.2 - 8e-10, 3.2 - 4e-10, "F:maj"), (4.0, 5.0, "G:maj"),
+        ])  # fmt: skip
+        beats = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.2 - 2e-10, 3.5, 3.6, 4.5, 5.5, 6.0]
+        wins = most_prevalent_labels(iv, beats)
+        assert wins == most_prevalent_labels_reference(iv, beats)
+        assert wins[3:8] == ["C:maj", "C:maj", "G:maj", "A:min", "A:min"]
+        assert wins[8:] == [None, "G:maj", "G:maj", None]
+
+    def test_equals_reference_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            records, t = [], float(rng.uniform(0.0, 1.0))
+            for _ in range(int(rng.integers(0, 20))):
+                t += float(rng.choice([0.0, 0.0, -5e-10, rng.uniform(0.0, 1.0)]))
+                d = float(rng.choice([0.25, 0.5, 1.0, rng.uniform(1e-9, 2.0)]))
+                records.append((t, t + d, str(rng.choice(["C", "G", "A:min", "N"]))))
+                t += d
+            iv = self._iv(records)
+            beats = np.unique(np.concatenate([rng.uniform(-1.0, t + 1.0, int(rng.integers(2, 25))), iv.ends[:4]]))
+            assert most_prevalent_labels(iv, beats) == most_prevalent_labels_reference(iv, beats)
 
     def test_majority_duration_wins(self):
         iv = self._iv([(0.0, 0.7, "A:maj"), (0.7, 1.0, "N")])
@@ -342,6 +388,14 @@ class TestBeatSyncLabels:
         iv = self._iv([(0.0, 1.0, "N")])
         with pytest.raises(ValueError):
             most_prevalent_labels(iv, [0.0, 0.5, 0.4])
+
+
+def test_interval_labels_reject_unsorted_or_non_finite_records():
+    with pytest.raises(ValueError, match=r"record 2 \('C'\) starts at 0\.5, before record 1 at 1\.0"):
+        IntervalLabels(np.array([0.0, 1.0, 0.5]), np.array([1.0, 2.0, 0.9]), ["A", "B", "C"])
+    with pytest.raises(ValueError, match="record 1 has a non-finite time"):
+        IntervalLabels(np.array([0.0, 1.0]), np.array([1.0, np.inf]), ["A", "B"])
+    assert len(IntervalLabels(np.array([0.0, 0.0, 1.0]), np.array([0.5, 1.0, 2.0]), ["A", "B", "C"])) == 3
 
 
 @pytest.mark.parametrize("field", ["key", "chord", "bass"])

@@ -1,19 +1,18 @@
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import stdout_at_one_and_two_blas_threads
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import chordscribe
-from chordscribe.audio_io import AudioBuffer, synthesize_triads
+from chordscribe import chroma
+from chordscribe.audio_io import AudioBuffer, synthesize_triads, zero_extended
 from chordscribe.chroma import (
+    _frame_grid,
     _kernel_bank,
     Chromagram,
     SpectralMatrix,
@@ -47,7 +46,7 @@ from chordscribe.audio_io import AudioBuffer
 from chordscribe.chroma import bass_config, constant_q, estimate_tuning, treble_config
 buf = AudioBuffer(np.random.default_rng(1).uniform(-0.5, 0.5, 11025 * 30), 11025)
 h = hashlib.sha256()
-for cfg in (treble_config(), bass_config()):
+for cfg in (treble_config(), bass_config(), bass_config(hop=1023), bass_config(hop=200)):
     h.update(constant_q(buf, cfg).values.tobytes())
 h.update(repr(estimate_tuning(buf)).encode())
 print(h.hexdigest())
@@ -57,19 +56,14 @@ print(h.hexdigest())
 def test_constant_q_bits_equal_at_one_and_two_blas_threads():
     # With OpenBLAS 0.3.31 (x86-64), one matrix-vector product over all
     # frames of a 30 s song gives other bits with two threads than with
-    # one, and so do 256-frame blocks; 64-frame blocks gave the one-thread
-    # bits either way. Other BLAS builds and CPUs may split products
-    # differently; this checks the build the tests run with.
-    src = str(Path(chordscribe.__file__).parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        out = subprocess.run(
-            [sys.executable, "-c", CQ_HASH],
-            capture_output=True, text=True, check=True, env=env,
-        )
-        digests.append(out.stdout.strip())
-    assert digests[0] == digests[1]
+    # one, and so do 256-frame blocks; 64-frame blocks, and the products
+    # of 64/k rows that read strided windows, gave the one-thread bits
+    # either way. The odd-hop bass (hop 1023) copies its windows, and so
+    # do the lowest bass bins at hop 200.
+    # Other BLAS builds and CPUs may split products differently; this
+    # checks the build the tests run with.
+    one, two = stdout_at_one_and_two_blas_threads(CQ_HASH)
+    assert one == two
 
 
 class TestKernelBank:
@@ -100,6 +94,70 @@ class TestKernelBank:
         constant_q(buf, treble_config(hop=1024))
         info = _kernel_bank.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+def constant_q_reference(buf, cfg):
+    """constant_q's values as one product per 64-frame block and bin, over
+    a copy of the block's windows: the reference for the strided views."""
+    sr, x = buf.sample_rate, buf.samples
+    centers, _, _ = _frame_grid(x.size, cfg.hop, sr)
+    bank = _kernel_bank(sr, replace(cfg, hop=1))
+    reach = max(L for L, _, _ in bank)
+    mags = np.empty((len(bank), centers.size))
+    for b in range(0, centers.size, 64):
+        block = centers[b : b + 64]
+        lo = int(block[0]) - reach // 2
+        seg = zero_extended(x, lo, int(block[-1]) - reach // 2 + reach)
+        for s, (L, kern_cos, kern_sin) in enumerate(bank):
+            rows = np.lib.stride_tricks.sliding_window_view(seg, L)[block - L // 2 - lo]
+            mags[s, b : b + block.size] = np.hypot(rows @ kern_cos, rows @ kern_sin) / L
+    return mags
+
+
+class TestConstantQMatchesReference:
+    # At 11,025 Hz the bass windows run up to 3,408 samples: hop 1024 reads
+    # every 2nd and 4th frame as views, 512 takes k = 8, odd hop 1023
+    # (whose frame centers alternate their rounding) copies, and 200 needs
+    # k = 32 for the lowest bins, which copy. 128 frames are two whole
+    # blocks; 165 end in a short one.
+    @pytest.mark.parametrize("hop", [1024, 1023, 512, 200])
+    @pytest.mark.parametrize("frames", [128, 165])
+    @pytest.mark.parametrize("make", [treble_config, bass_config])
+    def test_bits_equal(self, hop, frames, make):
+        x = np.random.default_rng(hop + frames).uniform(-0.5, 0.5, hop * frames)
+        buf = AudioBuffer(x, 11025)
+        cfg = make(hop=hop)
+        out = constant_q(buf, cfg)
+        assert out.n_frames == frames
+        assert out.values.tobytes() == constant_q_reference(buf, cfg).tobytes()
+
+    @pytest.mark.parametrize("seconds", [0.5, 3.0, 30.0])
+    def test_tuning_probe_bits_equal(self, seconds, monkeypatch):
+        # Checks the configuration estimate_tuning really passes.
+        runs = []
+
+        def recording(buf, cfg):
+            out = constant_q(buf, cfg)
+            runs.append((cfg, out.values))
+            return out
+
+        monkeypatch.setattr(chroma, "constant_q", recording)
+        buf = AudioBuffer(np.random.default_rng(3).uniform(-0.5, 0.5, int(11025 * seconds)), 11025)
+        estimate_tuning(buf)
+        [(cfg, values)] = runs
+        assert values.tobytes() == constant_q_reference(buf, cfg).tobytes()
+
+    @pytest.mark.parametrize("make", [treble_config, bass_config])
+    def test_signal_shorter_than_longest_window(self, make):
+        buf = AudioBuffer(np.random.default_rng(4).uniform(-0.5, 0.5, 2000), 11025)
+        assert constant_q(buf, make()).values.tobytes() == constant_q_reference(buf, make()).tobytes()
+
+    def test_strided_samples(self):
+        x = np.random.default_rng(5).uniform(-0.5, 0.5, 2 * 1024 * 200)
+        buf = AudioBuffer(x[::2], 11025)
+        assert not buf.samples.flags.c_contiguous
+        cfg = bass_config()
+        assert constant_q(buf, cfg).values.tobytes() == constant_q_reference(buf, cfg).tobytes()
 
 
 class TestConstantQ:
@@ -321,6 +379,20 @@ class TestEstimateTuning:
         assert -50.0 <= c < 50.0
 
 
+def beat_sync_median_reference(chroma, beats):
+    """beat_sync_median's values, one interval at a time."""
+    beats = np.asarray(beats, dtype=np.float64)
+    centers = chroma.frame_times
+    out = np.zeros((12, beats.size - 1))
+    for i in range(beats.size - 1):
+        sel = (centers >= beats[i]) & (centers < beats[i + 1])
+        if np.any(sel):
+            out[:, i] = np.median(chroma.values[:, sel], axis=1)
+        elif i > 0:
+            out[:, i] = out[:, i - 1]
+    return out
+
+
 class TestBeatSyncMedian:
     def _chroma(self, cols, dt=0.1):
         cols = np.asarray(cols, dtype=float)
@@ -367,6 +439,39 @@ class TestBeatSyncMedian:
         assert out.n_frames == len(beats) - 1
         assert np.all(out.starts == beats[:-1])
         assert np.all(out.ends == beats[1:])
+
+    def test_bits_equal_reference(self):
+        # Frame centers 0.05, 0.15, ..., 2.95, listed out of order. Frames
+        # lie before the first beat and after the last; the two leading
+        # intervals and the two after 1.0 hold no frame; counts run 1-7.
+        rng = np.random.default_rng(2)
+        order = rng.permutation(30)
+        starts = np.arange(30)[order] * 0.1
+        ch = Chromagram(rng.random((12, 30)), starts, starts + 0.1, "treble")
+        beats = [0.12, 0.13, 0.14, 0.5, 0.7, 1.0, 1.01, 1.02, 1.3, 1.5, 2.2, 2.6]
+        out = beat_sync_median(ch, beats)
+        assert [np.sum((ch.frame_times >= a) & (ch.frame_times < b)) for a, b in zip(beats, beats[1:])] == [
+            0, 0, 4, 2, 3, 0, 0, 3, 2, 7, 4,
+        ]  # fmt: skip
+        assert out.values.tobytes() == beat_sync_median_reference(ch, beats).tobytes()
+        assert np.all(out.values[:, :2] == 0.0)
+
+    def test_bits_equal_reference_random(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            starts = rng.uniform(0.0, 5.0, n)
+            # rounded values repeat, so the two middle values of an even
+            # count are often equal
+            values = rng.random((12, n)).round(int(rng.integers(1, 4)))
+            ch = Chromagram(values, starts, starts + 0.1, "bass")
+            # some beats fall exactly on a frame center
+            on_frames = rng.choice(0.5 * (starts + (starts + 0.1)), 3)
+            beats = np.unique(np.concatenate([rng.uniform(-0.5, 5.5, int(rng.integers(2, 30))), on_frames]))
+            if beats.size < 2:
+                continue
+            out = beat_sync_median(ch, beats)
+            assert out.values.tobytes() == beat_sync_median_reference(ch, beats).tobytes()
 
 
 def test_chromagram_rejects_nan():

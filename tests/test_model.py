@@ -10,6 +10,7 @@ from conftest import (
     make_chromagram,
     make_frame_labels,
     shift_chord,
+    stdout_at_one_and_two_blas_threads,
     synthetic_frames,
     transpose_labels,
 )
@@ -30,6 +31,32 @@ from chordscribe.model import (
 )
 
 A25 = make_alphabet("majmin25")
+
+# A model trained on three 6,000-frame songs of a few states, so each
+# covariance product `centered.T @ centered` runs over thousands of frames.
+TRAIN_HASH = """
+import hashlib, os, tempfile
+import numpy as np
+from chordscribe.annotations import FrameLabels
+from chordscribe.chroma import Chromagram
+from chordscribe.model import TrainConfig, save_model, train
+rng = np.random.default_rng(6)
+songs = []
+for _ in range(3):
+    t = np.arange(6000) * 0.5
+    labels = FrameLabels(rng.integers(0, 2, t.size), rng.integers(0, 3, t.size), rng.integers(0, 3, t.size), t, t + 0.5)
+    songs.append((Chromagram(rng.random((12, t.size)), t, t + 0.5, "treble"),
+                  Chromagram(rng.random((12, t.size)), t, t + 0.5, "bass"), labels))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "model.txt")
+    save_model(train(songs, TrainConfig(alphabet="full121")), path)
+    print(hashlib.sha256(open(path, "rb").read()).hexdigest())
+"""
+
+
+def test_model_bytes_equal_at_one_and_two_blas_threads():
+    one, two = stdout_at_one_and_two_blas_threads(TRAIN_HASH)
+    assert one == two
 
 
 def gaussian_logpdf(x, mean, cov) -> float:

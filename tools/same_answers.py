@@ -6,7 +6,10 @@ of a git ref, and compares every output file:
     synth  four seeded songs (three at 44.1 kHz, one at 22.05 kHz) with
            chord, key and beat files, plus one-song sources at 48, 16 and
            8 kHz that only go through `chroma`
-    chroma with beat files
+    chroma with beat files; and the 48 kHz source alone with `hop = 1023`
+           (an odd hop, whose windows the constant-Q copies) and the
+           8 kHz one with `hop = 200` (bass windows over 16 hops long,
+           which the constant-Q copies), each set in a config file
     train  majmin25 and full121; and full121 with no key files, alpha 0
            and every song in training, so every key is unlabeled and the
            key-relative chord rows stay all zero
@@ -73,6 +76,8 @@ _PITCH = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 MAIN_SONGS = (("song0", 44100, 30.0), ("song1", 44100, 30.0), ("song2", 44100, 24.0),
               ("song3", 22050, 24.0))  # fmt: skip
 RATE_SONGS = (("rate48k", 48000, 12.0), ("rate16k", 16000, 12.0), ("rate8k", 8000, 12.0))
+# (one-song source, constant-Q hop) run through `chroma` on their own.
+HOP_RUNS = (("rate48k", 1023), ("rate8k", 200))
 
 # Run in the tree's output directory after the CLI steps: the full-precision
 # log-prob of each full121 song, tight, unconstrained and gamma-only.
@@ -141,6 +146,11 @@ def write_inputs(src: Path, root: Path, seed: int = 7) -> None:
             for suffix, d in ((".chords.lab", "chords"), (".keys.lab", "keys"), (".beats.txt", "beats")):
                 target = root / group / d / (stem + (".txt" if d == "beats" else ".lab"))
                 os.replace(f"{out}{suffix}", target)
+    for stem, hop in HOP_RUNS:
+        for d, suffix in (("audio", ".wav"), ("beats", ".txt")):
+            (root / f"hop{hop}" / d).mkdir(parents=True, exist_ok=True)
+            shutil.copy(root / "rates" / d / f"{stem}{suffix}", root / f"hop{hop}" / d)
+        (root / f"hop{hop}" / "chroma.cfg").write_text(f"hop = {hop}\n")
 
 
 def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
@@ -155,6 +165,11 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("chroma_rates", ("chroma", "--audio-dir", str(rates / "audio"), "--chroma-dir", "chroma_rates",
                           "--beats", str(rates / "beats"))),
     ]  # fmt: skip
+    for _, hop in HOP_RUNS:
+        alone = inputs / f"hop{hop}"
+        steps.append((f"chroma_hop{hop}", ("chroma", "--config", str(alone / "chroma.cfg"),
+                      "--audio-dir", str(alone / "audio"), "--chroma-dir", f"chroma_hop{hop}",
+                      "--beats", str(alone / "beats"))))  # fmt: skip
     for alphabet in ("majmin25", "full121"):
         steps.append((f"train_{alphabet}", ("train", "--chroma-dir", "chroma", *songs,
                       "--alphabet", alphabet, "--model", f"models/{alphabet}.txt")))  # fmt: skip
