@@ -4,8 +4,15 @@ and synthetic fixture generation.
 Songs are paired across directories by file stem. Configuration comes
 from a flat key=value file (path via --config or the HP_CONFIG
 environment variable), overridable per-flag. Output files are written
-atomically (temp + rename). Exit status is 0 only when no per-song error
-occurred.
+atomically (temp + rename). `--jobs N` runs the per-song work of every
+command but synth in N processes, with the same outputs.
+
+A per-song failure (an unreadable audio, chroma, label or beat file; a
+decode with no admissible path) prints `error: {song}: ...` (a decode's
+names its setting too) and the run goes on; eval scores an unreadable
+prediction 0 and prints `flagged: ...` instead. A run-level failure (a bad
+config line or flag, a missing directory, an unreadable model file or
+synth script) prints one `error: ...` line and stops. Either exits 1.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .evaluate import (
     paired_t_test,
     predominant_key,
 )
-from .model import TrainConfig, load_model, save_model, train
+from .model import ModelFormatError, TrainConfig, load_model, save_model, train
 
 
 @dataclass
@@ -84,7 +91,7 @@ def parse_config_file(path) -> dict:
     """RunConfig fields from flat `key = value` text; `#` comments and blank
     lines ignored. A value takes the type of its field's default (paths,
     whose default is None, stay strings): a boolean is one of _BOOLEANS in
-    any case, a number must be finite, and beat_period positive. The sweeps
+    any case, and a number must be finite and pass _check_range. The sweeps
     are set through the `gamma` and `tau` keys only."""
     defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("gammas", "taus")}
     values = {}
@@ -105,13 +112,20 @@ def parse_config_file(path) -> dict:
             values[key] = type(defaults[key])(val)
             if not math.isfinite(values[key]):
                 raise ValueError(f"{key} must be finite, got {val!r}")
-            if key == "beat_period" and values[key] <= 0:
-                raise ValueError(f"beat_period must be positive, got {val!r}")
+            _check_range(key, values[key])
         else:
             values[key] = val
 
     read_lines(path, take)
     return values
+
+
+def _check_range(key: str, value) -> None:
+    """The bounds of a config line's or a flag's value."""
+    if key == "beat_period" and not value > 0:
+        raise ValueError(f"beat_period must be positive, got {value}")
+    if key == "train_fraction" and not 0 < value <= 1:
+        raise ValueError(f"train_fraction must be in (0, 1], got {value}")
 
 
 def _sweep(text: str) -> tuple:
@@ -126,6 +140,7 @@ def build_config(args) -> RunConfig:
             continue
         flag = getattr(args, f.name, None)
         if flag is not None:
+            _check_range(f.name, flag)
             cfg = replace(cfg, **{f.name: flag})
     if getattr(args, "gamma", None) is not None:
         cfg = replace(cfg, gammas=_sweep(args.gamma))
@@ -177,18 +192,18 @@ def _call_in_worker(job):
     return _worker_call(job)
 
 
-def _run_per_song(fn, jobs: list[tuple], workers: int, report, shared: tuple = ()) -> int:
-    """Run fn(*shared, job) for every job, a tuple whose first item is the
-    song stem, and hand each result to report in job order: in this
-    process, or in one pool of `workers` processes when workers > 1, which
-    receive fn and shared once each. A job that raises is reported on
-    stderr under its stem instead. Returns the number of failed jobs."""
+def _run_per_song(fn, jobs: list, workers: int, report, shared: tuple = (), name=str) -> int:
+    """Run fn(*shared, job) for every job and hand each result to report in
+    job order: in this process, or in one pool of `workers` processes when
+    workers > 1, which receive fn and shared once each. A job holds only
+    what differs per song (for most commands, the stem); run-wide values go
+    in shared. A job that raises is reported on stderr as
+    `error: {name(job)}: {exc}` instead. Returns the number of failed jobs."""
     failures = 0
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn, *shared))
-            )
+            pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn, *shared))
+            stack.enter_context(pool)
             outcomes = [pool.submit(_call_in_worker, job).result for job in jobs]
         else:
             outcomes = [functools.partial(fn, *shared, job) for job in jobs]
@@ -197,7 +212,7 @@ def _run_per_song(fn, jobs: list[tuple], workers: int, report, shared: tuple = (
                 result = outcome()
             except Exception as exc:
                 failures += 1
-                print(f"error: {job[0]}: {exc}", file=sys.stderr)
+                print(f"error: {name(job)}: {exc}", file=sys.stderr)
             else:
                 report(result)
     return failures
@@ -208,10 +223,8 @@ def _stems(directory: Path, suffix: str) -> list[str]:
 
 
 def _beats_for(cfg: RunConfig, stem: str, duration: float, end: float = math.inf) -> np.ndarray:
-    """Beat timestamps from the beats directory, else a fixed grid.
-
-    A beat later than `end` is an error naming its file and line.
-    """
+    """Beat timestamps from the beats directory, else a fixed grid; a beat
+    later than `end` is an error naming its file and line."""
     if cfg.beats_dir:
         beat_file = Path(cfg.beats_dir) / f"{stem}.txt"
         if beat_file.exists():
@@ -225,21 +238,15 @@ def _beats_for(cfg: RunConfig, stem: str, duration: float, end: float = math.inf
 # --- chroma -----------------------------------------------------------------
 
 
-def _chroma_one(job):
-    stem, cfg, wav_path, out_dir = job
-    buf = audio_io.load_wav(wav_path)
+def _chroma_one(cfg, audio_dir, out_dir, stem):
+    buf = audio_io.load_wav(audio_dir / f"{stem}.wav")
     buf = audio_io.resample(buf, cfg.sample_rate)
     cents = chroma_mod.estimate_tuning(buf)
     f_ref = 440.0 * 2.0 ** (cents / 1200.0)
     # One hop of slack: the last frame may reach that far past the audio.
     beats = _beats_for(cfg, stem, buf.duration, end=buf.duration + cfg.hop / cfg.sample_rate)
     for band, make in (("treble", chroma_mod.treble_config), ("bass", chroma_mod.bass_config)):
-        band_cfg = make(
-            q_factor=cfg.q_factor,
-            hop=cfg.hop,
-            f_ref=f_ref,
-            bins_per_semitone=cfg.bins_per_semitone,
-        )
+        band_cfg = make(q_factor=cfg.q_factor, hop=cfg.hop, f_ref=f_ref, bins_per_semitone=cfg.bins_per_semitone)
         ch = chroma_mod.compute_chromagram(buf, band_cfg, band)
         ch = chroma_mod.beat_sync_median(ch, beats)
         _atomic_write_via(out_dir / f"{stem}.{band}.chroma", chroma_mod.write_chromagram, ch)
@@ -255,16 +262,15 @@ def cmd_chroma(cfg: RunConfig) -> int:
     if not stems:
         print(f"error: no .wav files in {audio_dir}", file=sys.stderr)
         return 1
-    jobs = [(stem, cfg, audio_dir / f"{stem}.wav", out_dir) for stem in stems]
-    failures = _run_per_song(_chroma_one, jobs, cfg.jobs, lambda stem: print(f"chroma: {stem}"))
+    shared = (cfg, audio_dir, out_dir)
+    failures = _run_per_song(_chroma_one, stems, cfg.jobs, lambda stem: print(f"chroma: {stem}"), shared)
     return 1 if failures else 0
 
 
 # --- train ------------------------------------------------------------------
 
 
-def _load_song(job):
-    stem, cfg, chroma_dir, alphabet = job
+def _load_song(cfg, chroma_dir, alphabet, stem):
     treble = chroma_mod.read_chromagram(chroma_dir / f"{stem}.treble.chroma")
     bass = chroma_mod.read_chromagram(chroma_dir / f"{stem}.bass.chroma")
     chords = parse_lab(Path(cfg.chords_dir) / f"{stem}.lab")
@@ -280,25 +286,20 @@ def cmd_train(cfg: RunConfig) -> int:
     chroma_dir, _ = _require_dirs(cfg, ["chroma_dir", "chords_dir"])
     if not cfg.model_path:
         raise SystemExit("error: model_path is required")
-    try:
-        train_config = TrainConfig(alphabet=cfg.alphabet, alpha=cfg.alpha, epsilon=cfg.epsilon)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    stems = _stems(chroma_dir, ".treble.chroma")
-    stems = [s for s in stems if (Path(cfg.chords_dir) / f"{s}.lab").exists()]
+    train_config = TrainConfig(alphabet=cfg.alphabet, alpha=cfg.alpha, epsilon=cfg.epsilon)
+    stems = [s for s in _stems(chroma_dir, ".treble.chroma") if (Path(cfg.chords_dir) / f"{s}.lab").exists()]
     if not stems:
         print("error: no training songs (need <stem>.treble.chroma + <stem>.lab)", file=sys.stderr)
         return 1
 
     rng = np.random.default_rng(cfg.seed)
     order = list(rng.permutation(stems))
-    n_train = max(1, int(round(len(order) * cfg.train_fraction)))
+    n_train = max(1, round(len(order) * cfg.train_fraction))
     train_stems, test_stems = sorted(order[:n_train]), sorted(order[n_train:])
 
-    alphabet = make_alphabet(cfg.alphabet)
     dataset = []
-    jobs = [(stem, cfg, chroma_dir, alphabet) for stem in train_stems]
-    failures = _run_per_song(_load_song, jobs, cfg.jobs, dataset.append)
+    shared = (cfg, chroma_dir, make_alphabet(cfg.alphabet))
+    failures = _run_per_song(_load_song, train_stems, cfg.jobs, dataset.append, shared)
     if not dataset:
         print("error: no loadable training songs", file=sys.stderr)
         return 1
@@ -329,8 +330,8 @@ def _write_decode_labels(out_dir: Path, stem: str, path, alphabet, starts, ends)
         _atomic_write_via(out_dir / f"{stem}.{kind}.lab", write_lab, merged)
 
 
-def _decode_one(model, job):
-    stem, constraints, chroma_dir, out_dir = job
+def _decode_one(model, chroma_dir, job):
+    stem, constraints, out_dir = job
     t0 = time.perf_counter()
     treble = chroma_mod.read_chromagram(chroma_dir / f"{stem}.treble.chroma")
     bass = chroma_mod.read_chromagram(chroma_dir / f"{stem}.bass.chroma")
@@ -339,16 +340,15 @@ def _decode_one(model, job):
     path = viterbi_joint(model, constraints, treble, bass)
     t_decode = time.perf_counter() - t0
     _write_decode_labels(out_dir, stem, path, model.alphabet, treble.starts, treble.ends)
-    n_expanded = path.expanded_transitions
-    return constraints, stem, treble.n_frames, t_feature, t_decode, n_expanded, path.log_prob
+    return constraints, stem, treble.n_frames, t_feature, t_decode, path.expanded_transitions, path.log_prob
 
 
 def cmd_decode(cfg: RunConfig) -> int:
     (chroma_dir,) = _require_dirs(cfg, ["chroma_dir"])
-    if not cfg.model_path or not Path(cfg.model_path).exists():
-        raise SystemExit(f"error: model file not found: {cfg.model_path}")
-    out_root = _out_dir(cfg)
+    if not cfg.model_path:
+        raise SystemExit("error: model_path is required")
     model = load_model(cfg.model_path)
+    out_root = _out_dir(cfg)
     stems = _stems(chroma_dir, ".treble.chroma")
     if not stems:
         print(f"error: no chroma files in {chroma_dir}", file=sys.stderr)
@@ -361,19 +361,20 @@ def cmd_decode(cfg: RunConfig) -> int:
         if len(settings) > 1:
             out_dir = out_root / f"g{constraints.gamma}_t{constraints.tau}"
             out_dir.mkdir(parents=True, exist_ok=True)
-        jobs += [(stem, constraints, chroma_dir, out_dir) for stem in stems]
+        jobs += [(stem, constraints, out_dir) for stem in stems]
 
     timing_rows = ["gamma,tau,song,frames,feature_s,decode_s,transitions,log_prob"]
 
     def report(result):
         constraints, stem, frames, t_feat, t_dec, expanded, lp = result
         gamma, tau = constraints.gamma, constraints.tau
-        timing_rows.append(
-            f"{gamma},{tau},{stem},{frames},{t_feat:.4f},{t_dec:.4f},{expanded},{lp:.4f}"
-        )
+        timing_rows.append(f"{gamma},{tau},{stem},{frames},{t_feat:.4f},{t_dec:.4f},{expanded},{lp:.4f}")
         print(f"decode[g={gamma} t={tau}]: {stem} ({t_dec:.2f}s, {expanded} transitions)")
 
-    failures = _run_per_song(_decode_one, jobs, cfg.jobs, report, shared=(model,))
+    def name(job):  # the song and its setting
+        return f"{job[0]} (gamma={job[1].gamma}, tau={job[1].tau}, cac={job[1].cac})"
+
+    failures = _run_per_song(_decode_one, jobs, cfg.jobs, report, (model, chroma_dir), name)
     _atomic_write_via(out_root / "timing.csv", Path.write_text, "\n".join(timing_rows) + "\n")
     return 1 if failures else 0
 
@@ -383,9 +384,8 @@ def cmd_decode(cfg: RunConfig) -> int:
 _BASS_STATE = {name: i for i, name in enumerate(BASS_LABELS)}
 
 
-def _song_metrics(cfg: RunConfig, stem: str, pred_dir: Path) -> tuple[dict, float]:
-    gt_chords = parse_lab(Path(cfg.chords_dir) / f"{stem}.lab")
-    duration = gt_chords.total_duration()
+def _song_metrics(cfg: RunConfig, alphabet, stem: str, gt_chords) -> dict:
+    pred_dir = Path(cfg.pred_dir)
     pred_chords = parse_lab(pred_dir / f"{stem}.chord.lab")
     metrics = {
         "or_majmin": overlap_ratio(pred_chords, gt_chords, "majmin"),
@@ -403,52 +403,59 @@ def _song_metrics(cfg: RunConfig, stem: str, pred_dir: Path) -> tuple[dict, floa
         pred_bass = parse_lab(bass_path)
         end = gt_chords.span[1]
         beats = _beats_for(cfg, stem, end, end=end)
-        gt_states = beat_sync_labels(gt_chords, beats, make_alphabet(cfg.alphabet)).bass
-        pred_states = np.array(
-            [
-                -1 if lab is None else _BASS_STATE[lab]
-                for lab in most_prevalent_labels(pred_bass, beats)
-            ]
-        )
+        gt_states = beat_sync_labels(gt_chords, beats, alphabet).bass
+        prevalent = most_prevalent_labels(pred_bass, beats)
+        pred_states = np.array([-1 if lab is None else _BASS_STATE[lab] for lab in prevalent])
         metrics["f_bass"] = bass_frame_accuracy(pred_states, gt_states)
-    return metrics, duration
+    return metrics
 
 
-def cmd_eval(cfg: RunConfig, compare_dir: str | None = None) -> int:
+def _eval_one(cfg, alphabet, other, stem):
+    """(stem, metrics, duration, why flagged or None, --compare or_majmin
+    or None) of one song. A prediction that cannot be scored is flagged and
+    scores 0; an unreadable ground truth or comparison file fails the song."""
+    gt_chords = parse_lab(Path(cfg.chords_dir) / f"{stem}.lab")
+    compared = None
+    if other:
+        compared = overlap_ratio(parse_lab(other / f"{stem}.chord.lab"), gt_chords, "majmin")
+    try:
+        metrics, flag = _song_metrics(cfg, alphabet, stem, gt_chords), None
+    except Exception as exc:
+        metrics = {"or_majmin": 0.0, "cp": 0.0, "ncp": 0.0}
+        flag = "missing prediction" if isinstance(exc, FileNotFoundError) else str(exc)
+    return stem, metrics, gt_chords.total_duration(), flag, compared
+
+
+def cmd_eval(cfg: RunConfig, other: Path | None = None) -> int:
     (chords_dir,) = _require_dirs(cfg, ["chords_dir"])
     if not cfg.pred_dir:
         raise SystemExit("error: pred_dir is required")
-    pred_dir = Path(cfg.pred_dir)
     out_dir = _out_dir(cfg)
     stems = _stems(chords_dir, ".lab")
     if not stems:
         print(f"error: no ground-truth .lab files in {chords_dir}", file=sys.stderr)
         return 1
 
-    report = EvalReport()
-    for stem in stems:
-        try:
-            metrics, duration = _song_metrics(cfg, stem, pred_dir)
-            report.add(stem, metrics, duration)
-        except Exception as exc:
+    report, ours, theirs = EvalReport(), [], []
+
+    def take(result):
+        stem, metrics, duration, flag, compared = result
+        report.add(stem, metrics, duration)
+        if flag is not None:
             report.flagged.append(stem)
-            gt = parse_lab(chords_dir / f"{stem}.lab")
-            report.add(stem, {"or_majmin": 0.0, "cp": 0.0, "ncp": 0.0}, gt.total_duration())
-            reason = "missing prediction" if isinstance(exc, FileNotFoundError) else exc
-            print(f"flagged: {stem}: {reason}; scored 0", file=sys.stderr)
+            print(f"flagged: {stem}: {flag}; scored 0", file=sys.stderr)
+        if other:
+            ours.append(metrics["or_majmin"])
+            theirs.append(compared)
+
+    shared = (cfg, make_alphabet(cfg.alphabet), other)
+    failures = _run_per_song(_eval_one, stems, cfg.jobs, take, shared)
     report.finalize()
 
     lines = [report.table()]
-    if compare_dir:
-        other = Path(compare_dir)
-        songs = sorted(report.per_song)
-        a, b = [], []
-        for stem in songs:
-            gt = parse_lab(chords_dir / f"{stem}.lab")
-            a.append(report.per_song[stem]["or_majmin"])
-            b.append(overlap_ratio(parse_lab(other / f"{stem}.chord.lab"), gt, "majmin"))
+    if other:
         try:
-            t, p = paired_t_test(a, b)
+            t, p = paired_t_test(ours, theirs)
             lines.append(f"paired t-test (or_majmin vs {other}): t={t:.4f} p={p:.3g}")
         except ValueError as exc:
             lines.append(f"paired t-test (or_majmin vs {other}): not computable ({exc})")
@@ -457,7 +464,7 @@ def cmd_eval(cfg: RunConfig, compare_dir: str | None = None) -> int:
     print(text, end="")
     _atomic_write_via(out_dir / "report.txt", Path.write_text, text)
     _atomic_write_via(out_dir / "report.csv", Path.write_text, "\n".join(report.csv_rows()) + "\n")
-    return 1 if report.flagged else 0
+    return 1 if failures or report.flagged else 0
 
 
 # --- synth ------------------------------------------------------------------
@@ -477,23 +484,16 @@ def cmd_synth(cfg: RunConfig, script_path: str, out_stem: str, key: str) -> int:
             raise ValueError(f"duration {dur} is not a positive number of seconds")
         records.append((fields_[0], parse_chord_symbol(fields_[0]), dur))
 
-    try:
-        read_lines(script_path, take)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    read_lines(script_path, take)
     if not records:
         raise SystemExit(f"error: {script_path}: empty script")
 
-    segments = []
-    lab_records = []
-    t = 0.0
+    segments, lab_records, t = [], [], 0.0
     for label, sym, dur in records:
         if sym.is_no_chord:
             segments.append(np.zeros(int(round(dur * cfg.sample_rate))))
         else:
-            seg = audio_io.synthesize_triads(
-                [(chord_pitch_classes(sym), derive_bass(sym), dur)], cfg.sample_rate
-            )
+            seg = audio_io.synthesize_triads([(chord_pitch_classes(sym), derive_bass(sym), dur)], cfg.sample_rate)
             segments.append(seg.samples)
         lab_records.append((t, t + dur, label))
         t += dur
@@ -521,10 +521,8 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chordscribe",
-        description="Estimate keys, chords, and bass notes from audio.",
-    )
+    about = "Estimate keys, chords, and bass notes from audio."
+    parser = argparse.ArgumentParser(prog="chordscribe", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chroma", help="extract beat-synchronous chromagrams")
@@ -557,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chords-dir", dest="chords_dir")
     p.add_argument("--keys-dir", dest="keys_dir")
     p.add_argument("--beats", dest="beats_dir")
-    p.add_argument("--compare", help="second prediction dir for a paired t-test")
+    p.add_argument("--compare", type=Path, help="second prediction dir for a paired t-test")
 
     p = sub.add_parser("synth", help="render a chord script to WAV + annotations")
     _add_common(p)
@@ -569,21 +567,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    try:  # a run-level input error; _run_per_song reports per-song ones
         cfg = build_config(args)
-    except ValueError as exc:  # a config line, named as path:line, or a sweep flag
-        raise SystemExit(f"error: {exc}") from None
-    if args.command == "chroma":
-        return cmd_chroma(cfg)
-    if args.command == "train":
-        return cmd_train(cfg)
-    if args.command == "decode":
-        return cmd_decode(cfg)
-    if args.command == "eval":
-        return cmd_eval(cfg, args.compare)
-    if args.command == "synth":
+        if args.command == "chroma":
+            return cmd_chroma(cfg)
+        if args.command == "train":
+            return cmd_train(cfg)
+        if args.command == "decode":
+            return cmd_decode(cfg)
+        if args.command == "eval":
+            return cmd_eval(cfg, args.compare)
         return cmd_synth(cfg, args.script, args.out_stem, args.key)
-    raise SystemExit(2)
+    except (ValueError, ModelFormatError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

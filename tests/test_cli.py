@@ -327,6 +327,21 @@ class TestTrain:
         assert outputs["2"] == outputs["1"]
         assert len(pools) == 1
 
+    @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5"])
+    def test_train_fraction_flag_out_of_range_exits(self, workspace, tmp_path, fraction):
+        argv = ["train", "--chroma-dir", str(workspace / "chroma"), "--chords-dir", str(workspace / "chords")]
+        argv += ["--model", str(tmp_path / "m.txt"), "--train-fraction", fraction]
+        with pytest.raises(SystemExit, match=rf"^error: train_fraction must be in \(0, 1\], got {float(fraction)}$"):
+            run(*argv)
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_train_fraction_config_out_of_range_names_line(self, workspace, tmp_path):
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(f"chroma_dir = {workspace / 'chroma'}\ntrain_fraction = 0\n")
+        argv = ["train", "--config", str(cfg_file), "--chords-dir", str(workspace / "chords")]
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(str(cfg_file))}:2: train_fraction must be in"):
+            run(*argv, "--model", str(tmp_path / "m.txt"))
+
     def test_no_songs_nonzero(self, tmp_path):
         for d in ("c", "l"):
             (tmp_path / d).mkdir()
@@ -415,10 +430,11 @@ class TestDecode:
             outputs[jobs]["timing"] = [r[:4] + r[6:] for r in rows]
         assert len(outputs["1"]) == 2 * 2 * 3 + 1  # settings x songs x key/chord/bass, timing
         assert outputs["2"] == outputs["1"]
-        # one pool for the whole sweep, which receives the model once per
-        # worker; the jobs carry only the song and the setting
+        # one pool for the whole sweep, which receives the model and the
+        # chroma directory once per worker; the jobs carry only the song,
+        # the setting and its output directory
         assert len(pools) == 1
-        assert [type(x) for x in pools[0][1:]] == [HpModel]
+        assert [type(x) for x in pools[0][1:]] == [HpModel, type(workspace)]
         assert sorted(job[0] for job in submitted) == ["songA", "songA", "songB", "songB"]
         assert not any(isinstance(x, HpModel) for job in submitted for x in job)
 
@@ -444,7 +460,22 @@ class TestDecode:
         argv = ["--chroma-dir", str(chroma), "--model", str(workspace / "model.txt")]
         assert run("decode", *argv, "--output-dir", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
-        assert f"error: empty: {chroma / 'empty.treble.chroma'}:1: a chromagram needs at least one frame" in err
+        setting = "(gamma=None, tau=None, cac=False)"
+        assert f"error: empty {setting}: {chroma / 'empty.treble.chroma'}:1: a chromagram needs at least one frame" in err
+
+    def test_sweep_error_names_each_setting(self, workspace, tmp_path, capsys):
+        chroma = tmp_path / "chroma"
+        chroma.mkdir()
+        for band in ("treble", "bass"):
+            (chroma / f"empty.{band}.chroma").write_text(f"{band} 0\n")
+            (chroma / f"songA.{band}.chroma").write_bytes((workspace / "chroma" / f"songA.{band}.chroma").read_bytes())
+        argv = ["--chroma-dir", str(chroma), "--model", str(workspace / "model.txt"), "--tau", "13,3", "--cac"]
+        assert run("decode", *argv, "--output-dir", str(tmp_path / "o")) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        named = [line.partition(": ")[2].partition(":")[0] for line in errors]
+        assert named == [f"empty (gamma=None, tau={tau}, cac=True)" for tau in (13, 3)]
+        rows = (tmp_path / "o" / "timing.csv").read_text().splitlines()
+        assert [row.split(",")[:3] for row in rows[1:]] == [["None", "13", "songA"], ["None", "3", "songA"]]
 
 
 class TestEval:
@@ -580,6 +611,83 @@ class TestEval:
         )
         out = capsys.readouterr().out
         assert "paired t-test" in out and "t=" in out
+
+    @staticmethod
+    def _three_songs(workspace, root):
+        """Ground truth and decoded predictions of songA, songB and songC (a
+        copy of songB), and a comparison dir: songA perfect, songB and songC
+        degraded."""
+        dirs = [root / d for d in ("chords", "pred", "cmp")]
+        for d in dirs:
+            d.mkdir()
+        for stem, source in (("songA", "songA"), ("songB", "songB"), ("songC", "songB")):
+            text = (workspace / "chords" / f"{source}.lab").read_text()
+            (root / "chords" / f"{stem}.lab").write_text(text)
+            for kind in ("chord", "key", "bass"):
+                pred = (workspace / "pred" / f"{source}.{kind}.lab").read_bytes()
+                (root / "pred" / f"{stem}.{kind}.lab").write_bytes(pred)
+            if stem != "songA":
+                text = text.replace("F:maj", "D:min").replace("C:maj", "B:maj", 1)
+            (root / "cmp" / f"{stem}.chord.lab").write_text(text)
+        return dirs
+
+    def _report(self, chords, pred, out, *extra):
+        code = run("eval", "--pred-dir", str(pred), "--chords-dir", str(chords), "--output-dir", str(out), *extra)
+        return code, (out / "report.txt").read_bytes(), (out / "report.csv").read_bytes()
+
+    def _without(self, tmp_path, chords, stem):
+        """A copy of the ground-truth dir without one song."""
+        rest = tmp_path / f"chords_without_{stem}"
+        rest.mkdir()
+        for lab in chords.glob("*.lab"):
+            if lab.stem != stem:
+                (rest / lab.name).write_bytes(lab.read_bytes())
+        return rest
+
+    def test_malformed_ground_truth_fails_one_song(self, workspace, tmp_path, capsys):
+        chords, pred, _ = self._three_songs(workspace, tmp_path)
+        bad = chords / "songB.lab"
+        bad.write_text("0 1.5 F:maj\n1.5 x C:maj\n")
+        code, text, csv = self._report(chords, pred, tmp_path / "r")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: songB: {bad}:2: " in err and "Traceback" not in err
+        assert b"songB," not in csv and b"songA," in csv and b"songC," in csv
+        # the report is that of the readable songs alone
+        assert self._report(self._without(tmp_path, chords, "songB"), pred, tmp_path / "r2")[1:] == (text, csv)
+
+    def test_missing_comparison_fails_one_song(self, workspace, tmp_path, capsys):
+        chords, pred, cmp = self._three_songs(workspace, tmp_path)
+        (cmp / "songB.chord.lab").unlink()
+        code, text, csv = self._report(chords, pred, tmp_path / "r", "--compare", str(cmp))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: songB: [Errno 2] No such file or directory: '{cmp / 'songB.chord.lab'}'" in err
+        assert "Traceback" not in err
+        assert b"songB," not in csv
+        # the t-test pairs songA and songC, as a run without songB does
+        rest = self._without(tmp_path, chords, "songB")
+        assert self._report(rest, pred, tmp_path / "r2", "--compare", str(cmp)) == (0, text, csv)
+        assert b"paired t-test (or_majmin vs " + str(cmp).encode() + b"): t=" in text
+
+    def test_parallel_compare_matches_serial(self, workspace, tmp_path, monkeypatch):
+        import chordscribe.cli as cli
+
+        pools = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        chords, pred, cmp = self._three_songs(workspace, tmp_path)
+        extra = ["--keys-dir", str(workspace / "keys"), "--beats", str(workspace / "beats"), "--compare", str(cmp)]
+        serial = self._report(chords, pred, tmp_path / "j1", *extra, "--jobs", "1")
+        assert not pools
+        assert self._report(chords, pred, tmp_path / "j2", *extra, "--jobs", "2") == serial
+        assert len(pools) == 1
+        assert b"t=" in serial[1] and b"songC,f_bass" in serial[2]
 
     def test_compare_identical_dirs_degenerate(self, workspace, tmp_path, capsys):
         run(

@@ -308,6 +308,7 @@ BAD_CONFIG_LINES = st.one_of(
     st.builds("q_factor = {}".format, st.sampled_from(["nan", "inf", "-inf", "1e999"])),
     st.builds("cac = {}".format, st.sampled_from(["maybe", "2", "on", "off", "", "y", "truee"])),
     st.builds("beat_period = {}".format, st.sampled_from(["0", "-1", "-0.5", "0.0", "-0"])),
+    st.builds("train_fraction = {}".format, st.sampled_from(["0", "-0", "-0.5", "1.5", "1.0000001"])),
     st.just(f"alphabet = full121{NOT_UTF8}"),
     st.builds("jobs = {}".format, st.sampled_from(["1.5", "two", ""])),
     st.builds("gamma = {}".format, st.sampled_from(["x", "0,x", "1.5"])),
@@ -368,6 +369,14 @@ def test_model_file_not_utf8_names_file(tmp_path):
     path = _write(tmp_path / "model.txt", f"chordscribe-model{NOT_UTF8}\n")
     with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: .*0xff"):
         load_model(path)
+
+
+def test_decode_bad_model_alphabet_exits_naming_line(tmp_path):
+    path = _write(tmp_path / "model.txt", "chordscribe-model v1\nalphabet nine\n")
+    (tmp_path / "chroma").mkdir()
+    argv = ["decode", "--chroma-dir", str(tmp_path / "chroma"), "--model", str(path)]
+    with pytest.raises(SystemExit, match=f"^error: {re.escape(str(path))}:2: "):
+        main([*argv, "--output-dir", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("field", ["alpha", "epsilon"])

@@ -17,7 +17,8 @@ of a git ref, and compares every output file:
            tau=3 alone and gamma=0 alone (a live-key subset with every
            chord and all 13 basses); and a `--jobs 2` sweep
            gamma in {0, 2} x tau in {1, 3, 13} with CAC
-    eval   the tight full121 decode, `--compare` against the unconstrained
+    eval   the tight full121 decode, `--compare` against the unconstrained;
+           and the same at `--jobs 2`
     log-probs  the tight, the unconstrained and the gamma=0 full121
            decodes again, in one process calling `viterbi_joint`, written
            as `setting/stem repr(log_prob)` lines to `log_probs.txt`
@@ -186,9 +187,10 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("decode_gamma", ("decode", *full, "--gamma", "0", "--output-dir", "decode/gamma")),
         ("decode_sweep", ("decode", *full, "--gamma", "0,2", "--tau", "1,3,13", "--cac", "--jobs", "2",
                           "--output-dir", "decode/sweep")),
-        ("eval", ("eval", "--pred-dir", "decode/tight_full121", *songs, "--beats", str(main / "beats"),
-                  "--compare", "decode/free", "--output-dir", "eval")),
     ]  # fmt: skip
+    for name, jobs in (("eval", "1"), ("eval_jobs2", "2")):
+        steps.append((name, ("eval", "--pred-dir", "decode/tight_full121", *songs, "--beats", str(main / "beats"),
+                      "--compare", "decode/free", "--jobs", jobs, "--output-dir", name)))  # fmt: skip
     return steps
 
 
