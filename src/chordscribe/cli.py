@@ -1,18 +1,31 @@
 """Batch front end: chroma extraction, training, decoding, evaluation,
 and synthetic fixture generation.
 
-Songs are paired across directories by file stem. Configuration comes
-from a flat key=value file (path via --config or the HP_CONFIG
-environment variable), overridable per-flag. Output files are written
-atomically (temp + rename). `--jobs N` runs the per-song work of every
-command but synth in N processes, with the same outputs.
+Songs are paired across directories by file stem. Every setting is a
+RunConfig field: a key of the flat key=value file (path via --config or
+the HP_CONFIG environment variable), and a flag of the subcommands that
+read it, which overrides the file. Beside --config, they take:
+
+    chroma  --audio-dir --chroma-dir --beats --output-dir --jobs
+    train   --chroma-dir --chords-dir --keys-dir --model --alphabet
+            --alpha --seed --jobs --train-fraction
+    decode  --chroma-dir --model --output-dir --gamma --tau --cac --jobs
+    eval    --chords-dir --keys-dir --beats --pred-dir --output-dir --jobs
+            --compare
+    synth   SCRIPT OUT_STEM --key
+
+Output files are written atomically (temp + rename). `--jobs N` runs the
+per-song work in N processes, with the same outputs.
 
 A per-song failure (an unreadable audio, chroma, label or beat file; a
 decode with no admissible path) prints `error: {song}: ...` (a decode's
-names its setting too) and the run goes on; eval scores an unreadable
-prediction 0 and prints `flagged: ...` instead. A run-level failure (a bad
-config line or flag, a missing directory, an unreadable model file or
-synth script) prints one `error: ...` line and stops. Either exits 1.
+names its setting too) and the run goes on. In eval, a ground-truth fault
+fails the song, a prediction fault flags it (`flagged: ...`, scored 0), and
+each aggregate covers the songs that report its metric. A run-level
+failure (a bad config line or flag, a setting out of range (`path:line:`
+in a config file), a missing directory, an unreadable model file or synth
+script) prints one `error: ...` line and stops before any song. Either
+exits 1.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,96 +71,110 @@ from .evaluate import (
 from .model import ModelFormatError, TrainConfig, load_model, save_model, train
 
 
+def _setting(default, *commands, flag=None, **argparse_kwargs):
+    """A RunConfig field that `commands` take as the flag `flag` (default
+    `--` + the name with dashes); argparse_kwargs add its help or choices."""
+    return field(default=default, metadata={"commands": commands, "flag": flag, "kwargs": argparse_kwargs})
+
+
 @dataclass
 class RunConfig:
-    audio_dir: str | None = None
-    chroma_dir: str | None = None
-    chords_dir: str | None = None
-    keys_dir: str | None = None
-    beats_dir: str | None = None
-    pred_dir: str | None = None
-    model_path: str | None = None
-    output_dir: str | None = None
-    alphabet: str = "majmin25"
-    gammas: tuple = (None,)
-    taus: tuple = (None,)
-    cac: bool = False
-    alpha: float = 0.1
+    """Every run setting: a field name is its config key and its flag's
+    dest, and the default's type is the value's type."""
+
+    audio_dir: str | None = _setting(None, "chroma")
+    chroma_dir: str | None = _setting(None, "chroma", "train", "decode")
+    chords_dir: str | None = _setting(None, "train", "eval")
+    keys_dir: str | None = _setting(None, "train", "eval")
+    beats_dir: str | None = _setting(None, "chroma", "eval", flag="--beats", help="directory of <stem>.txt beat files")
+    pred_dir: str | None = _setting(None, "eval")
+    model_path: str | None = _setting(None, "train", "decode", flag="--model")
+    output_dir: str | None = _setting(None, "chroma", "decode", "eval")
+    alphabet: str = _setting("majmin25", "train", choices=["majmin25", "full121"])
+    gamma: tuple = _setting((None,), "decode", help="key-transition count floor; comma list sweeps")
+    tau: tuple = _setting((None,), "decode", help="admissible basses per chord; comma list sweeps")
+    cac: bool = _setting(False, "decode")
+    alpha: float = _setting(0.1, "train")
     epsilon: float = 1e-4
-    seed: int = 0
-    jobs: int = 1
+    seed: int = _setting(0, "train", help="random seed for dataset splits")
+    jobs: int = _setting(1, "chroma", "train", "decode", "eval", help="parallel workers")
     q_factor: float = 17.0
     hop: int = 1024
     bins_per_semitone: int = 1
     sample_rate: int = 11025
     beat_period: float = 0.5
-    train_fraction: float = 2.0 / 3.0
+    train_fraction: float = _setting(2.0 / 3.0, "train")
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+def _setting_value(f, value):
+    """A config line's text or a flag's value as RunConfig field f holds it,
+    within its bounds. Text takes the type of f's default: a boolean is one
+    of _BOOLEANS in any case, a number must be finite, a sweep is a comma
+    list of ints and `none`s, and paths (default None) stay strings.
+    argparse has already typed a numeric flag."""
+    if isinstance(value, str):
+        if isinstance(f.default, bool):
+            if value.lower() not in _BOOLEANS:
+                raise ValueError(f"{f.name}: expected one of {'/'.join(_BOOLEANS)}, got {value!r}")
+            value = _BOOLEANS[value.lower()]
+        elif isinstance(f.default, (int, float)):
+            text, value = value, type(f.default)(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {text!r}")
+        elif isinstance(f.default, tuple):
+            value = tuple(None if p.strip().lower() in ("", "none") else int(p) for p in value.split(","))
+    _check_range(f.name, value)
+    return value
+
+
+def _check_range(key: str, value) -> None:
+    """The bounds of a setting, each checked by the type that owns it."""
+    if key in ("hop", "q_factor", "bins_per_semitone"):
+        chroma_mod.treble_config(**{key: value})
+    elif key in ("alpha", "epsilon"):
+        TrainConfig(**{key: value})
+    elif key in ("gamma", "tau"):
+        for v in value:
+            Constraints(**{key: v})
+    elif key == "alphabet":
+        make_alphabet(value)
+    elif key in ("beat_period", "sample_rate") and not value > 0:
+        raise ValueError(f"{key} must be positive, got {value}")
+    elif key == "train_fraction" and not 0 < value <= 1:
+        raise ValueError(f"train_fraction must be in (0, 1], got {value}")
+    elif key == "seed" and value < 0:  # numpy's seeds are non-negative
+        raise ValueError(f"seed must be >= 0, got {value}")
+
+
 def parse_config_file(path) -> dict:
     """RunConfig fields from flat `key = value` text; `#` comments and blank
-    lines ignored. A value takes the type of its field's default (paths,
-    whose default is None, stay strings): a boolean is one of _BOOLEANS in
-    any case, and a number must be finite and pass _check_range. The sweeps
-    are set through the `gamma` and `tau` keys only."""
-    defaults = {f.name: f.default for f in fields(RunConfig) if f.name not in ("gammas", "taus")}
+    lines ignored. Each value goes through _setting_value."""
+    settings = {f.name: f for f in fields(RunConfig)}
     values = {}
 
     def take(line):
         if "=" not in line:
             raise ValueError(f"expected key=value, got {line!r}")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key in ("gamma", "tau"):
-            values[f"{key}s"] = _sweep(val)
-        elif key not in defaults:
+        if key not in settings:
             raise ValueError(f"unknown config key {key!r}")
-        elif isinstance(defaults[key], bool):
-            if val.lower() not in _BOOLEANS:
-                raise ValueError(f"{key}: expected one of {'/'.join(_BOOLEANS)}, got {val!r}")
-            values[key] = _BOOLEANS[val.lower()]
-        elif isinstance(defaults[key], (int, float)):
-            values[key] = type(defaults[key])(val)
-            if not math.isfinite(values[key]):
-                raise ValueError(f"{key} must be finite, got {val!r}")
-            _check_range(key, values[key])
-        else:
-            values[key] = val
+        values[key] = _setting_value(settings[key], val)
 
     read_lines(path, take)
     return values
 
 
-def _check_range(key: str, value) -> None:
-    """The bounds of a config line's or a flag's value."""
-    if key == "beat_period" and not value > 0:
-        raise ValueError(f"beat_period must be positive, got {value}")
-    if key == "train_fraction" and not 0 < value <= 1:
-        raise ValueError(f"train_fraction must be in (0, 1], got {value}")
-
-
-def _sweep(text: str) -> tuple:
-    return tuple(None if p.strip().lower() in ("", "none") else int(p) for p in str(text).split(","))
-
-
 def build_config(args) -> RunConfig:
+    """The config file's settings, then every flag given, over the defaults."""
     config_path = getattr(args, "config", None) or os.environ.get("HP_CONFIG")
     cfg = replace(RunConfig(), **parse_config_file(config_path)) if config_path else RunConfig()
     for f in fields(RunConfig):
-        if f.name in ("gammas", "taus", "cac"):
-            continue
         flag = getattr(args, f.name, None)
         if flag is not None:
-            _check_range(f.name, flag)
-            cfg = replace(cfg, **{f.name: flag})
-    if getattr(args, "gamma", None) is not None:
-        cfg = replace(cfg, gammas=_sweep(args.gamma))
-    if getattr(args, "tau", None) is not None:
-        cfg = replace(cfg, taus=_sweep(args.tau))
-    if getattr(args, "cac", False):
-        cfg = replace(cfg, cac=True)
+            cfg = replace(cfg, **{f.name: _setting_value(f, flag)})
     return cfg
 
 
@@ -354,7 +381,7 @@ def cmd_decode(cfg: RunConfig) -> int:
         print(f"error: no chroma files in {chroma_dir}", file=sys.stderr)
         return 1
 
-    settings = [Constraints(gamma=g, tau=t, cac=cfg.cac) for g in cfg.gammas for t in cfg.taus]
+    settings = [Constraints(gamma=g, tau=t, cac=cfg.cac) for g in cfg.gamma for t in cfg.tau]
     jobs = []
     for constraints in settings:
         out_dir = out_root
@@ -384,44 +411,43 @@ def cmd_decode(cfg: RunConfig) -> int:
 _BASS_STATE = {name: i for i, name in enumerate(BASS_LABELS)}
 
 
-def _song_metrics(cfg: RunConfig, alphabet, stem: str, gt_chords) -> dict:
-    pred_dir = Path(cfg.pred_dir)
+def _song_metrics(pred_dir: Path, stem: str, gt_chords, gt_key, beats, gt_bass) -> dict:
     pred_chords = parse_lab(pred_dir / f"{stem}.chord.lab")
     metrics = {
         "or_majmin": overlap_ratio(pred_chords, gt_chords, "majmin"),
         "cp": overlap_ratio(pred_chords, gt_chords, "exact"),
         "ncp": overlap_ratio(pred_chords, gt_chords, "noteset"),
     }
-
-    if cfg.keys_dir and (Path(cfg.keys_dir) / f"{stem}.lab").exists():
-        gt_keys = parse_lab(Path(cfg.keys_dir) / f"{stem}.lab")
-        pred_keys = parse_lab(pred_dir / f"{stem}.key.lab")
-        metrics["key_hit"] = float(predominant_key(pred_keys) == first_key(gt_keys))
-
+    if gt_key is not None:
+        metrics["key_hit"] = float(predominant_key(parse_lab(pred_dir / f"{stem}.key.lab")) == gt_key)
     bass_path = pred_dir / f"{stem}.bass.lab"
     if bass_path.exists():
-        pred_bass = parse_lab(bass_path)
-        end = gt_chords.span[1]
-        beats = _beats_for(cfg, stem, end, end=end)
-        gt_states = beat_sync_labels(gt_chords, beats, alphabet).bass
-        prevalent = most_prevalent_labels(pred_bass, beats)
+        prevalent = most_prevalent_labels(parse_lab(bass_path), beats)
         pred_states = np.array([-1 if lab is None else _BASS_STATE[lab] for lab in prevalent])
-        metrics["f_bass"] = bass_frame_accuracy(pred_states, gt_states)
+        metrics["f_bass"] = bass_frame_accuracy(pred_states, gt_bass)
     return metrics
 
 
 def _eval_one(cfg, alphabet, other, stem):
     """(stem, metrics, duration, why flagged or None, --compare or_majmin
-    or None) of one song. A prediction that cannot be scored is flagged and
-    scores 0; an unreadable ground truth or comparison file fails the song."""
+    or None) of one song. The ground truth (chord, key and beat files) and
+    the comparison file are read first, and an unreadable one fails the
+    song. A prediction that cannot be scored is flagged and scores 0 on
+    every metric its ground truth supports."""
     gt_chords = parse_lab(Path(cfg.chords_dir) / f"{stem}.lab")
+    gt_key = None
+    if cfg.keys_dir and (key_path := Path(cfg.keys_dir) / f"{stem}.lab").exists():
+        gt_key = first_key(parse_lab(key_path))
+    end = gt_chords.span[1]
+    beats = _beats_for(cfg, stem, end, end=end)
+    gt_bass = beat_sync_labels(gt_chords, beats, alphabet).bass
     compared = None
     if other:
         compared = overlap_ratio(parse_lab(other / f"{stem}.chord.lab"), gt_chords, "majmin")
     try:
-        metrics, flag = _song_metrics(cfg, alphabet, stem, gt_chords), None
+        metrics, flag = _song_metrics(Path(cfg.pred_dir), stem, gt_chords, gt_key, beats, gt_bass), None
     except Exception as exc:
-        metrics = {"or_majmin": 0.0, "cp": 0.0, "ncp": 0.0}
+        metrics = dict.fromkeys(["or_majmin", "cp", "ncp", "f_bass"] + ["key_hit"] * (gt_key is not None), 0.0)
         flag = "missing prediction" if isinstance(exc, FileNotFoundError) else str(exc)
     return stem, metrics, gt_chords.total_duration(), flag, compared
 
@@ -513,55 +539,29 @@ def cmd_synth(cfg: RunConfig, script_path: str, out_stem: str, key: str) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file (default: $HP_CONFIG)")
-    p.add_argument("--jobs", type=int, help="parallel workers")
-    p.add_argument("--seed", type=int, help="random seed for dataset splits")
-    p.add_argument("--output-dir", dest="output_dir")
-
-
 def build_parser() -> argparse.ArgumentParser:
     about = "Estimate keys, chords, and bass notes from audio."
     parser = argparse.ArgumentParser(prog="chordscribe", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chroma", help="extract beat-synchronous chromagrams")
-    _add_common(p)
-    p.add_argument("--audio-dir", dest="audio_dir")
-    p.add_argument("--chroma-dir", dest="chroma_dir")
-    p.add_argument("--beats", dest="beats_dir", help="directory of <stem>.txt beat files")
-
-    p = sub.add_parser("train", help="estimate model tables from labeled songs")
-    _add_common(p)
-    p.add_argument("--chroma-dir", dest="chroma_dir")
-    p.add_argument("--chords-dir", dest="chords_dir")
-    p.add_argument("--keys-dir", dest="keys_dir")
-    p.add_argument("--model", dest="model_path")
-    p.add_argument("--alphabet", choices=["majmin25", "full121"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-
-    p = sub.add_parser("decode", help="decode key/chord/bass label files")
-    _add_common(p)
-    p.add_argument("--chroma-dir", dest="chroma_dir")
-    p.add_argument("--model", dest="model_path")
-    p.add_argument("--gamma", help="key-transition count floor; comma list sweeps")
-    p.add_argument("--tau", help="admissible basses per chord; comma list sweeps")
-    p.add_argument("--cac", action="store_true", default=False)
-
-    p = sub.add_parser("eval", help="score predictions against ground truth")
-    _add_common(p)
-    p.add_argument("--pred-dir", dest="pred_dir")
-    p.add_argument("--chords-dir", dest="chords_dir")
-    p.add_argument("--keys-dir", dest="keys_dir")
-    p.add_argument("--beats", dest="beats_dir")
-    p.add_argument("--compare", type=Path, help="second prediction dir for a paired t-test")
-
-    p = sub.add_parser("synth", help="render a chord script to WAV + annotations")
-    _add_common(p)
-    p.add_argument("script", help="text file of `chord duration` lines")
-    p.add_argument("out_stem", help="output path stem")
-    p.add_argument("--key", default="C:maj", help="key annotation for the whole piece")
+    commands = {
+        "chroma": sub.add_parser("chroma", help="extract beat-synchronous chromagrams"),
+        "train": sub.add_parser("train", help="estimate model tables from labeled songs"),
+        "decode": sub.add_parser("decode", help="decode key/chord/bass label files"),
+        "eval": sub.add_parser("eval", help="score predictions against ground truth"),
+        "synth": sub.add_parser("synth", help="render a chord script to WAV + annotations"),
+    }
+    for p in commands.values():
+        p.add_argument("--config", help="key=value config file (default: $HP_CONFIG)")
+    # A flag takes its setting's type; others stay text, and build_config converts a sweep list.
+    kinds = {bool: {"action": "store_const", "const": True}, int: {"type": int}, float: {"type": float}}
+    for f in fields(RunConfig):
+        for command in f.metadata.get("commands", ()):
+            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+            commands[command].add_argument(flag, dest=f.name, **kinds.get(type(f.default), {}), **f.metadata["kwargs"])
+    commands["eval"].add_argument("--compare", type=Path, help="second prediction dir for a paired t-test")
+    commands["synth"].add_argument("script", help="text file of `chord duration` lines")
+    commands["synth"].add_argument("out_stem", help="output path stem")
+    commands["synth"].add_argument("--key", default="C:maj", help="key annotation for the whole piece")
     return parser
 
 

@@ -149,8 +149,7 @@ def top_bass_states(m: HpModel, tau: int | None) -> np.ndarray:
     the lower bass-state index.
     """
     s = N_BASS if tau is None else int(tau)
-    counts = m.chord_bass_counts
-    order = np.lexsort((np.arange(N_BASS)[None, :].repeat(counts.shape[0], 0), -counts), axis=1)
+    order = np.argsort(-m.chord_bass_counts, axis=1, kind="stable")
     return np.sort(order[:, :s], axis=1)
 
 

@@ -164,16 +164,12 @@ class EvalReport:
 
     def finalize(self) -> None:
         """Fill OR/WAOR-style aggregates: plain mean and duration-weighted
-        mean per metric."""
-        if not self.per_song:
-            return
-        songs = sorted(self.per_song)
-        durations = np.array([self.durations[s] for s in songs])
+        mean per metric, over the songs that report it."""
         metrics = sorted({m for vals in self.per_song.values() for m in vals})
         for metric in metrics:
-            vals = np.array([self.per_song[s].get(metric, 0.0) for s in songs])
+            songs = [s for s in sorted(self.per_song) if metric in self.per_song[s]]
             self.aggregates[f"{metric}_mean"], self.aggregates[f"{metric}_weighted"] = aggregate(
-                vals, durations
+                [self.per_song[s][metric] for s in songs], [self.durations[s] for s in songs]
             )
 
     def csv_rows(self):

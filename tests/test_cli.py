@@ -569,7 +569,40 @@ class TestEval:
             assert code == 0 and "flagged" not in err
         else:
             assert code == 1
-            assert f"flagged: songA: {beats / 'songA.txt'}:6: beat time {float(last)} is past the end" in err
+            assert f"error: songA: {beats / 'songA.txt'}:6: beat time {float(last)} is past the end" in err
+            assert "flagged" not in err
+            assert "songA," not in (tmp_path / "r" / "report.csv").read_text()
+
+    def test_bad_key_file_fails_song(self, workspace, tmp_path, capsys):
+        # The key file is ground truth: its fault leaves the song out, rather
+        # than flagging it and zeroing its correct chord scores.
+        keys = tmp_path / "keys"
+        keys.mkdir()
+        (keys / "songA.lab").write_text((workspace / "keys" / "songA.lab").read_text())
+        (keys / "songB.lab").write_text("0 3 C:maj\n0 x G:maj\n")
+        argv = ["--pred-dir", str(workspace / "pred"), "--chords-dir", str(workspace / "chords")]
+        code = run("eval", *argv, "--keys-dir", str(keys), "--output-dir", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: songB: {keys / 'songB.lab'}:2: " in err and "flagged" not in err
+        csv = (tmp_path / "r" / "report.csv").read_text()
+        assert "songB," not in csv and "songA,key_hit,1.000000" in csv
+
+    def test_aggregate_over_songs_reporting_metric(self, workspace, tmp_path):
+        # Only songA has a key annotation, and its key is a hit: songB has no
+        # key_hit to count, so the mean is 1, not 0.5.
+        pred, keys = tmp_path / "pred", tmp_path / "keys"
+        pred.mkdir()
+        keys.mkdir()
+        for stem in ("songA", "songB"):
+            (pred / f"{stem}.chord.lab").write_text((workspace / "chords" / f"{stem}.lab").read_text())
+            (pred / f"{stem}.key.lab").write_text((workspace / "keys" / f"{stem}.lab").read_text())
+        (keys / "songA.lab").write_text((workspace / "keys" / "songA.lab").read_text())
+        argv = ["--pred-dir", str(pred), "--chords-dir", str(workspace / "chords"), "--keys-dir", str(keys)]
+        assert run("eval", *argv, "--output-dir", str(tmp_path / "r")) == 0
+        rows = (tmp_path / "r" / "report.csv").read_text().splitlines()
+        assert "ALL,key_hit_mean,1.000000" in rows and "ALL,key_hit_weighted,1.000000" in rows
+        assert not any(row.startswith("songB,key_hit") for row in rows)
 
     def test_f_bass_pinned(self, tmp_path):
         # Ground-truth basses per beat: C, then E (C:maj/3 has its third in
@@ -713,6 +746,48 @@ class TestConfigFile:
             run(*argv)
         assert "need at least 2 beats" not in capsys.readouterr().err
 
+    def test_out_of_range_setting_stops_before_any_song(self, workspace, tmp_path, capsys):
+        cfg_file = tmp_path / "hop.cfg"
+        cfg_file.write_text("hop = 0\n")
+        argv = ["chroma", "--config", str(cfg_file), "--audio-dir", str(workspace / "audio")]
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--chroma-dir", str(tmp_path / "c"))
+        assert str(info.value) == f"error: {cfg_file}:1: hop must be >= 1"
+        assert capsys.readouterr().err == ""  # no per-song error line
+        assert not list(tmp_path.rglob("*.chroma"))
+
+    def test_bad_sweep_flag_is_one_error_line(self, workspace, tmp_path, capsys):
+        argv = ["decode", "--chroma-dir", str(workspace / "chroma"), "--model", str(workspace / "model.txt")]
+        with pytest.raises(SystemExit, match="^error: invalid literal for int") as info:
+            run(*argv, "--output-dir", str(tmp_path / "o"), "--gamma", "x")
+        assert "\n" not in str(info.value) and capsys.readouterr().err == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_each_subcommand_takes_the_flags_it_reads(self, capsys):
+        import argparse
+
+        from chordscribe.cli import build_parser
+
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {
+            name: [a.option_strings[0] if a.option_strings else a.dest for a in p._actions[1:]]
+            for name, p in commands.choices.items()
+        }
+        assert taken == {
+            "chroma": ["--config", "--audio-dir", "--chroma-dir", "--beats", "--output-dir", "--jobs"],
+            "train": [
+                "--config", "--chroma-dir", "--chords-dir", "--keys-dir", "--model",
+                "--alphabet", "--alpha", "--seed", "--jobs", "--train-fraction",
+            ],
+            "decode": ["--config", "--chroma-dir", "--model", "--output-dir", "--gamma", "--tau", "--cac", "--jobs"],
+            "eval": ["--config", "--chords-dir", "--keys-dir", "--beats", "--pred-dir", "--output-dir", "--jobs",
+                     "--compare"],
+            "synth": ["--config", "script", "out_stem", "--key"],
+        }  # fmt: skip
+        with pytest.raises(SystemExit) as info:
+            run("decode", "--seed", "3")
+        assert info.value.code == 2 and "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_parse_and_override(self, tmp_path, workspace):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
@@ -754,8 +829,7 @@ class TestConfigFile:
             build_config(argparse.Namespace(config=str(cfg_file)))
 
     def test_sweep_field_names_rejected(self, tmp_path):
-        """The sweeps are set by `gamma` and `tau`; the RunConfig field names
-        would pass the raw string through to Constraints."""
+        """The sweeps are set by `gamma` and `tau`; plural keys are unknown."""
         import argparse
 
         from chordscribe.cli import build_config
@@ -780,4 +854,4 @@ class TestConfigFile:
         assert (cfg.jobs, cfg.alpha, cfg.cac) == (2, 0.5, True)
         assert type(cfg.jobs) is int and type(cfg.alpha) is float
         assert (cfg.alphabet, cfg.chroma_dir) == ("full121", "c")
-        assert (cfg.gammas, cfg.taus) == ((0, None), (3,))
+        assert (cfg.gamma, cfg.tau) == ((0, None), (3,))

@@ -297,8 +297,7 @@ def test_valid_config_reads_back(tmp_path, data, keys):
     lines = [f"{key}{data.draw(spaces)}={data.draw(spaces)}{text}" for key, (text, _) in pairs.items()]
     path = tmp_path / "run.cfg"
     _write(path, _layout(data, lines)[0])
-    expected = {("gammas" if k == "gamma" else "taus" if k == "tau" else k): v for k, (_, v) in pairs.items()}
-    assert parse_config_file(path) == expected
+    assert parse_config_file(path) == {key: value for key, (_, value) in pairs.items()}
 
 
 BAD_CONFIG_LINES = st.one_of(
@@ -313,6 +312,17 @@ BAD_CONFIG_LINES = st.one_of(
     st.builds("jobs = {}".format, st.sampled_from(["1.5", "two", ""])),
     st.builds("gamma = {}".format, st.sampled_from(["x", "0,x", "1.5"])),
     st.builds("tau = {}".format, st.sampled_from(["three", "3;4"])),
+    # out of range, checked by the type that owns the setting
+    st.builds("hop = {}".format, st.sampled_from(["0", "-1"])),
+    st.builds("q_factor = {}".format, st.sampled_from(["0", "-1"])),
+    st.builds("bins_per_semitone = {}".format, st.sampled_from(["0", "-3"])),
+    st.builds("sample_rate = {}".format, st.sampled_from(["0", "-11025"])),
+    st.builds("alpha = {}".format, st.sampled_from(["-1", "-0.1"])),
+    st.builds("epsilon = {}".format, st.sampled_from(["0", "-1e-4"])),
+    st.builds("gamma = {}".format, st.sampled_from(["-1", "0,-2"])),
+    st.builds("tau = {}".format, st.sampled_from(["0", "14", "3,0"])),
+    st.builds("alphabet = {}".format, st.sampled_from(["jazz", "full"])),
+    st.just("seed = -1"),
 )
 
 
