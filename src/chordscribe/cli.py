@@ -23,9 +23,9 @@ names its setting too) and the run goes on. In eval, a ground-truth fault
 fails the song, a prediction fault flags it (`flagged: ...`, scored 0), and
 each aggregate covers the songs that report its metric. A run-level
 failure (a bad config line or flag, a setting out of range (`path:line:`
-in a config file), a missing directory, an unreadable model file or synth
-script) prints one `error: ...` line and stops before any song. Either
-exits 1.
+in a config file), a missing directory, an unreadable config file, model
+file or synth script) prints one `error: ...` line and stops before any
+song. Either exits 1.
 """
 
 from __future__ import annotations
@@ -107,25 +107,30 @@ class RunConfig:
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_EXPECTED = {bool: f"one of {'/'.join(_BOOLEANS)}", int: "an integer", float: "a number",
+             tuple: "a comma list of integers and nones"}  # fmt: skip
 
 
 def _setting_value(f, value):
     """A config line's text or a flag's value as RunConfig field f holds it,
     within its bounds. Text takes the type of f's default: a boolean is one
     of _BOOLEANS in any case, a number must be finite, a sweep is a comma
-    list of ints and `none`s, and paths (default None) stay strings.
-    argparse has already typed a numeric flag."""
-    if isinstance(value, str):
-        if isinstance(f.default, bool):
-            if value.lower() not in _BOOLEANS:
-                raise ValueError(f"{f.name}: expected one of {'/'.join(_BOOLEANS)}, got {value!r}")
-            value = _BOOLEANS[value.lower()]
-        elif isinstance(f.default, (int, float)):
-            text, value = value, type(f.default)(value)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {text!r}")
-        elif isinstance(f.default, tuple):
-            value = tuple(None if p.strip().lower() in ("", "none") else int(p) for p in value.split(","))
+    list of ints and `none`s, and other text (paths, default None) stays
+    as it is. argparse has already typed a numeric flag."""
+    kind = type(f.default)
+    if isinstance(value, str) and kind in _EXPECTED:
+        text = value
+        try:
+            if kind is bool:
+                value = _BOOLEANS[text.lower()]
+            elif kind is tuple:
+                value = tuple(None if p.strip().lower() in ("", "none") else int(p) for p in text.split(","))
+            else:
+                value = kind(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{f.name}: expected {_EXPECTED[kind]}, got {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {text!r}")
     _check_range(f.name, value)
     return value
 
@@ -147,6 +152,8 @@ def _check_range(key: str, value) -> None:
         raise ValueError(f"train_fraction must be in (0, 1], got {value}")
     elif key == "seed" and value < 0:  # numpy's seeds are non-negative
         raise ValueError(f"seed must be >= 0, got {value}")
+    elif key == "jobs" and value < 1:
+        raise ValueError(f"jobs must be >= 1, got {value}")
 
 
 def parse_config_file(path) -> dict:
@@ -580,6 +587,8 @@ def main(argv=None) -> int:
         return cmd_synth(cfg, args.script, args.out_stem, args.key)
     except (ValueError, ModelFormatError) as exc:
         raise SystemExit(f"error: {exc}") from None
+    except OSError as exc:  # e.g. a config file or synth script that cannot be opened
+        raise SystemExit(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}") from None
 
 
 if __name__ == "__main__":

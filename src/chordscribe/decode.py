@@ -21,8 +21,11 @@ lexicographically smallest.
 
 `_layout` sets up what no frame changes; `_step` takes one frame through
 `_stage1`, `_stage2` and `_stage3` (or `_stage1` and `_fused_step`) and
-returns its v and backpointers (L, Cw, S): per cell the flat (row, chord,
-slot) index in the previous v, uint16 for full121; `_backtrace` walks back.
+returns its v and backpointers: the flat (row, chord, slot) index in the
+previous v of each best previous state, uint16 for full121, per cell
+(L, Cw, S) or, where stage 3 keeps one chord per row (k, u), per row
+(L, U); `_backtrace` walks back, reading cell (k, c, s) of a row table at
+(k, slot_t[c, s]).
 
 Each stage runs dense, over every predecessor, when its tensor fits the
 dense budget or a frame keeps over a quarter of the predecessors, and
@@ -55,7 +58,8 @@ row (k, u)'s candidates, so it adds each candidate's stage-2 maximum to its
 whole row lg[k, cp, :] and reduces (L, U, D, Cw) over D in key blocks
 under the budget. Where two candidates reach a maximum, the lowest
 (previous key, chord) wins (`_lowest_tied`, as in the dense form). A row
-that keeps one chord has one previous state for all its cells, packed once.
+that keeps one chord has one previous state for all its cells, packed once;
+when every row keeps one, the frame stores that (L, U) table.
 
 Stages 2 and 3 fuse into one argmax per target cell when each live key
 has one predecessor d (D == 1, every frame of a tight decode), stage 1
@@ -79,10 +83,10 @@ from .chroma import Chromagram
 from .model import ChordOnlyHmm, HpModel, gaussian_logpdf_frames
 
 _TIE_BIG = np.int32(2**30)
-# Stage 3's block budget in elements, and the form rules of stages 1, 2
-# and 3 (module docstring)
-_STAGE3_BLOCK_ELEMENTS = 2**18
-_DENSE_ELEMENTS = _STAGE3_BLOCK_ELEMENTS
+# The dense stage 2's and stage 3's block budget in elements, and the form
+# rules of stages 1, 2 and 3 (module docstring)
+_BLOCK_ELEMENTS = 2**18
+_DENSE_ELEMENTS = _BLOCK_ELEMENTS
 _FUSED_ELEMENTS = _DENSE_ELEMENTS  # the fused stage 2-3 table's budget
 _GATHER_COST = 4  # a gathered element costs about four dense ones
 
@@ -396,8 +400,9 @@ def _layout(tables: _LogTables) -> _Layout:
 
 def _step(layout: _Layout, v: np.ndarray, t: int):
     """Frame t's v (L, Cw, S) from frame t - 1's, and frame t's
-    backpointers: per cell, the flat (row, chord, slot) index in frame
-    t - 1's v of the previous state its best path comes from."""
+    backpointers: the flat (row, chord, slot) index in frame t - 1's v of
+    the previous state each best path comes from, per cell (L, Cw, S) or
+    per stage-3 row (L, U) (module docstring)."""
     prev = layout.first if t == 1 else layout.rest
     stage_b, from_s = _stage1(prev, v)
     if prev.fused is not None:
@@ -464,17 +469,24 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b):
     """Collapse the previous key: returns the (L, U, Cw) maxima and a reader
     of the stage_b rows they come from, the first maximizing predecessor, at
     the flat indices at or, with none, at every cell. Pruned, over the rows
-    the bound keeps; dense, over axis 1 of (L, D, U, Cw), where the largest
-    rank (D down to 1) equal to the max marks that predecessor."""
+    the bound keeps; dense, over axis 1 of (L, D, U, Cw) in key blocks,
+    where the largest rank (D down to 1) equal to the max marks that
+    predecessor."""
     if not prev.dense:
         cand = _stage2_candidates(prev, stage_b)
         if cand.shape[0] * _GATHER_COST <= prev.pred.shape[1]:
             return _stage2_pruned(prev, stage_b, cand)
-    tmp = np.take(stage_b, prev.pred, axis=0)
-    tmp += prev.lf_pred
-    stage_k, deg = tmp.max(axis=1), tmp.shape[1]
+    n_live, deg = prev.pred.shape
     rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
-    from_row = prev.pred[layout.key_idx, deg - (np.equal(tmp, stage_k[:, None]) * rank).max(axis=1)]
+    stage_k = np.empty((n_live, *stage_b.shape[1:]))
+    from_row = np.empty(stage_k.shape, dtype=prev.pred.dtype)
+    block = max(1, _BLOCK_ELEMENTS // (deg * stage_b[0].size))
+    for k0 in range(0, n_live, block):
+        ks = slice(k0, k0 + block)
+        tmp = np.take(stage_b, prev.pred[ks], axis=0)
+        tmp += prev.lf_pred[ks]
+        mx = tmp.max(axis=1, out=stage_k[ks])
+        from_row[ks] = prev.pred[layout.key_idx[ks], deg - (np.equal(tmp, mx[:, None]) * rank).max(axis=1)]
     return stage_k, lambda at=None: from_row if at is None else np.take(from_row, at)
 
 
@@ -540,17 +552,17 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s):
     cand = None if layout.dense else _stage3_candidates(stage_k, layout.drop, layout.scale)
     if cand is not None and cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
-    if cand is not None and cand.shape[2] == 1:  # a row's cells share one previous state: pack it once
+    if cand is not None and cand.shape[2] == 1:  # a row's cells share one previous state: pack and keep it once
         best = np.take(layout.lg_from, cand[..., 0] + layout.key_idx[..., 0] * cw, axis=0)  # (L, U, Cw)
         best += np.take_along_axis(stage_k, cand, axis=-1)
         at = np.arange(0, stage_k.size, cw).reshape(cand.shape) + cand  # (L, U, 1) in stage 2's output
         packed = _pack(prev, rows(at), from_s, at, layout.key_idx, cand).astype(layout.bp_dtype)
         v = np.take(best, layout.cells)
         v += extra
-        return v, np.take(packed, layout.key_u)
+        return v, packed[..., 0]
     from_row = rows()
     # elements per (k, c, S) cell: Cw dense; in row form, 3 D and 24 for the tie path and packing
-    block = max(1, _STAGE3_BLOCK_ELEMENTS // (cw * s * (cw if cand is None else 3 * cand.shape[2] + 24)))
+    block = max(1, _BLOCK_ELEMENTS // (cw * s * (cw if cand is None else 3 * cand.shape[2] + 24)))
     v = np.empty((n_live, cw, s))
     backptr = np.empty(v.shape, dtype=layout.bp_dtype)
     for k0 in range(0, n_live, block):
@@ -629,7 +641,7 @@ def _lowest_tied(rows, chords, tied):
 def _backtrace(layout: _Layout, backptr: list, v: np.ndarray):
     """(keys, chord positions, basses, log_prob) of the path that ends at
     the final frame's lowest maximizing cell and follows backptr[t], frame
-    t's backpointers, back to frame 0."""
+    t's backpointers per cell or per stage-3 row, back to frame 0."""
     first, rest, cw = layout.first, layout.rest, layout.tables.working.size
     rows, chords, slots = np.empty((3, len(backptr)), dtype=np.int64)  # cells of each frame's v
     r, c, j = np.unravel_index(int(np.argmax(v)), v.shape)
@@ -637,8 +649,8 @@ def _backtrace(layout: _Layout, backptr: list, v: np.ndarray):
     for t in range(len(backptr) - 1, -1, -1):
         rows[t], chords[t], slots[t] = r, c, j
         if t > 0:
-            sp = (first if t == 1 else rest).slots.shape[1]
-            r, rem = divmod(int(backptr[t][r, c, j]), cw * sp)
+            sp, bp = (first if t == 1 else rest).slots.shape[1], backptr[t]
+            r, rem = divmod(int(bp[r, layout.slot_t[c, j]] if bp.ndim == 2 else bp[r, c, j]), cw * sp)
             c, j = divmod(rem, sp)
     keys = np.r_[first.keys[rows[:1]], rest.keys[rows[1:]]]
     basses = np.r_[first.slots[chords[:1], slots[:1]], rest.slots[chords[1:], slots[1:]]]

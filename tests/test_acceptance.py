@@ -373,48 +373,74 @@ def test_constraint_behavior(full_model):
     )
 
 
-# Decodes the pickled (model, treble, bass) of argv[1] under the tight
-# setting and prints the frame count, the decode's seconds and the
-# process's peak resident set. scipy.linalg is imported before the timer,
-# as a long-running process would have it: the decode's emissions load it
-# lazily, which costs a few tenths of a second once per process. VmHWM, not
-# ru_maxrss: Linux carries a parent's peak RSS into a child's ru_maxrss
-# across fork and exec.
-TIGHT_DECODE = """
+# Decodes the pickled (model, treble, bass, constraints) of argv[1] and
+# prints the frame count, the decode's seconds, and the process's peak
+# resident set before and after the decode. scipy.linalg is imported before
+# the timer, as a long-running process would have it: the decode's emissions
+# load it lazily, which costs a few tenths of a second once per process.
+# VmHWM, not ru_maxrss: Linux carries a parent's peak RSS into a child's
+# ru_maxrss across fork and exec.
+DECODE = """
 import pickle, sys, time
 import scipy.linalg
-from chordscribe.decode import Constraints, viterbi_joint
+from chordscribe.decode import viterbi_joint
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
 
 with open(sys.argv[1], "rb") as fh:
-    model, treble, bass = pickle.load(fh)
+    model, treble, bass, constraints = pickle.load(fh)
+before = peak()
 t0 = time.perf_counter()
-path = viterbi_joint(model, Constraints(gamma=0, tau=3, cac=True), treble, bass)
+path = viterbi_joint(model, constraints, treble, bass)
 elapsed = time.perf_counter() - t0
-with open("/proc/self/status") as fh:
-    peak = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
-print(len(path), elapsed, peak)
+print(len(path), elapsed, before, peak())
 """
+
+
+def _decode_in_subprocess(tmp_path, model, treble, bass, constraints):
+    """(frames, seconds, peak bytes before, peak bytes after) of one decode
+    in its own process, so that the peaks are not those of whatever this
+    test process ran first."""
+    inputs = tmp_path / "inputs.pickle"
+    inputs.write_bytes(pickle.dumps((model, treble, bass, constraints)))
+    src = str(Path(chordscribe.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", DECODE, str(inputs)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )  # fmt: skip
+    frames, elapsed, before, after = out.stdout.split()
+    return int(frames), float(elapsed), int(before), int(after)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_performance_budget(full_model, tmp_path):
-    # The decode runs in its own process, so the memory bound reads that
-    # process's peak, not the peak of whatever this test process ran first.
     rng, model, a121, vocab = full_model
     treble, bass, _, _ = _frame_song(rng, vocab, a121, 1000)
-    inputs = tmp_path / "inputs.pickle"
-    inputs.write_bytes(pickle.dumps((model, treble, bass)))
-    src = str(Path(chordscribe.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", TIGHT_DECODE, str(inputs)],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
-    )  # fmt: skip
-    frames, elapsed, peak = out.stdout.split()
-    peak_gb = int(peak) / 1024**3
-    assert int(frames) == 1000
-    assert float(elapsed) < 10.0
+    tight = Constraints(gamma=0, tau=3, cac=True)
+    frames, elapsed, _, peak = _decode_in_subprocess(tmp_path, model, treble, bass, tight)
+    peak_gb = peak / 1024**3
+    assert frames == 1000
+    assert elapsed < 10.0
     assert peak_gb < 1.0
-    report("performance budget", f"1000 frames in {float(elapsed):.2f}s, decode process peak {peak_gb:.2f} GB")
+    report("performance budget", f"1000 frames in {elapsed:.2f}s, decode process peak {peak_gb:.2f} GB")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_long_free_decode_memory(full_model, tmp_path):
+    # 2,400 frames are 20 minutes on the 0.5 s beat grid. A free full121
+    # step keeps one previous chord per stage-3 row on nearly every frame
+    # and stores a (24, 13) uint16 table, 624 bytes, not 75.5 KB of cells;
+    # and frame 1's dense stage 2 runs in key blocks. The decode's own peak
+    # growth stays far below the 200 MB that one table a cell would hold.
+    rng, model, a121, vocab = full_model
+    treble, bass, _, _ = _frame_song(rng, vocab, a121, 2400)
+    frames, elapsed, before, after = _decode_in_subprocess(tmp_path, model, treble, bass, Constraints())
+    growth_mb = (after - before) / 2**20
+    assert frames == 2400
+    assert growth_mb < 64
+    report("long free decode memory", f"2400 frames in {elapsed:.2f}s, peak growth {growth_mb:.0f} MB")
 
 
 # --- 8. metric arithmetic ------------------------------------------------------------

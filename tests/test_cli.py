@@ -758,10 +758,46 @@ class TestConfigFile:
 
     def test_bad_sweep_flag_is_one_error_line(self, workspace, tmp_path, capsys):
         argv = ["decode", "--chroma-dir", str(workspace / "chroma"), "--model", str(workspace / "model.txt")]
-        with pytest.raises(SystemExit, match="^error: invalid literal for int") as info:
+        with pytest.raises(SystemExit) as info:
             run(*argv, "--output-dir", str(tmp_path / "o"), "--gamma", "x")
-        assert "\n" not in str(info.value) and capsys.readouterr().err == ""
+        assert str(info.value) == "error: gamma: expected a comma list of integers and nones, got 'x'"
+        assert capsys.readouterr().err == ""
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(("line", "message"), [
+        ("jobs = x", "jobs: expected an integer, got 'x'"),
+        ("alpha = 0.5.1", "alpha: expected a number, got '0.5.1'"),
+        ("tau = 3, three", "tau: expected a comma list of integers and nones, got '3, three'"),
+    ])  # fmt: skip
+    def test_unparsable_value_names_setting_and_line(self, tmp_path, line, message):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"# settings\n{line}\n")
+        with pytest.raises(SystemExit) as info:
+            run("decode", "--config", str(cfg_file))
+        assert str(info.value) == f"error: {cfg_file}:2: {message}"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        with pytest.raises(SystemExit) as info:
+            run("decode", "--jobs", jobs)
+        assert str(info.value) == f"error: jobs must be >= 1, got {jobs}"
+        cfg_file = tmp_path / "jobs.cfg"
+        cfg_file.write_text(f"jobs = {jobs}\n")
+        with pytest.raises(SystemExit) as info:
+            run("decode", "--config", str(cfg_file))
+        assert str(info.value) == f"error: {cfg_file}:1: jobs must be >= 1, got {jobs}"
+
+    def test_missing_input_file_is_one_error_line(self, tmp_path, monkeypatch):
+        # a config file by flag or HP_CONFIG, and a synth script
+        missing = tmp_path / "missing.cfg"
+        for argv in (["decode", "--config", str(missing)], ["synth", str(missing), str(tmp_path / "out")]):
+            with pytest.raises(SystemExit) as info:
+                run(*argv)
+            assert str(info.value) == f"error: {missing}: No such file or directory"
+        monkeypatch.setenv("HP_CONFIG", str(missing))
+        with pytest.raises(SystemExit) as info:
+            run("train")
+        assert str(info.value) == f"error: {missing}: No such file or directory"
 
     def test_each_subcommand_takes_the_flags_it_reads(self, capsys):
         import argparse

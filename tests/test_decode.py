@@ -265,6 +265,14 @@ def _frame0_v(tables):
     )
 
 
+def _step_cells(layout, v, t):
+    """decode._step, with the backpointers per (live key, chord, bass slot)
+    cell: a one-candidate stage 3's (L, U) table, one entry per row (k, u),
+    expanded through slot_t; an (L, Cw, S) table as it is."""
+    v, bp = decode._step(layout, v, t)
+    return v, bp[:, layout.slot_t] if bp.ndim == 2 else bp
+
+
 def _took_stage1_tail(from_s):
     """Whether stage 1 took its one-slot tail, which returns each cell's
     maximizing slot once, (Kp, Cw), not per target bass."""
@@ -374,12 +382,13 @@ class TestViterbiOracle:
 
     @pytest.mark.parametrize("keys_per_block", [None, 2])
     def test_key_blocks_match_enumeration(self, monkeypatch, keys_per_block):
-        # Stage 3 takes the target keys in blocks under an element budget.
-        # Two keys a block of the dense form over three or five keys leaves a
-        # partial last block (the pruned form, which counts more arrays a
-        # key, takes one key a block); None keeps the default budget, where
-        # all keys share one. Odd trials use integer log tables, so the tie
-        # repair runs on blocks.
+        # Stage 3, and the dense stage 2, take the target keys in blocks
+        # under an element budget. Two keys a stage-3 block of the dense form
+        # over three or five keys leaves a partial last block (the pruned
+        # form, which counts more arrays a key, takes one key a block, and
+        # the dense stage 2 one or two); None keeps the default budget,
+        # where all keys share one. Odd trials use integer log tables, so the
+        # tie repair, and stage 2's lowest-row rule, run on blocks.
         rng = np.random.default_rng(12)
         for trial in range(40):
             n_keys, n_chords, n_bass = rng.choice([(3, 2, 2), (5, 2, 2), (3, 3, 2)])
@@ -393,15 +402,17 @@ class TestViterbiOracle:
                 flat = tables_to_flat(tables)
             if keys_per_block:
                 budget = keys_per_block * n_chords * n_chords * slot_cap
-                monkeypatch.setattr(decode, "_STAGE3_BLOCK_ELEMENTS", budget)
+                monkeypatch.setattr(decode, "_BLOCK_ELEMENTS", budget)
             _assert_matches_enumeration(tables, flat, trial)
 
-    def test_key_sparse_models_match_enumeration(self):
+    def test_key_sparse_models_match_enumeration(self, monkeypatch):
         # After frame 0 the decoder keeps only keys with a finite incoming
         # transition. Each target key gets a random in-degree from 0 to
         # n_keys, so some keys are live only at frame 0 and some live keys
         # lose every predecessor after frame 1. Odd trials use integer log
-        # tables, so previous keys tie.
+        # tables, so previous keys tie. Each trial runs at the default block
+        # budget and at one key a block, where the dense stage 2's blocks
+        # hold keys with different predecessors.
         rng = np.random.default_rng(14)
         for trial in range(60):
             n_keys, n_chords, n_bass = rng.choice([(3, 2, 2), (4, 3, 1), (6, 2, 1), (4, 1, 3)])
@@ -413,7 +424,9 @@ class TestViterbiOracle:
                 tables.lf[cut, k] = -np.inf
             if trial % 2:
                 _integer_log_tables(tables, rng)
-            _assert_matches_enumeration(tables, tables_to_flat(tables), trial)
+            for budget in (decode._BLOCK_ELEMENTS, 1):
+                monkeypatch.setattr(decode, "_BLOCK_ELEMENTS", budget)
+                _assert_matches_enumeration(tables, tables_to_flat(tables), trial)
 
     def test_no_live_key_dies_at_frame_1(self):
         rng = np.random.default_rng(15)
@@ -461,7 +474,7 @@ class TestViterbiOracle:
             np.testing.assert_array_equal(ours, ref)
         n_keys, n_chords, n_bass = 4, 30, 13
         if keys_per_block:
-            monkeypatch.setattr(decode, "_STAGE3_BLOCK_ELEMENTS", keys_per_block * n_chords**2 * slot_cap)
+            monkeypatch.setattr(decode, "_BLOCK_ELEMENTS", keys_per_block * n_chords**2 * slot_cap)
         trials = [_wide_integer_tables(rng, n_keys, n_chords, n_bass, 12, slot_cap) for _ in range(4)]
         trials.append(_dead_transition_case(copy.deepcopy(trials[0])))
         trials += [_offset_tables(copy.deepcopy(tables), -1e6) for tables in trials[:4]]
@@ -689,7 +702,7 @@ class TestStep:
                     with stage_form(form):
                         formed = decode._layout(tables)
                         formed_prev = formed.first if t == 1 else formed.rest
-                        v, backptr = decode._step(formed, v_prev, t)
+                        v, backptr = _step_cells(formed, v_prev, t)
                         if form == "pruned":
                             tails += _took_stage1_tail(decode._stage1(formed_prev, v_prev)[1])
                     one_pred = formed_prev.pred.shape[1] == 1
@@ -759,7 +772,7 @@ class TestStep:
                     stage1[form] = decode._stage1(prev, v)
                     stage_k, rows = decode._stage2(layout, prev, stage1[form][0])
                     stage2[form] = stage_k, rows(np.arange(stage_k.size).reshape(stage_k.shape))
-                    out[form] = decode._step(layout, v, t)
+                    out[form] = _step_cells(layout, v, t)
                 fused += form == "fused" and prev.fused is not None
             one_slot += _took_stage1_tail(stage1["pruned"][1])
             if _took_stage1_tail(stage1["pruned"][1]):  # compare its slots broadcast over the target basses
@@ -1038,9 +1051,9 @@ def test_stage3_rows_break_cross_key_ties_as_the_dense_form():
         with stage_form("pruned"):
             stage_k, rows = decode._stage2(layout, prev, decode._stage1(prev, v)[0])
             cand = decode._stage3_candidates(stage_k, layout.drop, layout.scale)
-            v_rows, bp_rows = decode._step(layout, v, t)
+            v_rows, bp_rows = _step_cells(layout, v, t)
         with stage_form("dense"):
-            v, bp = decode._step(layouts["dense"], v, t)
+            v, bp = _step_cells(layouts["dense"], v, t)
         assert v.tobytes() == v_rows.tobytes(), f"frame {t}"
         assert bp.dtype == bp_rows.dtype and bp.tobytes() == bp_rows.tobytes(), f"frame {t}"
         wide += cand.shape[2] > 1
@@ -1125,27 +1138,54 @@ def test_gamma_only_staged_one_predecessor_pinned():
 
 
 @pytest.mark.parametrize(
-    ("constraints", "shape"),
+    ("constraints", "cells", "rows"),
     [
-        (Constraints(), (24, 121, 13)),
-        (Constraints(tau=3), (24, 121, 3)),
-        (Constraints(gamma=0, tau=3, cac=True), (2, 3, 3)),
+        (Constraints(), (24, 121, 13), (24, 13)),
+        (Constraints(tau=3), (24, 121, 3), (24, 7)),
+        (Constraints(gamma=0, tau=3, cac=True), (2, 3, 3), (2, 5)),
     ],
     ids=["free", "tau3", "tight"],
 )
-def test_backpointer_format_pinned(constraints, shape):
-    # Each frame's backpointers are one uint16 flat (row, chord, slot) index
-    # per (live key, chord, bass slot) cell, under either stage form: the
-    # long-song memory figures (75.5 KB a free full121 frame) rest on it.
+def test_backpointer_format_pinned(constraints, cells, rows):
+    # Each frame's backpointers are uint16 flat (row, chord, slot) indices in
+    # the previous v. Where stage 3 keeps one previous chord per (live key,
+    # target bass) row, which only the pruned form does here (on the middle
+    # frames, and on every tight frame), the row's cells share one entry:
+    # (L, U), 624 bytes a free full121 frame. Every other frame keeps one
+    # per (live key, chord, bass slot) cell: (L, Cw, S), 75.5 KB a free
+    # full121 frame.
     model, treble, bass = _fallback_tie_case()
     tables = decode._build_tables(model, constraints, treble, bass)
     for form in STAGE_FORMS:
+        shapes = set()
         with stage_form(form):
             layout = decode._layout(tables)
             v = _frame0_v(tables)
             for t in range(1, treble.n_frames):
                 v, backptr = decode._step(layout, v, t)
-                assert (backptr.dtype, backptr.shape) == (np.uint16, shape), f"frame {t}, {form}"
+                assert backptr.dtype == np.uint16 and backptr.shape in (cells, rows), f"frame {t}, {form}"
+                shapes.add(backptr.shape)
+        assert (rows in shapes) == (form == "pruned"), form
+
+
+@pytest.mark.parametrize(("constraints", "max_bytes"), [(Constraints(), 12_000), (Constraints(tau=3), 2_000)])
+def test_backpointer_bytes_per_frame_bounded(constraints, max_bytes):
+    # On a 150-frame song of a trained full121 model, nearly every step of a
+    # free or tau=3 decode keeps one previous chord per stage-3 row and
+    # stores one backpointer a row, so the mean bytes stored a frame stay
+    # far below the cell form's 75.5 KB (free) and 17.4 KB (tau=3).
+    from test_acceptance import _frame_song, _full121_frame_model
+
+    rng = np.random.default_rng(2025)
+    model, a121, vocab = _full121_frame_model(rng)
+    treble, bass, _, _ = _frame_song(rng, vocab, a121, 150)
+    tables = decode._build_tables(model, constraints, treble, bass)
+    layout = decode._layout(tables)
+    v, stored = _frame0_v(tables), 0
+    for t in range(1, treble.n_frames):
+        v, backptr = decode._step(layout, v, t)
+        stored += backptr.nbytes
+    assert stored / (treble.n_frames - 1) <= max_bytes
 
 
 class TestForwardBackwardEdge:

@@ -19,9 +19,10 @@ of a git ref, and compares every output file:
            gamma in {0, 2} x tau in {1, 3, 13} with CAC
     eval   the tight full121 decode, `--compare` against the unconstrained;
            and the same at `--jobs 2`
-    log-probs  the tight, the unconstrained and the gamma=0 full121
-           decodes again, in one process calling `viterbi_joint`, written
-           as `setting/stem repr(log_prob)` lines to `log_probs.txt`
+    log-probs  the tight, the unconstrained, the tau=3 and the gamma=0
+           full121 decodes again, in one process calling
+           `viterbi_joint`, written as `setting/stem repr(log_prob)`
+           lines to `log_probs.txt`
 
 The inputs are written once, by the working tree, and both trees read the
 same files. Every run pins the BLAS thread count to 1, because `.chroma`
@@ -81,7 +82,7 @@ RATE_SONGS = (("rate48k", 48000, 12.0), ("rate16k", 16000, 12.0), ("rate8k", 800
 HOP_RUNS = (("rate48k", 1023), ("rate8k", 200))
 
 # Run in the tree's output directory after the CLI steps: the full-precision
-# log-prob of each full121 song, tight, unconstrained and gamma-only.
+# log-prob of each full121 song, tight, unconstrained, tau-only and gamma-only.
 LOG_PROB_SCRIPT = """
 from pathlib import Path
 from chordscribe.chroma import read_chromagram
@@ -91,7 +92,8 @@ from chordscribe.model import load_model
 model = load_model("models/full121.txt")
 lines = []
 tight = Constraints(gamma=0, tau=3, cac=True)
-for setting, constraints in (("tight", tight), ("free", Constraints()), ("gamma", Constraints(gamma=0))):
+settings = (("tight", tight), ("free", Constraints()), ("tau", Constraints(tau=3)), ("gamma", Constraints(gamma=0)))
+for setting, constraints in settings:
     for treble in sorted(Path("chroma").glob("*.treble.chroma")):
         stem = treble.name.removesuffix(".treble.chroma")
         bass = read_chromagram(treble.with_name(stem + ".bass.chroma"))
