@@ -191,6 +191,21 @@ def train(dataset, cfg: TrainConfig) -> HpModel:
     )
 
 
+def _cholesky(mats: np.ndarray) -> tuple[np.ndarray | None, int | None]:
+    """(factors, None): the lower Cholesky factors of a stack (n, d, d) from
+    one LAPACK call, which reads lower triangles only and gives each matrix
+    the bits of its own call. (None, row) names the first row with none."""
+    try:
+        return np.linalg.cholesky(mats), None
+    except np.linalg.LinAlgError:
+        for row, mat in enumerate(mats):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                return None, row
+        raise
+
+
 def gaussian_logpdf_frames(
     frames: np.ndarray, means: np.ndarray, covs: np.ndarray, state_name=lambda s: f"state {s}"
 ) -> np.ndarray:
@@ -201,33 +216,33 @@ def gaussian_logpdf_frames(
     gets that column: identical states get identical bits, which the
     decoder's tie-breaks rely on. state_name(s) names row s in the error
     for a mean or covariance that is not finite, or a covariance that is
-    not positive definite. The Cholesky factor and solve are LAPACK's
-    potrf and potrs, which scipy's cho_factor and cho_solve call."""
-    from scipy.linalg.lapack import dpotrf, dpotrs  # imported here to keep scipy out of package import
-
+    not positive definite. numpy's own LAPACK does the arithmetic: one
+    stacked Cholesky factorization L of the distinct covariances and one
+    stacked inverse of the factors; each Mahalanobis term is the squared
+    norm of L^-1 (x - mean), one matrix product per Gaussian. On
+    well-conditioned covariances the values may differ from scipy's
+    cho_factor and cho_solve by a few ulp."""
     frames = np.asarray(frames, dtype=np.float64)
     t, d = frames.shape
-    n = means.shape[0]
     if not np.isfinite(frames).all():
         raise ValueError("frames must be finite")
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
-    out = np.empty((t, n))
-    first_row = {}
-    for s in range(n):
-        s0 = first_row.setdefault(means[s].tobytes() + covs[s].tobytes(), s)
-        if s0 < s:
-            out[:, s] = out[:, s0]
-            continue
-        if not finite[s]:
-            raise ValueError(f"mean or covariance of {state_name(s)} is not finite")
-        factor, info = dpotrf(covs[s], lower=True, clean=False)
-        if info != 0:
-            raise ValueError(f"covariance of {state_name(s)} is not positive definite")
-        diff = frames - means[s]
-        maha = np.einsum("td,td->t", diff, dpotrs(factor, diff.T, lower=True)[0].T)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-        out[:, s] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
-    return out
+    first = {}  # bytes of each distinct Gaussian -> the first row that has it
+    rows = [first.setdefault(m.tobytes() + c.tobytes(), s) for s, (m, c) in enumerate(zip(means, covs))]
+    firsts = list(first.values())
+    finite = np.isfinite(means[firsts]).all(axis=1) & np.isfinite(covs[firsts]).all(axis=(1, 2))
+    n_ok = len(firsts) if finite.all() else int(np.argmin(finite))  # errors keep row order
+    factors, bad = _cholesky(covs[firsts[:n_ok]])
+    if bad is not None:
+        raise ValueError(f"covariance of {state_name(firsts[bad])} is not positive definite")
+    if n_ok < len(firsts):
+        raise ValueError(f"mean or covariance of {state_name(firsts[n_ok])} is not finite")
+    logdet = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+    inverses = np.linalg.inv(factors)
+    maha = np.empty((t, len(firsts)))
+    for i, s in enumerate(firsts):
+        z = (frames - means[s]) @ inverses[i].T
+        maha[:, i] = np.einsum("td,td->t", z, z)
+    return np.take(-0.5 * (d * np.log(2.0 * np.pi) + logdet + maha), np.searchsorted(firsts, rows), axis=1)
 
 
 # --- serialization -------------------------------------------------------------
@@ -282,14 +297,6 @@ def save_model(m: HpModel, path) -> None:
         fh.write("end\n")
 
 
-def _is_positive_definite(cov: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _table_fault(kind: str, arr: np.ndarray) -> tuple[int, str] | None:
     """First value of a table that its kind forbids, as (row of the table
     in the file, what is wrong); None when the table is valid."""
@@ -302,9 +309,8 @@ def _table_fault(kind: str, arr: np.ndarray) -> tuple[int, str] | None:
             checks["negative count"] = arr < 0.0
         elif kind == "cov":
             checks["covariance is not symmetric"] = ~np.isclose(arr, arr.swapaxes(1, 2), atol=1e-10)
-            checks["covariance is not positive definite"] = np.array(
-                [not _is_positive_definite(c) for c in arr]
-            )
+            # the first row with no factor; no row when every matrix has one
+            checks["covariance is not positive definite"] = np.arange(arr.shape[0]) == _cholesky(arr)[1]
     for what, mask in checks.items():
         rows = np.flatnonzero(mask.reshape(mask.shape[0], -1).any(axis=1))
         if rows.size:

@@ -375,14 +375,10 @@ def test_constraint_behavior(full_model):
 
 # Decodes the pickled (model, treble, bass, constraints) of argv[1] and
 # prints the frame count, the decode's seconds, and the process's peak
-# resident set before and after the decode. scipy.linalg is imported before
-# the timer, as a long-running process would have it: the decode's emissions
-# load it lazily, which costs a few tenths of a second once per process.
-# VmHWM, not ru_maxrss: Linux carries a parent's peak RSS into a child's
-# ru_maxrss across fork and exec.
+# resident set before and after the decode. VmHWM, not ru_maxrss: Linux
+# carries a parent's peak RSS into a child's ru_maxrss across fork and exec.
 DECODE = """
 import pickle, sys, time
-import scipy.linalg
 from chordscribe.decode import viterbi_joint
 
 def peak():
@@ -420,11 +416,11 @@ def test_performance_budget(full_model, tmp_path):
     treble, bass, _, _ = _frame_song(rng, vocab, a121, 1000)
     tight = Constraints(gamma=0, tau=3, cac=True)
     frames, elapsed, _, peak = _decode_in_subprocess(tmp_path, model, treble, bass, tight)
-    peak_gb = peak / 1024**3
+    peak_mb = peak / 2**20
     assert frames == 1000
     assert elapsed < 10.0
-    assert peak_gb < 1.0
-    report("performance budget", f"1000 frames in {elapsed:.2f}s, decode process peak {peak_gb:.2f} GB")
+    assert peak_mb < 1024.0
+    report("performance budget", f"1000 frames in {elapsed:.2f}s, decode process peak {peak_mb:.0f} MB")
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")

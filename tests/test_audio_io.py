@@ -259,9 +259,10 @@ class TestAudioBuffer:
 
 
 def test_package_import_defers_scipy_signal():
-    # scipy dominates import time; only WAV reading or writing, Gaussian
-    # densities and the paired t-test need it. Nothing imports scipy.signal
-    # (see test_chroma_command_never_imports_scipy_signal).
+    # scipy dominates import time; only WAV reading or writing and the
+    # paired t-test need it. Nothing imports scipy.signal (see
+    # test_chroma_command_never_imports_scipy_signal), and a decode imports
+    # no scipy at all (test_decode_never_imports_scipy in test_cli.py).
     mods = ("scipy.signal", "scipy.io", "scipy.linalg", "scipy.special")
     code = f"import sys, chordscribe; print(*(m in sys.modules for m in {mods!r}))"
     src = str(Path(chordscribe.__file__).parents[1])

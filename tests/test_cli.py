@@ -359,6 +359,39 @@ class TestTrain:
         )
 
 
+# argv: mode, model file, chroma directory, then the decode command's argv.
+# Loads the model, decodes songA free and with gamma=0, tau=3 and CAC,
+# printing each path's log-prob and chord states, then runs the decode
+# command. With mode "block", a finder first in sys.meta_path fails every
+# import of scipy. The last line reports the command's exit status and
+# whether scipy was loaded (mode "allow" imports scipy.linalg itself, to
+# show that it can).
+BLOCKED_DECODE = """
+import sys
+from pathlib import Path
+mode, model_path, chroma, *argv = sys.argv[1:]
+if mode == "block":
+    class BlockScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"blocked: {name}")
+    sys.meta_path.insert(0, BlockScipy())
+else:
+    import scipy.linalg
+from chordscribe.chroma import read_chromagram
+from chordscribe.cli import main
+from chordscribe.decode import Constraints, viterbi_joint
+from chordscribe.model import load_model
+model = load_model(model_path)
+treble, bass = (read_chromagram(Path(chroma) / f"songA.{band}.chroma") for band in ("treble", "bass"))
+for constraints in (Constraints(), Constraints(gamma=0, tau=3, cac=True)):
+    path = viterbi_joint(model, constraints, treble, bass)
+    print(repr(path.log_prob), path.chords.tolist())
+rc = main(argv)
+print(f"exit {rc}, scipy loaded: {'scipy' in sys.modules}")
+"""
+
+
 class TestDecode:
     def test_label_files_written(self, workspace):
         for stem in ("songA", "songB"):
@@ -437,6 +470,29 @@ class TestDecode:
         assert [type(x) for x in pools[0][1:]] == [HpModel, type(workspace)]
         assert sorted(job[0] for job in submitted) == ["songA", "songA", "songB", "songB"]
         assert not any(isinstance(x, HpModel) for job in submitted for x in job)
+
+    def test_decode_never_imports_scipy(self, workspace, tmp_path):
+        # Every scipy import raises in the blocked run: loading the model, a
+        # free and a tight decode (whose first pass runs the 24-d chord-only
+        # model) and the decode command need numpy alone, and give the same
+        # log-probs and label files as a run with scipy importable.
+        chroma, model = workspace / "chroma", workspace / "model.txt"
+        results = {}
+        for mode in ("block", "allow"):
+            out = tmp_path / mode
+            argv = ["decode", "--chroma-dir", str(chroma), "--model", str(model), "--output-dir", str(out)]
+            argv += ["--gamma", "0", "--tau", "3", "--cac"]
+            env = {**os.environ, "PYTHONPATH": str(Path(chordscribe.__file__).parents[1])}
+            cmd = [sys.executable, "-c", BLOCKED_DECODE, mode, str(model), str(chroma), *argv]
+            done = subprocess.run(cmd, capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+            labels = {p.name: p.read_bytes() for p in sorted(out.glob("*.lab"))}
+            results[mode] = (done.stdout, labels)
+        assert results["block"][0].splitlines()[-1] == "exit 0, scipy loaded: False"
+        assert results["allow"][0].splitlines()[-1] == "exit 0, scipy loaded: True"
+        assert results["block"][0].splitlines()[:-1] == results["allow"][0].splitlines()[:-1]
+        assert len(results["block"][1]) == 2 * 3  # songs x key/chord/bass
+        assert results["block"][1] == results["allow"][1]
 
     def test_missing_model_exits(self, workspace, tmp_path):
         with pytest.raises(SystemExit):
