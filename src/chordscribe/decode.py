@@ -19,12 +19,13 @@ maximizing state, and each backpointer the lowest maximizing predecessor,
 which together select the optimal path whose reversed state sequence is
 lexicographically smallest.
 
-`_layout` sets up what no frame changes; `_step` takes one frame through
-`_stage1`, `_stage2` and `_stage3` (or `_stage1` and `_fused_step`) and
-returns its v and backpointers: the flat (row, chord, slot) index in the
-previous v of each best previous state, uint16 for full121, per cell
-(L, Cw, S) or, where stage 3 keeps one chord per row (k, u), per row
-(L, U); `_backtrace` walks back, reading cell (k, c, s) of a row table at
+Emission terms are summed for a block of frames at a time. `_layout`
+sets up what no frame changes; `_step` takes one frame through `_stage1`,
+`_stage2` and `_stage3` (or `_stage1` and `_fused_step`) and returns its
+v and backpointers: the flat (row, chord, slot) index in the previous v
+of each best previous state, uint16 for full121, per cell (L, Cw, S) or,
+where stage 3 keeps one chord per row (k, u), per row (L, U);
+`_backtrace` walks back, reading cell (k, c, s) of a row table at
 (k, slot_t[c, s]).
 
 Each stage runs dense, over every predecessor, when its tensor fits the
@@ -67,14 +68,16 @@ runs dense and the (L * Cw * S, Cw) table fits its budget. A row adds
 lf[d, k] and then lg[k, cp, c] to stage 1's maxima at (d, u), the staged
 adds in order, so the argmax takes the staged maximum and its first
 chord, dead cells included. With D > 1, rounding can merge two rows'
-distinct stage-2 sums once lg is added, so those stay staged.
+distinct stage-2 sums once lg is added, so those stay staged. A dense
+stage 2 with D == 1 takes each key's one predecessor row as it is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -167,7 +170,7 @@ def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
     Each forward step rescales after combining log(alpha[t-1] @ A) + log_e[t],
     so an unreachable state with a dominant emission cannot underflow the
     others. Backward: post[t] = alpha[t] * (A @ (post[t+1] / pred[t+1])), 0/0 = 0."""
-    log_e = gaussian_logpdf_frames(obs, hmm.means, hmm.covs)
+    log_e = gaussian_logpdf_frames(obs, hmm.means, hmm.covs, held=hmm.gaussians)
     T, n = log_e.shape
     alpha = np.empty((T, n))
     pred = np.empty((T, n))  # pred[t] = alpha[t-1] @ A, the one-step prediction
@@ -255,12 +258,10 @@ def _build_tables(
         lg = np.log(m.chord_trans_rel[mode, rel[:, :, None], rel[:, None, :]])
 
     emis_c = gaussian_logpdf_frames(
-        t_frames,
-        m.chord_emis_mean[working],
-        m.chord_emis_cov[working],
-        lambda row: f"chord {working[row]} ({m.alphabet.label_at(working[row])})",
-    )
-    emis_b = gaussian_logpdf_frames(b_frames, m.bass_emis_mean, m.bass_emis_cov)
+        t_frames, m.chord_emis_mean, m.chord_emis_cov,
+        lambda row: f"chord {working[row]} ({m.alphabet.label_at(working[row])})", working, m.chord_emis_gaussians,
+    )  # fmt: skip
+    emis_b = gaussian_logpdf_frames(b_frames, m.bass_emis_mean, m.bass_emis_cov, held=m.bass_emis_gaussians)
     return _LogTables(lpi_k, lpi_c, lpi_b, lf, lg, lh, lr, slots, working, emis_c, emis_b)
 
 
@@ -291,7 +292,8 @@ class _Fused(NamedTuple):
     cell (k, c, s), a column per previous chord."""
 
     rows: np.ndarray  # (L * Cw * S,) each cell's (predecessor row, u) in stage 1's output as (Kp * U, Cw)
-    lf: np.ndarray  # (L * Cw * S, 1) each cell's key transition
+    flat: np.ndarray  # (L * Cw * S,) rows * Cw, the flat index of each row's first element there
+    lf: np.ndarray  # (L * Cw * S, Cw) each cell's key transition, at every previous chord
     lg: np.ndarray  # (L * Cw * S, Cw) each entry's chord transition
     starts: np.ndarray  # (L * Cw * S,) flat index of each row's first entry
     bp: np.ndarray  # (Kp * U * Cw,) (row * Cw + chord) * Sp of each stage-1 output element
@@ -307,9 +309,10 @@ def _fused_layout(prev: _Prev, lg_live, slot_t) -> _Fused | None:
         return None
     shape = (n_live, cw, s)
     bp = (np.arange(prev.keys.size)[:, None, None] * cw + np.arange(cw)) * prev.slots.shape[1]
+    rows = (prev.pred.reshape(n_live, 1, 1) * n_u + slot_t).ravel()
     return _Fused(
-        (prev.pred.reshape(n_live, 1, 1) * n_u + slot_t).ravel(),
-        np.broadcast_to(prev.lf_pred.reshape(n_live, 1, 1), shape).reshape(-1, 1),
+        rows, rows * cw,
+        np.broadcast_to(prev.lf_pred.reshape(n_live, 1, 1, 1), (*shape, cw)).reshape(-1, cw),
         np.broadcast_to(lg_live[:, :, None], (*shape, cw)).reshape(-1, cw),
         np.arange(0, n_live * cw * s * cw, cw),
         np.broadcast_to(bp, (prev.keys.size, n_u, cw)).ravel(),
@@ -367,6 +370,7 @@ class _Layout(NamedTuple):
     key_u: np.ndarray  # (L, Cw, S) flat index of each cell's row (k, u) in a stage-2 output's (L, U)
     cells: np.ndarray  # (L, Cw, S) flat index of each cell's (k, u, c) in a stage-2 output
     bp_dtype: np.dtype  # holds a flat (row, chord, slot) index of any v
+    emission: Callable  # frame t's (Cw, S) term lr + emis_c[t] + emis_b[t], summed in that order
 
 
 def _layout(tables: _LogTables) -> _Layout:
@@ -392,9 +396,13 @@ def _layout(tables: _LogTables) -> _Layout:
     key_u = key_idx * targets.size + slot_t
     cells = key_u * cw + np.arange(cw)[:, None]
     bp_dtype = np.min_scalar_type(n_keys * cw * n_bass - 1)
+    n = max(1, _BLOCK_ELEMENTS // 64 // tables.slots.size)  # frames a block of `emission` holds (it outlives a step)
+    block = functools.lru_cache(maxsize=1)(
+        lambda t0: tables.lr + tables.emis_c[t0 : t0 + n, :, None] + tables.emis_b[t0 : t0 + n][:, tables.slots]
+    )
     return _Layout(
         tables, live, first, rest, slot_t, lg_live, dense, drop.reshape(-1, 1), scale.reshape(-1, 1), lg_from,
-        key_idx, key_u, cells, bp_dtype,
+        key_idx, key_u, cells, bp_dtype, lambda t: block(t - t % n)[t % n],
     )
 
 
@@ -415,16 +423,14 @@ def _fused_step(layout: _Layout, prev: _Prev, t, stage_b, from_s):
     """Stages 2 and 3 as one argmax per target cell over its previous
     chords at its key's one predecessor, summed as the staged form sums
     them; returns frame t's v and backpointers (module docstring)."""
-    f, tables = prev.fused, layout.tables
-    cw = stage_b.shape[-1]
-    val = np.take(stage_b.reshape(-1, cw), f.rows, axis=0)
+    f = prev.fused
+    val = stage_b.reshape(-1, stage_b.shape[-1]).take(f.rows, axis=0)
     val += f.lf
     val += f.lg
     at = val.argmax(axis=1)
-    v = np.take(val, at + f.starts).reshape(layout.live.size, *tables.slots.shape)
-    v += tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
-    win = f.rows * cw + at  # the winner's flat index in stage 1's output
-    backptr = np.take(f.bp, win) + np.take(from_s, win)
+    v = val.take(at + f.starts).reshape(layout.key_u.shape)
+    v += layout.emission(t)
+    backptr = (f.bp + from_s.reshape(-1)).take(f.flat + at)  # at the winner's flat index in stage 1's output
     return v, backptr.astype(layout.bp_dtype).reshape(v.shape)
 
 
@@ -477,16 +483,20 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b):
         if cand.shape[0] * _GATHER_COST <= prev.pred.shape[1]:
             return _stage2_pruned(prev, stage_b, cand)
     n_live, deg = prev.pred.shape
-    rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
     stage_k = np.empty((n_live, *stage_b.shape[1:]))
     from_row = np.empty(stage_k.shape, dtype=prev.pred.dtype)
-    block = max(1, _BLOCK_ELEMENTS // (deg * stage_b[0].size))
-    for k0 in range(0, n_live, block):
-        ks = slice(k0, k0 + block)
-        tmp = np.take(stage_b, prev.pred[ks], axis=0)
-        tmp += prev.lf_pred[ks]
-        mx = tmp.max(axis=1, out=stage_k[ks])
-        from_row[ks] = prev.pred[layout.key_idx[ks], deg - (np.equal(tmp, mx[:, None]) * rank).max(axis=1)]
+    if deg == 1:  # every cell's row is its key's one predecessor
+        np.add(np.take(stage_b, prev.pred[:, 0], axis=0), prev.lf_pred[:, 0], out=stage_k)
+        from_row[...] = prev.pred[:, :, None]
+    else:
+        rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
+        block = max(1, _BLOCK_ELEMENTS // (deg * stage_b[0].size))
+        for k0 in range(0, n_live, block):
+            ks = slice(k0, k0 + block)
+            tmp = np.take(stage_b, prev.pred[ks], axis=0)
+            tmp += prev.lf_pred[ks]
+            mx = tmp.max(axis=1, out=stage_k[ks])
+            from_row[ks] = prev.pred[layout.key_idx[ks], deg - (np.equal(tmp, mx[:, None]) * rank).max(axis=1)]
     return stage_k, lambda at=None: from_row if at is None else np.take(from_row, at)
 
 
@@ -548,7 +558,6 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s):
     blocks under the element budget; returns frame t's v and backpointers."""
     tables = layout.tables
     n_live, cw, s = layout.live.size, tables.working.size, tables.slots.shape[1]
-    extra = tables.lr + tables.emis_c[t][:, None] + tables.emis_b[t][tables.slots]
     cand = None if layout.dense else _stage3_candidates(stage_k, layout.drop, layout.scale)
     if cand is not None and cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
@@ -558,7 +567,7 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s):
         at = np.arange(0, stage_k.size, cw).reshape(cand.shape) + cand  # (L, U, 1) in stage 2's output
         packed = _pack(prev, rows(at), from_s, at, layout.key_idx, cand).astype(layout.bp_dtype)
         v = np.take(best, layout.cells)
-        v += extra
+        v += layout.emission(t)
         return v, packed[..., 0]
     from_row = rows()
     # elements per (k, c, S) cell: Cw dense; in row form, 3 D and 24 for the tie path and packing
@@ -571,7 +580,7 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s):
             best, from_c = _stage3_dense(layout, ks, stage_k, from_row)
         else:
             best, from_c = _stage3_rows(layout, ks, stage_k, cand, from_row)
-        v[ks] = best + extra
+        v[ks] = best + layout.emission(t)
         at = layout.key_u[ks] * cw + from_c
         backptr[ks] = _pack(prev, np.take(from_row, at), from_s, at, layout.key_idx[ks], from_c)
     return v, backptr
@@ -672,7 +681,7 @@ def _viterbi_tables(tables: _LogTables):
     for t in range(T):
         if t > 0:
             v, backptr[t] = _step(layout, v, t)
-        if not np.isfinite(v.max(initial=-np.inf)):
+        if not math.isfinite(v.max(initial=-np.inf)):
             raise NoAdmissiblePathError(t)
     n_expanded = 0 if T == 1 else layout.first.n_expanded + (T - 2) * layout.rest.n_expanded
     return (*_backtrace(layout, backptr, v), n_expanded)

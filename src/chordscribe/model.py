@@ -10,6 +10,7 @@ one table per mode, which multiplies the usable evidence per cell by 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,17 @@ class TrainConfig:
             raise ValueError(f"covariance regularizer epsilon must be finite and > 0, got {self.epsilon}")
 
 
+class Gaussians(NamedTuple):
+    """An emission table's distinct Gaussians (equal bytes of mean and covariance), each
+    factored once: row r of `tables`, the (means, covs) it was built from, is index[r]."""
+
+    means: np.ndarray  # (g, d)
+    inverses: np.ndarray  # (g, d, d) the inverse of each lower Cholesky factor L
+    logdets: np.ndarray  # (g,)
+    index: np.ndarray  # (n,)
+    tables: tuple
+
+
 @dataclass
 class ChordOnlyHmm:
     """Simple chord-chain HMM over concatenated treble+bass chroma (24-d
@@ -43,6 +55,7 @@ class ChordOnlyHmm:
     trans: np.ndarray  # (C, C)
     means: np.ndarray  # (C, 24)
     covs: np.ndarray  # (C, 24, 24)
+    gaussians: Gaussians | None = None  # of means and covs, kept by train and load_model
 
 
 @dataclass
@@ -71,6 +84,8 @@ class HpModel:
     chord_bass_counts: np.ndarray  # (C, 13) raw
     cac: ChordOnlyHmm
     train_warnings: list[str] = field(default_factory=list)
+    chord_emis_gaussians: Gaussians | None = None  # kept by train and load_model
+    bass_emis_gaussians: Gaussians | None = None
 
     @property
     def n_chords(self) -> int:
@@ -186,63 +201,69 @@ def train(dataset, cfg: TrainConfig) -> HpModel:
             trans=_normalize_rows(cac_c, cfg.alpha),
             means=cac_mean,
             covs=cac_cov,
+            gaussians=_factor(cac_mean, cac_cov)[0],  # None where a row has no factor, for a decode to name
         ),
         train_warnings=warnings,
+        chord_emis_gaussians=_factor(chord_mean, chord_cov)[0],
+        bass_emis_gaussians=_factor(bass_mean, bass_cov)[0],
     )
 
 
-def _cholesky(mats: np.ndarray) -> tuple[np.ndarray | None, int | None]:
-    """(factors, None): the lower Cholesky factors of a stack (n, d, d) from
-    one LAPACK call, which reads lower triangles only and gives each matrix
-    the bits of its own call. (None, row) names the first row with none."""
-    try:
-        return np.linalg.cholesky(mats), None
-    except np.linalg.LinAlgError:
-        for row, mat in enumerate(mats):
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                return None, row
-        raise
-
-
-def gaussian_logpdf_frames(
-    frames: np.ndarray, means: np.ndarray, covs: np.ndarray, state_name=lambda s: f"state {s}"
-) -> np.ndarray:
-    """Log densities of every frame under every state Gaussian: (T, n).
-
-    Each distinct Gaussian (equal bytes of mean and covariance) is
-    evaluated once, at the first row that has it, and every row sharing it
-    gets that column: identical states get identical bits, which the
-    decoder's tie-breaks rely on. state_name(s) names row s in the error
-    for a mean or covariance that is not finite, or a covariance that is
-    not positive definite. numpy's own LAPACK does the arithmetic: one
-    stacked Cholesky factorization L of the distinct covariances and one
-    stacked inverse of the factors; each Mahalanobis term is the squared
-    norm of L^-1 (x - mean), one matrix product per Gaussian. On
-    well-conditioned covariances the values may differ from scipy's
-    cho_factor and cho_solve by a few ulp."""
-    frames = np.asarray(frames, dtype=np.float64)
-    t, d = frames.shape
-    if not np.isfinite(frames).all():
-        raise ValueError("frames must be finite")
+def _factor(means: np.ndarray, covs: np.ndarray) -> tuple[Gaussians | None, tuple | None]:
+    """(the table's Gaussians, None), or (None, (row, what, "is not ...")) at
+    the first distinct row with a non-finite mean or covariance or with no
+    factor. The tables become read-only: no edit in place can leave the set stale."""
+    for table in (means, covs):
+        table.setflags(write=False)
     first = {}  # bytes of each distinct Gaussian -> the first row that has it
     rows = [first.setdefault(m.tobytes() + c.tobytes(), s) for s, (m, c) in enumerate(zip(means, covs))]
     firsts = list(first.values())
     finite = np.isfinite(means[firsts]).all(axis=1) & np.isfinite(covs[firsts]).all(axis=(1, 2))
     n_ok = len(firsts) if finite.all() else int(np.argmin(finite))  # errors keep row order
-    factors, bad = _cholesky(covs[firsts[:n_ok]])
-    if bad is not None:
-        raise ValueError(f"covariance of {state_name(firsts[bad])} is not positive definite")
+    try:  # one LAPACK call, which reads lower triangles only and gives each matrix the bits of its own call
+        factors = np.linalg.cholesky(covs[firsts[:n_ok]])
+    except np.linalg.LinAlgError:
+        for row in firsts[:n_ok]:
+            try:
+                np.linalg.cholesky(covs[row])
+            except np.linalg.LinAlgError:
+                return None, (row, "covariance", "is not positive definite")
+        raise
     if n_ok < len(firsts):
-        raise ValueError(f"mean or covariance of {state_name(firsts[n_ok])} is not finite")
-    logdet = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
-    inverses = np.linalg.inv(factors)
-    maha = np.empty((t, len(firsts)))
-    for i, s in enumerate(firsts):
-        z = (frames - means[s]) @ inverses[i].T
-        maha[:, i] = np.einsum("td,td->t", z, z)
-    return np.take(-0.5 * (d * np.log(2.0 * np.pi) + logdet + maha), np.searchsorted(firsts, rows), axis=1)
+        return None, (firsts[n_ok], "mean or covariance", "is not finite")
+    logdets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+    return Gaussians(means[firsts], np.linalg.inv(factors), logdets, np.searchsorted(firsts, rows), (means, covs)), None
+
+
+def gaussian_logpdf_frames(
+    frames: np.ndarray, means: np.ndarray, covs: np.ndarray, state_name=lambda s: f"state {s}", rows=None, held=None
+) -> np.ndarray:
+    """Log densities of every frame under the Gaussians of the rows `rows`
+    (all by default) of the table (means, covs): (T, n). Each distinct
+    Gaussian is evaluated once and every row sharing it gets that column,
+    so identical states get identical bits (the decoder's tie-breaks).
+    held is the set a model keeps: while these are its very tables, still
+    read-only, only the products L^-1 (x - mean) remain, one per Gaussian.
+    Otherwise the rows are factored here (numpy's LAPACK, a few ulp from
+    scipy's cho_solve), and state_name(s) names row s of them in the error
+    for a non-finite mean or covariance or a covariance that is not
+    positive definite."""
+    frames = np.asarray(frames, dtype=np.float64)
+    t, d = frames.shape
+    if not np.isfinite(frames).all():
+        raise ValueError("frames must be finite")
+    rows = slice(None) if rows is None else rows
+    if held is None or any(a is not b or a.flags.writeable for a, b in zip((means, covs), held.tables)):
+        held, fault = _factor(means[rows], covs[rows])  # a view or a copy: the caller's tables stay writeable
+        if fault is not None:
+            raise ValueError(f"{fault[1]} of {state_name(fault[0])} {fault[2]}")
+        rows = slice(None)
+    cols, index = np.unique(held.index[rows], return_inverse=True)
+    maha = np.empty((t, cols.size))
+    for j, i in enumerate(cols):
+        z = (frames - held.means[i]) @ held.inverses[i].T
+        maha[:, j] = np.einsum("td,td->t", z, z)
+    return np.take(-0.5 * (d * np.log(2.0 * np.pi) + held.logdets[cols] + maha), index, axis=1)
 
 
 # --- serialization -------------------------------------------------------------
@@ -307,10 +328,8 @@ def _table_fault(kind: str, arr: np.ndarray) -> tuple[int, str] | None:
             checks["probabilities sum above 1"] = arr.sum(axis=-1, keepdims=True) > 1.0 + 1e-9
         elif kind == "count":
             checks["negative count"] = arr < 0.0
-        elif kind == "cov":
+        elif kind == "cov":  # and positive definite, which load_model checks as it factors the table
             checks["covariance is not symmetric"] = ~np.isclose(arr, arr.swapaxes(1, 2), atol=1e-10)
-            # the first row with no factor; no row when every matrix has one
-            checks["covariance is not positive definite"] = np.arange(arr.shape[0]) == _cholesky(arr)[1]
     for what, mask in checks.items():
         rows = np.flatnonzero(mask.reshape(mask.shape[0], -1).any(axis=1))
         if rows.size:
@@ -322,7 +341,7 @@ def load_model(path) -> HpModel:
     """Read a model file written by save_model. The tables must follow the
     schema for the file's alphabet in order, name and shape, and hold
     values their kind allows; anything else raises ModelFormatError naming
-    the file, the line and the table."""
+    the file, the line and the table; the model keeps the factored Gaussians."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -357,6 +376,9 @@ def load_model(path) -> HpModel:
                 )
         tables[name] = np.array(rows).reshape(shape)
         fault = _table_fault(kind, tables[name])
+        if fault is None and kind == "cov":  # factored with its means, read before it; the field is *_gaussians
+            held, bad = _factor(tables[name.replace("cov", "mean")], tables[name])
+            tables[name[: name.rindex("_")] + "_gaussians"], fault = held, bad and (bad[0], f"{bad[1]} {bad[2]}")
         if fault is not None:
             raise ModelFormatError(f"{path}:{i + 2 + fault[0]}: table {name}: {fault[1]}")
         i += 1 + shape[0]

@@ -12,6 +12,7 @@ import chordscribe
 from chordscribe.audio_io import synthesize_triads, write_wav
 from chordscribe.chroma import read_chromagram
 from chordscribe.cli import main, parse_config_file
+from conftest import stdout_at_one_and_two_blas_threads
 
 
 SCRIPT = """\
@@ -392,6 +393,34 @@ print(f"exit {rc}, scipy loaded: {'scipy' in sys.modules}")
 """
 
 
+# A free and a tight decode of 100 random frames in one process, then the
+# decode command over the workspace songs at both settings: the log-probs,
+# path digests and label-file digests they give.
+DECODE_DIGESTS = """
+import contextlib, hashlib, io, tempfile
+from pathlib import Path
+import numpy as np
+from chordscribe.chroma import Chromagram
+from chordscribe.cli import main
+from chordscribe.decode import Constraints, viterbi_joint
+from chordscribe.model import load_model
+model_path, chroma = {model!r}, {chroma!r}
+model = load_model(model_path)
+t = np.arange(100) * 0.5
+frames = np.random.default_rng(3).random((2, 12, t.size))
+treble, bass = (Chromagram(v, t, t + 0.5, band) for v, band in zip(frames, ("treble", "bass")))
+for tight in (False, True):
+    path = viterbi_joint(model, Constraints(gamma=0, tau=3, cac=True) if tight else Constraints(), treble, bass)
+    states = np.concatenate([path.keys, path.chords, path.basses]).tobytes()
+    print(repr(path.log_prob), hashlib.sha256(states).hexdigest())
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        argv = ["decode", "--chroma-dir", chroma, "--model", model_path, "--output-dir", out]
+        assert main(argv + (["--gamma", "0", "--tau", "3", "--cac"] if tight else [])) == 0
+        labels = [p.name + hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).glob("*.lab"))]
+    print(len(labels), hashlib.sha256("".join(labels).encode()).hexdigest())
+"""
+
+
 class TestDecode:
     def test_label_files_written(self, workspace):
         for stem in ("songA", "songB"):
@@ -493,6 +522,13 @@ class TestDecode:
         assert results["block"][0].splitlines()[:-1] == results["allow"][0].splitlines()[:-1]
         assert len(results["block"][1]) == 2 * 3  # songs x key/chord/bass
         assert results["block"][1] == results["allow"][1]
+
+    def test_decode_outputs_equal_at_one_and_two_blas_threads(self, workspace):
+        # The emissions and the first pass run BLAS products.
+        script = DECODE_DIGESTS.format(model=str(workspace / "model.txt"), chroma=str(workspace / "chroma"))
+        one, two = stdout_at_one_and_two_blas_threads(script)
+        assert len(one.splitlines()) == 4 and one.splitlines()[1].startswith("6 ")
+        assert one == two
 
     def test_missing_model_exits(self, workspace, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from chordscribe.decode import (
     top_bass_states,
     viterbi_joint,
 )
-from chordscribe.model import ChordOnlyHmm, TrainConfig, train
+from chordscribe.model import ChordOnlyHmm, TrainConfig, gaussian_logpdf_frames, load_model, save_model, train
 
 
 def toy_model():
@@ -941,6 +942,95 @@ class TestViterbiJoint:
         m.chord_emis_cov[bad] = -np.eye(12)
         with pytest.raises(ValueError, match=r"covariance of chord 7 \(G:maj\) is not positive definite"):
             viterbi_joint(m, Constraints(cac=True), treble, bass)
+
+    @pytest.fixture
+    def loaded(self, trained, tmp_path):
+        save_model(trained[0], tmp_path / "model.txt")
+        return load_model(tmp_path / "model.txt")
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        calls = []
+        for name in ("cholesky", "inv"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        return calls
+
+    def test_held_emissions_equal_one_off_call_bit_for_bit(self, trained, loaded, monkeypatch):
+        # The Gaussians train and load_model keep give every column the bits
+        # of a one-off call on copies of the rows: the full tables, a CAC
+        # working subset and rows that share the fallback Gaussian.
+        m, treble, bass, _ = trained
+        obs = np.concatenate([treble.values.T, bass.values.T], axis=1)
+        working = chord_alphabet_constraint(m.cac, obs, m.alphabet.no_chord)
+        fallback = np.flatnonzero(np.all(m.chord_emis_mean == 0.5, axis=1))
+        assert 1 < working.size < m.n_chords and fallback.size > 2
+        subset = np.union1d(working, fallback[:3])
+        for model in (m, loaded):
+            cases = [
+                (treble.values.T, model.chord_emis_mean, model.chord_emis_cov, model.chord_emis_gaussians, rows)
+                for rows in (slice(None), working, subset)
+            ] + [
+                (bass.values.T, model.bass_emis_mean, model.bass_emis_cov, model.bass_emis_gaussians, slice(None)),
+                (obs, model.cac.means, model.cac.covs, model.cac.gaussians, slice(None)),
+            ]
+            for frames, means, covs, held, rows in cases:
+                want = gaussian_logpdf_frames(frames, means[rows].copy(), covs[rows].copy())
+                calls = self._count_factorizations(monkeypatch)
+                got = gaussian_logpdf_frames(frames, means, covs, rows=rows, held=held)
+                monkeypatch.undo()
+                assert calls == [] and got.tobytes() == want.tobytes()
+            shared = gaussian_logpdf_frames(treble.values.T, model.chord_emis_mean, model.chord_emis_cov, rows=subset,
+                                            held=model.chord_emis_gaussians)[:, np.isin(subset, fallback)]  # fmt: skip
+            assert shared.shape[1] == 3 and (shared == shared[:, :1]).all()
+
+    def test_decode_after_load_runs_no_factorization(self, trained, loaded, monkeypatch):
+        m, treble, bass, _ = trained
+        calls = self._count_factorizations(monkeypatch)
+        for constraints in (Constraints(), Constraints(gamma=0, tau=3, cac=True)):
+            viterbi_joint(loaded, constraints, treble, bass)
+        assert calls == []
+        # a deep copy's tables are writeable, so its decode factors them
+        viterbi_joint(copy.deepcopy(loaded), Constraints(cac=True), treble, bass)
+        assert calls.count("cholesky") == 3  # the first pass, the chord and the bass tables
+
+    def test_replaced_table_is_the_one_decoded(self, trained):
+        # dataclasses.replace carries the held Gaussians over, but they are
+        # not the new table's: the decode factors the table it is given.
+        m, treble, bass, _ = trained
+        bad = m.chord_emis_cov.copy()
+        bad[7] = -np.eye(12)
+        with pytest.raises(ValueError, match=r"covariance of chord 7 \(G:maj\) is not positive definite"):
+            viterbi_joint(dataclasses.replace(m, chord_emis_cov=bad), Constraints(cac=True), treble, bass)
+        wider, wider_cac = m.chord_emis_cov * 1.5, m.cac.covs * 1.5
+        for table in (wider, wider_cac):
+            table.setflags(write=False)  # read-only, as the tables of held Gaussians are
+        replaced = dataclasses.replace(m, chord_emis_cov=wider, cac=dataclasses.replace(m.cac, covs=wider_cac))
+        edited = copy.deepcopy(m)  # writeable copies, factored per decode
+        edited.chord_emis_cov[...], edited.cac.covs[...] = wider, wider_cac
+        for constraints in (Constraints(cac=True), Constraints(gamma=0, tau=3, cac=True)):
+            got, want, old = (viterbi_joint(x, constraints, treble, bass) for x in (replaced, edited, m))
+            assert repr(got.log_prob) == repr(want.log_prob) != repr(old.log_prob)
+            assert got.chords.tolist() == want.chords.tolist()
+        obs = np.concatenate([treble.values.T, bass.values.T], axis=1)
+        got, want, old = (forward_backward(x.cac, obs).tobytes() for x in (replaced, edited, m))
+        assert got == want != old
+
+    def test_edit_in_place_after_a_decode(self, trained, loaded):
+        # A model that keeps Gaussians refuses an edit of their tables; a
+        # deep copy, whose tables are writeable, decodes the edited table.
+        m, treble, bass, _ = trained
+        for model in (m, loaded):
+            before = viterbi_joint(model, Constraints(cac=True), treble, bass)
+            for table in (model.chord_emis_mean, model.chord_emis_cov, model.bass_emis_cov, model.cac.covs):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[7] = 1.0
+            assert repr(viterbi_joint(model, Constraints(cac=True), treble, bass).log_prob) == repr(before.log_prob)
+        copied = copy.deepcopy(loaded)
+        viterbi_joint(copied, Constraints(cac=True), treble, bass)
+        copied.chord_emis_cov[7] = -np.eye(12)
+        with pytest.raises(ValueError, match=r"covariance of chord 7 \(G:maj\) is not positive definite"):
+            viterbi_joint(copied, Constraints(cac=True), treble, bass)
 
     def test_chord_tables_gathered_at_working_set(self, trained):
         m, treble, bass, _ = trained
