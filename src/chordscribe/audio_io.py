@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,6 +59,8 @@ class AudioBuffer:
         """Length in seconds."""
         return self.samples.size / self.sample_rate
 
+
+_WAV_BLOCK = 1 << 16  # samples write_wav converts at a time
 
 # Full-scale divisor per integer WAV dtype. scipy delivers 24-bit PCM as
 # int32 with the low byte zeroed, so the int32 divisor covers both.
@@ -120,11 +123,14 @@ def load_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
-    """Write a buffer as 16-bit PCM WAV."""
-    from scipy.io import wavfile
-
-    clipped = np.clip(buf.samples, -1.0, 1.0)
-    wavfile.write(path, buf.sample_rate, np.round(clipped * 32767.0).astype(np.int16))
+    """Write a buffer as 16-bit PCM WAV, the samples a block at a time: clipped
+    to [-1, 1], times 32767 and rounded (scipy.io.wavfile.write's bytes)."""
+    n_bytes, rate = 2 * buf.samples.size, buf.sample_rate
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n_bytes, b"WAVE", b"fmt ", 16, 1, 1, rate, 2 * rate,
+                             2, 16, b"data", n_bytes))  # fmt: skip
+        for i in range(0, buf.samples.size, _WAV_BLOCK):
+            np.round(np.clip(buf.samples[i : i + _WAV_BLOCK], -1.0, 1.0) * 32767.0).astype("<i2").tofile(fh)
 
 
 def _resample_taps(up: int, down: int) -> np.ndarray:

@@ -216,7 +216,7 @@ class _LogTables:
     lpi_c: np.ndarray  # (Cw,)
     lpi_b: np.ndarray  # (13,)
     lf: np.ndarray  # (24, 24) key transitions
-    lg: np.ndarray  # (24, Cw, Cw) chord transitions per key
+    lg: np.ndarray  # (24, Cw, Cw) chord transitions per key, C-ordered (`_layout` reads live rows in place)
     lh: np.ndarray  # (13, 13) bass transitions
     lr: np.ndarray  # (Cw, S) bass given chord, at each chord's bass slots
     slots: np.ndarray  # (Cw, S) admissible bass targets per chord
@@ -252,10 +252,12 @@ def _build_tables(
         lf = np.log(key_trans)
         lh = np.log(m.bass_trans)
         lr = np.log(np.take_along_axis(m.bass_given_chord[working], slots, axis=1))
-        # each key's mode table at the working set, chords shifted so the tonic is C
-        rel = m.alphabet.key_shift_table()[:, working]  # (24, Cw)
-        mode = np.arange(N_KEYS)[:, None, None] // 12
-        lg = np.log(m.chord_trans_rel[mode, rel[:, :, None], rel[:, None, :]])
+        # each key's mode table at the working set, chords shifted so the tonic is C,
+        # gathered a mode (12 keys) at a time
+        lg = np.empty((2, 12, working.size, working.size))
+        for mode, rel in enumerate(m.alphabet.key_shift_table()[:, working].reshape(2, 12, -1)):
+            np.log(m.chord_trans_rel[mode][rel[:, :, None], rel[:, None, :]], out=lg[mode])
+        lg = lg.reshape(N_KEYS, working.size, working.size)
 
     emis_c = gaussian_logpdf_frames(
         t_frames, m.chord_emis_mean, m.chord_emis_cov,
@@ -320,9 +322,12 @@ def _fused_layout(prev: _Prev, lg_live, slot_t) -> _Fused | None:
 
 
 def _delta(x):
-    """[..., a, d]: the most x[i, ..., d] exceeds x[i, ..., a] at any i."""
+    """[..., a, d]: the most x[i, ..., d] exceeds x[i, ..., a] at any i, one i at a time."""
+    out = np.full((*x.shape[1:], x.shape[-1]), -np.inf)
     with np.errstate(invalid="ignore"):  # -inf - -inf is NaN, which fmax skips
-        return np.fmax.reduce(x[..., None, :] - x[..., None], axis=0, initial=-np.inf)
+        for xi in x:
+            np.fmax(out, xi[..., None, :] - xi[..., None], out=out)
+    return out
 
 
 def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
@@ -380,7 +385,7 @@ def _layout(tables: _LogTables) -> _Layout:
     targets = np.unique(tables.slots)  # stage-1 target basses
     first = _prev_layout(tables, np.arange(n_keys), np.tile(np.arange(n_bass), (cw, 1)), live, targets)
     rest = _prev_layout(tables, live, tables.slots, live, targets)
-    lg_from = tables.lg[live].reshape(-1, cw)
+    lg_from = (tables.lg if live.size == n_keys else tables.lg[live]).reshape(-1, cw)  # a view when all are live
     dense = lg_from.size * tables.slots.shape[1] <= _DENSE_ELEMENTS
     lg_live = lg_from.reshape(live.size, cw, cw).transpose(0, 2, 1)
     if dense:  # dense stage 3 reads it on every frame, so it is transposed once per decode

@@ -10,6 +10,7 @@ one table per mode, which multiplies the usable evidence per cell by 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -338,53 +339,61 @@ def _table_fault(kind: str, arr: np.ndarray) -> tuple[int, str] | None:
 
 
 def load_model(path) -> HpModel:
-    """Read a model file written by save_model. The tables must follow the
-    schema for the file's alphabet in order, name and shape, and hold
-    values their kind allows; anything else raises ModelFormatError naming
-    the file, the line and the table; the model keeps the factored Gaussians."""
+    """Read a model file written by save_model, a line at a time. The tables
+    must follow the schema for the file's alphabet in order, name and shape,
+    and hold values their kind allows; anything else raises ModelFormatError
+    naming the file, the line and the table; the model keeps the factored Gaussians."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            try:  # str.splitlines, as the lines of the whole text
+                return _read_model(path, (part for line in fh for part in line.splitlines()))
+            finally:
+                fh.read()  # a byte that is not UTF-8 anywhere in the file is the error
     except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):  # named at its offset in the file, as a whole-file decode names it
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except (OSError, UnicodeDecodeError) as whole:
+                exc = whole
         raise ModelFormatError(f"{path}: {exc}") from exc
-    if not lines or lines[0] != _FORMAT_HEADER:
+
+
+def _read_model(path, lines) -> HpModel:
+    if next(lines, None) != _FORMAT_HEADER:
         raise ModelFormatError(f"{path}: not a {_FORMAT_HEADER!r} file")
-    if len(lines) < 2 or not lines[1].startswith("alphabet "):
+    line = next(lines, "")
+    if not line.startswith("alphabet "):
         raise ModelFormatError(f"{path}:2: missing alphabet line")
     try:
-        alphabet = make_alphabet(lines[1].partition(" ")[2])
+        alphabet = make_alphabet(line.partition(" ")[2])
     except ValueError as exc:
         raise ModelFormatError(f"{path}:2: {exc}") from exc
 
     tables = {}
-    i = 2  # index of the next line to read
+    lineno = 3  # of the next line to read
     for name, shape_of, kind in _SCHEMA:
         shape = shape_of(alphabet.size)
         header, width = _table_header(name, shape), int(np.prod(shape[1:]))
-        got = lines[i] if i < len(lines) else "end of file"
+        got = next(lines, "end of file")
         if got != header:
-            raise ModelFormatError(f"{path}:{i + 1}: expected `{header}`, got `{got}`")
-        rows = []
-        for lineno in range(i + 2, i + 2 + shape[0]):
-            try:
-                rows.append([float(v) for v in lines[lineno - 1].split()])
-            except (IndexError, ValueError):
-                rows.append([])
-            if len(rows[-1]) != width:
-                raise ModelFormatError(
-                    f"{path}:{lineno}: table {name}: expected a row of {width} numbers"
-                )
-        tables[name] = np.array(rows).reshape(shape)
+            raise ModelFormatError(f"{path}:{lineno}: expected `{header}`, got `{got}`")
+        table = np.empty((shape[0], width))
+        for lineno, row in enumerate(table, lineno + 1):
+            values = next(lines, "").split()  # outside the try: a UnicodeDecodeError is a ValueError
+            try:  # a row of another width takes (), which raises
+                row[:] = [float(v) for v in values] if len(values) == width else ()
+            except ValueError:
+                raise ModelFormatError(f"{path}:{lineno}: table {name}: expected a row of {width} numbers") from None
+        tables[name] = table.reshape(shape)
         fault = _table_fault(kind, tables[name])
         if fault is None and kind == "cov":  # factored with its means, read before it; the field is *_gaussians
             held, bad = _factor(tables[name.replace("cov", "mean")], tables[name])
             tables[name[: name.rindex("_")] + "_gaussians"], fault = held, bad and (bad[0], f"{bad[1]} {bad[2]}")
         if fault is not None:
-            raise ModelFormatError(f"{path}:{i + 2 + fault[0]}: table {name}: {fault[1]}")
-        i += 1 + shape[0]
-    if i >= len(lines) or lines[i] != "end":
-        raise ModelFormatError(f"{path}:{i + 1}: expected the `end` marker")
+            raise ModelFormatError(f"{path}:{lineno - shape[0] + 1 + fault[0]}: table {name}: {fault[1]}")
+        lineno += 1
+    if next(lines, None) != "end":
+        raise ModelFormatError(f"{path}:{lineno}: expected the `end` marker")
 
-    cac = {n.removeprefix("cac_"): a for n, a in tables.items() if n.startswith("cac_")}
-    rest = {n: a for n, a in tables.items() if not n.startswith("cac_")}
-    return HpModel(alphabet=alphabet, cac=ChordOnlyHmm(**cac), **rest)
+    cac = ChordOnlyHmm(**{n.removeprefix("cac_"): tables.pop(n) for n in list(tables) if n.startswith("cac_")})
+    return HpModel(alphabet=alphabet, cac=cac, **tables)

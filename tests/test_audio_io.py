@@ -111,6 +111,16 @@ class TestLoadWav:
         assert back.sample_rate == 8000
         np.testing.assert_allclose(back.samples, x, atol=1.0 / 32767)
 
+    @pytest.mark.parametrize(("n", "rate"), [(300_001, 44100), (7, 8000), (65_536, 22050)])
+    def test_write_wav_bytes_equal_scipy_writer(self, tmp_path, n, rate):
+        # written a block at a time, clipped samples included, against scipy's
+        # writer on the int16 samples write_wav's docstring names
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        x[:2] = 1.0 + 1e-7, -1.0 - 1e-7
+        write_wav(tmp_path / "ours.wav", AudioBuffer(x, rate))
+        wavfile.write(tmp_path / "scipy.wav", rate, np.round(np.clip(x, -1.0, 1.0) * 32767.0).astype(np.int16))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
 
 class TestResample:
     def test_same_rate_is_noop(self):
@@ -259,8 +269,8 @@ class TestAudioBuffer:
 
 
 def test_package_import_defers_scipy_signal():
-    # scipy dominates import time; only WAV reading or writing and the
-    # paired t-test need it. Nothing imports scipy.signal (see
+    # scipy dominates import time; only WAV reading and the paired t-test
+    # need it. Nothing imports scipy.signal (see
     # test_chroma_command_never_imports_scipy_signal), and a decode imports
     # no scipy at all (test_decode_never_imports_scipy in test_cli.py).
     mods = ("scipy.signal", "scipy.io", "scipy.linalg", "scipy.special")

@@ -1049,6 +1049,18 @@ class TestViterbiJoint:
             sizes.append(w.size)
         assert 1 < sizes[0] < sizes[1] == m.n_chords  # a proper working set, then all chords
 
+    def test_chord_tables_held_once_when_every_key_is_live(self, trained):
+        # lg is C-ordered, so a layout whose keys are all live reads its rows
+        # as a view of it; the toy model's songs stay in C, so under gamma=0
+        # one key is live and its rows are gathered
+        m, treble, bass, _ = trained
+        for constraints, n_live in ((Constraints(), 24), (Constraints(gamma=0), 1)):
+            tables = decode._build_tables(m, constraints, treble, bass)
+            layout = decode._layout(tables)
+            assert tables.lg.flags.c_contiguous and layout.live.size == n_live
+            assert np.shares_memory(layout.lg_from, tables.lg) == (n_live == 24)
+            assert layout.lg_from.tobytes() == tables.lg[layout.live].tobytes()
+
     def test_frame_count_mismatch(self, trained):
         m, treble, bass, _ = trained
         short = make_chromagram(bass.values.T[:-1], "bass")
@@ -1192,6 +1204,25 @@ def test_pruned_stage2_reads_rows_where_asked(stage1):
         gaps += prev.gaps
         dead += np.count_nonzero(stage_k == -np.inf)
     assert gaps > 0 and dead > 0, (gaps, dead)
+
+
+def _delta_reference(x):
+    """`decode._delta` as one reduction of the 4-D difference tensor."""
+    with np.errstate(invalid="ignore"):
+        return np.fmax.reduce(x[..., None, :] - x[..., None], axis=0, initial=-np.inf)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_delta_equals_4d_reduction_bit_for_bit(seed):
+    # the drop tables of both stage-1 layouts and of stage 2's lf_rows, on
+    # tables with -inf entries (whose differences are NaN or +inf)
+    tables, _ = random_log_tables(np.random.default_rng(seed), 4, 5, 4, T=3, sparsity=0.4, slot_cap=3)
+    layout = decode._layout(tables)
+    for prev in (layout.first, layout.rest):
+        assert np.isneginf(prev.lh_g).any() and np.isneginf(prev.lf_rows).any()
+        want_s = _delta_reference(prev.lh_g).reshape(-1, prev.slots.shape[1])
+        assert prev.delta_s.tobytes() == want_s.tobytes()
+        assert prev.delta.tobytes() == _delta_reference(prev.lf_rows).tobytes()
 
 
 @pytest.mark.parametrize(

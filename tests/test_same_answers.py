@@ -54,3 +54,10 @@ def test_reports_first_differing_line_and_one_sided_files(tmp_path):
         "only_new.txt: only in new",
         "only_ref.txt: only in ref",
     ]
+
+
+def test_wav_reports_first_differing_byte(tmp_path):
+    for root, data in ((tmp_path / "ref", b"RIFF\x00\xff\x01"), (tmp_path / "new", b"RIFF\x00\xfe\x01\x02")):
+        (root / "audio").mkdir(parents=True)
+        (root / "audio" / "a.wav").write_bytes(data)
+    assert same_answers.compare_trees(tmp_path / "ref", tmp_path / "new") == (1, ["audio/a.wav: byte 5: 7 against 8 bytes"])

@@ -24,14 +24,15 @@ of a git ref, and compares every output file:
            `viterbi_joint`, written as `setting/stem repr(log_prob)`
            lines to `log_probs.txt`
 
-The inputs are written once, by the working tree, and both trees read the
-same files. Every run pins the BLAS thread count to 1, because `.chroma`
+Each tree writes the inputs with its own `synth`, and the two sets are
+compared byte for byte, WAVs included; both trees then read the working
+tree's set. Every run pins the BLAS thread count to 1, because `.chroma`
 and model bits can depend on it. Files must be byte-identical, except
 `timing.csv`, where `feature_s` and `decode_s` are skipped (its log-probs,
 rounded to 4 decimals, are compared as written), and `log_probs.txt`,
 whose full-precision log-probs are compared to 1e-9. For each file that
-differs, the first differing line is printed. Exit status: 0 when nothing
-differs, 1 otherwise.
+differs, the first differing line (of a WAV, the first differing byte) is
+printed. Exit status: 0 when nothing differs, 1 otherwise.
 
 The ref's tree is extracted with `git archive`, which gives the committed
 files of the ref and leaves nothing registered in the repository.
@@ -134,6 +135,7 @@ def _cli(src: Path, cwd: Path, log: Path, *argv: str) -> int:
 def write_inputs(src: Path, root: Path, seed: int = 7) -> None:
     """Seeded WAVs and chord/key/beat files under root, made by `synth`."""
     rng = random.Random(seed)
+    (root / "logs").mkdir(parents=True, exist_ok=True)
     for group, songs in (("main", MAIN_SONGS), ("rates", RATE_SONGS)):
         for d in ("audio", "chords", "keys", "beats"):
             (root / group / d).mkdir(parents=True, exist_ok=True)
@@ -142,7 +144,7 @@ def write_inputs(src: Path, root: Path, seed: int = 7) -> None:
             (root / "script.txt").write_text(script)
             (root / "synth.cfg").write_text(f"sample_rate = {rate}\n")
             out = root / group / "audio" / stem
-            log = root / f"synth_{stem}.log"
+            log = root / "logs" / f"synth_{stem}.log"
             argv = ("synth", "--config", str(root / "synth.cfg"), str(root / "script.txt"), str(out), "--key", key)
             if _cli(src, root, log, *argv) != 0:
                 raise SystemExit(f"synth failed for {stem}; see {log}")
@@ -220,6 +222,11 @@ def _first_difference(a: list[str], b: list[str]) -> str:
     return f"line {min(len(a), len(b)) + 1}: one file ends ({len(a)} against {len(b)} lines)"
 
 
+def _byte_difference(a: bytes, b: bytes) -> str:
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"byte {at}: {len(a)} against {len(b)} bytes"
+
+
 def _timing_difference(a: str, b: str) -> str | None:
     """timing.csv without the timing columns."""
     rows_a, rows_b = list(csv.DictReader(io.StringIO(a))), list(csv.DictReader(io.StringIO(b)))
@@ -258,6 +265,9 @@ def compare_trees(ref: Path, new: Path) -> tuple[int, list[str]]:
             continue
         if a.read_bytes() == b.read_bytes():
             continue
+        if rel.suffix == ".wav":
+            reports.append(f"{rel}: {_byte_difference(a.read_bytes(), b.read_bytes())}")
+            continue
         ta, tb = a.read_text(), b.read_text()
         if rel.name in ("timing.csv", "log_probs.txt"):
             what = (_timing_difference if rel.name == "timing.csv" else _log_prob_difference)(ta, tb)
@@ -288,23 +298,26 @@ def main(argv=None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     try:
         extract_ref(args.ref, work / "ref_tree")
-        inputs = work / "inputs"
-        write_inputs(REPO / "src", inputs)
+        trees = (("ref", work / "ref_tree" / "src"), ("new", REPO / "src"))
+        for side, src in trees:
+            write_inputs(src, work / f"{side}_inputs")
         codes = {}
-        for side, src in (("ref", work / "ref_tree" / "src"), ("new", REPO / "src")):
+        for side, src in trees:
             print(f"running {side} ({args.ref if side == 'ref' else 'working tree'})", flush=True)
-            codes[side] = run_tree(src, work / side, inputs)
+            codes[side] = run_tree(src, work / side, work / "new_inputs")
         # a step that fails on either side is reported: it leaves less to compare
         reports = [
             f"step {name}: exit {codes['ref'][name]} (ref), {codes['new'][name]} (new); see logs/{name}.log"
             for name in codes["ref"]
             if codes["ref"][name] or codes["new"][name]
         ]
+        n_inputs, differences = compare_trees(work / "ref_inputs", work / "new_inputs")
+        reports += [f"synth {line}" for line in differences]
         n_files, differences = compare_trees(work / "ref", work / "new")
         reports += differences
         for line in reports:
             print(line)
-        print(f"{n_files} output files compared against {args.ref}: {len(reports)} differences")
+        print(f"{n_inputs} synth and {n_files} output files compared against {args.ref}: {len(reports)} differences")
         return 1 if reports else 0
     finally:
         if args.work:
