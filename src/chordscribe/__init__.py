@@ -9,7 +9,7 @@ from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-from .audio_io import AudioBuffer, load_wav, resample, synthesize_triads, write_wav
+from .audio_io import AudioBuffer, WavSource, load_wav, resample, synthesize_triads, write_wav
 from .annotations import (
     Alphabet,
     ChordSymbol,

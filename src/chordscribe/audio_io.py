@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,7 +20,7 @@ class UnreadableFileError(AudioError):
 
 
 class UnsupportedEncodingError(AudioError):
-    """Encoding outside 8/16/24/32-bit PCM or 32-bit float, or more than 2 channels."""
+    """Encoding outside 8/16/24/32-bit PCM or 32/64-bit float, more than 2 channels, or RIFX/RF64."""
 
 
 class EmptyAudioError(AudioError):
@@ -60,66 +61,135 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
-_WAV_BLOCK = 1 << 16  # samples write_wav converts at a time
+_WAV_BLOCK = 1 << 16  # frames read, or samples written, at a time
 
-# Full-scale divisor per integer WAV dtype. scipy delivers 24-bit PCM as
-# int32 with the low byte zeroed, so the int32 divisor covers both.
-_INT_SCALE = {
-    np.dtype(np.int16): 32768.0,
-    np.dtype(np.int32): 2147483648.0,
+# Per (format tag, bytes a sample): the dtype read, and the offset and
+# full-scale divisor that map it to [-1, 1]; float files divide by their peak
+# instead when it exceeds 1. 24-bit PCM is widened to int32 with the low byte
+# zero, as scipy.io.wavfile delivers it, so it shares int32's divisor.
+_ENCODINGS = {
+    (1, 1): ("u1", 128.0, 128.0),
+    (1, 2): ("<i2", 0.0, 32768.0),
+    (1, 3): ("u1", 0.0, 2147483648.0),
+    (1, 4): ("<i4", 0.0, 2147483648.0),
+    (3, 4): ("<f4", 0.0, None),
+    (3, 8): ("<f8", 0.0, None),
 }
+# A WAVE_FORMAT_EXTENSIBLE sub-format GUID after its 4-byte format tag.
+_SUBFORMAT_TAIL = bytes.fromhex("0000 1000 8000 00aa 0038 9b71")
+
+
+class WavSource:
+    """The samples of a little-endian RIFF/WAV file, read a block at a time.
+
+    Reads 8-bit unsigned and 16/24/32-bit PCM and 32/64-bit float, mono or
+    stereo, plain or WAVE_FORMAT_EXTENSIBLE. `source[lo:hi]` reads frames
+    lo..hi from the file as float64: integer samples scaled to [-1, 1] by
+    the full-scale magnitude of their bit depth, float samples divided by
+    the file's peak when it exceeds 1, and stereo downmixed by per-sample
+    channel mean. Each step acts sample by sample, so a slice has the bits
+    of the same frames of the whole file. `size` is the frame count and
+    `sample_rate` the rate in Hz, so `resample` takes a source in place of
+    an AudioBuffer and never holds the source whole.
+
+    Raises UnreadableFileError (missing, truncated or not RIFF/WAVE),
+    UnsupportedEncodingError (other encodings, more than 2 channels, RIFX
+    and RF64) and EmptyAudioError, each naming the file.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise UnreadableFileError(f"{path}: {exc.strerror.lower()}") from exc
+        with fh:
+            head = fh.read(12)
+            if head[:4] in (b"RIFX", b"RF64"):
+                raise UnsupportedEncodingError(f"{path}: {head[:4].decode()} container (only little-endian RIFF is read)")
+            if head[:4] != b"RIFF" or head[8:] != b"WAVE":
+                raise UnreadableFileError(f"{path}: not a RIFF/WAVE file")
+            fmt = b""
+            while len(head := fh.read(8)) == 8:
+                chunk, size = struct.unpack("<4sI", head)
+                if chunk == b"data":
+                    break
+                start = fh.tell()
+                if chunk == b"fmt ":
+                    fmt = fh.read(min(size, 40))  # WAVE_FORMAT_EXTENSIBLE's fields end at 40
+                fh.seek(start + size + size % 2)  # an odd-sized chunk is followed by a pad byte
+            else:
+                raise UnreadableFileError(f"{path}: truncated before a data chunk")
+            if len(fmt) < 16:
+                raise UnreadableFileError(f"{path}: no fmt chunk before the data chunk")
+            self._offset = fh.tell()
+            present = os.fstat(fh.fileno()).st_size - self._offset
+        if size > present:
+            raise UnreadableFileError(f"{path}: data chunk declares {size} bytes, the file holds {present}")
+
+        tag, channels, self.sample_rate, _, align, bits = struct.unpack("<HHIIHH", fmt[:16])
+        if tag == 0xFFFE and len(fmt) >= 40 and fmt[28:40] == _SUBFORMAT_TAIL:
+            tag = struct.unpack("<I", fmt[24:28])[0]
+        if channels not in (1, 2):
+            raise UnsupportedEncodingError(f"{path}: {channels} channels (only mono/stereo supported)")
+        width = align // channels
+        if (tag, width) not in _ENCODINGS or self.sample_rate == 0:
+            raise UnsupportedEncodingError(
+                f"{path}: format tag {tag:#06x}, {bits} bits in {width} bytes at {self.sample_rate} Hz"
+                " (only 8/16/24/32-bit PCM and 32/64-bit float)"
+            )
+        self._dtype, self._shift, self._scale = _ENCODINGS[tag, width]
+        self._channels, self._frame_bytes = channels, align
+        self._per_read = channels * (3 if width == 3 else 1)  # dtype items a frame
+        self.size = size // align
+        if self.size == 0:
+            raise EmptyAudioError(f"{path}: zero-length audio")
+        if self._scale is None:
+            peak = 0.0
+            for raw in self._raw_blocks(0, self.size):
+                block_peak = _peak(raw)  # NaN if a sample is not finite
+                if not math.isfinite(block_peak):
+                    raise ValueError(f"{path}: audio samples must be finite")
+                peak = max(peak, block_peak)
+            self._scale = peak if peak > 1.0 + 1e-6 else 1.0
+
+    def _raw_blocks(self, lo: int, hi: int):
+        """The stored samples of frames lo..hi, _WAV_BLOCK frames at a time."""
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset + lo * self._frame_bytes)
+            for i in range(lo, hi, _WAV_BLOCK):
+                raw = np.fromfile(fh, self._dtype, min(_WAV_BLOCK, hi - i) * self._per_read)
+                if self._per_read == 3 * self._channels:  # 24-bit PCM: widen to int32
+                    wide = np.zeros((raw.size // 3, 4), np.uint8)
+                    wide[:, 1:] = raw.reshape(-1, 3)
+                    raw = wide.view("<i4").ravel()
+                yield raw
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        lo, hi, step = key.indices(self.size)
+        if step != 1:
+            raise ValueError("a WavSource slice must be contiguous")
+        out = np.empty(max(hi - lo, 0))
+        i = 0
+        for raw in self._raw_blocks(lo, hi):
+            x = raw.astype(np.float64)
+            x -= self._shift
+            x /= self._scale
+            if self._channels == 2:
+                x = x.reshape(-1, 2).mean(axis=1)
+            out[i : i + x.size] = x
+            i += x.size
+        return out
 
 
 def load_wav(path) -> AudioBuffer:
-    """Read a PCM WAV file into a mono AudioBuffer.
+    """Read a WAV file whole into a mono AudioBuffer.
 
-    Integer samples are scaled to [-1, 1] by the full-scale magnitude of
-    their bit depth; stereo is downmixed by per-sample channel mean.
-
-    Raises
-    ------
-    UnreadableFileError, UnsupportedEncodingError, EmptyAudioError
+    The samples of a WavSource (which see for the formats, scaling and
+    errors), filled into one float64 array a block at a time.
     """
-    from scipy.io import wavfile  # imported here: decoding never needs it
-
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError as exc:
-        raise UnreadableFileError(f"{path}: no such file") from exc
-    except ValueError as exc:
-        msg = str(exc)
-        if "format" in msg.lower() or "bit depth" in msg.lower() or "mmap" in msg.lower():
-            raise UnsupportedEncodingError(f"{path}: {msg}") from exc
-        raise UnreadableFileError(f"{path}: {msg}") from exc
-    except Exception as exc:  # struct.error and friends on truncated containers
-        raise UnreadableFileError(f"{path}: {exc}") from exc
-
-    if data.size == 0:
-        raise EmptyAudioError(f"{path}: zero-length audio")
-    if data.ndim == 2 and data.shape[1] > 2:
-        raise UnsupportedEncodingError(
-            f"{path}: {data.shape[1]} channels (only mono/stereo supported)"
-        )
-
-    # Scaled in place: a float64 copy of the file is the only full-size temporary.
-    if data.dtype in _INT_SCALE:
-        samples = data.astype(np.float64)
-        samples /= _INT_SCALE[data.dtype]
-    elif data.dtype == np.uint8:
-        samples = data.astype(np.float64)
-        samples -= 128.0
-        samples /= 128.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-        peak = _peak(samples)  # NaN for a non-finite sample, which AudioBuffer rejects
-        if peak > 1.0 + 1e-6:
-            samples /= peak
-    else:
-        raise UnsupportedEncodingError(f"{path}: unsupported sample dtype {data.dtype}")
-
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return AudioBuffer(samples, int(rate))
+    source = WavSource(path)
+    return AudioBuffer(source[0 : source.size], source.sample_rate)
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
@@ -149,10 +219,11 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     return taps * (1.0 / taps.sum())
 
 
-def zero_extended(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def zero_extended(x, lo: int, hi: int) -> np.ndarray:
     """x[lo:hi] with zeros wherever the range leaves the signal.
 
-    A view when the range lies inside x, else a copy of hi - lo samples.
+    For an array, a view when the range lies inside x, else a copy of
+    hi - lo samples; x may be anything with .size and slicing.
     """
     if 0 <= lo and hi <= x.size:
         return x[lo:hi]
@@ -186,8 +257,11 @@ def _resample_block(up: int) -> int:
 _RESAMPLE_BUFSIZE = 16
 
 
-def _polyphase(x: np.ndarray, up: int, down: int, taps: np.ndarray) -> np.ndarray:
+def _polyphase(x, up: int, down: int, taps: np.ndarray) -> np.ndarray:
     """Upsample by `up`, filter with `taps`, downsample by `down`, trim.
+
+    x is an array or a WavSource: all that is read of it is x.size and,
+    one block at a time, slices through zero_extended.
 
     Gives the bits of scipy.signal.resample_poly(x, up, down, window=taps)
     (up and down coprime): the same padding of the filter and the same
@@ -254,24 +328,26 @@ def _polyphase(x: np.ndarray, up: int, down: int, taps: np.ndarray) -> np.ndarra
     return out
 
 
-def resample(buf: AudioBuffer, target_sr: int) -> AudioBuffer:
-    """Resample to target_sr with a windowed-sinc polyphase filter.
+def resample(buf, target_sr: int) -> AudioBuffer:
+    """Resample an AudioBuffer or a WavSource to target_sr with a
+    windowed-sinc polyphase filter.
 
     numpy only, with the bits of scipy.signal.resample_poly for the taps
-    of _resample_taps; the source is read in blocks, so apart from the
-    output no array grows with the signal. Output duration equals the
-    input duration within one output sample period. If filter ringing
-    pushes the peak past full scale, the whole buffer is rescaled in place
-    to peak 1 (shape-preserving).
+    of _resample_taps; the source is read in blocks, so only the output is
+    ever whole, and resampling a WavSource gives the bits of resampling its
+    load_wav. Output duration equals the input duration within one output
+    sample period. If filter ringing pushes the peak past full scale, the
+    whole output is rescaled in place to peak 1 (shape-preserving).
     """
     if target_sr <= 0:
         raise ValueError(f"target sample rate must be positive, got {target_sr}")
     target_sr = int(target_sr)
+    x = buf.samples if isinstance(buf, AudioBuffer) else buf
     if target_sr == buf.sample_rate:
-        return buf
+        return buf if x is not buf else AudioBuffer(x[0 : x.size], target_sr)
     g = math.gcd(buf.sample_rate, target_sr)
     up, down = target_sr // g, buf.sample_rate // g
-    out = _polyphase(buf.samples, up, down, _resample_taps(up, down))
+    out = _polyphase(x, up, down, _resample_taps(up, down))
     peak = _peak(out)
     if peak > 1.0:
         out /= peak

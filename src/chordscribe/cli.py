@@ -273,8 +273,7 @@ def _beats_for(cfg: RunConfig, stem: str, duration: float, end: float = math.inf
 
 
 def _chroma_one(cfg, audio_dir, out_dir, stem):
-    buf = audio_io.load_wav(audio_dir / f"{stem}.wav")
-    buf = audio_io.resample(buf, cfg.sample_rate)
+    buf = audio_io.resample(audio_io.WavSource(audio_dir / f"{stem}.wav"), cfg.sample_rate)
     cents = chroma_mod.estimate_tuning(buf)
     f_ref = 440.0 * 2.0 ** (cents / 1200.0)
     # One hop of slack: the last frame may reach that far past the audio.

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from chordscribe.audio_io import (
     EmptyAudioError,
     UnreadableFileError,
     UnsupportedEncodingError,
+    WavSource,
     _resample_block,
     _resample_taps,
     load_wav,
@@ -64,8 +67,6 @@ class TestLoadWav:
 
     def test_24_bit_pcm(self, tmp_path):
         # hand-rolled 24-bit PCM container: full scale is 2^23
-        import struct
-
         samples = [0, 2**22, -(2**23)]
         data = b"".join(struct.pack("<i", v << 8)[1:] for v in samples)
         header = (
@@ -120,6 +121,146 @@ class TestLoadWav:
         write_wav(tmp_path / "ours.wav", AudioBuffer(x, rate))
         wavfile.write(tmp_path / "scipy.wav", rate, np.round(np.clip(x, -1.0, 1.0) * 32767.0).astype(np.int16))
         assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+def chunk(cid: bytes, body: bytes) -> bytes:
+    """A RIFF chunk, with the pad byte that follows an odd-sized body."""
+    return cid + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def write_raw_wav(path, data, tag, width, channels, rate=44100, extensible=False, before=b"", after=b"", head=b"RIFF"):
+    """A WAV file around `data`, the stored sample bytes: format `tag` with
+    `width`-byte samples, plain or WAVE_FORMAT_EXTENSIBLE, with the chunks
+    `before` between fmt and data and `after` the data."""
+    align = width * channels
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate, rate * align, align, 8 * width)
+    if extensible:  # cbSize 22, valid bits, channel mask, then the sub-format GUID
+        fmt += struct.pack("<HHII", 22, 8 * width, 0, tag) + bytes.fromhex("0000 1000 8000 00aa 0038 9b71")
+    body = b"WAVE" + chunk(b"fmt ", fmt) + before + chunk(b"data", data) + after
+    Path(path).write_bytes(head + struct.pack("<I", len(body)) + body)
+
+
+def scipy_load(path):
+    """The reference: scipy.io.wavfile.read, scaled and downmixed as load_wav
+    did on top of it: integers over their full scale (24-bit arrives as int32
+    with the low byte zero), floats over their peak when it exceeds 1, then
+    the per-sample channel mean."""
+    rate, data = wavfile.read(path)
+    x = data.astype(np.float64)
+    if data.dtype == np.uint8:
+        x -= 128.0
+        x /= 128.0
+    elif data.dtype.kind == "i":
+        x /= {2: 32768.0, 4: 2147483648.0}[data.dtype.itemsize]
+    elif np.max(np.abs(x)) > 1.0 + 1e-6:
+        x /= np.max(np.abs(x))
+    return rate, (x.mean(axis=1) if x.ndim == 2 else x)
+
+
+# (format tag, bytes a sample): 8-bit unsigned, 16/24/32-bit PCM, 32/64-bit float
+WAV_FORMATS = [(1, 1), (1, 2), (1, 3), (1, 4), (3, 4), (3, 8)]
+# 44,100 -> 11,025 Hz reads 4 * _resample_block(1) inputs a block; this spans
+# three blocks and a part, and several of the reader's own blocks
+LONG_FRAMES = 3 * 4 * _resample_block(1) + 11
+
+
+def sample_bytes(rng, tag, width, n, loud=1.0):
+    if tag == 3:
+        return rng.uniform(-loud, loud, n).astype(f"<f{width}").tobytes()
+    return rng.integers(0, 256, n * width, dtype=np.uint8).tobytes()  # any bytes are valid PCM
+
+
+class TestWavFormatsMatchScipy:
+    @pytest.mark.parametrize("extensible", [False, True])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("tag, width", WAV_FORMATS)
+    def test_bits_equal_scipy(self, tmp_path, tag, width, channels, extensible):
+        # a 5-byte chunk (and its pad byte) before data, a LIST chunk after it
+        rng = np.random.default_rng(10 * tag + width)
+        p = tmp_path / "x.wav"
+        data = sample_bytes(rng, tag, width, LONG_FRAMES * channels)
+        junk, info = chunk(b"JUNK", b"12345"), chunk(b"LIST", b"INFOISFT\x03\0\0\0ab\0\0")
+        write_raw_wav(p, data, tag, width, channels, extensible=extensible, before=junk, after=info)
+        rate, want = scipy_load(p)
+        source = WavSource(p)
+        assert (source.sample_rate, source.size) == (rate, LONG_FRAMES)
+        buf = load_wav(p)
+        assert buf.sample_rate == rate
+        assert_same_bits(buf.samples, want)
+        assert_same_bits(resample(source, 11025).samples, resample(buf, 11025).samples)
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_float_peak_above_one_rescaled(self, tmp_path, width):
+        p = tmp_path / "loud.wav"
+        write_raw_wav(p, sample_bytes(np.random.default_rng(width), 3, width, 2 * 70_001, loud=3.0), 3, width, 2)
+        rate, want = scipy_load(p)
+        assert np.max(np.abs(wavfile.read(p)[1])) > 1.0
+        assert_same_bits(load_wav(p).samples, want)
+        assert_same_bits(resample(WavSource(p), 11025).samples, resample(load_wav(p), 11025).samples)
+
+    def test_odd_sized_data_chunk_then_list(self, tmp_path):
+        # 8-bit mono, 7 frames: the data chunk is odd-sized and padded
+        p = tmp_path / "odd.wav"
+        write_raw_wav(p, bytes([0, 64, 128, 192, 255, 1, 2]), 1, 1, 1, rate=8000, after=chunk(b"LIST", b"INFO"))
+        assert_same_bits(load_wav(p).samples, scipy_load(p)[1])
+
+    def test_same_rate_source_read_whole(self, tmp_path):
+        p = tmp_path / "s.wav"
+        write_raw_wav(p, sample_bytes(np.random.default_rng(1), 1, 2, 999), 1, 2, 1, rate=11025)
+        assert_same_bits(resample(WavSource(p), 11025).samples, load_wav(p).samples)
+
+    @pytest.mark.parametrize("head", [b"RIFX", b"RF64"])
+    def test_rifx_and_rf64_rejected(self, tmp_path, head):
+        p = tmp_path / "x.wav"
+        write_raw_wav(p, b"\0\0" * 8, 1, 2, 1, head=head)
+        with pytest.raises(UnsupportedEncodingError, match=f"{re.escape(str(p))}: {head.decode()}"):
+            load_wav(p)
+
+
+class TestMalformedWav:
+    def test_truncated_data_chunk(self, tmp_path):
+        # scipy warns and returns the 25 samples present; the reader refuses
+        p = tmp_path / "cut.wav"
+        write_raw_wav(p, bytes(200), 1, 2, 1, rate=8000)
+        p.write_bytes(p.read_bytes()[: 44 + 51])
+        with pytest.warns(wavfile.WavFileWarning):
+            assert wavfile.read(p)[1].size == 25
+        with pytest.raises(UnreadableFileError, match=f"{re.escape(str(p))}: data chunk declares 200 bytes, the file holds 51"):
+            WavSource(p)
+
+    @pytest.mark.parametrize("keep", [0, 6, 11, 30, 40])
+    def test_cut_header(self, tmp_path, keep):
+        p = tmp_path / "cut.wav"
+        write_raw_wav(p, bytes(200), 1, 2, 1, rate=8000)
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(UnreadableFileError, match=re.escape(str(p))):
+            load_wav(p)
+
+    def test_more_than_two_channels(self, tmp_path):
+        p = tmp_path / "quad.wav"
+        write_raw_wav(p, bytes(80), 1, 2, 4)
+        with pytest.raises(UnsupportedEncodingError, match=f"{re.escape(str(p))}: 4 channels"):
+            load_wav(p)
+
+    @pytest.mark.parametrize("extensible", [False, True])
+    def test_unsupported_format_tag(self, tmp_path, extensible):
+        p = tmp_path / "alaw.wav"
+        write_raw_wav(p, bytes(80), 6, 1, 1, extensible=extensible)  # A-law
+        with pytest.raises(UnsupportedEncodingError, match=f"{re.escape(str(p))}: format tag 0x0006"):
+            load_wav(p)
+
+    def test_data_before_fmt(self, tmp_path):
+        p = tmp_path / "nofmt.wav"
+        body = b"WAVE" + chunk(b"data", bytes(8))
+        p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(UnreadableFileError, match="no fmt chunk"):
+            load_wav(p)
+
+    def test_non_finite_float_rejected(self, tmp_path):
+        p = tmp_path / "nan.wav"
+        write_raw_wav(p, np.array([0.5, np.nan], "<f4").tobytes(), 3, 4, 1)
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: audio samples must be finite"):
+            WavSource(p)
 
 
 class TestResample:
@@ -269,10 +410,11 @@ class TestAudioBuffer:
 
 
 def test_package_import_defers_scipy_signal():
-    # scipy dominates import time; only WAV reading and the paired t-test
-    # need it. Nothing imports scipy.signal (see
-    # test_chroma_command_never_imports_scipy_signal), and a decode imports
-    # no scipy at all (test_decode_never_imports_scipy in test_cli.py).
+    # scipy dominates import time; only eval --compare's paired t-test
+    # needs it. A chroma run imports no scipy at all (see
+    # test_chroma_command_never_imports_scipy_signal and, with every scipy
+    # import blocked, test_chroma_never_imports_scipy in test_cli.py), and
+    # neither does a decode (test_decode_never_imports_scipy).
     mods = ("scipy.signal", "scipy.io", "scipy.linalg", "scipy.special")
     code = f"import sys, chordscribe; print(*(m in sys.modules for m in {mods!r}))"
     src = str(Path(chordscribe.__file__).parents[1])
@@ -284,14 +426,15 @@ def test_package_import_defers_scipy_signal():
 
 
 def test_chroma_command_never_imports_scipy_signal(tmp_path):
-    # the resampler is numpy's own: a chroma run that resamples loads no scipy.signal
+    # the WAV reader and the resampler are numpy's own: a chroma run that
+    # reads and resamples a WAV loads no scipy module at all
     audio = tmp_path / "audio"
     audio.mkdir()
     write_wav(audio / "song.wav", synthesize_triads([({0, 4, 7}, 0, 1.0)], 22050))
     argv = ["chroma", "--audio-dir", str(audio), "--chroma-dir", str(tmp_path / "chroma")]
     code = (
         "import sys; from chordscribe.cli import main; "
-        f"rc = main({argv!r}); print(rc, 'scipy.signal' in sys.modules)"
+        f"rc = main({argv!r}); print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
     src = str(Path(chordscribe.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -184,6 +184,29 @@ class TestChroma:
             b = (workspace / "chroma" / f"{stem}.treble.chroma").read_bytes()
             assert a == b
 
+    def test_chroma_never_imports_scipy(self, workspace, tmp_path):
+        # Every scipy import raises in the blocked runs, serial and in two
+        # workers: reading a 16-bit mono WAV at 11,025 Hz and a 44.1 kHz
+        # stereo one, resampling and the chroma files need numpy alone, and
+        # give the same files as a run with scipy importable.
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        (audio / "songA.wav").write_bytes((workspace / "audio" / "songA.wav").read_bytes())
+        tone = synthesize_triads([({0, 4, 7}, 0, 1.5), ({7, 11, 2}, 7, 1.5)], 44100).samples
+        wavfile.write(audio / "stereo.wav", 44100, np.round(np.stack([tone, -0.5 * tone], axis=1) * 32767).astype(np.int16))
+        env = {**os.environ, "PYTHONPATH": str(Path(chordscribe.__file__).parents[1])}
+        results = {}
+        for mode, jobs in (("block", "1"), ("block", "2"), ("allow", "1")):
+            out = tmp_path / f"{mode}{jobs}"
+            argv = ["chroma", "--audio-dir", str(audio), "--chroma-dir", str(out), "--jobs", jobs]
+            done = subprocess.run([sys.executable, "-c", BLOCKED_CHROMA, mode, *argv], capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+            results[mode, jobs] = (done.stdout.splitlines()[-1], {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert results["block", "1"][0] == results["block", "2"][0] == "exit 0, scipy loaded: False"
+        assert results["allow", "1"][0] == "exit 0, scipy loaded: True"
+        assert len(results["block", "1"][1]) == 2 * 3  # songs x treble/bass/tuning
+        assert results["block", "1"][1] == results["block", "2"][1] == results["allow", "1"][1]
+
 
     @staticmethod
     def _three_second_song(tmp_path, beats_text):
@@ -214,7 +237,6 @@ class TestChroma:
 # peak RSS into a child's ru_maxrss across fork and exec.
 PEAK_RSS = """
 import sys
-from scipy.io import wavfile
 from chordscribe.cli import main
 
 def vm_hwm():
@@ -242,11 +264,12 @@ def test_five_minute_chroma_peak_memory(tmp_path):
     )
     rc, libraries, peak = map(int, out.stdout.split()[-3:])
     assert rc == 0
-    # The int16 file and its float64 copy at the source rate, then the
-    # 11,025 Hz signal; everything else (constant-Q blocks, resampler
-    # blocks, 12 x frames outputs) fits in the margin. Whole-signal
-    # temporaries (|x|, a padded copy, a (frames, L) matrix per bin) do not.
-    arrays = 2 * n + 8 * n + 8 * (n // 4)
+    # The 11,025 Hz signal; everything else (reader blocks, resampler
+    # blocks, constant-Q blocks, 12 x frames outputs) fits in the margin.
+    # Whole-signal temporaries (the file's samples or a float64 copy of
+    # them at the source rate, |x|, a padded copy, a (frames, L) matrix
+    # per bin) do not.
+    arrays = 8 * (n // 4)
     assert peak - libraries <= arrays + 32 * 2**20
 
 
@@ -360,18 +383,13 @@ class TestTrain:
         )
 
 
-# argv: mode, model file, chroma directory, then the decode command's argv.
-# Loads the model, decodes songA free and with gamma=0, tau=3 and CAC,
-# printing each path's log-prob and chord states, then runs the decode
-# command. With mode "block", a finder first in sys.meta_path fails every
-# import of scipy. The last line reports the command's exit status and
-# whether scipy was loaded (mode "allow" imports scipy.linalg itself, to
-# show that it can).
-BLOCKED_DECODE = """
+# argv[1] is a mode. With mode "block", a finder first in sys.meta_path
+# fails every import of scipy, in this process and in the workers it forks;
+# mode "allow" imports scipy.linalg itself, to show that it can. The mode
+# is taken off argv for the script that follows.
+BLOCK_SCIPY = """
 import sys
-from pathlib import Path
-mode, model_path, chroma, *argv = sys.argv[1:]
-if mode == "block":
+if sys.argv.pop(1) == "block":
     class BlockScipy:
         def find_spec(self, name, path=None, target=None):
             if name == "scipy" or name.startswith("scipy."):
@@ -379,6 +397,16 @@ if mode == "block":
     sys.meta_path.insert(0, BlockScipy())
 else:
     import scipy.linalg
+"""
+
+# argv: model file, chroma directory, then the decode command's argv.
+# Loads the model, decodes songA free and with gamma=0, tau=3 and CAC,
+# printing each path's log-prob and chord states, then runs the decode
+# command. The last line reports the command's exit status and whether
+# scipy was loaded.
+BLOCKED_DECODE = BLOCK_SCIPY + """
+from pathlib import Path
+model_path, chroma, *argv = sys.argv[1:]
 from chordscribe.chroma import read_chromagram
 from chordscribe.cli import main
 from chordscribe.decode import Constraints, viterbi_joint
@@ -389,6 +417,13 @@ for constraints in (Constraints(), Constraints(gamma=0, tau=3, cac=True)):
     path = viterbi_joint(model, constraints, treble, bass)
     print(repr(path.log_prob), path.chords.tolist())
 rc = main(argv)
+print(f"exit {rc}, scipy loaded: {'scipy' in sys.modules}")
+"""
+
+# argv: the chroma command's argv; the last line as BLOCKED_DECODE's.
+BLOCKED_CHROMA = BLOCK_SCIPY + """
+from chordscribe.cli import main
+rc = main(sys.argv[1:])
 print(f"exit {rc}, scipy loaded: {'scipy' in sys.modules}")
 """
 
