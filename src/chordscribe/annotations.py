@@ -94,16 +94,22 @@ class LabParseError(ValueError):
     the message starts `path:line:`, or `path:` for a whole-file fault."""
 
 
+def utf8_lines(path, lines, error=LabParseError):
+    """The lines of the file at path, read with errors="surrogateescape"; a byte
+    that is not UTF-8 (U+DC80..U+DCFF) raises error `path:line: byte 0x.. is not UTF-8`."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
+            raise error(f"{path}:{lineno}: byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8")
+        yield line
+
+
 def read_lines(path, take) -> None:
     """Call take(line) on each stripped line of the UTF-8 text file at path,
     skipping blank lines and `#` comments. A ValueError from take, or a
     byte that is not UTF-8, comes back as a LabParseError `path:line: ...`."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(utf8_lines(path, fh), start=1):
             line = line.strip()
-            # surrogateescape reads a byte that is not UTF-8 as U+DC80..U+DCFF
-            if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
-                raise LabParseError(f"{path}:{lineno}: byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8")
             if line and not line.startswith("#"):
                 try:
                     take(line)

@@ -6,7 +6,7 @@ RunConfig field: a key of the flat key=value file (path via --config or
 the HP_CONFIG environment variable), and a flag of the subcommands that
 read it, which overrides the file. Beside --config, they take:
 
-    chroma  --audio-dir --chroma-dir --beats --output-dir --jobs
+    chroma  --audio-dir --chroma-dir --beats --jobs
     train   --chroma-dir --chords-dir --keys-dir --model --alphabet
             --alpha --seed --jobs --train-fraction
     decode  --chroma-dir --model --output-dir --gamma --tau --cac --jobs
@@ -23,9 +23,10 @@ names its setting too) and the run goes on. In eval, a ground-truth fault
 fails the song, a prediction fault flags it (`flagged: ...`, scored 0), and
 each aggregate covers the songs that report its metric. A run-level
 failure (a bad config line or flag, a setting out of range (`path:line:`
-in a config file), a missing directory, an unreadable config file, model
-file or synth script) prints one `error: ...` line and stops before any
-song. Either exits 1.
+in a config file), a required setting left unset (named with its flag), a
+missing directory or one with no input files, an unreadable config file,
+model file or synth script) prints one `error: ...` line and stops before
+anything is written. Either exits 1.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class RunConfig:
     beats_dir: str | None = _setting(None, "chroma", "eval", flag="--beats", help="directory of <stem>.txt beat files")
     pred_dir: str | None = _setting(None, "eval")
     model_path: str | None = _setting(None, "train", "decode", flag="--model")
-    output_dir: str | None = _setting(None, "chroma", "decode", "eval")
+    output_dir: str | None = _setting(None, "decode", "eval")
     alphabet: str = _setting("majmin25", "train", choices=["majmin25", "full121"])
     gamma: tuple = _setting((None,), "decode", help="key-transition count floor; comma list sweeps")
     tau: tuple = _setting((None,), "decode", help="admissible basses per chord; comma list sweeps")
@@ -185,25 +186,26 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
+def _flag(f) -> str:
+    """The flag that sets RunConfig field f: its `flag`, else `--name-with-dashes`."""
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
+def _required(cfg: RunConfig, name: str) -> Path:
+    """The path that setting `name` holds; unset, it is a run-level error
+    naming the flag that sets it."""
+    if not getattr(cfg, name):
+        (f,) = (f for f in fields(RunConfig) if f.name == name)
+        raise ValueError(f"{name} is required (flag {_flag(f)})")
+    return Path(getattr(cfg, name))
+
+
 def _require_dirs(cfg: RunConfig, names: list[str]) -> list[Path]:
-    paths = []
-    for name in names:
-        value = getattr(cfg, name)
-        if not value:
-            raise SystemExit(f"error: {name} is required (flag --{name.replace('_', '-')})")
-        p = Path(value)
+    paths = [_required(cfg, name) for name in names]
+    for name, p in zip(names, paths):
         if not p.is_dir():
-            raise SystemExit(f"error: {name} {p} is not a directory")
-        paths.append(p)
+            raise ValueError(f"{name} {p} is not a directory")
     return paths
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    if not cfg.output_dir:
-        raise SystemExit("error: output_dir is required")
-    p = Path(cfg.output_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 def _atomic_write_via(path: Path, writer, payload) -> None:
@@ -253,7 +255,11 @@ def _run_per_song(fn, jobs: list, workers: int, report, shared: tuple = (), name
 
 
 def _stems(directory: Path, suffix: str) -> list[str]:
-    return sorted(p.name[: -len(suffix)] for p in directory.glob(f"*{suffix}"))
+    """The sorted stems of directory's `*{suffix}` files; none is a run-level error."""
+    stems = sorted(p.name[: -len(suffix)] for p in directory.glob(f"*{suffix}"))
+    if not stems:
+        raise ValueError(f"no *{suffix} files in {directory}")
+    return stems
 
 
 def _beats_for(cfg: RunConfig, stem: str, duration: float, end: float = math.inf) -> np.ndarray:
@@ -289,12 +295,9 @@ def _chroma_one(cfg, audio_dir, out_dir, stem):
 
 def cmd_chroma(cfg: RunConfig) -> int:
     (audio_dir,) = _require_dirs(cfg, ["audio_dir"])
-    out_dir = Path(cfg.chroma_dir) if cfg.chroma_dir else _out_dir(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _required(cfg, "chroma_dir")
     stems = _stems(audio_dir, ".wav")
-    if not stems:
-        print(f"error: no .wav files in {audio_dir}", file=sys.stderr)
-        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)
     shared = (cfg, audio_dir, out_dir)
     failures = _run_per_song(_chroma_one, stems, cfg.jobs, lambda stem: print(f"chroma: {stem}"), shared)
     return 1 if failures else 0
@@ -316,14 +319,12 @@ def _load_song(cfg, chroma_dir, alphabet, stem):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    chroma_dir, _ = _require_dirs(cfg, ["chroma_dir", "chords_dir"])
-    if not cfg.model_path:
-        raise SystemExit("error: model_path is required")
+    chroma_dir, chords_dir = _require_dirs(cfg, ["chroma_dir", "chords_dir"])
+    model_path = _required(cfg, "model_path")
     train_config = TrainConfig(alphabet=cfg.alphabet, alpha=cfg.alpha, epsilon=cfg.epsilon)
-    stems = [s for s in _stems(chroma_dir, ".treble.chroma") if (Path(cfg.chords_dir) / f"{s}.lab").exists()]
+    stems = [s for s in _stems(chroma_dir, ".treble.chroma") if (chords_dir / f"{s}.lab").exists()]
     if not stems:
-        print("error: no training songs (need <stem>.treble.chroma + <stem>.lab)", file=sys.stderr)
-        return 1
+        raise ValueError(f"no training songs (need {chroma_dir}/<stem>.treble.chroma + {chords_dir}/<stem>.lab)")
 
     rng = np.random.default_rng(cfg.seed)
     order = list(rng.permutation(stems))
@@ -334,11 +335,9 @@ def cmd_train(cfg: RunConfig) -> int:
     shared = (cfg, chroma_dir, make_alphabet(cfg.alphabet))
     failures = _run_per_song(_load_song, train_stems, cfg.jobs, dataset.append, shared)
     if not dataset:
-        print("error: no loadable training songs", file=sys.stderr)
-        return 1
+        raise ValueError("no loadable training songs")
 
     model = train(dataset, train_config)
-    model_path = Path(cfg.model_path)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_via(model_path, lambda p, m: save_model(m, p), model)
     for split, split_stems in (("train", train_stems), ("test", test_stems)):
@@ -378,14 +377,10 @@ def _decode_one(model, chroma_dir, job):
 
 def cmd_decode(cfg: RunConfig) -> int:
     (chroma_dir,) = _require_dirs(cfg, ["chroma_dir"])
-    if not cfg.model_path:
-        raise SystemExit("error: model_path is required")
-    model = load_model(cfg.model_path)
-    out_root = _out_dir(cfg)
+    model_path, out_root = _required(cfg, "model_path"), _required(cfg, "output_dir")
+    model = load_model(model_path)
     stems = _stems(chroma_dir, ".treble.chroma")
-    if not stems:
-        print(f"error: no chroma files in {chroma_dir}", file=sys.stderr)
-        return 1
+    out_root.mkdir(parents=True, exist_ok=True)
 
     settings = [Constraints(gamma=g, tau=t, cac=cfg.cac) for g in cfg.gamma for t in cfg.tau]
     jobs = []
@@ -460,13 +455,9 @@ def _eval_one(cfg, alphabet, other, stem):
 
 def cmd_eval(cfg: RunConfig, other: Path | None = None) -> int:
     (chords_dir,) = _require_dirs(cfg, ["chords_dir"])
-    if not cfg.pred_dir:
-        raise SystemExit("error: pred_dir is required")
-    out_dir = _out_dir(cfg)
+    _, out_dir = _required(cfg, "pred_dir"), _required(cfg, "output_dir")  # _eval_one reads pred_dir
     stems = _stems(chords_dir, ".lab")
-    if not stems:
-        print(f"error: no ground-truth .lab files in {chords_dir}", file=sys.stderr)
-        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     report, ours, theirs = EvalReport(), [], []
 
@@ -518,7 +509,7 @@ def cmd_synth(cfg: RunConfig, script_path: str, out_stem: str, key: str) -> int:
 
     read_lines(script_path, take)
     if not records:
-        raise SystemExit(f"error: {script_path}: empty script")
+        raise ValueError(f"{script_path}: empty script")
 
     segments, lab_records, t = [], [], 0.0
     for label, sym, dur in records:
@@ -562,8 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = {bool: {"action": "store_const", "const": True}, int: {"type": int}, float: {"type": float}}
     for f in fields(RunConfig):
         for command in f.metadata.get("commands", ()):
-            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
-            commands[command].add_argument(flag, dest=f.name, **kinds.get(type(f.default), {}), **f.metadata["kwargs"])
+            commands[command].add_argument(_flag(f), dest=f.name, **kinds.get(type(f.default), {}), **f.metadata["kwargs"])
     commands["eval"].add_argument("--compare", type=Path, help="second prediction dir for a paired t-test")
     commands["synth"].add_argument("script", help="text file of `chord duration` lines")
     commands["synth"].add_argument("out_stem", help="output path stem")

@@ -10,12 +10,11 @@ one table per mode, which multiplies the usable evidence per cell by 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .annotations import N_BASS, N_KEYS, UNLABELED, Alphabet, make_alphabet
+from .annotations import N_BASS, N_KEYS, UNLABELED, Alphabet, make_alphabet, utf8_lines
 from .chroma import Chromagram
 
 
@@ -344,17 +343,10 @@ def load_model(path) -> HpModel:
     and hold values their kind allows; anything else raises ModelFormatError
     naming the file, the line and the table; the model keeps the factored Gaussians."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            try:  # str.splitlines, as the lines of the whole text
-                return _read_model(path, (part for line in fh for part in line.splitlines()))
-            finally:
-                fh.read()  # a byte that is not UTF-8 anywhere in the file is the error
-    except (OSError, UnicodeDecodeError) as exc:
-        if isinstance(exc, UnicodeDecodeError):  # named at its offset in the file, as a whole-file decode names it
-            try:
-                Path(path).read_bytes().decode("utf-8")
-            except (OSError, UnicodeDecodeError) as whole:
-                exc = whole
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            parts = (part for line in fh for part in line.splitlines())  # str.splitlines, as of the whole text
+            return _read_model(path, utf8_lines(path, parts, ModelFormatError))
+    except OSError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
 
 
@@ -379,7 +371,7 @@ def _read_model(path, lines) -> HpModel:
             raise ModelFormatError(f"{path}:{lineno}: expected `{header}`, got `{got}`")
         table = np.empty((shape[0], width))
         for lineno, row in enumerate(table, lineno + 1):
-            values = next(lines, "").split()  # outside the try: a UnicodeDecodeError is a ValueError
+            values = next(lines, "").split()
             try:  # a row of another width takes (), which raises
                 row[:] = [float(v) for v in values] if len(values) == width else ()
             except ValueError:
@@ -394,6 +386,8 @@ def _read_model(path, lines) -> HpModel:
         lineno += 1
     if next(lines, None) != "end":
         raise ModelFormatError(f"{path}:{lineno}: expected the `end` marker")
+    for _ in lines:  # a byte that is not UTF-8 after `end` is an error too
+        pass
 
     cac = ChordOnlyHmm(**{n.removeprefix("cac_"): tables.pop(n) for n in list(tables) if n.startswith("cac_")})
     return HpModel(alphabet=alphabet, cac=cac, **tables)

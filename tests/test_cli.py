@@ -161,7 +161,10 @@ class TestChroma:
     def test_empty_audio_dir_nonzero(self, tmp_path):
         audio = tmp_path / "audio"
         audio.mkdir()
-        assert run("chroma", "--audio-dir", str(audio), "--chroma-dir", str(tmp_path / "c")) == 1
+        with pytest.raises(SystemExit) as info:
+            run("chroma", "--audio-dir", str(audio), "--chroma-dir", str(tmp_path / "c"))
+        assert str(info.value) == f"error: no *.wav files in {audio}"
+        assert not (tmp_path / "c").exists()
 
     def test_parallel_jobs_match_serial(self, workspace, tmp_path):
         out = tmp_path / "chroma_jobs"
@@ -369,18 +372,31 @@ class TestTrain:
     def test_no_songs_nonzero(self, tmp_path):
         for d in ("c", "l"):
             (tmp_path / d).mkdir()
-        assert (
-            run(
-                "train",
-                "--chroma-dir",
-                str(tmp_path / "c"),
-                "--chords-dir",
-                str(tmp_path / "l"),
-                "--model",
-                str(tmp_path / "m.txt"),
-            )
-            == 1
-        )
+        with pytest.raises(SystemExit) as info:
+            run("train", "--chroma-dir", str(tmp_path / "c"), "--chords-dir", str(tmp_path / "l"),
+                "--model", str(tmp_path / "m" / "m.txt"))  # fmt: skip
+        assert str(info.value) == f"error: no *.treble.chroma files in {tmp_path / 'c'}"
+        assert not (tmp_path / "m").exists()
+
+    def test_no_labelled_songs_stops_before_writing(self, workspace, tmp_path):
+        (tmp_path / "l").mkdir()
+        chroma = workspace / "chroma"
+        with pytest.raises(SystemExit) as info:
+            run("train", "--chroma-dir", str(chroma), "--chords-dir", str(tmp_path / "l"),
+                "--model", str(tmp_path / "m" / "m.txt"))  # fmt: skip
+        need = f"need {chroma}/<stem>.treble.chroma + {tmp_path / 'l'}/<stem>.lab"
+        assert str(info.value) == f"error: no training songs ({need})"
+        assert not (tmp_path / "m").exists()
+
+    def test_no_loadable_songs_stops_before_writing(self, workspace, tmp_path, capsys):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "songA.treble.chroma").write_text("junk\n")
+        with pytest.raises(SystemExit) as info:
+            run("train", "--chroma-dir", str(tmp_path / "c"), "--chords-dir", str(workspace / "chords"),
+                "--model", str(tmp_path / "m" / "m.txt"))  # fmt: skip
+        assert str(info.value) == "error: no loadable training songs"
+        assert capsys.readouterr().err.startswith("error: songA: ")  # the song's own line
+        assert not (tmp_path / "m").exists()
 
 
 # argv[1] is a mode. With mode "block", a finder first in sys.meta_path
@@ -937,7 +953,7 @@ class TestConfigFile:
             for name, p in commands.choices.items()
         }
         assert taken == {
-            "chroma": ["--config", "--audio-dir", "--chroma-dir", "--beats", "--output-dir", "--jobs"],
+            "chroma": ["--config", "--audio-dir", "--chroma-dir", "--beats", "--jobs"],
             "train": [
                 "--config", "--chroma-dir", "--chords-dir", "--keys-dir", "--model",
                 "--alphabet", "--alpha", "--seed", "--jobs", "--train-fraction",
@@ -1018,3 +1034,54 @@ class TestConfigFile:
         assert type(cfg.jobs) is int and type(cfg.alpha) is float
         assert (cfg.alphabet, cfg.chroma_dir) == ("full121", "c")
         assert (cfg.gamma, cfg.tau) == ((0, None), (3,))
+
+
+def _settings(workspace, out) -> dict:
+    """Each subcommand's required settings by flag: inputs from the
+    workspace, outputs under `out`."""
+    return {
+        "chroma": {"--audio-dir": workspace / "audio", "--chroma-dir": out / "chroma"},
+        "train": {"--chroma-dir": workspace / "chroma", "--chords-dir": workspace / "chords", "--model": out / "m.txt"},
+        "decode": {"--chroma-dir": workspace / "chroma", "--model": workspace / "model.txt", "--output-dir": out},
+        "eval": {"--chords-dir": workspace / "chords", "--pred-dir": workspace / "pred", "--output-dir": out},
+    }
+
+
+class TestRunLevelFaults:
+    """A run-level fault is one `error:` line naming what to fix, and the
+    run creates nothing before it."""
+
+    @staticmethod
+    def stopped(capsys, command, given: dict) -> str:
+        """The SystemExit message of a run given these flags; nothing else
+        may reach stdout or stderr."""
+        with pytest.raises(SystemExit) as info:
+            run(command, *[str(part) for pair in given.items() for part in pair])
+        assert capsys.readouterr() == ("", "")
+        return str(info.value)
+
+    @pytest.mark.parametrize(("command", "name", "flag"), [
+        ("chroma", "audio_dir", "--audio-dir"), ("chroma", "chroma_dir", "--chroma-dir"),
+        ("train", "chroma_dir", "--chroma-dir"), ("train", "chords_dir", "--chords-dir"),
+        ("train", "model_path", "--model"),
+        ("decode", "chroma_dir", "--chroma-dir"), ("decode", "model_path", "--model"),
+        ("decode", "output_dir", "--output-dir"),
+        ("eval", "chords_dir", "--chords-dir"), ("eval", "pred_dir", "--pred-dir"),
+        ("eval", "output_dir", "--output-dir"),
+    ])  # fmt: skip
+    def test_missing_setting_names_its_flag(self, workspace, tmp_path, capsys, command, name, flag):
+        given = _settings(workspace, tmp_path / "out")[command]
+        del given[flag]
+        assert self.stopped(capsys, command, given) == f"error: {name} is required (flag {flag})"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(("command", "flag", "suffix"), [
+        ("chroma", "--audio-dir", ".wav"), ("train", "--chroma-dir", ".treble.chroma"),
+        ("decode", "--chroma-dir", ".treble.chroma"), ("eval", "--chords-dir", ".lab"),
+    ])  # fmt: skip
+    def test_empty_input_dir_stops_before_writing(self, workspace, tmp_path, capsys, command, flag, suffix):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        given = {**_settings(workspace, tmp_path / "out")[command], flag: empty}
+        assert self.stopped(capsys, command, given) == f"error: no *{suffix} files in {empty}"
+        assert not (tmp_path / "out").exists()

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from chordscribe.annotations import parse_lab
 from chordscribe.chroma import read_beats, read_chromagram
 from chordscribe.cli import main, parse_config_file
-from chordscribe.model import ModelFormatError, TrainConfig, load_model
+from chordscribe.model import ModelFormatError, TrainConfig, load_model, save_model, train
 
 FUZZ = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -377,8 +377,28 @@ def test_synth_script_not_utf8_exits_naming_line(tmp_path):
 
 def test_model_file_not_utf8_names_file(tmp_path):
     path = _write(tmp_path / "model.txt", f"chordscribe-model{NOT_UTF8}\n")
-    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: .*0xff"):
+    with pytest.raises(ModelFormatError) as info:
         load_model(path)
+    assert str(info.value) == f"{path}:1: byte 0xff is not UTF-8"
+
+
+@pytest.mark.parametrize("where", ["row", "after end"])
+def test_model_file_not_utf8_names_line(tmp_path, where):
+    # A bad byte in a table row, or on a line after `end`, which
+    # load_model reads to the end of the file.
+    from test_model import fixture_dataset
+
+    save_model(train(fixture_dataset(), TrainConfig()), tmp_path / "saved.txt")
+    lines = (tmp_path / "saved.txt").read_text().splitlines()
+    lineno = 5 if where == "row" else len(lines) + 2
+    if where == "row":
+        lines[lineno - 1] += NOT_UTF8
+    else:
+        lines += ["", f"# {NOT_UTF8}"]
+    path = _write(tmp_path / "model.txt", "\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}:{lineno}: byte 0xff is not UTF-8"
 
 
 def test_decode_bad_model_alphabet_exits_naming_line(tmp_path):
