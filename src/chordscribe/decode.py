@@ -37,16 +37,26 @@ over a's at any target; a slack of 1e-9 * (1 + |mx| + scale), scale
 bounding the transitions' magnitudes, dwarfs the float roundings (each
 under 2**-53 of that sum), and a dead cell keeps none. `_delta` gives the
 drops of stage 1, over the slots s of each cell (k, c), max_u (lh[s, u] -
-lh[a, u]), and of stage 2, over the rows d of each column (u, c),
-max_l (lf[d, l] - lf[a, l]) (+inf where only d reaches l); frame 1 under
-a flat key prior keeps most rows and stays dense. Stage 3 drops every
-chord of a row (k, u) by max lg[k] - min_c lg[k, a, c], as chord c's cell
-is at least mx + lg[k, a, c] and any chord adds at most max lg[k]; a -inf
-minimum keeps the row whole. When every live cell keeps a alone (nearly
-every frame of an unconstrained decode), stage 1 takes mx + lh[a, u] and
-a at every target u, as (U, Cw, Kp) so that stage 2 reads each column as
-one contiguous row of keys; it runs dense on any other frame, and on all
-when a bass transition is -inf (a dead target slot takes slot 0). Kept
+lh[a, u]), and of stage 2, over the rows d, max_l (lf[d, l] - lf[a, l])
+(+inf where only d reaches l); frame 1 under a flat key prior keeps most
+rows and stays dense. Stage 3 drops every chord of a row (k, u) by
+max lg[k] - min_c lg[k, a, c], as chord c's cell is at least
+mx + lg[k, a, c] and any chord adds at most max lg[k]; a -inf minimum
+keeps the row whole. When every live cell keeps a alone (nearly every
+frame of an unconstrained decode), stage 1 takes mx + lh[a, u] and a at
+every target u, as (U, Cw, Kp) so that stage 2 reads each column as one
+contiguous row of keys; it runs dense on any other frame, and on all when
+a bass transition is -inf (a dead target slot takes slot 0).
+
+After that one-slot tail, row d of every stage-2 column (u, c) holds
+lh[s0[d, c], u] + mx[d, c], so stage 2 bounds each chord c once rather
+than each of its U columns: with a the row of c's largest mx, row p
+cannot win or tie at any (l, u) below mx[a, c] less stage 2's drop[a, p]
+and stage 1's drop from slot s0[a, c] to s0[p, c], and the slack's scale
+is the sum of both stages' scales (scale and scale_s), as both stages'
+transitions enter the sums. After a dense stage 1 it bounds each column
+(u, c) over its rows. Either test keeps every row that reaches a column's
+maximum, so both find its maximum and lowest maximizing row. Kept
 predecessors ascend and the lowest maximizing one wins, as in the dense
 forms; a dead cell takes its key's first predecessor in stage 2 and chord
 0 in stage 3.
@@ -92,6 +102,7 @@ _BLOCK_ELEMENTS = 2**18
 _DENSE_ELEMENTS = _BLOCK_ELEMENTS
 _FUSED_ELEMENTS = _DENSE_ELEMENTS  # the fused stage 2-3 table's budget
 _GATHER_COST = 4  # a gathered element costs about four dense ones
+_DELTA_ELEMENTS = 2**16  # `_delta`'s block of differences
 
 
 class NoAdmissiblePathError(Exception):
@@ -322,12 +333,27 @@ def _fused_layout(prev: _Prev, lg_live, slot_t) -> _Fused | None:
 
 
 def _delta(x):
-    """[..., a, d]: the most x[i, ..., d] exceeds x[i, ..., a] at any i, one i at a time."""
+    """[..., a, d]: the most x[i, ..., d] exceeds x[i, ..., a] at any i, a
+    block of i under _DELTA_ELEMENTS differences at a time."""
     out = np.full((*x.shape[1:], x.shape[-1]), -np.inf)
+    n = max(1, _DELTA_ELEMENTS // max(out.size, 1))
+    diff, most = np.empty((min(n, len(x)), *out.shape)), np.empty(out.shape)
     with np.errstate(invalid="ignore"):  # -inf - -inf is NaN, which fmax skips
-        for xi in x:
-            np.fmax(out, xi[..., None, :] - xi[..., None], out=out)
+        for i in range(0, len(x), n):
+            xi = x[i : i + n]
+            np.subtract(xi[..., None, :], xi[..., None], out=diff[: len(xi)])
+            np.fmax(out, np.fmax.reduce(diff[: len(xi)], axis=0, out=most), out=out)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _row_starts(shape):
+    """The flat index of the first element of each last-axis row of a
+    C-ordered array of this shape, as shape[:-1]; read-only, as every
+    caller shares it."""
+    starts = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
+    starts.setflags(write=False)
+    return starts
 
 
 def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
@@ -417,10 +443,10 @@ def _step(layout: _Layout, v: np.ndarray, t: int):
     the previous state each best path comes from, per cell (L, Cw, S) or
     per stage-3 row (L, U) (module docstring)."""
     prev = layout.first if t == 1 else layout.rest
-    stage_b, from_s = _stage1(prev, v)
+    stage_b, from_s, tail = _stage1(prev, v)
     if prev.fused is not None:
         return _fused_step(layout, prev, t, stage_b, from_s)
-    stage_k, rows = _stage2(layout, prev, stage_b)
+    stage_k, rows = _stage2(layout, prev, stage_b, tail)
     return _stage3(layout, prev, t, stage_k, rows, from_s)
 
 
@@ -441,18 +467,20 @@ def _fused_step(layout: _Layout, prev: _Prev, t, stage_b, from_s):
 
 def _bound(x, drop, scale, base=0, alone=False):
     """The exact bound over x's last axis (module docstring): each cell's
-    first maximum, at and mx, and the entries it keeps, none in a dead
-    cell; drop's rows, and scale's when it is an array, are read at
-    base + at. With alone, keep is None when as many entries as live cells
-    are kept: each live cell keeps its maximum alone."""
+    first maximum, at and mx (with a last axis of 1), and the entries it
+    keeps, none in a dead cell; drop's rows, and scale's when it is an
+    array, are read at base + at, or a callable drop gives its rows from
+    at. With alone, keep is None when as many entries as live cells are
+    kept: each live cell keeps its maximum alone."""
     at = x.argmax(axis=-1)
-    mx = np.take_along_axis(x, at[..., None], axis=-1)
+    mx = x.take(at + _row_starts(x.shape))[..., None]
     row = at + base
     if np.ndim(scale):
         scale = np.take(scale, row, axis=0)
+    drop = drop(at) if callable(drop) else np.take(drop, row, axis=0)
     alive = mx > -np.inf
     with np.errstate(invalid="ignore"):  # a dead cell's inf - inf
-        keep = x >= np.where(alive, mx - 1e-9 * (1 + np.abs(mx) + scale), np.inf) - np.take(drop, row, axis=0)
+        keep = x >= np.where(alive, mx - 1e-9 * (1 + np.abs(mx) + scale), np.inf) - drop
     if alone and np.count_nonzero(keep) == np.count_nonzero(alive):
         keep = None
     return at, mx, keep
@@ -460,33 +488,37 @@ def _bound(x, drop, scale, base=0, alone=False):
 
 def _stage1(prev: _Prev, v):
     """Collapse the previous bass over the last axis of (Kp, U, Cw, Sp),
-    to the lowest maximizing slot (bass); returns the (Kp, U, Cw) maxima
-    and slots. Unless dense, a frame whose bound keeps only each cell's
-    maximizing slot s0 takes it at every target bass, in stage 2's column
-    order, and returns s0 as the slots (module docstring)."""
+    to the lowest maximizing slot (bass); returns the (Kp, U, Cw) maxima,
+    the slots and None. Unless dense, a frame whose bound keeps only each
+    cell's maximizing slot s0 takes it at every target bass, in stage 2's
+    column order, and returns s0 as the slots and, for stage 2's bound,
+    the tail: s0 and the cells' maxima mx, each as (Cw, Kp) (module
+    docstring)."""
     if not prev.dense_s:
-        base = np.arange(0, prev.delta_s.shape[0], v.shape[-1])  # each chord's first row c * Sp
+        base = _row_starts(v.shape[1:])  # each chord's first row c * Sp in delta_s
         s0, mx, keep = _bound(v, prev.delta_s, prev.scale_s, base, alone=True)
         if keep is None:
-            stage_b = np.take(prev.lh_g.reshape(len(prev.lh_g), -1), (s0 + base).T, axis=1)  # (U, Cw, Kp)
-            stage_b += mx[..., 0].T
-            return stage_b.transpose(2, 0, 1), s0
+            s0_t, mx_t = s0.T.copy(), mx[..., 0].T.copy()  # (Cw, Kp), stage 2's column order
+            stage_b = np.take(prev.lh_g.reshape(len(prev.lh_g), -1), s0_t + base[:, None], axis=1)  # (U, Cw, Kp)
+            stage_b += mx_t
+            return stage_b.transpose(2, 0, 1), s0, (s0_t, mx_t)
     tmp = v[:, None] + prev.lh_g
     from_s = tmp.argmax(axis=-1)
-    return tmp.reshape(-1)[from_s + prev.starts], from_s
+    return tmp.reshape(-1)[from_s + prev.starts], from_s, None
 
 
-def _stage2(layout: _Layout, prev: _Prev, stage_b):
+def _stage2(layout: _Layout, prev: _Prev, stage_b, tail=None):
     """Collapse the previous key: returns the (L, U, Cw) maxima and a reader
     of the stage_b rows they come from, the first maximizing predecessor, at
     the flat indices at or, with none, at every cell. Pruned, over the rows
-    the bound keeps; dense, over axis 1 of (L, D, U, Cw) in key blocks,
-    where the largest rank (D down to 1) equal to the max marks that
-    predecessor."""
+    the bound keeps (per chord from stage 1's tail, per column without
+    one); dense, over axis 1 of (L, D, U, Cw) in key blocks, where the
+    largest rank (D down to 1) equal to the max marks that predecessor."""
     if not prev.dense:
-        cand = _stage2_candidates(prev, stage_b)
+        cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)  # (N, Kp), as stage 1's tail wrote it
+        cand = _stage2_candidates(prev, cols, tail)
         if cand.shape[0] * _GATHER_COST <= prev.pred.shape[1]:
-            return _stage2_pruned(prev, stage_b, cand)
+            return _stage2_pruned(prev, cols, cand, stage_b.shape[1:])
     n_live, deg = prev.pred.shape
     stage_k = np.empty((n_live, *stage_b.shape[1:]))
     from_row = np.empty(stage_k.shape, dtype=prev.pred.dtype)
@@ -505,27 +537,42 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b):
     return stage_k, lambda at=None: from_row if at is None else np.take(from_row, at)
 
 
-def _stage2_candidates(prev: _Prev, stage_b):
-    """(D, N) rows of each stage-2 column n = (u, c) that the bound keeps,
-    ascending, padded to the widest column with repeats of its maximizing
-    row d0, which is all a dead column keeps."""
-    cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)  # (N, Kp), as stage 1's tail wrote it
-    d0, _, keep = _bound(cols, prev.delta, prev.scale)
+def _stage2_candidates(prev: _Prev, cols, tail=None):
+    """(D, N) rows of each stage-2 column n = (u, c) of cols (N, Kp) that
+    the bound keeps, ascending, padded to the widest column with repeats of
+    its maximizing row d0, which is all a dead column keeps. With stage 1's
+    tail (s0, mx), the bound runs once per chord c over the rows' mx[c]
+    (module docstring), and each chord's rows, padded with its best row,
+    serve its U columns."""
+    if tail is None:
+        x, drop, scale = cols, prev.delta, prev.scale
+    else:
+        s0, x = tail
+        sp = prev.slots.shape[1]
+        chord = _row_starts((len(s0), sp))  # (Cw,) each chord's first row c * Sp in delta_s
+
+        def drop(a):  # delta[a, p] + delta_s[c * Sp + s0[a, c], s0[p, c]] at each chord's best row a
+            row = chord + s0.take(a + _row_starts(s0.shape))
+            return prev.delta.take(a, axis=0) + prev.delta_s.take((row * sp)[:, None] + s0)
+
+        scale = prev.scale + prev.scale_s
+    d0, _, keep = _bound(x, drop, scale)
     at, rows = np.divmod(np.flatnonzero(keep), keep.shape[1])
-    count = np.bincount(at, minlength=len(cols))
+    count = np.bincount(at, minlength=len(x))
     cand = np.tile(d0, (max(1, int(count.max(initial=0))), 1))
     cand[np.arange(at.size) - (np.cumsum(count) - count)[at], at] = rows
-    return cand
+    return cand if tail is None else np.tile(cand, len(cols) // len(x))
 
 
-def _stage2_pruned(prev: _Prev, stage_b, cand):
-    """Stage 2 over the candidate rows cand (D, N): the maximum of (L, D, N),
-    and a reader of the lowest maximizing rows by D masked copies, lowest
-    row last, over the sums at the cells it reads."""
+def _stage2_pruned(prev: _Prev, cols, cand, shape):
+    """Stage 2 over the candidate rows cand (D, N) of cols (N, Kp), the
+    (U, Cw) = shape columns: the maximum of (L, D, N), and a reader of the
+    lowest maximizing rows by D masked copies, lowest row last, over the
+    sums at the cells it reads."""
     val = np.take(prev.lf_rows, cand, axis=1)
-    val += np.take_along_axis(stage_b.reshape(len(stage_b), -1), cand, axis=0)
+    val += cols.take(cand + _row_starts(cols.shape))
     stage_k = val.max(axis=1)
-    n_cols, shape = cand.shape[1], (len(val), *stage_b.shape[1:])
+    n_cols, shape = cand.shape[1], (len(val), *shape)
 
     def rows(at=None):
         if at is None:
@@ -567,9 +614,9 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s):
     if cand is not None and cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
     if cand is not None and cand.shape[2] == 1:  # a row's cells share one previous state: pack and keep it once
+        at = _row_starts(stage_k.shape)[..., None] + cand  # (L, U, 1) in stage 2's output
         best = np.take(layout.lg_from, cand[..., 0] + layout.key_idx[..., 0] * cw, axis=0)  # (L, U, Cw)
-        best += np.take_along_axis(stage_k, cand, axis=-1)
-        at = np.arange(0, stage_k.size, cw).reshape(cand.shape) + cand  # (L, U, 1) in stage 2's output
+        best += stage_k.take(at)
         packed = _pack(prev, rows(at), from_s, at, layout.key_idx, cand).astype(layout.bp_dtype)
         v = np.take(best, layout.cells)
         v += layout.emission(t)
@@ -596,7 +643,7 @@ def _stage3_rows(layout: _Layout, ks, stage_k, cand, from_row):
     and their previous chords (module docstring), at the (k, c, S) cells."""
     cand, cw = cand[ks], stage_k.shape[-1]
     val = np.take(layout.lg_from, cand + layout.key_idx[ks] * cw, axis=0)
-    val += np.take_along_axis(stage_k[ks], cand, axis=-1)[..., None]
+    val += stage_k.take(_row_starts(stage_k.shape)[ks][..., None] + cand)[..., None]
     best = val.max(axis=2)
     eq = val == best[:, :, None]
     from_c = np.repeat(cand[:, :, -1:], cw, axis=2)
@@ -630,7 +677,7 @@ def _stage3_dense(layout: _Layout, ks, stage_k, from_row):
     val = np.take(stage_k[ks], slot_t, axis=1)  # (k, c, S, Cw)
     val += layout.lg_live[ks, :, None]
     from_c = val.argmax(axis=-1)
-    row_starts = np.arange(0, val.size, val.shape[-1]).reshape(from_c.shape)
+    row_starts = _row_starts(val.shape)
     at = from_c + row_starts
     best = val.reshape(-1)[at]
     # a cell ties when its live maximum survives knocking out the argmax;

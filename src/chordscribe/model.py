@@ -9,6 +9,7 @@ one table per mode, which multiplies the usable evidence per cell by 12.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,8 +47,27 @@ class Gaussians(NamedTuple):
     tables: tuple
 
 
+class _KeepsGaussians:
+    """A model that keeps Gaussians of its emission tables, which `_factor`
+    made read-only. An unpickled table is writeable, so unpickling marks the
+    kept tables read-only again and a decode uses the kept factors; a deep
+    copy's tables stay writeable, to be edited, and are factored per decode."""
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for held in state.values():
+            if isinstance(held, Gaussians):
+                for table in held.tables:
+                    table.setflags(write=False)
+
+    def __deepcopy__(self, memo):
+        copied = memo[id(self)] = object.__new__(type(self))
+        copied.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        return copied
+
+
 @dataclass
-class ChordOnlyHmm:
+class ChordOnlyHmm(_KeepsGaussians):
     """Simple chord-chain HMM over concatenated treble+bass chroma (24-d
     emissions); first stage of the two-stage chord-alphabet reduction."""
 
@@ -59,7 +79,7 @@ class ChordOnlyHmm:
 
 
 @dataclass
-class HpModel:
+class HpModel(_KeepsGaussians):
     """All learned probability tables plus the raw counts kept for pruning.
 
     chord_trans_rel holds the two key-relative chord transition tables

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     wide_lr,
 )
 
+import chordscribe.model
 from chordscribe import decode
 from chordscribe.annotations import derive_bass, make_alphabet, parse_chord_symbol
 from chordscribe.decode import (
@@ -278,6 +280,21 @@ def _took_stage1_tail(from_s):
     """Whether stage 1 took its one-slot tail, which returns each cell's
     maximizing slot once, (Kp, Cw), not per target bass."""
     return from_s.ndim == 2
+
+
+@contextlib.contextmanager
+def per_chord_bounds():
+    """For each call of `decode._stage2_candidates` while open, whether it
+    bounded the rows per chord from stage 1's tail (or per column)."""
+    calls, real = [], decode._stage2_candidates
+
+    def spy(prev, cols, tail=None):
+        calls.append(tail is not None)
+        return real(prev, cols, tail)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decode, "_stage2_candidates", spy)
+        yield calls
 
 
 def _assert_matches_enumeration(tables, flat, trial):
@@ -631,7 +648,9 @@ def _flat_cells(keys, slots, n_chords, n_bass):
 
 
 class TestStep:
-    @pytest.mark.parametrize("case", ["random", "integer", "key-tie", "partial-reach", "bass-tail", "one-predecessor"])
+    @pytest.mark.parametrize(
+        "case", ["random", "integer", "key-tie", "partial-reach", "bass-tail", "slot-tail", "one-predecessor"]
+    )
     def test_one_step_matches_flat_maximum(self, case):
         # One frame on its own, from a drawn previous v: at frame 1, which
         # reads every key and bass, and at frame 2, which reads the live
@@ -646,8 +665,13 @@ class TestStep:
         # that pair) must drop no row that reaches b. Bass-tail aims at the
         # stage-1 bound: every bass transition is finite and v spreads over
         # hundreds of nats, so the pruned form mostly takes stage 1's
-        # one-slot tail. One-predecessor: each key is reached from one drawn
-        # key alone, so the dense stage 2 has a single predecessor to take.
+        # one-slot tail. Slot-tail takes it too, but from cells whose maxima
+        # lie within a few nats of each other, each at a drawn slot a
+        # thousand nats above the cell's other slots: stage 2's per-chord
+        # bound must then keep every row that the bass transitions out of its
+        # slot can lift to a column's maximum. One-predecessor: each key is
+        # reached from one drawn key alone, so the dense stage 2 has a single
+        # predecessor to take.
         rng = np.random.default_rng(33)
         tied = case in ("integer", "key-tie")
         steps = tails = 0
@@ -680,6 +704,9 @@ class TestStep:
                 draw = rng.integers(-3, 0, prev_cells.shape) if tied else rng.normal(size=prev_cells.shape)
                 if case == "bass-tail":
                     draw *= 100.0
+                if case == "slot-tail":
+                    top = rng.integers(prev_cells.shape[-1], size=prev_cells.shape[:-1])
+                    draw[np.arange(prev_cells.shape[-1]) != top[..., None]] -= 1e3
                 v_prev = np.where(rng.random(prev_cells.shape) < 0.1, -np.inf, draw)
                 rows = {int(k): r for r, k in enumerate(prev.keys)}
                 if case == "key-tie":
@@ -713,7 +740,7 @@ class TestStep:
                     got = prev_cells.ravel()[backptr[live]]
                     assert got.tolist() == lowest[cells][live].tolist(), f"trial {trial}, t={t}, {form}"
                 steps += 1
-        if case == "bass-tail":
+        if case in ("bass-tail", "slot-tail"):
             assert tails >= steps // 2, (tails, steps)
 
     @pytest.mark.parametrize(
@@ -729,10 +756,12 @@ class TestStep:
         # everywhere and leave keys that some rows do not reach. Bass-tail
         # spreads the bass emissions over thousands of nats and keeps every
         # bass transition finite, so most frames keep one previous bass per
-        # stage-1 cell and take the one-slot tail, with -inf holes in the
-        # other tables and one chord impossible throughout, whose dead cells
-        # keep slot 0 as in the dense form (the chord's -inf column keeps
-        # stage 3's rows whole). Each of these reaches a key from up to four
+        # stage-1 cell and take the one-slot tail, whose stage 2 bounds its
+        # rows once per chord, with -inf holes in the other tables and one
+        # chord impossible throughout, whose dead cells keep slot 0 as in the
+        # dense form (the chord's -inf column keeps stage 3's rows whole).
+        # Stage 2 reads stage 1's outputs, the tail included, as `_step`
+        # passes them. Each of these reaches a key from up to four
         # keys, so the fused form runs them staged. The one-predecessor
         # cases keep each key's transition from one key, so the fused step
         # runs every frame: on the sparse random tables with one chord
@@ -769,11 +798,15 @@ class TestStep:
             out, stage1, stage2 = {}, {}, {}
             for form, layout in layouts.items():
                 prev = layout.first if t == 1 else layout.rest
-                with stage_form(form):
-                    stage1[form] = decode._stage1(prev, v)
-                    stage_k, rows = decode._stage2(layout, prev, stage1[form][0])
+                with stage_form(form), per_chord_bounds() as per_chord:
+                    stage_b, from_s, tail = decode._stage1(prev, v)
+                    stage1[form] = stage_b, from_s
+                    stage_k, rows = decode._stage2(layout, prev, stage_b, tail)
                     stage2[form] = stage_k, rows(np.arange(stage_k.size).reshape(stage_k.shape))
                     out[form] = _step_cells(layout, v, t)
+                assert (tail is not None) == (form == "pruned" and _took_stage1_tail(from_s)), f"frame {t}, {form}"
+                assert per_chord == [tail is not None] * len(per_chord), f"frame {t}, {form}"
+                assert len(per_chord) == 2 * (form == "pruned"), f"frame {t}, {form}"  # ours and `_step`'s
                 fused += form == "fused" and prev.fused is not None
             one_slot += _took_stage1_tail(stage1["pruned"][1])
             if _took_stage1_tail(stage1["pruned"][1]):  # compare its slots broadcast over the target basses
@@ -994,6 +1027,22 @@ class TestViterbiJoint:
         viterbi_joint(copy.deepcopy(loaded), Constraints(cac=True), treble, bass)
         assert calls.count("cholesky") == 3  # the first pass, the chord and the bass tables
 
+    def test_decode_after_pickle_runs_no_factorization(self, trained, loaded, monkeypatch):
+        # An unpickled model's tables are new and writeable; it marks the ones
+        # its Gaussians hold read-only again, so a decode (as in a worker
+        # process that receives the model by pickle) uses the held factors.
+        m, treble, bass, _ = trained
+        calls, real = [], chordscribe.model._factor
+        for model in (m, loaded):
+            unpickled = pickle.loads(pickle.dumps(model))
+            for constraints in (Constraints(), Constraints(gamma=0, tau=3, cac=True)):
+                want = viterbi_joint(model, constraints, treble, bass)
+                monkeypatch.setattr(chordscribe.model, "_factor", lambda *a: calls.append(a) or real(*a))
+                got = viterbi_joint(unpickled, constraints, treble, bass)
+                monkeypatch.undo()
+                assert repr(got.log_prob) == repr(want.log_prob) and got.chords.tolist() == want.chords.tolist()
+        assert calls == []
+
     def test_replaced_table_is_the_one_decoded(self, trained):
         # dataclasses.replace carries the held Gaussians over, but they are
         # not the new table's: the decode factors the table it is given.
@@ -1170,7 +1219,7 @@ def test_stage3_rows_break_cross_key_ties_as_the_dense_form():
     assert wide > 0 and cross > 0 and dead > 0, (wide, cross, dead)
 
 
-@pytest.mark.parametrize("stage1", ["tail", "dense"])
+@pytest.mark.parametrize("stage1", ["tail", "tail, per column", "dense"])
 def test_pruned_stage2_reads_rows_where_asked(stage1):
     # The pruned stage 2 finds a cell's first maximizing previous row from
     # its sums only where it is read. At arbitrary cells, and at every cell
@@ -1179,7 +1228,10 @@ def test_pruned_stage2_reads_rows_where_asked(stage1):
     # with -inf key transitions leave keys that some rows do not reach, and
     # one chord impossible at the previous frame kills its columns. Stage 1
     # takes its one-slot tail (every bass transition finite, v spread over
-    # a million nats) or runs dense (a -inf bass transition).
+    # a million nats), whose rows stage 2 bounds once per chord, or runs
+    # dense (a -inf bass transition), and stage 2 bounds each column. The
+    # per-column bound after the tail keeps no row that the per-chord one
+    # drops.
     rng = np.random.default_rng(35)
     gaps = dead = 0
     for trial in range(12):
@@ -1192,10 +1244,15 @@ def test_pruned_stage2_reads_rows_where_asked(stage1):
             prev = layout.rest
             v = rng.normal(scale=1e6, size=(prev.keys.size, *prev.slots.shape))
             v[:, rng.integers(prev.slots.shape[0])] = -np.inf
-            stage_b, from_s = decode._stage1(prev, v)
-            cand = decode._stage2_candidates(prev, stage_b)
-            stage_k, rows = decode._stage2_pruned(prev, stage_b, cand)
-        assert from_s.ndim == (2 if stage1 == "tail" else 3)
+            stage_b, from_s, tail = decode._stage1(prev, v)
+            cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)
+            cand = decode._stage2_candidates(prev, cols, None if stage1 == "tail, per column" else tail)
+            stage_k, rows = decode._stage2_pruned(prev, cols, cand, stage_b.shape[1:])
+        assert _took_stage1_tail(from_s) == (tail is not None) == stage1.startswith("tail")
+        if stage1 == "tail, per column":
+            per_chord = np.zeros(cols.shape, dtype=bool)
+            per_chord[np.arange(len(cols)), decode._stage2_candidates(prev, cols, tail)] = True
+            assert not (decode._bound(cols, prev.delta, prev.scale)[2] & ~per_chord).any(), f"trial {trial}"
         sums = prev.lf_rows[:, :, None] + stage_b.reshape(len(stage_b), -1)  # (L, Kp, N)
         want = np.where(stage_k.reshape(len(sums), -1) > -np.inf, sums.argmax(axis=1), prev.pred[:, :1])
         assert np.array_equal(rows(), want.reshape(stage_k.shape)), f"trial {trial}"
@@ -1215,14 +1272,20 @@ def _delta_reference(x):
 @pytest.mark.parametrize("seed", range(4))
 def test_delta_equals_4d_reduction_bit_for_bit(seed):
     # the drop tables of both stage-1 layouts and of stage 2's lf_rows, on
-    # tables with -inf entries (whose differences are NaN or +inf)
-    tables, _ = random_log_tables(np.random.default_rng(seed), 4, 5, 4, T=3, sparsity=0.4, slot_cap=3)
+    # tables with -inf entries (whose differences are NaN or +inf), and a
+    # table of a free full121 decode's stage-1 shape, whose first axis
+    # takes several blocks
+    rng = np.random.default_rng(seed)
+    tables, _ = random_log_tables(rng, 4, 5, 4, T=3, sparsity=0.4, slot_cap=3)
     layout = decode._layout(tables)
     for prev in (layout.first, layout.rest):
         assert np.isneginf(prev.lh_g).any() and np.isneginf(prev.lf_rows).any()
         want_s = _delta_reference(prev.lh_g).reshape(-1, prev.slots.shape[1])
         assert prev.delta_s.tobytes() == want_s.tobytes()
         assert prev.delta.tobytes() == _delta_reference(prev.lf_rows).tobytes()
+    wide = np.where(rng.random((13, 121, 13)) < 0.4, -np.inf, rng.normal(size=(13, 121, 13)))
+    assert decode._DELTA_ELEMENTS // (wide[0].size * wide.shape[-1]) < len(wide) / 2  # rows a block
+    assert decode._delta(wide).tobytes() == _delta_reference(wide).tobytes()
 
 
 @pytest.mark.parametrize(
