@@ -346,14 +346,10 @@ def _delta(x):
     return out
 
 
-@functools.lru_cache(maxsize=64)
 def _row_starts(shape):
     """The flat index of the first element of each last-axis row of a
-    C-ordered array of this shape, as shape[:-1]; read-only, as every
-    caller shares it."""
-    starts = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
-    starts.setflags(write=False)
-    return starts
+    C-ordered array of this shape, as shape[:-1]."""
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
 
 
 def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:

@@ -49,9 +49,17 @@ class Gaussians(NamedTuple):
 
 class _KeepsGaussians:
     """A model that keeps Gaussians of its emission tables, which `_factor`
-    made read-only. An unpickled table is writeable, so unpickling marks the
-    kept tables read-only again and a decode uses the kept factors; a deep
-    copy's tables stay writeable, to be edited, and are factored per decode."""
+    made read-only. Pickle does not record that flag, so pickling drops any
+    kept Gaussians whose tables are writeable (perhaps edited since, as a
+    deep copy's may be) and unpickling marks the rest read-only again: a
+    decode uses the kept factors only where they still hold, and a copy
+    (shallow or deep) never makes the tables it shares read-only."""
+
+    def __getstate__(self):
+        return {
+            name: None if isinstance(held, Gaussians) and any(t.flags.writeable for t in held.tables) else held
+            for name, held in self.__dict__.items()
+        }
 
     def __setstate__(self, state):
         self.__dict__.update(state)

@@ -1043,6 +1043,24 @@ class TestViterbiJoint:
                 assert repr(got.log_prob) == repr(want.log_prob) and got.chords.tolist() == want.chords.tolist()
         assert calls == []
 
+    def test_edited_copy_survives_pickle_and_copy(self, trained):
+        # A deep copy's tables are writeable and may be edited while its held
+        # Gaussians still hold the old factors: pickling drops those, so the
+        # unpickled model decodes the edited tables, and a shallow copy
+        # leaves the tables it shares writeable.
+        m, treble, bass, _ = trained
+        edited = copy.deepcopy(m)
+        edited.chord_emis_cov *= 1.5
+        edited.cac.covs *= 1.5
+        shallow = copy.copy(edited)
+        unpickled = pickle.loads(pickle.dumps(edited))
+        assert edited.chord_emis_cov.flags.writeable and edited.cac.covs.flags.writeable
+        for constraints in (Constraints(cac=True), Constraints(gamma=0, tau=3, cac=True)):
+            want, old = (viterbi_joint(x, constraints, treble, bass) for x in (edited, m))
+            assert repr(want.log_prob) != repr(old.log_prob)
+            for got in (viterbi_joint(x, constraints, treble, bass) for x in (unpickled, shallow)):
+                assert repr(got.log_prob) == repr(want.log_prob) and got.chords.tolist() == want.chords.tolist()
+
     def test_replaced_table_is_the_one_decoded(self, trained):
         # dataclasses.replace carries the held Gaussians over, but they are
         # not the new table's: the decode factors the table it is given.
