@@ -28,23 +28,47 @@ where stage 3 keeps one chord per row (k, u), per row (L, U);
 `_backtrace` walks back, reading cell (k, c, s) of a row table at
 (k, slot_t[c, s]).
 
-Each stage runs dense, over every predecessor, when its tensor fits the
-dense budget or a frame keeps over a quarter of the predecessors, and
-otherwise over the predecessors that one exact bound keeps (`_bound`). In
-a cell whose maximum mx is at predecessor a, predecessor p cannot win or
-tie at any target below mx - drop[a, p], the most p's transitions gain
-over a's at any target; a slack of 1e-9 * (1 + |mx| + scale), scale
-bounding the transitions' magnitudes, dwarfs the float roundings (each
-under 2**-53 of that sum), and a dead cell keeps none. `_delta` gives the
-drops of stage 1, over the slots s of each cell (k, c), max_u (lh[s, u] -
-lh[a, u]), and of stage 2, over the rows d, max_l (lf[d, l] - lf[a, l])
-(+inf where only d reaches l); frame 1 under a flat key prior keeps most
-rows and stays dense. Stage 3 drops every chord of a row (k, u) by
-max lg[k] - min_c lg[k, a, c], as chord c's cell is at least
-mx + lg[k, a, c] and any chord adds at most max lg[k]; a -inf minimum
-keeps the row whole. When every live cell keeps a alone (nearly every
-frame of an unconstrained decode), stage 1 takes mx + lh[a, u] and a at
-every target u, as (U, Cw, Kp) so that stage 2 reads each column as one
+Every frame that does not fuse (below) first bounds the previous chords
+(`_chord_bound`, CarpeDiem's predecessor bound, Esposito & Radicioni 2009,
+applied once per previous chord). No stage-2 output of previous chord c
+exceeds ub[c], the largest v[k', c, s] over its rows and slots plus the
+largest key transition into a live key and the largest bass transition
+out of c's slots; where each live key l has one predecessor d (D == 1,
+as under gamma), ub is taken per key, max_s v[d, c, s] + lf[d, l] plus
+the same bass term. Stages 1 and 2 run on the chord c* of largest bound
+alone. A stage-3 row's maximum is at least c*'s value col[l, u] there,
+and the row's threshold (below) grows with its maximum, so it is at least
+col[l, u] less key l's largest drop and less the slack taken with key l's
+largest scale.
+A chord whose bound, plus a slack of 1e-9 * (1 + |ub| + the transitions'
+scale), lies below the threshold of every row (of key l's rows, bound per
+key) is kept in no row by stage 3's bound: it is no row's maximum, ties
+none and is no candidate. Where at most Cw / _GATHER_COST chords, and
+fewer than all, pass, stages 1 and 2 run dense on them alone
+(`_stages12`), summing as the dense forms do, and stage 3 bounds and
+gathers through that chord map (`chords`), so values, backpointers and
+ties do not change. A row where c*'s column is -inf, or a key whose drops
+hold +inf, bounds no chord; such frames, and those where more chords
+pass (the frame after a flat one, as after a silent first frame under a
+flat key prior), run the stages below over every previous chord.
+
+On the frames the chord bound leaves, each stage runs dense, over every
+predecessor, when its tensor fits the dense budget or a frame keeps over a
+quarter of the predecessors, and otherwise over the predecessors that one
+exact bound keeps (`_bound`). In a cell whose maximum mx is at predecessor
+a, predecessor p cannot win or tie at any target below mx - drop[a, p],
+the most p's transitions gain over a's at any target; a slack of
+1e-9 * (1 + |mx| + scale), scale bounding the transitions' magnitudes,
+dwarfs the float roundings (each under 2**-53 of that sum), and a dead
+cell keeps none. `_delta` gives the drops of stage 1, over the slots s of
+each cell (k, c), max_u (lh[s, u] - lh[a, u]), and of stage 2, over the
+rows d, max_l (lf[d, l] - lf[a, l]) (+inf where only d reaches l); frame 1
+under a flat key prior keeps most rows and stays dense. Stage 3 drops
+every chord of a row (k, u) by max lg[k] - min_c lg[k, a, c], as chord c's
+cell is at least mx + lg[k, a, c] and any chord adds at most max lg[k]; a
+-inf minimum keeps the row whole. When every live cell keeps a alone (most
+such frames of an unconstrained decode), stage 1 takes mx + lh[a, u] and a
+at every target u, as (U, Cw, Kp) so that stage 2 reads each column as one
 contiguous row of keys; it runs dense on any other frame, and on all when
 a bass transition is -inf (a dead target slot takes slot 0).
 
@@ -103,6 +127,7 @@ _DENSE_ELEMENTS = _BLOCK_ELEMENTS
 _FUSED_ELEMENTS = _DENSE_ELEMENTS  # the fused stage 2-3 table's budget
 _GATHER_COST = 4  # a gathered element costs about four dense ones
 _DELTA_ELEMENTS = 2**16  # `_delta`'s block of differences
+_CHORD_BOUND = True  # bound the previous chords before stage 1 (module docstring)
 
 
 class NoAdmissiblePathError(Exception):
@@ -187,25 +212,26 @@ def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
     pred = np.empty((T, n))  # pred[t] = alpha[t-1] @ A, the one-step prediction
     pred[0] = hmm.init
     x = np.empty(n)  # one frame's work buffer, forward then backward
+    # rows in step through zip, and the reductions as ufunc methods, which
+    # skip ndarray.max's and .sum's Python wrappers (same bits)
+    top, total = np.maximum.reduce, np.add.reduce
     with np.errstate(divide="ignore"):
-        for t in range(T):
+        for t, (p, e, a) in enumerate(zip(pred, log_e, alpha)):
             if t > 0:
-                np.matmul(alpha[t - 1], hmm.trans, out=pred[t])
-            np.add(np.log(pred[t], out=x), log_e[t], out=x)
-            peak = x.max()
+                np.matmul(alpha[t - 1], hmm.trans, out=p)
+            np.add(np.log(p, out=x), e, out=x)
+            peak = top(x)
             if not math.isfinite(peak):
                 raise ValueError(f"no admissible chord state at frame {t}")
-            a = alpha[t]
             np.exp(np.subtract(x, peak, out=x), out=a)
-            np.divide(a, a.sum(), out=a)
+            np.divide(a, total(a), out=a)
     post = np.empty((T, n))
     post[-1] = alpha[-1]
     denom = np.where(pred > 0, pred, 1.0)  # post is 0 where pred is, and 0/1 = 0
-    for t in range(T - 2, -1, -1):
-        p = post[t]
-        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=p)
-        np.multiply(p, alpha[t], out=p)
-        np.divide(p, p.sum(), out=p)
+    for p, later, d, a in zip(post[-2::-1], post[:0:-1], denom[:0:-1], alpha[-2::-1]):  # t = T - 2 down to 0
+        np.matmul(hmm.trans, np.divide(later, d, out=x), out=p)
+        np.multiply(p, a, out=p)
+        np.divide(p, total(p), out=p)
     return post
 
 
@@ -297,6 +323,9 @@ class _Prev(NamedTuple):
     pred: np.ndarray  # (L, D) each live key's predecessors, ascending, padded
     lf_pred: np.ndarray  # (L, D, 1, 1) their transitions, -inf as padding
     n_expanded: int  # the step's expanded transitions
+    out_max: float  # the largest transition into a live key, for the chord bound
+    lh_max: np.ndarray  # (Cw,) the largest lh_g out of each chord's slots
+    scale_c: float  # twice the largest finite |lf_rows| and |lh_g|, for the chord bound's slack
     fused: _Fused | None = None  # stages 2 and 3 as one argmax, when they fit its budget
 
 
@@ -366,6 +395,7 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
     starts = np.arange(0, lh_g.size * keys.size, slots.shape[1]).reshape(keys.size, *lh_g.shape[:2])
     delta_s = _delta(lh_g).reshape(-1, slots.shape[1])  # a table with -inf keeps stage 1 dense
     scale_s = 2 * float(np.abs(lh_g).max(initial=0))
+    scale_c = scale + 2 * float(np.abs(lh_g[np.isfinite(lh_g)]).max(initial=0))
     dense_s = keys.size * lh_g.size <= _DENSE_ELEMENTS or not np.isfinite(scale_s)
     dense = live.size * deg * lh_g.shape[0] * lh_g.shape[1] <= _DENSE_ELEMENTS
     n_keys, cw, _ = tables.lg.shape
@@ -376,7 +406,7 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
     )
     return _Prev(
         keys, slots, lh_g, starts, delta_s, scale_s, dense_s, lf_rows, _delta(lf_rows), scale, not fin.all(),
-        dense, pred, lf_pred, n_expanded,
+        dense, pred, lf_pred, n_expanded, lf_rows.max(initial=-np.inf), lh_g.max(axis=(0, 2)), scale_c,
     )
 
 
@@ -392,6 +422,8 @@ class _Layout(NamedTuple):
     dense: bool  # stage 3 takes every previous chord on every frame
     drop: np.ndarray  # (L * c_prev, 1) the stage-3 bound's drop, +inf where it holds none,
     scale: np.ndarray  # and its magnitude, for the slack
+    drop_max: np.ndarray  # (L, 1) each live key's largest drop,
+    scale_max: np.ndarray  # and scale, for the chord bound
     lg_from: np.ndarray  # (L * c_prev, c) chord transitions out of each (live key, previous chord)
     key_idx: np.ndarray  # (L, 1, 1)
     key_u: np.ndarray  # (L, Cw, S) flat index of each cell's row (k, u) in a stage-2 output's (L, U)
@@ -428,8 +460,9 @@ def _layout(tables: _LogTables) -> _Layout:
         lambda t0: tables.lr + tables.emis_c[t0 : t0 + n, :, None] + tables.emis_b[t0 : t0 + n][:, tables.slots]
     )
     return _Layout(
-        tables, live, first, rest, slot_t, lg_live, dense, drop.reshape(-1, 1), scale.reshape(-1, 1), lg_from,
-        key_idx, key_u, cells, bp_dtype, lambda t: block(t - t % n)[t % n],
+        tables, live, first, rest, slot_t, lg_live, dense, drop.reshape(-1, 1), scale.reshape(-1, 1),
+        drop.max(axis=1, keepdims=True), scale.max(axis=1, keepdims=True), lg_from, key_idx, key_u, cells, bp_dtype,
+        lambda t: block(t - t % n)[t % n],
     )
 
 
@@ -439,11 +472,57 @@ def _step(layout: _Layout, v: np.ndarray, t: int):
     the previous state each best path comes from, per cell (L, Cw, S) or
     per stage-3 row (L, U) (module docstring)."""
     prev = layout.first if t == 1 else layout.rest
-    stage_b, from_s, tail = _stage1(prev, v)
     if prev.fused is not None:
-        return _fused_step(layout, prev, t, stage_b, from_s)
+        return _fused_step(layout, prev, t, *_stage1(prev, v)[:2])
+    kept = _chord_bound(layout, prev, v) if _CHORD_BOUND else None
+    if kept is not None:
+        return _stage3(layout, prev, t, *kept)
+    stage_b, from_s, tail = _stage1(prev, v)
     stage_k, rows = _stage2(layout, prev, stage_b, tail)
     return _stage3(layout, prev, t, stage_k, rows, from_s)
+
+
+def _chord_bound(layout: _Layout, prev: _Prev, v):
+    """The previous chords that stage 3's bound can keep (module
+    docstring), ascending, and stages 1 and 2 on them alone: (stage_k,
+    rows, from_s, chords); None where more than Cw / _GATHER_COST of them,
+    or all, may be kept."""
+    if not len(prev.pred):  # no live key: the frame dies
+        return None
+    per_key = prev.pred.shape[1] == 1  # each live key has one predecessor
+    if per_key:
+        ub = v.take(prev.pred[:, 0], axis=0).max(axis=-1)  # (L, Cw)
+        ub += prev.lf_pred[:, 0, 0]
+    else:  # (1, Cw), over the rows first, which numpy reduces far faster than the short slot axis
+        ub = v.max(axis=0).max(axis=-1)[None]
+        ub += prev.out_max
+    ub += prev.lh_max
+    chords = ub.max(axis=0).argmax(keepdims=True)
+    stage_k, rows, from_s = _stages12(layout, prev, v, chords)
+    lb = stage_k[..., 0] - 1e-9 * (1 + np.abs(stage_k[..., 0]) + layout.scale_max) - layout.drop_max
+    lb = lb.min(axis=1, keepdims=True) if per_key else lb.min(keepdims=True)
+    if lb.min() == -np.inf:  # a row that the column does not bound may keep every chord
+        return None
+    with np.errstate(invalid="ignore"):  # a dead chord's -inf + inf, which it does not keep
+        keep = (ub + 1e-9 * (1 + np.abs(ub) + prev.scale_c) >= lb).any(axis=0)
+    n = np.count_nonzero(keep)
+    if n == len(keep) or n * _GATHER_COST > len(keep):
+        return None
+    if n > 1:
+        chords = np.flatnonzero(keep)
+        stage_k, rows, from_s = _stages12(layout, prev, v, chords)
+    return stage_k, rows, from_s, chords
+
+
+def _stages12(layout: _Layout, prev: _Prev, v, chords):
+    """Stages 1 and 2, dense, on the previous chords `chords` alone:
+    (stage_k, rows, from_s) with the chords on the last axis."""
+    n_u, sp = len(prev.lh_g), v.shape[-1]
+    sub = prev._replace(
+        lh_g=prev.lh_g[:, chords], starts=_row_starts((len(v), n_u, len(chords), sp)), dense_s=True, dense=True
+    )
+    stage_b, from_s, _ = _stage1(sub, v[:, chords])
+    return *_stage2(layout, sub, stage_b), from_s
 
 
 def _fused_step(layout: _Layout, prev: _Prev, t, stage_b, from_s):
@@ -472,8 +551,8 @@ def _bound(x, drop, scale, base=0, alone=False):
     mx = x.take(at + _row_starts(x.shape))[..., None]
     row = at + base
     if np.ndim(scale):
-        scale = np.take(scale, row, axis=0)
-    drop = drop(at) if callable(drop) else np.take(drop, row, axis=0)
+        scale = scale.take(row, axis=0)
+    drop = drop(at) if callable(drop) else drop.take(row, axis=0)
     alive = mx > -np.inf
     with np.errstate(invalid="ignore"):  # a dead cell's inf - inf
         keep = x >= np.where(alive, mx - 1e-9 * (1 + np.abs(mx) + scale), np.inf) - drop
@@ -495,7 +574,7 @@ def _stage1(prev: _Prev, v):
         s0, mx, keep = _bound(v, prev.delta_s, prev.scale_s, base, alone=True)
         if keep is None:
             s0_t, mx_t = s0.T.copy(), mx[..., 0].T.copy()  # (Cw, Kp), stage 2's column order
-            stage_b = np.take(prev.lh_g.reshape(len(prev.lh_g), -1), s0_t + base[:, None], axis=1)  # (U, Cw, Kp)
+            stage_b = prev.lh_g.reshape(len(prev.lh_g), -1).take(s0_t + base[:, None], axis=1)  # (U, Cw, Kp)
             stage_b += mx_t
             return stage_b.transpose(2, 0, 1), s0, (s0_t, mx_t)
     tmp = v[:, None] + prev.lh_g
@@ -519,18 +598,18 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b, tail=None):
     stage_k = np.empty((n_live, *stage_b.shape[1:]))
     from_row = np.empty(stage_k.shape, dtype=prev.pred.dtype)
     if deg == 1:  # every cell's row is its key's one predecessor
-        np.add(np.take(stage_b, prev.pred[:, 0], axis=0), prev.lf_pred[:, 0], out=stage_k)
+        np.add(stage_b.take(prev.pred[:, 0], axis=0), prev.lf_pred[:, 0], out=stage_k)
         from_row[...] = prev.pred[:, :, None]
     else:
         rank = np.arange(deg, 0, -1, dtype=np.min_scalar_type(deg))[:, None, None]
         block = max(1, _BLOCK_ELEMENTS // (deg * stage_b[0].size))
         for k0 in range(0, n_live, block):
             ks = slice(k0, k0 + block)
-            tmp = np.take(stage_b, prev.pred[ks], axis=0)
+            tmp = stage_b.take(prev.pred[ks], axis=0)
             tmp += prev.lf_pred[ks]
             mx = tmp.max(axis=1, out=stage_k[ks])
             from_row[ks] = prev.pred[layout.key_idx[ks], deg - (np.equal(tmp, mx[:, None]) * rank).max(axis=1)]
-    return stage_k, lambda at=None: from_row if at is None else np.take(from_row, at)
+    return stage_k, lambda at=None: from_row if at is None else from_row.take(at)
 
 
 def _stage2_candidates(prev: _Prev, cols, tail=None):
@@ -565,7 +644,7 @@ def _stage2_pruned(prev: _Prev, cols, cand, shape):
     (U, Cw) = shape columns: the maximum of (L, D, N), and a reader of the
     lowest maximizing rows by D masked copies, lowest row last, over the
     sums at the cells it reads."""
-    val = np.take(prev.lf_rows, cand, axis=1)
+    val = prev.lf_rows.take(cand, axis=1)
     val += cols.take(cand + _row_starts(cols.shape))
     stage_k = val.max(axis=1)
     n_cols, shape = cand.shape[1], (len(val), *shape)
@@ -575,13 +654,13 @@ def _stage2_pruned(prev: _Prev, cols, cand, shape):
             c, sums, mx, k = cand[:, None], val.transpose(1, 0, 2), stage_k, np.arange(len(val))[:, None]
         else:  # val's (k, d, n) at each flat (k, n) and every d
             k, n = np.divmod(at, n_cols)
-            c, mx = np.take(cand, n, axis=1), np.take(stage_k, at)
-            sums = np.take(val, np.add.outer(np.arange(len(cand)) * n_cols, at + k * (len(cand) - 1) * n_cols))
+            c, mx = cand.take(n, axis=1), stage_k.take(at)
+            sums = val.take(np.add.outer(np.arange(len(cand)) * n_cols, at + k * (len(cand) - 1) * n_cols))
         row = np.array(np.broadcast_to(c[-1], mx.shape))
         for j in range(len(c) - 2, -1, -1):
             np.copyto(row, c[j], where=sums[j] == mx)
         if prev.gaps:  # a dead cell comes from its key's first predecessor, as in the dense form
-            np.copyto(row, np.take(prev.pred[:, 0], k), where=mx == -np.inf)
+            np.copyto(row, prev.pred[:, 0].take(k), where=mx == -np.inf)
         return row.reshape(shape) if at is None else row
 
     return stage_k.reshape(shape), rows
@@ -600,45 +679,57 @@ def _stage3_candidates(stage_k, drop, scale):
     return cand
 
 
-def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s):
+def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s, chords=None):
     """Collapse the previous chord, dense over every previous chord or in
     row form over the candidates cand (L, U, D) that the bound keeps, in key
-    blocks under the element budget; returns frame t's v and backpointers."""
+    blocks under the element budget; returns frame t's v and backpointers.
+    The last axis of stage_k holds the previous chords `chords` (all when
+    None), through which it bounds and gathers."""
     tables = layout.tables
     n_live, cw, s = layout.live.size, tables.working.size, tables.slots.shape[1]
-    cand = None if layout.dense else _stage3_candidates(stage_k, layout.drop, layout.scale)
+    n = stage_k.shape[-1]
+    chord = (lambda c: c) if chords is None else chords.take  # the previous chord at a position of that axis
+    cand = None
+    if not layout.dense:
+        drop, scale = layout.drop, layout.scale
+        if chords is not None:  # the bound's rows at those chords
+            drop, scale = (x.reshape(n_live, cw).take(chords, axis=1).reshape(-1, 1) for x in (drop, scale))
+        cand = _stage3_candidates(stage_k, drop, scale)
     if cand is not None and cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
     if cand is not None and cand.shape[2] == 1:  # a row's cells share one previous state: pack and keep it once
         at = _row_starts(stage_k.shape)[..., None] + cand  # (L, U, 1) in stage 2's output
-        best = np.take(layout.lg_from, cand[..., 0] + layout.key_idx[..., 0] * cw, axis=0)  # (L, U, Cw)
+        prev_c = chord(cand)
+        best = layout.lg_from.take(prev_c[..., 0] + layout.key_idx[..., 0] * cw, axis=0)  # (L, U, Cw)
         best += stage_k.take(at)
-        packed = _pack(prev, rows(at), from_s, at, layout.key_idx, cand).astype(layout.bp_dtype)
-        v = np.take(best, layout.cells)
+        packed = _pack(prev, rows(at), from_s, at, layout.key_idx, prev_c).astype(layout.bp_dtype)
+        v = best.take(layout.cells)
         v += layout.emission(t)
         return v, packed[..., 0]
     from_row = rows()
-    # elements per (k, c, S) cell: Cw dense; in row form, 3 D and 24 for the tie path and packing
-    block = max(1, _BLOCK_ELEMENTS // (cw * s * (cw if cand is None else 3 * cand.shape[2] + 24)))
+    lg_live = layout.lg_live if chords is None or cand is not None else layout.lg_live.take(chords, axis=2)
+    # elements per (k, c, S) cell: n dense; in row form, 3 D and 24 for the tie path and packing
+    block = max(1, _BLOCK_ELEMENTS // (cw * s * (n if cand is None else 3 * cand.shape[2] + 24)))
     v = np.empty((n_live, cw, s))
     backptr = np.empty(v.shape, dtype=layout.bp_dtype)
     for k0 in range(0, n_live, block):
         ks = slice(k0, k0 + block)
         if cand is None:
-            best, from_c = _stage3_dense(layout, ks, stage_k, from_row)
+            best, from_c = _stage3_dense(layout, ks, stage_k, from_row, lg_live)
         else:
-            best, from_c = _stage3_rows(layout, ks, stage_k, cand, from_row)
+            best, from_c = _stage3_rows(layout, ks, stage_k, cand, chord(cand), from_row)
         v[ks] = best + layout.emission(t)
-        at = layout.key_u[ks] * cw + from_c
-        backptr[ks] = _pack(prev, np.take(from_row, at), from_s, at, layout.key_idx[ks], from_c)
+        at = layout.key_u[ks] * n + from_c
+        backptr[ks] = _pack(prev, from_row.take(at), from_s, at, layout.key_idx[ks], chord(from_c))
     return v, backptr
 
 
-def _stage3_rows(layout: _Layout, ks, stage_k, cand, from_row):
+def _stage3_rows(layout: _Layout, ks, stage_k, cand, prev_c, from_row):
     """Row-form stage 3 on the keys ks: the maxima over D of (k, U, D, Cw)
-    and their previous chords (module docstring), at the (k, c, S) cells."""
-    cand, cw = cand[ks], stage_k.shape[-1]
-    val = np.take(layout.lg_from, cand + layout.key_idx[ks] * cw, axis=0)
+    and the positions in cand of their previous chords prev_c (module
+    docstring), at the (k, c, S) cells."""
+    cand, cw = cand[ks], layout.lg_from.shape[1]
+    val = layout.lg_from.take(prev_c[ks] + layout.key_idx[ks] * cw, axis=0)
     val += stage_k.take(_row_starts(stage_k.shape)[ks][..., None] + cand)[..., None]
     best = val.max(axis=2)
     eq = val == best[:, :, None]
@@ -649,29 +740,31 @@ def _stage3_rows(layout: _Layout, ks, stage_k, cand, from_row):
     # dead one at all D
     if np.count_nonzero(eq) > best.size + (cand.shape[2] - 1) * np.count_nonzero(best == -np.inf):
         k, u, c = np.nonzero((np.count_nonzero(eq, axis=2) > 1) & (best > -np.inf))
-        prev_c = cand[k, u]  # (M, D)
-        from_c[k, u, c] = _lowest_tied(from_row[ks][k[:, None], u[:, None], prev_c], prev_c, eq[k, u, :, c])
+        at = cand[k, u]  # (M, D)
+        from_c[k, u, c] = _lowest_tied(from_row[ks][k[:, None], u[:, None], at], at, eq[k, u, :, c])
     cells = layout.cells[: len(cand)]
-    return np.take(best, cells), np.take(from_c, cells)
+    return best.take(cells), from_c.take(cells)
 
 
 def _pack(prev: _Prev, row, from_s, at, k, from_c):
-    """Backpointers of the stage-2 cells at flat indices at of (L, U, Cw),
-    with stage-2 rows row, on live keys k with previous chords from_c: the
-    flat (row, chord, slot) index in the previous v of each best state."""
-    flat = row * from_s.shape[-1] + from_c  # (row, chord) of the previous v
-    # stage 1's tail gives one slot per (row, chord), its dense form one per (row, u, chord)
-    slot = np.take(from_s, flat if from_s.ndim == 2 else (row - k) * from_s[0].size + at)
+    """Backpointers of the stage-2 cells at flat indices at of (L, U, n),
+    n the chords it holds, with stage-2 rows row, on live keys k with
+    previous chords from_c: the flat (row, chord, slot) index in the
+    previous v of each best state."""
+    flat = row * len(prev.slots) + from_c  # (row, chord) of the previous v
+    # stage 1's tail gives one slot per (row, chord), its dense form one per (row, u, position on the chord axis)
+    slot = from_s.take(flat if from_s.ndim == 2 else (row - k) * from_s[0].size + at)
     return flat * prev.slots.shape[1] + slot
 
 
-def _stage3_dense(layout: _Layout, ks, stage_k, from_row):
+def _stage3_dense(layout: _Layout, ks, stage_k, from_row, lg_live):
     """Dense stage 3 on the keys ks: per (k, c, S) cell, the maximum over
-    every previous chord and its previous chord, the lowest in (previous
+    the previous chords of stage_k's last axis, whose transitions lg_live
+    holds, and the position of its previous chord, the lowest in (previous
     key, chord) order among tied maxima."""
     slot_t = layout.slot_t
-    val = np.take(stage_k[ks], slot_t, axis=1)  # (k, c, S, Cw)
-    val += layout.lg_live[ks, :, None]
+    val = stage_k[ks].take(slot_t, axis=1)  # (k, c, S, n)
+    val += lg_live[ks, :, None]
     from_c = val.argmax(axis=-1)
     row_starts = _row_starts(val.shape)
     at = from_c + row_starts
@@ -684,7 +777,7 @@ def _stage3_dense(layout: _Layout, ks, stage_k, from_row):
     ties = np.isfinite(best) & (second == best)
     if ties.any():
         np.put(val, at, best)
-        tied = _lowest_tied(np.take(from_row[ks], slot_t, axis=1), np.arange(val.shape[-1]), val == best[..., None])
+        tied = _lowest_tied(from_row[ks].take(slot_t, axis=1), np.arange(val.shape[-1]), val == best[..., None])
         from_c = np.where(ties, tied, from_c)
     return best, from_c
 

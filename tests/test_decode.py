@@ -153,6 +153,29 @@ class TestPruneChordToBass:
         np.testing.assert_array_equal(top_bass_states(m, 2)[3], [2, 5])
 
 
+def _forward_backward_indexed(hmm, obs):
+    """`decode.forward_backward` as an indexed loop that reduces with
+    ndarray.max and .sum: the reference its bits are pinned to."""
+    log_e = gaussian_logpdf_frames(obs, hmm.means, hmm.covs, held=hmm.gaussians)
+    T, n = log_e.shape
+    alpha, pred, post, x = np.empty((T, n)), np.empty((T, n)), np.empty((T, n)), np.empty(n)
+    pred[0] = hmm.init
+    with np.errstate(divide="ignore"):
+        for t in range(T):
+            if t > 0:
+                np.matmul(alpha[t - 1], hmm.trans, out=pred[t])
+            np.add(np.log(pred[t], out=x), log_e[t], out=x)
+            np.exp(np.subtract(x, x.max(), out=x), out=alpha[t])
+            np.divide(alpha[t], alpha[t].sum(), out=alpha[t])
+    post[-1] = alpha[-1]
+    denom = np.where(pred > 0, pred, 1.0)
+    for t in range(T - 2, -1, -1):
+        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=post[t])
+        np.multiply(post[t], alpha[t], out=post[t])
+        np.divide(post[t], post[t].sum(), out=post[t])
+    return post
+
+
 class TestMaxGammaDecode:
     """The first pass's max-posterior decode: forward_backward, then the
     argmax of each frame."""
@@ -188,12 +211,15 @@ class TestMaxGammaDecode:
             with np.errstate(divide="ignore"):
                 ref = brute_force_posteriors(np.log(hmm.init), np.log(hmm.trans), log_e)
             np.testing.assert_allclose(post, ref, atol=1e-9)
+            assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(2)
         hmm = self._hmm(rng, n=5, d=3)
-        post = forward_backward(hmm, rng.random((20, 3)))
+        obs = rng.random((20, 3))
+        post = forward_backward(hmm, obs)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
+        assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()
 
     def test_uniform_symmetric_ties_pick_lowest(self):
         n = 4
@@ -238,10 +264,18 @@ class TestChordAlphabetConstraint:
         assert set(admissible.tolist()) == {0, 2}
 
 
+# The chord bound is off in the dense and fused forms, and on in the pruned
+# form and in "chord bound on" (dense stages otherwise), both of which take
+# the chords it keeps whenever it keeps fewer than all. A pruned form with
+# the bound off is not among them: test_backpointer_format_pinned admits
+# row-form backpointers under "pruned" alone. The pruned stages 1 and 2 run
+# on every frame where the bound keeps every chord (most frames of the small
+# random tables) and in the stage tests that call them directly.
 STAGE_FORMS = {
-    "dense": {"_DENSE_ELEMENTS": 2**62, "_FUSED_ELEMENTS": -1},
-    "pruned": {"_DENSE_ELEMENTS": -1, "_GATHER_COST": 0, "_FUSED_ELEMENTS": -1},
-    "fused": {"_DENSE_ELEMENTS": 2**62, "_FUSED_ELEMENTS": 2**20},
+    "dense": {"_DENSE_ELEMENTS": 2**62, "_FUSED_ELEMENTS": -1, "_CHORD_BOUND": False},
+    "pruned": {"_DENSE_ELEMENTS": -1, "_GATHER_COST": 0, "_FUSED_ELEMENTS": -1, "_CHORD_BOUND": True},
+    "fused": {"_DENSE_ELEMENTS": 2**62, "_FUSED_ELEMENTS": 2**20, "_CHORD_BOUND": False},
+    "chord bound on": {"_DENSE_ELEMENTS": 2**62, "_GATHER_COST": 0, "_FUSED_ELEMENTS": -1, "_CHORD_BOUND": True},
 }
 
 
@@ -252,7 +286,9 @@ def stage_form(form):
     table sizes, or stage 1 dense and stages 2 and 3 fused into one argmax
     per cell wherever each live key has one predecessor and the fused table
     holds at most 2**20 elements, dense elsewhere; stage 1 stays dense
-    under every form when a bass transition is -inf."""
+    under every form when a bass transition is -inf. Where the form turns
+    the chord bound on, a frame that it bounds runs stages 1 and 2 dense on
+    the previous chords it keeps, and stage 3 on those."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in STAGE_FORMS[form].items():
             patch.setattr(decode, name, value)
@@ -280,6 +316,23 @@ def _took_stage1_tail(from_s):
     """Whether stage 1 took its one-slot tail, which returns each cell's
     maximizing slot once, (Kp, Cw), not per target bass."""
     return from_s.ndim == 2
+
+
+@contextlib.contextmanager
+def chord_bounds():
+    """For each call of `decode._chord_bound` while open, whether it kept a
+    subset of the previous chords, on which stages 1 to 3 then ran (or fell
+    back to the stages over every previous chord)."""
+    calls, real = [], decode._chord_bound
+
+    def spy(layout, prev, v):
+        kept = real(layout, prev, v)
+        calls.append(kept is not None)
+        return kept
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decode, "_chord_bound", spy)
+        yield calls
 
 
 @contextlib.contextmanager
@@ -530,6 +583,39 @@ class TestViterbiOracle:
                 keys, chords, basses, lp, _ = _viterbi_tables(tables)
             assert chords.tolist() == [0, 0] and lp == a + g, form
 
+    def test_chord_bound_keeps_what_stage3_keeps_at_its_edge(self):
+        # Chord 0's stage-2 value equals stage 3's threshold for the row
+        # whose maximum is chord 1, so stage 3's bound keeps it; its chord
+        # bound, summed in the other order, rounds one ulp below that
+        # threshold, and the bound's own slack keeps it. The bound's
+        # threshold carries stage 3's slack, 2e-6 nats here (chord
+        # transitions of magnitude 1000), not only its own. Chord 2, 100 nats
+        # down, is dropped.
+        lh, lf, v_0, v_1 = -2.0964955186557264, -1.227872129539401, -14.00000201832437, -14.0
+        mx = (v_1 + lh) + lf
+        thr = mx - 1e-9 * (1 + abs(mx) + 2000.0)
+        assert (v_0 + lh) + lf == thr > (v_0 + lf) + lh
+        tables = decode._LogTables(
+            lpi_k=np.zeros(1),
+            lpi_c=np.zeros(3),
+            lpi_b=np.zeros(1),
+            lf=np.full((1, 1), lf),
+            lg=np.full((1, 3, 3), -1000.0),
+            lh=np.full((1, 1), lh),
+            lr=np.zeros((3, 1)),
+            slots=np.zeros((3, 1), dtype=np.int64),
+            working=np.arange(3),
+            emis_c=np.array([[v_0, v_1, v_1 - 100.0], [0.0, 0.0, 0.0]]),
+            emis_b=np.zeros((2, 1)),
+        )
+        layout, v = decode._layout(tables), _frame0_v(tables)
+        stage_b, _, tail = decode._stage1(layout.first, v)
+        stage_k, _ = decode._stage2(layout, layout.first, stage_b, tail)
+        assert stage_k[0, 0, :2].tolist() == [thr, mx]
+        assert decode._stage3_candidates(stage_k, layout.drop, layout.scale).ravel().tolist() == [0, 1]
+        with stage_form("chord bound on"):  # the default rule takes no subset of over a quarter of the chords
+            assert decode._chord_bound(layout, layout.first, v)[3].tolist() == [0, 1]
+
     def test_pruned_stage2_keeps_float_ties_below_the_bound(self):
         # Key 1 holds the frame-0 maximum mx, and key 0 sits one ulp below
         # the stage-2 threshold mx - (q - p) that key 1 sets for key 0's
@@ -632,6 +718,34 @@ class TestViterbiOracle:
             n_ties += 1
         assert n_ties == 120
 
+    def test_flat_key_prior_frame_1_falls_back(self):
+        # Every key equally likely and a first frame whose emissions tie
+        # every chord and bass, as a silent intro does: frame 0's v differs
+        # only by the chord and bass priors, so at frame 1 the chord bound
+        # keeps more than Cw / 4 previous chords and the step runs the
+        # stages over every chord; later frames, whose chord emissions
+        # spread over hundreds of nats, take the chords it keeps. The path
+        # and log-prob equal flat Viterbi's at the default budgets and in
+        # every form.
+        rng = np.random.default_rng(36)
+        n_keys, n_chords, n_bass = 3, 8, 3
+        for trial in range(4):
+            tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, T=8)
+            tables.lpi_k[:] = -np.log(n_keys)
+            tables.emis_c[0], tables.emis_b[0] = -2.0, -1.0
+            tables.emis_c[1:] = rng.normal(scale=100.0, size=tables.emis_c[1:].shape)
+            ref_lp, ref_path = flat_viterbi(*tables_to_flat(tables))
+            rk, rc, rb = split_flat_path(ref_path, n_chords, n_bass)
+            with chord_bounds() as subset:
+                got = {"default budgets": _viterbi_tables(tables)}
+            assert subset[0] is False and any(subset[1:]), f"trial {trial}: {subset}"
+            for form in STAGE_FORMS:
+                with stage_form(form):
+                    got[form] = _viterbi_tables(tables)
+            for form, (keys, chords, basses, lp, _) in got.items():
+                assert lp == pytest.approx(ref_lp, abs=1e-9), f"trial {trial}, {form}"
+                assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
+
     def test_uniform_model_picks_lowest_states(self):
         rng = np.random.default_rng(10)
         tables, _ = random_log_tables(rng, 2, 3, 2, T=5)
@@ -649,8 +763,12 @@ def _flat_cells(keys, slots, n_chords, n_bass):
 
 class TestStep:
     @pytest.mark.parametrize(
-        "case", ["random", "integer", "key-tie", "partial-reach", "bass-tail", "slot-tail", "one-predecessor"]
-    )
+        "case",
+        [
+            "random", "integer", "key-tie", "partial-reach", "bass-tail", "slot-tail", "one-predecessor",
+            "weak-key", "weak-key-gamma", "weak-row", "chord-tie", "dead-column",
+        ],
+    )  # fmt: skip
     def test_one_step_matches_flat_maximum(self, case):
         # One frame on its own, from a drawn previous v: at frame 1, which
         # reads every key and bass, and at frame 2, which reads the live
@@ -671,13 +789,34 @@ class TestStep:
         # bound must then keep every row that the bass transitions out of its
         # slot can lift to a column's maximum. One-predecessor: each key is
         # reached from one drawn key alone, so the dense stage 2 has a single
-        # predecessor to take.
+        # predecessor to take. The last five aim at the chord bound: v holds
+        # two chords, s and w, within a few hundred nats of the top, the
+        # others a thousand below, so the bound keeps a subset of the
+        # previous chords (finite chord transitions). Weak-key: live key l
+        # is reached from row b alone, 100 nats down, whose v lies 300 nats
+        # below the others' and favours w, which every other row ranks below
+        # s, so w reaches a maximum only in l's rows and the bound must keep
+        # it. Weak-key-gamma gives each key one predecessor, as gamma does:
+        # row b precedes key l alone, and another row every other key, so
+        # the bound runs per key, and it must keep w for l however far l's
+        # transition lies below the others'. Weak-row: every key has one
+        # predecessor row, every chord every bass, and s is up only at its
+        # first slot, whose bass moves to one target bass u1 alone (0, -200
+        # to the others, -60 from every other bass): s tops the rows (k, u1)
+        # and w, 50 nats down at every slot, all other rows, so the bound
+        # per key must take the lowest threshold over the key's rows.
+        # Chord-tie: s and w share their bass slots and v's columns on
+        # integer tables, so every stage-3 row ties between them, and the
+        # lower one must win where the chord transitions tie too.
+        # Dead-column: weak-key-gamma with s, the chord of the largest
+        # bound, dead in row b, so that the column of s cannot bound l's
+        # rows and the step runs the stages over every chord.
         rng = np.random.default_rng(33)
-        tied = case in ("integer", "key-tie")
-        steps = tails = 0
+        tied = case in ("integer", "key-tie", "chord-tie")
+        steps = tails = subsets = 0
         for trial in range(30):
             n_keys, n_chords, n_bass = rng.choice([(3, 4, 3), (4, 5, 2), (2, 6, 4)])
-            slot_cap = int(rng.integers(1, n_bass + 1))
+            slot_cap = int(rng.integers(1, n_bass + 1)) if case != "weak-row" else n_bass
             sparsity = 0.2 * (trial % 3 == 0) if case in ("random", "integer") else 0.0
             tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, 3, sparsity, slot_cap)
             if trial % 2 and case in ("random", "integer"):
@@ -686,6 +825,26 @@ class TestStep:
                 a, b = np.sort(rng.choice(n_keys, 2, replace=False))
             if case == "partial-reach":
                 tables.lf[a, b] = -np.inf
+            chord_bound = case in ("weak-key", "weak-key-gamma", "weak-row", "chord-tie", "dead-column")
+            if chord_bound:
+                chord_s, chord_w = np.sort(rng.choice(n_chords, 2, replace=False))
+                weak, b, other = rng.permutation(n_keys)[:3] if n_keys > 2 else (0, *rng.permutation(2))
+            if case == "weak-key":
+                tables.lf[:, weak] = -np.inf
+                tables.lf[b, weak] = -100.0
+            if case == "chord-tie":
+                tables.slots[chord_w], tables.lr[chord_w] = tables.slots[chord_s], tables.lr[chord_s]
+            if case in ("weak-key-gamma", "dead-column"):  # row b precedes key `weak` alone, `other` the rest
+                tables.lf[:] = -np.inf
+                tables.lf[other], tables.lf[b, weak] = -1.0, -100.0
+                tables.lf[other, weak] = -np.inf
+            if case == "weak-row":
+                tables.lf[:] = -np.inf
+                tables.lf[other] = -1.0
+                u1 = rng.integers(n_bass)
+                tables.lh[:] = -60.0
+                tables.lh[tables.slots[chord_s, 0]] = -200.0
+                tables.lh[tables.slots[chord_s, 0], u1] = 0.0
             if tied:
                 _integer_log_tables(tables, rng)
             if case == "key-tie":
@@ -713,6 +872,18 @@ class TestStep:
                     v_prev[rows[a]] = v_prev[rows[b]] = 0.0
                 if case == "partial-reach":
                     v_prev[rows[a]] += 10.0
+                if chord_bound:
+                    level = np.full((len(v_prev), n_chords, 1), -1e3)
+                    level[:, chord_s], level[:, chord_w] = 0.0, -50.0 * (case != "chord-tie")
+                    if case in ("weak-key", "weak-key-gamma", "dead-column"):
+                        level[rows[b], chord_s], level[rows[b], chord_w] = -350.0, -300.0
+                    if case == "dead-column":
+                        level[rows[b], chord_s] = -np.inf
+                    if case == "chord-tie":
+                        draw[:, chord_w] = draw[:, chord_s]
+                    v_prev = draw + level
+                    if case == "weak-row":
+                        v_prev[:, chord_s, 1:] = -1e3
                 score = np.full(log_trans.shape[0], -np.inf)
                 score[prev_cells] = v_prev
                 score = score[:, None] + log_trans  # (previous state, state)
@@ -727,12 +898,13 @@ class TestStep:
                     both = top[key_of == a].any(axis=0) & top[key_of == b].any(axis=0)
                     assert np.all(both[cells][np.isfinite(want[cells])])
                 for form in STAGE_FORMS:
-                    with stage_form(form):
+                    with stage_form(form), chord_bounds() as subset:
                         formed = decode._layout(tables)
                         formed_prev = formed.first if t == 1 else formed.rest
                         v, backptr = _step_cells(formed, v_prev, t)
                         if form == "pruned":
                             tails += _took_stage1_tail(decode._stage1(formed_prev, v_prev)[1])
+                            subsets += subset == [True]
                     one_pred = formed_prev.pred.shape[1] == 1
                     assert (formed_prev.fused is not None) == (form == "fused" and one_pred), form
                     np.testing.assert_allclose(v, want[cells], rtol=0, atol=1e-9)
@@ -742,9 +914,14 @@ class TestStep:
                 steps += 1
         if case in ("bass-tail", "slot-tail"):
             assert tails >= steps // 2, (tails, steps)
+        if case in ("weak-key", "weak-key-gamma", "weak-row", "chord-tie"):  # the bound keeps s and w alone
+            assert subsets == steps, (subsets, steps)
+        if case == "dead-column":
+            assert subsets == 0
 
     @pytest.mark.parametrize(
-        "case", ["random", "integer", "bass-tail", "one-predecessor", "integer-one-predecessor"]
+        "case",
+        ["random", "integer", "bass-tail", "one-predecessor", "integer-one-predecessor", "gamma", "dead-chord-0"],
     )
     def test_forms_agree_bit_for_bit(self, case):
         # Every frame's v and backpointers, and the outputs of stages 1 and
@@ -768,22 +945,31 @@ class TestStep:
         # impossible but without bass-tail's spread bass emissions, where
         # adding lf and lg in the other order changes bits and the dead
         # cells take the fused step's previous states, and on the integer
-        # tables, where it breaks ties between previous chords.
+        # tables, where it breaks ties between previous chords. The forms
+        # with the chord bound take stages 1 to 3 on the previous chords it
+        # keeps, on most random frames (one bound for all keys) and most
+        # gamma frames (the random tables with one predecessor per key, one
+        # bound per key). Dead-chord-0's chord 0 is impossible throughout,
+        # so each previous chord's -inf transition into it keeps stage 3's
+        # rows whole, the chord bound keeps every chord, and chord 0's dead
+        # cells come from chord 0 as in the dense form.
         rng = np.random.default_rng(34)
         n_keys, n_chords, n_bass, T = 4, 30, 13, 10
-        one_pred = case.endswith("one-predecessor")
+        one_pred = case.endswith("one-predecessor") or case == "gamma"
         if case.startswith("integer"):
             tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, 3)
         else:
             tables, _ = random_log_tables(
-                rng, n_keys, n_chords, n_bass, T, sparsity=0.1 * (case != "random"), slot_cap=3
+                rng, n_keys, n_chords, n_bass, T, sparsity=0.1 * (case not in ("random", "gamma", "dead-chord-0")),
+                slot_cap=3,
             )
             tables.emis_c[:] = rng.normal(scale=100.0, size=tables.emis_c.shape)
         if case == "bass-tail":
             tables.lh[~np.isfinite(tables.lh)] = -5.0
             tables.emis_b[:] = rng.normal(scale=1e4, size=tables.emis_b.shape)
-        if case in ("bass-tail", "one-predecessor"):
-            tables.lpi_c[1] = tables.lg[:, :, 1] = -np.inf
+        dead_chord = {"bass-tail": 1, "one-predecessor": 1, "dead-chord-0": 0}.get(case)
+        if dead_chord is not None:
+            tables.lpi_c[dead_chord] = tables.lg[:, :, dead_chord] = -np.inf
         if one_pred:
             lf = np.eye(n_keys)[[1, 0, 3, 2]] > 0
             tables.lf[~lf] = -np.inf
@@ -794,44 +980,53 @@ class TestStep:
         assert layouts["fused"].rest.pred.shape[1] == (1 if one_pred else n_keys)
         v = _frame0_v(tables)
         one_candidate = one_slot = fused = dead = 0
+        subsets = dict.fromkeys(STAGE_FORMS, 0)
         for t in range(1, T):
             out, stage1, stage2 = {}, {}, {}
             for form, layout in layouts.items():
                 prev = layout.first if t == 1 else layout.rest
-                with stage_form(form), per_chord_bounds() as per_chord:
+                with stage_form(form), per_chord_bounds() as per_chord, chord_bounds() as subset:
                     stage_b, from_s, tail = decode._stage1(prev, v)
                     stage1[form] = stage_b, from_s
                     stage_k, rows = decode._stage2(layout, prev, stage_b, tail)
                     stage2[form] = stage_k, rows(np.arange(stage_k.size).reshape(stage_k.shape))
                     out[form] = _step_cells(layout, v, t)
+                # `_step` bounds the previous chords unless it fuses or the form turns the bound off
+                assert len(subset) == (STAGE_FORMS[form]["_CHORD_BOUND"] and prev.fused is None), f"frame {t}, {form}"
                 assert (tail is not None) == (form == "pruned" and _took_stage1_tail(from_s)), f"frame {t}, {form}"
                 assert per_chord == [tail is not None] * len(per_chord), f"frame {t}, {form}"
-                assert len(per_chord) == 2 * (form == "pruned"), f"frame {t}, {form}"  # ours and `_step`'s
+                # ours, and `_step`'s where the chord bound kept every chord or too many
+                assert len(per_chord) == (form == "pruned") * (1 + (subset == [False])), f"frame {t}, {form}"
                 fused += form == "fused" and prev.fused is not None
+                subsets[form] += subset == [True]
             one_slot += _took_stage1_tail(stage1["pruned"][1])
             if _took_stage1_tail(stage1["pruned"][1]):  # compare its slots broadcast over the target basses
                 stage_b, s0 = stage1["pruned"]
                 stage1["pruned"] = stage_b, np.broadcast_to(s0[:, None], stage_b.shape)
             for stage, got in (("stage 1", stage1), ("stage 2", stage2)):
-                for form in ("pruned", "fused"):
+                for form in STAGE_FORMS:
                     for dense, other in zip(got["dense"], got[form]):
                         assert dense.dtype == other.dtype and np.array_equal(dense, other), f"frame {t}, {stage}"
             stage_k, layout = stage2["pruned"][0], layouts["pruned"]
             one_candidate += decode._stage3_candidates(stage_k, layout.drop, layout.scale).shape[2] == 1
             v, bp = out["dense"]
             dead += np.count_nonzero(v == -np.inf)
-            for form in ("pruned", "fused"):
+            for form in STAGE_FORMS:
                 assert v.tobytes() == out[form][0].tobytes(), f"frame {t}, {form}"
                 assert bp.dtype == out[form][1].dtype and np.array_equal(bp, out[form][1]), f"frame {t}, {form}"
-        assert fused == (T - 1 if one_pred else 0) and (dead > 0 or not one_pred)
+        assert fused == (T - 1 if one_pred else 0) and (dead > 0 or dead_chord is None)
         if case.startswith("integer"):
             assert layouts["pruned"].rest.gaps
         elif case == "random":
             assert one_candidate >= (T - 1) // 2
         elif case == "bass-tail":
             assert one_slot >= (T - 1) // 2
-        if case in ("bass-tail", "one-predecessor"):
-            assert not np.isfinite(v[:, 1]).any()
+        if case in ("random", "gamma"):
+            assert subsets["pruned"] >= (T - 1) // 2 and subsets["chord bound on"] >= (T - 1) // 2, subsets
+        if case == "dead-chord-0":
+            assert subsets["pruned"] == subsets["chord bound on"] == 0, subsets
+        if dead_chord is not None:
+            assert not np.isfinite(v[:, dead_chord]).any()
 
     def test_fused_step_needs_one_predecessor_per_key(self):
         # Rows a < b reach key 0 with stage-2 sums one ulp apart just below
@@ -1414,4 +1609,6 @@ class TestForwardBackwardEdge:
         )
         obs = np.array([[0.0, 0.0], [0.5, 1.0], [0.5, 1.0], [1.0, 0.0]])
         expected = [[1, 0, 0], [0.663934, 0.336066, 0], [0.336066, 0.663934, 0], [0, 1, 0]]
-        np.testing.assert_allclose(forward_backward(hmm, obs), expected, rtol=0, atol=1e-6)
+        post = forward_backward(hmm, obs)
+        np.testing.assert_allclose(post, expected, rtol=0, atol=1e-6)
+        assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()

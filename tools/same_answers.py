@@ -14,13 +14,14 @@ of a git ref, and compares every output file:
            and every song in training, so every key is unlabeled and the
            key-relative chord rows stay all zero
     decode gamma=0, tau=3, CAC (both models); full121 unconstrained,
-           tau=3 alone and gamma=0 alone (a live-key subset with every
-           chord and all 13 basses); and a `--jobs 2` sweep
-           gamma in {0, 2} x tau in {1, 3, 13} with CAC
+           tau=3 alone, gamma=0 alone (a live-key subset with every
+           chord and all 13 basses), CAC alone and CAC with tau=3 (a
+           working set of few chords, whose stage tables are small); and a
+           `--jobs 2` sweep gamma in {0, 2} x tau in {1, 3, 13} with CAC
     eval   the tight full121 decode, `--compare` against the unconstrained;
            and the same at `--jobs 2`
-    log-probs  the tight, the unconstrained, the tau=3 and the gamma=0
-           full121 decodes again, in one process calling
+    log-probs  the tight, the unconstrained, the tau=3, the gamma=0, the
+           CAC and the CAC with tau=3 full121 decodes again, in one process calling
            `viterbi_joint`, written as `setting/stem repr(log_prob)`
            lines to `log_probs.txt`
 
@@ -83,7 +84,8 @@ RATE_SONGS = (("rate48k", 48000, 12.0), ("rate16k", 16000, 12.0), ("rate8k", 800
 HOP_RUNS = (("rate48k", 1023), ("rate8k", 200))
 
 # Run in the tree's output directory after the CLI steps: the full-precision
-# log-prob of each full121 song, tight, unconstrained, tau-only and gamma-only.
+# log-prob of each full121 song, tight, unconstrained, tau-only, gamma-only,
+# CAC-only and CAC with tau=3.
 LOG_PROB_SCRIPT = """
 from pathlib import Path
 from chordscribe.chroma import read_chromagram
@@ -93,7 +95,10 @@ from chordscribe.model import load_model
 model = load_model("models/full121.txt")
 lines = []
 tight = Constraints(gamma=0, tau=3, cac=True)
-settings = (("tight", tight), ("free", Constraints()), ("tau", Constraints(tau=3)), ("gamma", Constraints(gamma=0)))
+settings = (
+    ("tight", tight), ("free", Constraints()), ("tau", Constraints(tau=3)), ("gamma", Constraints(gamma=0)),
+    ("cac", Constraints(cac=True)), ("cac_tau", Constraints(tau=3, cac=True)),
+)
 for setting, constraints in settings:
     for treble in sorted(Path("chroma").glob("*.treble.chroma")):
         stem = treble.name.removesuffix(".treble.chroma")
@@ -189,6 +194,8 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("decode_free", ("decode", *full, "--output-dir", "decode/free")),
         ("decode_tau", ("decode", *full, "--tau", "3", "--output-dir", "decode/tau")),
         ("decode_gamma", ("decode", *full, "--gamma", "0", "--output-dir", "decode/gamma")),
+        ("decode_cac", ("decode", *full, "--cac", "--output-dir", "decode/cac")),
+        ("decode_cac_tau", ("decode", *full, "--tau", "3", "--cac", "--output-dir", "decode/cac_tau")),
         ("decode_sweep", ("decode", *full, "--gamma", "0,2", "--tau", "1,3,13", "--cac", "--jobs", "2",
                           "--output-dir", "decode/sweep")),
     ]  # fmt: skip
