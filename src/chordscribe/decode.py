@@ -212,26 +212,25 @@ def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
     pred = np.empty((T, n))  # pred[t] = alpha[t-1] @ A, the one-step prediction
     pred[0] = hmm.init
     x = np.empty(n)  # one frame's work buffer, forward then backward
-    # rows in step through zip, and the reductions as ufunc methods, which
-    # skip ndarray.max's and .sum's Python wrappers (same bits)
-    top, total = np.maximum.reduce, np.add.reduce
     with np.errstate(divide="ignore"):
-        for t, (p, e, a) in enumerate(zip(pred, log_e, alpha)):
+        for t in range(T):
             if t > 0:
-                np.matmul(alpha[t - 1], hmm.trans, out=p)
-            np.add(np.log(p, out=x), e, out=x)
-            peak = top(x)
+                np.matmul(alpha[t - 1], hmm.trans, out=pred[t])
+            np.add(np.log(pred[t], out=x), log_e[t], out=x)
+            peak = x.max()
             if not math.isfinite(peak):
                 raise ValueError(f"no admissible chord state at frame {t}")
+            a = alpha[t]
             np.exp(np.subtract(x, peak, out=x), out=a)
-            np.divide(a, total(a), out=a)
+            np.divide(a, a.sum(), out=a)
     post = np.empty((T, n))
     post[-1] = alpha[-1]
     denom = np.where(pred > 0, pred, 1.0)  # post is 0 where pred is, and 0/1 = 0
-    for p, later, d, a in zip(post[-2::-1], post[:0:-1], denom[:0:-1], alpha[-2::-1]):  # t = T - 2 down to 0
-        np.matmul(hmm.trans, np.divide(later, d, out=x), out=p)
-        np.multiply(p, a, out=p)
-        np.divide(p, total(p), out=p)
+    for t in range(T - 2, -1, -1):
+        p = post[t]
+        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=p)
+        np.multiply(p, alpha[t], out=p)
+        np.divide(p, p.sum(), out=p)
     return post
 
 

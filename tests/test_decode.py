@@ -153,29 +153,6 @@ class TestPruneChordToBass:
         np.testing.assert_array_equal(top_bass_states(m, 2)[3], [2, 5])
 
 
-def _forward_backward_indexed(hmm, obs):
-    """`decode.forward_backward` as an indexed loop that reduces with
-    ndarray.max and .sum: the reference its bits are pinned to."""
-    log_e = gaussian_logpdf_frames(obs, hmm.means, hmm.covs, held=hmm.gaussians)
-    T, n = log_e.shape
-    alpha, pred, post, x = np.empty((T, n)), np.empty((T, n)), np.empty((T, n)), np.empty(n)
-    pred[0] = hmm.init
-    with np.errstate(divide="ignore"):
-        for t in range(T):
-            if t > 0:
-                np.matmul(alpha[t - 1], hmm.trans, out=pred[t])
-            np.add(np.log(pred[t], out=x), log_e[t], out=x)
-            np.exp(np.subtract(x, x.max(), out=x), out=alpha[t])
-            np.divide(alpha[t], alpha[t].sum(), out=alpha[t])
-    post[-1] = alpha[-1]
-    denom = np.where(pred > 0, pred, 1.0)
-    for t in range(T - 2, -1, -1):
-        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=post[t])
-        np.multiply(post[t], alpha[t], out=post[t])
-        np.divide(post[t], post[t].sum(), out=post[t])
-    return post
-
-
 class TestMaxGammaDecode:
     """The first pass's max-posterior decode: forward_backward, then the
     argmax of each frame."""
@@ -211,15 +188,12 @@ class TestMaxGammaDecode:
             with np.errstate(divide="ignore"):
                 ref = brute_force_posteriors(np.log(hmm.init), np.log(hmm.trans), log_e)
             np.testing.assert_allclose(post, ref, atol=1e-9)
-            assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(2)
         hmm = self._hmm(rng, n=5, d=3)
-        obs = rng.random((20, 3))
-        post = forward_backward(hmm, obs)
+        post = forward_backward(hmm, rng.random((20, 3)))
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
-        assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()
 
     def test_uniform_symmetric_ties_pick_lowest(self):
         n = 4
@@ -1014,7 +988,7 @@ class TestStep:
             for form in STAGE_FORMS:
                 assert v.tobytes() == out[form][0].tobytes(), f"frame {t}, {form}"
                 assert bp.dtype == out[form][1].dtype and np.array_equal(bp, out[form][1]), f"frame {t}, {form}"
-        assert fused == (T - 1 if one_pred else 0) and (dead > 0 or dead_chord is None)
+        assert fused == (T - 1 if one_pred else 0) and (dead > 0 or not case.endswith("one-predecessor"))
         if case.startswith("integer"):
             assert layouts["pruned"].rest.gaps
         elif case == "random":
@@ -1609,6 +1583,4 @@ class TestForwardBackwardEdge:
         )
         obs = np.array([[0.0, 0.0], [0.5, 1.0], [0.5, 1.0], [1.0, 0.0]])
         expected = [[1, 0, 0], [0.663934, 0.336066, 0], [0.336066, 0.663934, 0], [0, 1, 0]]
-        post = forward_backward(hmm, obs)
-        np.testing.assert_allclose(post, expected, rtol=0, atol=1e-6)
-        assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()
+        np.testing.assert_allclose(forward_backward(hmm, obs), expected, rtol=0, atol=1e-6)
