@@ -35,22 +35,30 @@ exceeds ub[c], the largest v[k', c, s] over its rows and slots plus the
 largest key transition into a live key and the largest bass transition
 out of c's slots; where each live key l has one predecessor d (D == 1,
 as under gamma), ub is taken per key, max_s v[d, c, s] + lf[d, l] plus
-the same bass term. Stages 1 and 2 run on the chord c* of largest bound
-alone. A stage-3 row's maximum is at least c*'s value col[l, u] there,
-and the row's threshold (below) grows with its maximum, so it is at least
-col[l, u] less key l's largest drop and less the slack taken with key l's
-largest scale.
+the same bass term. The chord c* of largest bound gives each stage-3 row
+(l, u) a value col[l, u] that its maximum reaches. With several
+predecessors per key, col is one path's value (`_one_path`): each
+previous row d at its best slot s(d), each live key l from the row d_l of
+largest v[d, c*, s(d)] + lf[d, l], and col[l, u] = (v[d_l, c*, s(d_l)] +
+lh[s(d_l), u]) + lf[d_l, l], summed as stages 1 and 2 sum, so rounding,
+being monotone, keeps it at or below c*'s exact stage-2 value with no
+slack. Where each live key has one predecessor, stage 2 is one take and
+one add, so stages 1 and 2 run on c* alone and col is its exact column,
+which serves again when c* alone passes. A stage-3 row's threshold
+(below) grows with its maximum, so it is at least col[l, u] less key l's
+largest drop and less the slack taken with key l's largest scale.
 A chord whose bound, plus a slack of 1e-9 * (1 + |ub| + the transitions'
 scale), lies below the threshold of every row (of key l's rows, bound per
 key) is kept in no row by stage 3's bound: it is no row's maximum, ties
 none and is no candidate. Where at most Cw / _GATHER_COST chords, and
-fewer than all, pass, stages 1 and 2 run dense on them alone
-(`_stages12`), summing as the dense forms do, and stage 3 bounds and
-gathers through that chord map (`chords`), so values, backpointers and
-ties do not change. A row where c*'s column is -inf, or a key whose drops
-hold +inf, bounds no chord; such frames, and those where more chords
-pass (the frame after a flat one, as after a silent first frame under a
-flat key prior), run the stages below over every previous chord.
+fewer than all, pass, stages 1 and 2 run dense on them alone, once
+(`_stages12`), summing as the dense forms do, stage 2 over the last axis
+of (U * n, L, D), whose first argmax is the lowest maximizing row; stage
+3 bounds and gathers through that chord map (`chords`), so values,
+backpointers and ties do not change. A row where col is -inf, or a key
+whose drops hold +inf, bounds no chord; such frames, and those where more
+chords pass (the frame after a flat one, as after a silent first frame
+under a flat key prior), run the stages below over every previous chord.
 
 On the frames the chord bound leaves, each stage runs dense, over every
 predecessor, when its tensor fits the dense budget or a frame keeps over a
@@ -212,25 +220,27 @@ def forward_backward(hmm: ChordOnlyHmm, obs: np.ndarray) -> np.ndarray:
     pred = np.empty((T, n))  # pred[t] = alpha[t-1] @ A, the one-step prediction
     pred[0] = hmm.init
     x = np.empty(n)  # one frame's work buffer, forward then backward
+    # rows come from zip, reductions are ufunc methods (which skip
+    # ndarray.max's and .sum's Python wrappers) and products np.dot in
+    # place of np.matmul: the same bits in fewer Python calls
+    top, total, trans = np.maximum.reduce, np.add.reduce, hmm.trans
     with np.errstate(divide="ignore"):
-        for t in range(T):
+        for t, (p, e, a) in enumerate(zip(pred, log_e, alpha)):
             if t > 0:
-                np.matmul(alpha[t - 1], hmm.trans, out=pred[t])
-            np.add(np.log(pred[t], out=x), log_e[t], out=x)
-            peak = x.max()
+                np.dot(alpha[t - 1], trans, out=p)
+            np.add(np.log(p, out=x), e, out=x)
+            peak = top(x)
             if not math.isfinite(peak):
                 raise ValueError(f"no admissible chord state at frame {t}")
-            a = alpha[t]
             np.exp(np.subtract(x, peak, out=x), out=a)
-            np.divide(a, a.sum(), out=a)
+            np.divide(a, total(a), out=a)
     post = np.empty((T, n))
     post[-1] = alpha[-1]
     denom = np.where(pred > 0, pred, 1.0)  # post is 0 where pred is, and 0/1 = 0
-    for t in range(T - 2, -1, -1):
-        p = post[t]
-        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=p)
-        np.multiply(p, alpha[t], out=p)
-        np.divide(p, p.sum(), out=p)
+    for p, later, d, a in zip(post[-2::-1], post[:0:-1], denom[:0:-1], alpha[-2::-1]):  # t = T - 2 down to 0
+        np.dot(trans, np.divide(later, d, out=x), out=p)
+        np.multiply(p, a, out=p)
+        np.divide(p, total(p), out=p)
     return post
 
 
@@ -497,8 +507,12 @@ def _chord_bound(layout: _Layout, prev: _Prev, v):
         ub += prev.out_max
     ub += prev.lh_max
     chords = ub.max(axis=0).argmax(keepdims=True)
-    stage_k, rows, from_s = _stages12(layout, prev, v, chords)
-    lb = stage_k[..., 0] - 1e-9 * (1 + np.abs(stage_k[..., 0]) + layout.scale_max) - layout.drop_max
+    if per_key:
+        stage_k, rows, from_s = _stages12(layout, prev, v, chords)
+        col = stage_k[..., 0]
+    else:
+        col = _one_path(prev, v, chords[0])
+    lb = col - 1e-9 * (1 + np.abs(col) + layout.scale_max) - layout.drop_max
     lb = lb.min(axis=1, keepdims=True) if per_key else lb.min(keepdims=True)
     if lb.min() == -np.inf:  # a row that the column does not bound may keep every chord
         return None
@@ -507,21 +521,48 @@ def _chord_bound(layout: _Layout, prev: _Prev, v):
     n = np.count_nonzero(keep)
     if n == len(keep) or n * _GATHER_COST > len(keep):
         return None
-    if n > 1:
+    if n > 1 or not per_key:
         chords = np.flatnonzero(keep)
         stage_k, rows, from_s = _stages12(layout, prev, v, chords)
     return stage_k, rows, from_s, chords
 
 
+def _one_path(prev: _Prev, v, c):
+    """(L, U): the value of one path into each stage-3 row (l, u) through
+    previous chord c, summed as stages 1 and 2 sum, so at most c's exact
+    stage-2 column: each previous row d at its best slot s(d), and each
+    live key l from the row d_l of largest v[d, c, s(d)] + lf[d, l]."""
+    vc = v[:, c]  # (Kp, Sp)
+    s = vc.argmax(axis=1)
+    best = vc.take(s + _row_starts(vc.shape))  # (Kp,)
+    d = (prev.lf_rows + best).argmax(axis=1)  # (L,)
+    col = prev.lh_g[:, c].take(s.take(d), axis=1).T  # (L, U) lh_g[u, c, s(d_l)]
+    col += best.take(d)[:, None]
+    col += prev.lf_rows.take(d + _row_starts(prev.lf_rows.shape))[:, None]
+    return col
+
+
 def _stages12(layout: _Layout, prev: _Prev, v, chords):
     """Stages 1 and 2, dense, on the previous chords `chords` alone:
-    (stage_k, rows, from_s) with the chords on the last axis."""
+    (stage_k, rows, from_s) with the chords on the last axis. With more
+    than one predecessor per live key, stage 2 reduces (N, L, D), each
+    column n = (u, c)'s predecessor rows on the last axis, whose argmax is
+    the lowest maximizing row, as the rank form's."""
     n_u, sp = len(prev.lh_g), v.shape[-1]
     sub = prev._replace(
         lh_g=prev.lh_g[:, chords], starts=_row_starts((len(v), n_u, len(chords), sp)), dense_s=True, dense=True
     )
     stage_b, from_s, _ = _stage1(sub, v[:, chords])
-    return *_stage2(layout, sub, stage_b), from_s
+    n_live, deg = prev.pred.shape
+    if deg == 1:
+        return *_stage2(layout, sub, stage_b), from_s
+    val = stage_b.reshape(len(stage_b), -1).T.take(prev.pred, axis=1)  # (N, L, D)
+    val += prev.lf_pred[..., 0, 0]
+    at = val.argmax(axis=-1)  # (N, L)
+    shape = (n_live, n_u, len(chords))
+    stage_k = np.ascontiguousarray(val.take(at + _row_starts(val.shape)).T).reshape(shape)  # stage 3 reads it flat
+    from_row = prev.pred.take(at + _row_starts(prev.pred.shape)).T.reshape(shape)
+    return stage_k, lambda at=None: from_row if at is None else from_row.take(at), from_s
 
 
 def _fused_step(layout: _Layout, prev: _Prev, t, stage_b, from_s):
@@ -818,10 +859,11 @@ def _viterbi_tables(tables: _LogTables):
     )
     T = tables.emis_c.shape[0]
     backptr = [None] * T  # frame t's backpointers; frame 0 has none
+    top = np.maximum.reduce  # skips ndarray.max's Python wrapper, a microsecond of a tight step
     for t in range(T):
         if t > 0:
             v, backptr[t] = _step(layout, v, t)
-        if not math.isfinite(v.max(initial=-np.inf)):
+        if not math.isfinite(top(v, axis=None, initial=-np.inf)):
             raise NoAdmissiblePathError(t)
     n_expanded = 0 if T == 1 else layout.first.n_expanded + (T - 2) * layout.rest.n_expanded
     return (*_backtrace(layout, backptr, v), n_expanded)

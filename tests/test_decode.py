@@ -153,6 +153,30 @@ class TestPruneChordToBass:
         np.testing.assert_array_equal(top_bass_states(m, 2)[3], [2, 5])
 
 
+def _forward_backward_indexed(hmm, obs):
+    """`decode.forward_backward` as an indexed loop that multiplies with
+    np.matmul and reduces with ndarray.max and .sum: the reference its bits
+    are pinned to."""
+    log_e = gaussian_logpdf_frames(obs, hmm.means, hmm.covs, held=hmm.gaussians)
+    T, n = log_e.shape
+    alpha, pred, post, x = np.empty((T, n)), np.empty((T, n)), np.empty((T, n)), np.empty(n)
+    pred[0] = hmm.init
+    with np.errstate(divide="ignore"):
+        for t in range(T):
+            if t > 0:
+                np.matmul(alpha[t - 1], hmm.trans, out=pred[t])
+            np.add(np.log(pred[t], out=x), log_e[t], out=x)
+            np.exp(np.subtract(x, x.max(), out=x), out=alpha[t])
+            np.divide(alpha[t], alpha[t].sum(), out=alpha[t])
+    post[-1] = alpha[-1]
+    denom = np.where(pred > 0, pred, 1.0)
+    for t in range(T - 2, -1, -1):
+        np.matmul(hmm.trans, np.divide(post[t + 1], denom[t + 1], out=x), out=post[t])
+        np.multiply(post[t], alpha[t], out=post[t])
+        np.divide(post[t], post[t].sum(), out=post[t])
+    return post
+
+
 class TestMaxGammaDecode:
     """The first pass's max-posterior decode: forward_backward, then the
     argmax of each frame."""
@@ -188,12 +212,21 @@ class TestMaxGammaDecode:
             with np.errstate(divide="ignore"):
                 ref = brute_force_posteriors(np.log(hmm.init), np.log(hmm.trans), log_e)
             np.testing.assert_allclose(post, ref, atol=1e-9)
+            assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(2)
         hmm = self._hmm(rng, n=5, d=3)
-        post = forward_backward(hmm, rng.random((20, 3)))
+        obs = rng.random((20, 3))
+        post = forward_backward(hmm, obs)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
+        assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()
+
+    def test_trained_first_pass_equals_reference_bit_for_bit(self, trained):
+        # a trained chord-only HMM, which decodes through its held factors
+        m, treble, bass, _ = trained
+        obs = np.concatenate([treble.values.T, bass.values.T], axis=1)
+        assert forward_backward(m.cac, obs).tobytes() == _forward_backward_indexed(m.cac, obs).tobytes()
 
     def test_uniform_symmetric_ties_pick_lowest(self):
         n = 4
@@ -306,6 +339,20 @@ def chord_bounds():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decode, "_chord_bound", spy)
+        yield calls
+
+
+@contextlib.contextmanager
+def stages12_runs():
+    """The previous chords of each call of `decode._stages12` while open."""
+    calls, real = [], decode._stages12
+
+    def spy(layout, prev, v, chords):
+        calls.append(chords.tolist())
+        return real(layout, prev, v, chords)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decode, "_stages12", spy)
         yield calls
 
 
@@ -895,8 +942,11 @@ class TestStep:
 
     @pytest.mark.parametrize(
         "case",
-        ["random", "integer", "bass-tail", "one-predecessor", "integer-one-predecessor", "gamma", "dead-chord-0"],
-    )
+        [
+            "random", "integer", "bass-tail", "one-predecessor", "integer-one-predecessor", "gamma",
+            "gamma-several-predecessors", "dead-chord-0",
+        ],
+    )  # fmt: skip
     def test_forms_agree_bit_for_bit(self, case):
         # Every frame's v and backpointers, and the outputs of stages 1 and
         # 2, dead cells included, equal between the dense, the pruned and
@@ -923,18 +973,26 @@ class TestStep:
         # with the chord bound take stages 1 to 3 on the previous chords it
         # keeps, on most random frames (one bound for all keys) and most
         # gamma frames (the random tables with one predecessor per key, one
-        # bound per key). Dead-chord-0's chord 0 is impossible throughout,
-        # so each previous chord's -inf transition into it keeps stage 3's
-        # rows whole, the chord bound keeps every chord, and chord 0's dead
-        # cells come from chord 0 as in the dense form.
+        # bound per key). Gamma-several-predecessors prunes the random
+        # tables' key transitions as a gamma above 0 does, leaving keys with
+        # one, two and three predecessors (D = 3, so rows miss some keys):
+        # the bound takes its one path through the chord of largest bound
+        # and runs stages 1 and 2 once, on the chords it keeps, on most
+        # frames. Wherever a key has more than one predecessor, a bounded
+        # frame runs `_stages12` once. Dead-chord-0's chord 0 is impossible
+        # throughout, so each previous chord's -inf transition into it keeps
+        # stage 3's rows whole, the chord bound keeps every chord, and chord
+        # 0's dead cells come from chord 0 as in the dense form.
         rng = np.random.default_rng(34)
         n_keys, n_chords, n_bass, T = 4, 30, 13, 10
         one_pred = case.endswith("one-predecessor") or case == "gamma"
+        deg = 1 if one_pred else 3 if case == "gamma-several-predecessors" else n_keys
         if case.startswith("integer"):
             tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, 3)
         else:
             tables, _ = random_log_tables(
-                rng, n_keys, n_chords, n_bass, T, sparsity=0.1 * (case not in ("random", "gamma", "dead-chord-0")),
+                rng, n_keys, n_chords, n_bass, T,
+                sparsity=0.1 * (case not in ("random", "gamma", "gamma-several-predecessors", "dead-chord-0")),
                 slot_cap=3,
             )
             tables.emis_c[:] = rng.normal(scale=100.0, size=tables.emis_c.shape)
@@ -947,11 +1005,14 @@ class TestStep:
         if one_pred:
             lf = np.eye(n_keys)[[1, 0, 3, 2]] > 0
             tables.lf[~lf] = -np.inf
+        if case == "gamma-several-predecessors":  # key l's predecessors, as rows of (to, from)
+            reach = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 1]]) > 0
+            tables.lf[~reach.T] = -np.inf
         layouts = {}
         for form in STAGE_FORMS:
             with stage_form(form):
                 layouts[form] = decode._layout(tables)
-        assert layouts["fused"].rest.pred.shape[1] == (1 if one_pred else n_keys)
+        assert layouts["fused"].rest.pred.shape[1] == deg
         v = _frame0_v(tables)
         one_candidate = one_slot = fused = dead = 0
         subsets = dict.fromkeys(STAGE_FORMS, 0)
@@ -959,7 +1020,7 @@ class TestStep:
             out, stage1, stage2 = {}, {}, {}
             for form, layout in layouts.items():
                 prev = layout.first if t == 1 else layout.rest
-                with stage_form(form), per_chord_bounds() as per_chord, chord_bounds() as subset:
+                with stage_form(form), per_chord_bounds() as per_chord, chord_bounds() as subset, stages12_runs() as s:
                     stage_b, from_s, tail = decode._stage1(prev, v)
                     stage1[form] = stage_b, from_s
                     stage_k, rows = decode._stage2(layout, prev, stage_b, tail)
@@ -967,6 +1028,8 @@ class TestStep:
                     out[form] = _step_cells(layout, v, t)
                 # `_step` bounds the previous chords unless it fuses or the form turns the bound off
                 assert len(subset) == (STAGE_FORMS[form]["_CHORD_BOUND"] and prev.fused is None), f"frame {t}, {form}"
+                if prev.pred.shape[1] > 1:  # one pass of stages 1 and 2 on a bounded frame, none on another
+                    assert len(s) == (subset == [True]), f"frame {t}, {form}"
                 assert (tail is not None) == (form == "pruned" and _took_stage1_tail(from_s)), f"frame {t}, {form}"
                 assert per_chord == [tail is not None] * len(per_chord), f"frame {t}, {form}"
                 # ours, and `_step`'s where the chord bound kept every chord or too many
@@ -995,7 +1058,9 @@ class TestStep:
             assert one_candidate >= (T - 1) // 2
         elif case == "bass-tail":
             assert one_slot >= (T - 1) // 2
-        if case in ("random", "gamma"):
+        if case == "gamma-several-predecessors":
+            assert layouts["pruned"].rest.gaps
+        if case in ("random", "gamma", "gamma-several-predecessors"):
             assert subsets["pruned"] >= (T - 1) // 2 and subsets["chord bound on"] >= (T - 1) // 2, subsets
         if case == "dead-chord-0":
             assert subsets["pruned"] == subsets["chord bound on"] == 0, subsets
@@ -1450,6 +1515,102 @@ def test_pruned_stage2_reads_rows_where_asked(stage1):
     assert gaps > 0 and dead > 0, (gaps, dead)
 
 
+def _exact_column_bound(layout, prev, v):
+    """The chord bound with the chord c* of largest bound's exact stage-2
+    column, from dense stages 1 and 2 over every previous chord, in place of
+    `decode._one_path`: (c*, that column (L, U), the chords it keeps, or
+    None where a row's column is -inf). The reference the one-path bound is
+    checked against."""
+    ub = v.max(axis=0).max(axis=-1)[None] + prev.out_max + prev.lh_max
+    c = int(ub.max(axis=0).argmax())
+    dense = prev._replace(dense_s=True, dense=True)
+    col = decode._stage2(layout, dense, decode._stage1(dense, v)[0])[0][..., c]
+    lb = (col - 1e-9 * (1 + np.abs(col) + layout.scale_max) - layout.drop_max).min()
+    if lb == -np.inf:
+        return c, col, None
+    with np.errstate(invalid="ignore"):
+        return c, col, np.flatnonzero((ub + 1e-9 * (1 + np.abs(ub) + prev.scale_c) >= lb).any(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["random", "integer"])
+def test_one_path_bound_lies_under_the_exact_column(kind):
+    # On random oracle tables whose keys have several predecessors (D > 1),
+    # with -inf key transitions that leave rows missing some keys, and
+    # chord emissions spread over hundreds of nats so that the bound keeps
+    # few chords: at every frame, the one path's column through c* is at
+    # most c*'s exact stage-2 column at every (l, u), with no slack, so the
+    # one-path bound keeps every chord the exact column keeps. The integer
+    # tables tie paths exactly. The chord and bass transitions are finite,
+    # so that stage 3's bound holds in every row and the one path, which
+    # takes each row's best slot, reaches every target bass.
+    rng = np.random.default_rng(36)
+    frames = subsets = below = 0
+    for trial in range(12):
+        n_keys, n_chords, n_bass = rng.choice([(3, 12, 3), (4, 20, 2), (2, 16, 4)])
+        tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, 6, slot_cap=2)
+        tables.lf[rng.random(tables.lf.shape) < 0.3] = -np.inf
+        if kind == "integer":
+            _integer_log_tables(tables, rng)
+            tables.emis_c[:] = -rng.integers(1, 300, size=tables.emis_c.shape)
+        else:
+            tables.emis_c[:] = rng.normal(scale=100.0, size=tables.emis_c.shape)
+        with stage_form("chord bound on"):
+            layout = decode._layout(tables)
+            v = _frame0_v(tables)
+            for t in range(1, len(tables.emis_c)):
+                prev = layout.first if t == 1 else layout.rest
+                if len(prev.pred) and prev.pred.shape[1] > 1:
+                    c, exact, want = _exact_column_bound(layout, prev, v)
+                    one = decode._one_path(prev, v, c)
+                    assert one.shape == exact.shape and np.all(one <= exact), f"trial {trial}, frame {t}"
+                    below += np.count_nonzero(one < exact)
+                    kept = decode._chord_bound(layout, prev, v)
+                    if want is None or len(want) == n_chords:
+                        assert kept is None, f"trial {trial}, frame {t}"
+                    elif kept is not None:
+                        assert set(want.tolist()) <= set(kept[3].tolist()), f"trial {trial}, frame {t}"
+                        subsets += 1
+                    frames += 1
+                v = decode._step(layout, v, t)[0]
+    assert subsets >= frames // 2 > 0 and below > 0, (subsets, frames, below)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subset_stage2_equals_rank_form_bit_for_bit(seed):
+    # `_stages12` runs stage 2 over the last axis of (N, L, D), each column's
+    # predecessor rows; on chord subsets its maxima and rows equal the dense
+    # rank form's bit for bit, with keys of fewer predecessors than the
+    # widest (-inf padding, D < Kp), a chord dead in v (dead columns, which
+    # take the key's first predecessor) and integer tables and v, whose rows
+    # tie exactly (the lowest maximizing row wins).
+    rng = np.random.default_rng(37 + seed)
+    padded = dead = tied = 0
+    for trial in range(8):
+        tables = _wide_integer_tables(rng, 5, 8, 6, 2, 3)
+        layout = decode._layout(tables)
+        for prev in (layout.first, layout.rest):
+            if len(prev.pred) == 0 or prev.pred.shape[1] == 1:
+                continue
+            v = -rng.integers(1, 4, size=(len(prev.keys), *prev.slots.shape)).astype(float)
+            gone = rng.integers(len(prev.slots))
+            v[:, gone] = -np.inf
+            chords = np.union1d(rng.choice(len(prev.slots), size=rng.integers(1, 4), replace=False), [gone])
+            stage_k, rows, from_s = decode._stages12(layout, prev, v, chords)
+            shape = (len(prev.keys), len(prev.lh_g), len(chords), v.shape[-1])
+            sub = prev._replace(lh_g=prev.lh_g[:, chords], starts=decode._row_starts(shape), dense_s=True, dense=True)
+            stage_b, want_s, _ = decode._stage1(sub, v[:, chords])
+            want_k, want_rows = decode._stage2(layout, sub, stage_b)
+            assert stage_k.shape == want_k.shape and stage_k.tobytes() == want_k.tobytes(), f"trial {trial}"
+            assert rows().dtype == want_rows().dtype and np.array_equal(rows(), want_rows()), f"trial {trial}"
+            at = rng.integers(stage_k.size, size=(3, 4))
+            assert np.array_equal(rows(at), want_rows(at)) and np.array_equal(from_s, want_s), f"trial {trial}"
+            sums = stage_b.take(prev.pred, axis=0) + prev.lf_pred  # (L, D, U, n)
+            padded += np.count_nonzero(prev.lf_pred == -np.inf)
+            dead += np.count_nonzero(want_k == -np.inf)
+            tied += np.count_nonzero((sums == want_k[:, None]).sum(axis=1)[want_k > -np.inf] > 1)
+    assert padded > 0 and dead > 0 and tied > 0, (padded, dead, tied)
+
+
 def _delta_reference(x):
     """`decode._delta` as one reduction of the 4-D difference tensor."""
     with np.errstate(invalid="ignore"):
@@ -1583,4 +1744,6 @@ class TestForwardBackwardEdge:
         )
         obs = np.array([[0.0, 0.0], [0.5, 1.0], [0.5, 1.0], [1.0, 0.0]])
         expected = [[1, 0, 0], [0.663934, 0.336066, 0], [0.336066, 0.663934, 0], [0, 1, 0]]
-        np.testing.assert_allclose(forward_backward(hmm, obs), expected, rtol=0, atol=1e-6)
+        post = forward_backward(hmm, obs)
+        np.testing.assert_allclose(post, expected, rtol=0, atol=1e-6)
+        assert post.tobytes() == _forward_backward_indexed(hmm, obs).tobytes()

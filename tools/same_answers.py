@@ -5,25 +5,34 @@ of a git ref, and compares every output file:
 
     synth  four seeded songs (three at 44.1 kHz, one at 22.05 kHz) with
            chord, key and beat files, plus one-song sources at 48, 16 and
-           8 kHz that only go through `chroma`
+           8 kHz that only go through `chroma`; and a second set of key
+           files in which the first song moves between its key and the
+           key a fifth above every few seconds
     chroma with beat files; and the 48 kHz source alone with `hop = 1023`
            (an odd hop, whose windows the constant-Q copies) and the
            8 kHz one with `hop = 200` (bass windows over 16 hops long,
            which the constant-Q copies), each set in a config file
-    train  majmin25 and full121; and full121 with no key files, alpha 0
+    train  majmin25 and full121; full121 with no key files, alpha 0
            and every song in training, so every key is unlabeled and the
-           key-relative chord rows stay all zero
+           key-relative chord rows stay all zero; and full121 on the
+           moving key files with every song in training
     decode gamma=0, tau=3, CAC (both models); full121 unconstrained,
            tau=3 alone, gamma=0 alone (a live-key subset with every
-           chord and all 13 basses), CAC alone and CAC with tau=3 (a
-           working set of few chords, whose stage tables are small); and a
-           `--jobs 2` sweep gamma in {0, 2} x tau in {1, 3, 13} with CAC
+           chord and all 13 basses, each key its own one predecessor),
+           CAC alone and CAC with tau=3 (a working set of few chords,
+           whose stage tables are small); gamma=2 alone on the moving-key
+           model, whose first song's two keys each follow the other more
+           than twice, so they have two predecessors (D = 2) and the
+           other live keys one; and a `--jobs 2` sweep gamma in {0, 2} x
+           tau in {1, 3, 13} with CAC
     eval   the tight full121 decode, `--compare` against the unconstrained;
            and the same at `--jobs 2`
     log-probs  the tight, the unconstrained, the tau=3, the gamma=0, the
-           CAC and the CAC with tau=3 full121 decodes again, in one process calling
-           `viterbi_joint`, written as `setting/stem repr(log_prob)`
-           lines to `log_probs.txt`
+           CAC, the CAC with tau=3 and the moving-key gamma=2 full121
+           decodes again, in one process calling `viterbi_joint`, written
+           as `setting/stem repr(log_prob)` lines to `log_probs.txt`; the
+           step fails if the gamma=2 decode no longer gives some live key
+           two predecessors and some row no path to a live key
 
 Each tree writes the inputs with its own `synth`, and the two sets are
 compared byte for byte, WAVs included; both trees then read the working
@@ -50,6 +59,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import random
 import shutil
@@ -82,28 +92,38 @@ MAIN_SONGS = (("song0", 44100, 30.0), ("song1", 44100, 30.0), ("song2", 44100, 2
 RATE_SONGS = (("rate48k", 48000, 12.0), ("rate16k", 16000, 12.0), ("rate8k", 8000, 12.0))
 # (one-song source, constant-Q hop) run through `chroma` on their own.
 HOP_RUNS = (("rate48k", 1023), ("rate8k", 200))
+# The moving-key files: the first main song alternates between its key and
+# the key a fifth above every MOVE_SECONDS, the others keep theirs.
+MOVE_SECONDS = 3.75
 
 # Run in the tree's output directory after the CLI steps: the full-precision
 # log-prob of each full121 song, tight, unconstrained, tau-only, gamma-only,
-# CAC-only and CAC with tau=3.
+# CAC-only and CAC with tau=3, and gamma=2 alone on the moving-key model.
 LOG_PROB_SCRIPT = """
 from pathlib import Path
 from chordscribe.chroma import read_chromagram
-from chordscribe.decode import Constraints, viterbi_joint
+from chordscribe.decode import Constraints, prune_key_transitions, viterbi_joint
 from chordscribe.model import load_model
 
-model = load_model("models/full121.txt")
+model, moving = load_model("models/full121.txt"), load_model("models/full121_moving_key.txt")
+kept = prune_key_transitions(moving, 2) > 0  # (from, to)
+live = kept.any(axis=0)
+n_pred = kept[live][:, live].sum(axis=0)  # each live key's predecessors among the live keys
+print(f"gamma=2 on the moving-key model: {live.sum()} live keys, {n_pred.tolist()} predecessors each")
+if n_pred.max() < 2 or n_pred.min() == live.sum():
+    raise SystemExit("the gamma=2 decode lost its keys of two predecessors or its rows that miss a live key")
 lines = []
 tight = Constraints(gamma=0, tau=3, cac=True)
 settings = (
-    ("tight", tight), ("free", Constraints()), ("tau", Constraints(tau=3)), ("gamma", Constraints(gamma=0)),
-    ("cac", Constraints(cac=True)), ("cac_tau", Constraints(tau=3, cac=True)),
+    ("tight", model, tight), ("free", model, Constraints()), ("tau", model, Constraints(tau=3)),
+    ("gamma", model, Constraints(gamma=0)), ("cac", model, Constraints(cac=True)),
+    ("cac_tau", model, Constraints(tau=3, cac=True)), ("gamma2_moving_key", moving, Constraints(gamma=2)),
 )
-for setting, constraints in settings:
+for setting, m, constraints in settings:
     for treble in sorted(Path("chroma").glob("*.treble.chroma")):
         stem = treble.name.removesuffix(".treble.chroma")
         bass = read_chromagram(treble.with_name(stem + ".bass.chroma"))
-        log_prob = viterbi_joint(model, constraints, read_chromagram(treble), bass).log_prob
+        log_prob = viterbi_joint(m, constraints, read_chromagram(treble), bass).log_prob
         lines.append(f"{setting}/{stem} {log_prob!r}\\n")
 Path("log_probs.txt").write_text("".join(lines))
 """
@@ -156,6 +176,16 @@ def write_inputs(src: Path, root: Path, seed: int = 7) -> None:
             for suffix, d in ((".chords.lab", "chords"), (".keys.lab", "keys"), (".beats.txt", "beats")):
                 target = root / group / d / (stem + (".txt" if d == "beats" else ".lab"))
                 os.replace(f"{out}{suffix}", target)
+    moving = root / "main" / "keys_moving"
+    moving.mkdir(exist_ok=True)
+    for i, (stem, _, seconds) in enumerate(MAIN_SONGS):
+        key = (root / "main" / "keys" / f"{stem}.lab").read_text()
+        if i == 0:
+            tonic, mode = key.split()[2].split(":")
+            keys = (f"{tonic}:{mode}", f"{_PITCH[(_PITCH.index(tonic) + 7) % 12]}:{mode}")
+            starts = [j * MOVE_SECONDS for j in range(math.ceil(seconds / MOVE_SECONDS))]
+            key = "".join(f"{t!r} {min(t + MOVE_SECONDS, seconds)!r} {keys[j % 2]}\n" for j, t in enumerate(starts))
+        (moving / f"{stem}.lab").write_text(key)
     for stem, hop in HOP_RUNS:
         for d, suffix in (("audio", ".wav"), ("beats", ".txt")):
             (root / f"hop{hop}" / d).mkdir(parents=True, exist_ok=True)
@@ -189,6 +219,9 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
     steps.append(("train_keyless", ("train", "--chroma-dir", "chroma", "--chords-dir", str(main / "chords"),
                   "--alphabet", "full121", "--alpha", "0", "--train-fraction", "1.0",
                   "--model", "models/full121_keyless.txt")))  # fmt: skip
+    steps.append(("train_moving_key", ("train", "--chroma-dir", "chroma", "--chords-dir", str(main / "chords"),
+                  "--keys-dir", str(main / "keys_moving"), "--alphabet", "full121", "--train-fraction", "1.0",
+                  "--model", "models/full121_moving_key.txt")))  # fmt: skip
     full = ("--chroma-dir", "chroma", "--model", "models/full121.txt")
     steps += [
         ("decode_free", ("decode", *full, "--output-dir", "decode/free")),
@@ -196,6 +229,8 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("decode_gamma", ("decode", *full, "--gamma", "0", "--output-dir", "decode/gamma")),
         ("decode_cac", ("decode", *full, "--cac", "--output-dir", "decode/cac")),
         ("decode_cac_tau", ("decode", *full, "--tau", "3", "--cac", "--output-dir", "decode/cac_tau")),
+        ("decode_gamma2_moving_key", ("decode", "--chroma-dir", "chroma", "--model", "models/full121_moving_key.txt",
+                                      "--gamma", "2", "--output-dir", "decode/gamma2_moving_key")),
         ("decode_sweep", ("decode", *full, "--gamma", "0,2", "--tau", "1,3,13", "--cac", "--jobs", "2",
                           "--output-dir", "decode/sweep")),
     ]  # fmt: skip
