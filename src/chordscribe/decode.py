@@ -60,13 +60,15 @@ whose drops hold +inf, bounds no chord; such frames, and those where more
 chords pass (the frame after a flat one, as after a silent first frame
 under a flat key prior), run the stages below over every previous chord.
 
-On the frames the chord bound leaves, each stage runs dense, over every
-predecessor, when its tensor fits the dense budget or a frame keeps over a
-quarter of the predecessors, and otherwise over the predecessors that one
-exact bound keeps (`_bound`). In a cell whose maximum mx is at predecessor
-a, predecessor p cannot win or tie at any target below mx - drop[a, p],
-the most p's transitions gain over a's at any target; a slack of
-1e-9 * (1 + |mx| + scale), scale bounding the transitions' magnitudes,
+On the frames the chord bound leaves, each stage runs over the
+predecessors that one exact bound keeps (`_bound`), and dense, over every
+predecessor, where the bound cannot prune: stage 1 where the fused step
+runs (below) or a bass transition is -inf, stage 2 where each live key has
+one predecessor, and any stage on a frame whose bound keeps over a quarter
+of the predecessors (`_GATHER_COST`). In a cell whose maximum mx is at
+predecessor a, predecessor p cannot win or tie at any target below mx -
+drop[a, p], the most p's transitions gain over a's at any target; a slack
+of 1e-9 * (1 + |mx| + scale), scale bounding the transitions' magnitudes,
 dwarfs the float roundings (each under 2**-53 of that sum), and a dead
 cell keeps none. `_delta` gives the drops of stage 1, over the slots s of
 each cell (k, c), max_u (lh[s, u] - lh[a, u]), and of stage 2, over the
@@ -105,8 +107,8 @@ that keeps one chord has one previous state for all its cells, packed once;
 when every row keeps one, the frame stores that (L, U) table.
 
 Stages 2 and 3 fuse into one argmax per target cell when each live key
-has one predecessor d (D == 1, every frame of a tight decode), stage 1
-runs dense and the (L * Cw * S, Cw) table fits its budget. A row adds
+has one predecessor d (D == 1, every frame of a tight decode) and the
+(L * Cw * S, Cw) table fits its budget; stage 1 then runs dense. A row adds
 lf[d, k] and then lg[k, cp, c] to stage 1's maxima at (d, u), the staged
 adds in order, so the argmax takes the staged maximum and its first
 chord, dead cells included. With D > 1, rounding can merge two rows'
@@ -128,14 +130,11 @@ from .chroma import Chromagram
 from .model import ChordOnlyHmm, HpModel, gaussian_logpdf_frames
 
 _TIE_BIG = np.int32(2**30)
-# The dense stage 2's and stage 3's block budget in elements, and the form
-# rules of stages 1, 2 and 3 (module docstring)
+# The dense stage 2's and stage 3's block budget in elements
 _BLOCK_ELEMENTS = 2**18
-_DENSE_ELEMENTS = _BLOCK_ELEMENTS
-_FUSED_ELEMENTS = _DENSE_ELEMENTS  # the fused stage 2-3 table's budget
+_FUSED_ELEMENTS = _BLOCK_ELEMENTS  # the fused stage 2-3 table's budget
 _GATHER_COST = 4  # a gathered element costs about four dense ones
 _DELTA_ELEMENTS = 2**16  # `_delta`'s block of differences
-_CHORD_BOUND = True  # bound the previous chords before stage 1 (module docstring)
 
 
 class NoAdmissiblePathError(Exception):
@@ -323,12 +322,11 @@ class _Prev(NamedTuple):
     starts: np.ndarray  # (Kp, U, Cw) flat index of each stage-1 row's first element
     delta_s: np.ndarray  # (Cw * Sp, Sp) [c * Sp + a, s]: the most slot s gains over slot a at any target
     scale_s: float  # twice the largest |lh_g|, for the stage-1 slack
-    dense_s: bool  # stage 1 takes every previous slot on every frame
+    dense_s: bool  # stage 1 takes every previous slot on every frame: it fuses, or a bass transition is -inf
     lf_rows: np.ndarray  # (L, Kp) from each row to each live key, -inf for none
     delta: np.ndarray  # (Kp, Kp) [a, d]: the most row d gains over row a at any live key
     scale: float  # twice the largest finite |lf_rows|, for the stage-2 slack
     gaps: bool  # some row does not reach some live key
-    dense: bool  # stage 2 takes every predecessor on every frame
     pred: np.ndarray  # (L, D) each live key's predecessors, ascending, padded
     lf_pred: np.ndarray  # (L, D, 1, 1) their transitions, -inf as padding
     n_expanded: int  # the step's expanded transitions
@@ -350,24 +348,25 @@ class _Fused(NamedTuple):
     bp: np.ndarray  # (Kp * U * Cw,) (row * Cw + chord) * Sp of each stage-1 output element
 
 
-def _fused_layout(prev: _Prev, lg_live, slot_t) -> _Fused | None:
-    """The fused tables, when each live key has one predecessor, stage 1
-    runs dense and they fit the budget."""
+def _fuse(prev: _Prev, lg_live, slot_t) -> _Prev:
+    """prev with the fused tables, and stage 1 dense, when each live key has
+    one predecessor and they fit the budget."""
     n_live, deg = prev.pred.shape
     cw, s = slot_t.shape
     n_u = prev.lh_g.shape[0]
-    if deg > 1 or not prev.dense_s or n_live * cw * s * cw > _FUSED_ELEMENTS:
-        return None
+    if deg > 1 or n_live * cw * s * cw > _FUSED_ELEMENTS:
+        return prev
     shape = (n_live, cw, s)
     bp = (np.arange(prev.keys.size)[:, None, None] * cw + np.arange(cw)) * prev.slots.shape[1]
     rows = (prev.pred.reshape(n_live, 1, 1) * n_u + slot_t).ravel()
-    return _Fused(
+    fused = _Fused(
         rows, rows * cw,
         np.broadcast_to(prev.lf_pred.reshape(n_live, 1, 1, 1), (*shape, cw)).reshape(-1, cw),
         np.broadcast_to(lg_live[:, :, None], (*shape, cw)).reshape(-1, cw),
         np.arange(0, n_live * cw * s * cw, cw),
         np.broadcast_to(bp, (prev.keys.size, n_u, cw)).ravel(),
     )
+    return prev._replace(fused=fused, dense_s=True)
 
 
 def _delta(x):
@@ -405,8 +404,6 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
     delta_s = _delta(lh_g).reshape(-1, slots.shape[1])  # a table with -inf keeps stage 1 dense
     scale_s = 2 * float(np.abs(lh_g).max(initial=0))
     scale_c = scale + 2 * float(np.abs(lh_g[np.isfinite(lh_g)]).max(initial=0))
-    dense_s = keys.size * lh_g.size <= _DENSE_ELEMENTS or not np.isfinite(scale_s)
-    dense = live.size * deg * lh_g.shape[0] * lh_g.shape[1] <= _DENSE_ELEMENTS
     n_keys, cw, _ = tables.lg.shape
     n_expanded = (
         n_keys * int(np.isfinite(tables.lh).sum(axis=1)[slots].sum())
@@ -414,8 +411,8 @@ def _prev_layout(tables: _LogTables, keys, slots, live, targets) -> _Prev:
         + tables.slots.shape[1] * int(np.isfinite(tables.lg).sum())
     )
     return _Prev(
-        keys, slots, lh_g, starts, delta_s, scale_s, dense_s, lf_rows, _delta(lf_rows), scale, not fin.all(),
-        dense, pred, lf_pred, n_expanded, lf_rows.max(initial=-np.inf), lh_g.max(axis=(0, 2)), scale_c,
+        keys, slots, lh_g, starts, delta_s, scale_s, not np.isfinite(scale_s), lf_rows, _delta(lf_rows), scale,
+        not fin.all(), pred, lf_pred, n_expanded, lf_rows.max(initial=-np.inf), lh_g.max(axis=(0, 2)), scale_c,
     )
 
 
@@ -428,7 +425,6 @@ class _Layout(NamedTuple):
     rest: _Prev  # later frames read the live keys at the bass slots
     slot_t: np.ndarray  # (Cw, S) column of each bass slot among stage 1's targets
     lg_live: np.ndarray  # (L, c, c_prev) chord transitions into the live keys
-    dense: bool  # stage 3 takes every previous chord on every frame
     drop: np.ndarray  # (L * c_prev, 1) the stage-3 bound's drop, +inf where it holds none,
     scale: np.ndarray  # and its magnitude, for the slack
     drop_max: np.ndarray  # (L, 1) each live key's largest drop,
@@ -449,12 +445,9 @@ def _layout(tables: _LogTables) -> _Layout:
     first = _prev_layout(tables, np.arange(n_keys), np.tile(np.arange(n_bass), (cw, 1)), live, targets)
     rest = _prev_layout(tables, live, tables.slots, live, targets)
     lg_from = (tables.lg if live.size == n_keys else tables.lg[live]).reshape(-1, cw)  # a view when all are live
-    dense = lg_from.size * tables.slots.shape[1] <= _DENSE_ELEMENTS
     lg_live = lg_from.reshape(live.size, cw, cw).transpose(0, 2, 1)
-    if dense:  # dense stage 3 reads it on every frame, so it is transposed once per decode
-        lg_live = np.ascontiguousarray(lg_live)
     slot_t = np.searchsorted(targets, tables.slots)
-    first, rest = (prev._replace(fused=_fused_layout(prev, lg_live, slot_t)) for prev in (first, rest))
+    first, rest = (_fuse(prev, lg_live, slot_t) for prev in (first, rest))
     colmin = lg_live.min(axis=1)
     gmax = lg_live.max(axis=(1, 2), initial=-np.inf)[:, None]
     drop = np.full_like(colmin, np.inf)
@@ -469,7 +462,7 @@ def _layout(tables: _LogTables) -> _Layout:
         lambda t0: tables.lr + tables.emis_c[t0 : t0 + n, :, None] + tables.emis_b[t0 : t0 + n][:, tables.slots]
     )
     return _Layout(
-        tables, live, first, rest, slot_t, lg_live, dense, drop.reshape(-1, 1), scale.reshape(-1, 1),
+        tables, live, first, rest, slot_t, lg_live, drop.reshape(-1, 1), scale.reshape(-1, 1),
         drop.max(axis=1, keepdims=True), scale.max(axis=1, keepdims=True), lg_from, key_idx, key_u, cells, bp_dtype,
         lambda t: block(t - t % n)[t % n],
     )
@@ -483,7 +476,7 @@ def _step(layout: _Layout, v: np.ndarray, t: int):
     prev = layout.first if t == 1 else layout.rest
     if prev.fused is not None:
         return _fused_step(layout, prev, t, *_stage1(prev, v)[:2])
-    kept = _chord_bound(layout, prev, v) if _CHORD_BOUND else None
+    kept = _chord_bound(layout, prev, v)
     if kept is not None:
         return _stage3(layout, prev, t, *kept)
     stage_b, from_s, tail = _stage1(prev, v)
@@ -549,9 +542,7 @@ def _stages12(layout: _Layout, prev: _Prev, v, chords):
     column n = (u, c)'s predecessor rows on the last axis, whose argmax is
     the lowest maximizing row, as the rank form's."""
     n_u, sp = len(prev.lh_g), v.shape[-1]
-    sub = prev._replace(
-        lh_g=prev.lh_g[:, chords], starts=_row_starts((len(v), n_u, len(chords), sp)), dense_s=True, dense=True
-    )
+    sub = prev._replace(lh_g=prev.lh_g[:, chords], starts=_row_starts((len(v), n_u, len(chords), sp)), dense_s=True)
     stage_b, from_s, _ = _stage1(sub, v[:, chords])
     n_live, deg = prev.pred.shape
     if deg == 1:
@@ -627,9 +618,10 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b, tail=None):
     of the stage_b rows they come from, the first maximizing predecessor, at
     the flat indices at or, with none, at every cell. Pruned, over the rows
     the bound keeps (per chord from stage 1's tail, per column without
-    one); dense, over axis 1 of (L, D, U, Cw) in key blocks, where the
-    largest rank (D down to 1) equal to the max marks that predecessor."""
-    if not prev.dense:
+    one); dense where each live key has one predecessor or the bound keeps
+    too many, over axis 1 of (L, D, U, Cw) in key blocks, where the largest
+    rank (D down to 1) equal to the max marks that predecessor."""
+    if prev.pred.shape[1] > 1:
         cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)  # (N, Kp), as stage 1's tail wrote it
         cand = _stage2_candidates(prev, cols, tail)
         if cand.shape[0] * _GATHER_COST <= prev.pred.shape[1]:
@@ -729,13 +721,11 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s, chords=None)
     n_live, cw, s = layout.live.size, tables.working.size, tables.slots.shape[1]
     n = stage_k.shape[-1]
     chord = (lambda c: c) if chords is None else chords.take  # the previous chord at a position of that axis
-    cand = None
-    if not layout.dense:
-        drop, scale = layout.drop, layout.scale
-        if chords is not None:  # the bound's rows at those chords
-            drop, scale = (x.reshape(n_live, cw).take(chords, axis=1).reshape(-1, 1) for x in (drop, scale))
-        cand = _stage3_candidates(stage_k, drop, scale)
-    if cand is not None and cand.shape[2] * _GATHER_COST > cw:
+    drop, scale = layout.drop, layout.scale
+    if chords is not None:  # the bound's rows at those chords
+        drop, scale = (x.reshape(n_live, cw).take(chords, axis=1).reshape(-1, 1) for x in (drop, scale))
+    cand = _stage3_candidates(stage_k, drop, scale)
+    if cand.shape[2] * _GATHER_COST > cw:
         cand = None  # gathering this many would cost more than every chord
     if cand is not None and cand.shape[2] == 1:  # a row's cells share one previous state: pack and keep it once
         at = _row_starts(stage_k.shape)[..., None] + cand  # (L, U, 1) in stage 2's output

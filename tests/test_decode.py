@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import pickle
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -271,6 +272,17 @@ class TestChordAlphabetConstraint:
         assert set(admissible.tolist()) == {0, 2}
 
 
+class Form(NamedTuple):
+    """How `stage_form` forces the decoder's form rule."""
+
+    gather_cost: int  # `decode._GATHER_COST`: 0 takes whatever a bound keeps, _DENSE every bound's dense fallback
+    fused_elements: int  # `decode._FUSED_ELEMENTS`: -1 never fuses
+    dense_stage1: bool  # `decode._prev_layout` sets dense_s, so stage 1 takes no tail
+    chord_bound: str  # "off" keeps no subset, "any" takes every subset, "on" as gather_cost says
+
+
+_DENSE = 2**62
+
 # The chord bound is off in the dense and fused forms, and on in the pruned
 # form and in "chord bound on" (dense stages otherwise), both of which take
 # the chords it keeps whenever it keeps fewer than all. A pruned form with
@@ -279,10 +291,10 @@ class TestChordAlphabetConstraint:
 # on every frame where the bound keeps every chord (most frames of the small
 # random tables) and in the stage tests that call them directly.
 STAGE_FORMS = {
-    "dense": {"_DENSE_ELEMENTS": 2**62, "_FUSED_ELEMENTS": -1, "_CHORD_BOUND": False},
-    "pruned": {"_DENSE_ELEMENTS": -1, "_GATHER_COST": 0, "_FUSED_ELEMENTS": -1, "_CHORD_BOUND": True},
-    "fused": {"_DENSE_ELEMENTS": 2**62, "_FUSED_ELEMENTS": 2**20, "_CHORD_BOUND": False},
-    "chord bound on": {"_DENSE_ELEMENTS": 2**62, "_GATHER_COST": 0, "_FUSED_ELEMENTS": -1, "_CHORD_BOUND": True},
+    "dense": Form(_DENSE, -1, True, "off"),
+    "pruned": Form(0, -1, False, "on"),
+    "fused": Form(_DENSE, 2**20, True, "off"),
+    "chord bound on": Form(_DENSE, -1, True, "any"),
 }
 
 
@@ -292,13 +304,30 @@ def stage_form(form):
     or pruned (the ones their bounds keep) on every frame, whatever the
     table sizes, or stage 1 dense and stages 2 and 3 fused into one argmax
     per cell wherever each live key has one predecessor and the fused table
-    holds at most 2**20 elements, dense elsewhere; stage 1 stays dense
+    holds at most 2**20 elements, dense elsewhere; a stage-2 bound runs only
+    where a live key has several predecessors, and stage 1 stays dense
     under every form when a bass transition is -inf. Where the form turns
     the chord bound on, a frame that it bounds runs stages 1 and 2 dense on
-    the previous chords it keeps, and stage 3 on those."""
+    the previous chords it keeps, and stage 3 on those. The dense forms are
+    the bounds' own fallbacks, taken on every frame."""
+    f = STAGE_FORMS[form]
     with pytest.MonkeyPatch.context() as patch:
-        for name, value in STAGE_FORMS[form].items():
-            patch.setattr(decode, name, value)
+        patch.setattr(decode, "_GATHER_COST", f.gather_cost)
+        patch.setattr(decode, "_FUSED_ELEMENTS", f.fused_elements)
+        if f.dense_stage1:
+            prev_layout = decode._prev_layout
+            patch.setattr(decode, "_prev_layout", lambda *args: prev_layout(*args)._replace(dense_s=True))
+        chord_bound = decode._chord_bound
+        if f.chord_bound == "off":
+            patch.setattr(decode, "_chord_bound", lambda layout, prev, v: None)
+        elif f.chord_bound == "any":
+
+            def any_subset(layout, prev, v):
+                with pytest.MonkeyPatch.context() as inner:
+                    inner.setattr(decode, "_GATHER_COST", 0)
+                    return chord_bound(layout, prev, v)
+
+            patch.setattr(decode, "_chord_bound", any_subset)
         yield
 
 
@@ -1026,14 +1055,16 @@ class TestStep:
                     stage_k, rows = decode._stage2(layout, prev, stage_b, tail)
                     stage2[form] = stage_k, rows(np.arange(stage_k.size).reshape(stage_k.shape))
                     out[form] = _step_cells(layout, v, t)
-                # `_step` bounds the previous chords unless it fuses or the form turns the bound off
-                assert len(subset) == (STAGE_FORMS[form]["_CHORD_BOUND"] and prev.fused is None), f"frame {t}, {form}"
+                # `_step` bounds the previous chords unless it fuses; the bound keeps nothing where the form turns it off
+                assert len(subset) == (prev.fused is None), f"frame {t}, {form}"
+                assert not any(subset) or STAGE_FORMS[form].chord_bound != "off", f"frame {t}, {form}"
                 if prev.pred.shape[1] > 1:  # one pass of stages 1 and 2 on a bounded frame, none on another
                     assert len(s) == (subset == [True]), f"frame {t}, {form}"
                 assert (tail is not None) == (form == "pruned" and _took_stage1_tail(from_s)), f"frame {t}, {form}"
                 assert per_chord == [tail is not None] * len(per_chord), f"frame {t}, {form}"
-                # ours, and `_step`'s where the chord bound kept every chord or too many
-                assert len(per_chord) == (form == "pruned") * (1 + (subset == [False])), f"frame {t}, {form}"
+                # ours, and `_step`'s where the chord bound kept every chord or too many, where keys have several
+                # predecessors: a dense form's stage 2 falls back from the bound it tried
+                assert len(per_chord) == (prev.pred.shape[1] > 1) * (1 + (subset == [False])), f"frame {t}, {form}"
                 fused += form == "fused" and prev.fused is not None
                 subsets[form] += subset == [True]
             one_slot += _took_stage1_tail(stage1["pruned"][1])
@@ -1523,7 +1554,7 @@ def _exact_column_bound(layout, prev, v):
     checked against."""
     ub = v.max(axis=0).max(axis=-1)[None] + prev.out_max + prev.lh_max
     c = int(ub.max(axis=0).argmax())
-    dense = prev._replace(dense_s=True, dense=True)
+    dense = prev._replace(dense_s=True)  # and stage 2 dense under the "chord bound on" form
     col = decode._stage2(layout, dense, decode._stage1(dense, v)[0])[0][..., c]
     lb = (col - 1e-9 * (1 + np.abs(col) + layout.scale_max) - layout.drop_max).min()
     if lb == -np.inf:
@@ -1597,9 +1628,10 @@ def test_subset_stage2_equals_rank_form_bit_for_bit(seed):
             chords = np.union1d(rng.choice(len(prev.slots), size=rng.integers(1, 4), replace=False), [gone])
             stage_k, rows, from_s = decode._stages12(layout, prev, v, chords)
             shape = (len(prev.keys), len(prev.lh_g), len(chords), v.shape[-1])
-            sub = prev._replace(lh_g=prev.lh_g[:, chords], starts=decode._row_starts(shape), dense_s=True, dense=True)
+            sub = prev._replace(lh_g=prev.lh_g[:, chords], starts=decode._row_starts(shape), dense_s=True)
             stage_b, want_s, _ = decode._stage1(sub, v[:, chords])
-            want_k, want_rows = decode._stage2(layout, sub, stage_b)
+            with stage_form("dense"):
+                want_k, want_rows = decode._stage2(layout, sub, stage_b)
             assert stage_k.shape == want_k.shape and stage_k.tobytes() == want_k.tobytes(), f"trial {trial}"
             assert rows().dtype == want_rows().dtype and np.array_equal(rows(), want_rows()), f"trial {trial}"
             at = rng.integers(stage_k.size, size=(3, 4))
@@ -1661,7 +1693,7 @@ def test_gamma_only_staged_one_predecessor_pinned():
     layout = decode._layout(decode._build_tables(model, constraints, treble, bass))
     assert layout.live.tolist() == [0, 7]
     for prev in (layout.first, layout.rest):
-        assert prev.fused is None and prev.pred.shape[1] == 1 and prev.dense
+        assert prev.fused is None and prev.pred.shape[1] == 1
     path = viterbi_joint(model, constraints, treble, bass)
     assert path.keys.tolist() == [0] * 12
     assert path.chords.tolist() == [1] * 4 + [7] * 4 + [1] * 4
@@ -1669,43 +1701,60 @@ def test_gamma_only_staged_one_predecessor_pinned():
     assert repr(path.log_prob) == "173.081805782094"
 
 
+def _frame_model_case():
+    """The acceptance suite's full121 frame model and a 30-frame song of it,
+    whose chord-only first pass keeps six chords."""
+    from test_acceptance import _frame_song, _full121_frame_model
+
+    rng = np.random.default_rng(2025)
+    model, a121, vocab = _full121_frame_model(rng)
+    treble, bass, _, _ = _frame_song(rng, vocab, a121, 30)
+    return model, treble, bass
+
+
 @pytest.mark.parametrize(
-    ("constraints", "cells", "rows"),
+    ("case", "constraints", "cells", "rows", "default_rows"),
     [
-        (Constraints(), (24, 121, 13), (24, 13)),
-        (Constraints(tau=3), (24, 121, 3), (24, 7)),
-        (Constraints(gamma=0, tau=3, cac=True), (2, 3, 3), (2, 5)),
+        (_fallback_tie_case, Constraints(), (24, 121, 13), (24, 13), True),
+        (_fallback_tie_case, Constraints(tau=3), (24, 121, 3), (24, 7), True),
+        (_fallback_tie_case, Constraints(gamma=0, tau=3, cac=True), (2, 3, 3), (2, 5), False),
+        (_frame_model_case, Constraints(cac=True), (24, 6, 13), (24, 13), True),
     ],
-    ids=["free", "tau3", "tight"],
+    ids=["free", "tau3", "tight", "cac"],
 )
-def test_backpointer_format_pinned(constraints, cells, rows):
+def test_backpointer_format_pinned(case, constraints, cells, rows, default_rows):
     # Each frame's backpointers are uint16 flat (row, chord, slot) indices in
     # the previous v. Where stage 3 keeps one previous chord per (live key,
-    # target bass) row, which only the pruned form does here (on the middle
-    # frames, and on every tight frame), the row's cells share one entry:
-    # (L, U), 624 bytes a free full121 frame. Every other frame keeps one
-    # per (live key, chord, bass slot) cell: (L, Cw, S), 75.5 KB a free
-    # full121 frame.
-    model, treble, bass = _fallback_tie_case()
+    # target bass) row, the row's cells share one entry: (L, U), 624 bytes a
+    # free full121 frame. The pruned form does so here (on the middle frames,
+    # and on every tight and CAC-only frame), and so does the default rule on
+    # the middle frames of the free and tau=3 decodes and on most frames of
+    # the CAC-only one (six chords); the tight decode fuses. Every other
+    # frame keeps one per (live key, chord, bass slot) cell: (L, Cw, S),
+    # 75.5 KB a free full121 frame.
+    model, treble, bass = case()
     tables = decode._build_tables(model, constraints, treble, bass)
-    for form in STAGE_FORMS:
+    for form in (None, *STAGE_FORMS):
         shapes = set()
-        with stage_form(form):
+        with stage_form(form) if form else contextlib.nullcontext():
             layout = decode._layout(tables)
             v = _frame0_v(tables)
             for t in range(1, treble.n_frames):
                 v, backptr = decode._step(layout, v, t)
                 assert backptr.dtype == np.uint16 and backptr.shape in (cells, rows), f"frame {t}, {form}"
                 shapes.add(backptr.shape)
-        assert (rows in shapes) == (form == "pruned"), form
+        assert (rows in shapes) == (form == "pruned" or form is None and default_rows), form
 
 
-@pytest.mark.parametrize(("constraints", "max_bytes"), [(Constraints(), 12_000), (Constraints(tau=3), 2_000)])
+@pytest.mark.parametrize(
+    ("constraints", "max_bytes"), [(Constraints(), 12_000), (Constraints(tau=3), 2_000), (Constraints(cac=True), 2_000)]
+)
 def test_backpointer_bytes_per_frame_bounded(constraints, max_bytes):
     # On a 150-frame song of a trained full121 model, nearly every step of a
-    # free or tau=3 decode keeps one previous chord per stage-3 row and
-    # stores one backpointer a row, so the mean bytes stored a frame stay
-    # far below the cell form's 75.5 KB (free) and 17.4 KB (tau=3).
+    # free, tau=3 or CAC-only decode keeps one previous chord per stage-3 row
+    # and stores one backpointer a row, so the mean bytes stored a frame stay
+    # far below the cell form's 75.5 KB (free), 17.4 KB (tau=3) and 8.7 KB
+    # (CAC-only, 14 chords).
     from test_acceptance import _frame_song, _full121_frame_model
 
     rng = np.random.default_rng(2025)

@@ -16,7 +16,8 @@ of a git ref, and compares every output file:
            and every song in training, so every key is unlabeled and the
            key-relative chord rows stay all zero; and full121 on the
            moving key files with every song in training
-    decode gamma=0, tau=3, CAC (both models); full121 unconstrained,
+    decode gamma=0, tau=3, CAC (both models); majmin25 unconstrained and
+           CAC alone (staged frames of a small alphabet); full121 unconstrained,
            tau=3 alone, gamma=0 alone (a live-key subset with every
            chord and all 13 basses, each key its own one predecessor),
            CAC alone and CAC with tau=3 (a working set of few chords,
@@ -29,7 +30,8 @@ of a git ref, and compares every output file:
            and the same at `--jobs 2`
     log-probs  the tight, the unconstrained, the tau=3, the gamma=0, the
            CAC, the CAC with tau=3 and the moving-key gamma=2 full121
-           decodes again, in one process calling `viterbi_joint`, written
+           decodes again, and the majmin25 unconstrained and CAC-only
+           decodes, in one process calling `viterbi_joint`, written
            as `setting/stem repr(log_prob)` lines to `log_probs.txt`; the
            step fails if the gamma=2 decode no longer gives some live key
            two predecessors and some row no path to a live key
@@ -98,7 +100,8 @@ MOVE_SECONDS = 3.75
 
 # Run in the tree's output directory after the CLI steps: the full-precision
 # log-prob of each full121 song, tight, unconstrained, tau-only, gamma-only,
-# CAC-only and CAC with tau=3, and gamma=2 alone on the moving-key model.
+# CAC-only and CAC with tau=3, gamma=2 alone on the moving-key model, and
+# majmin25 unconstrained and CAC-only.
 LOG_PROB_SCRIPT = """
 from pathlib import Path
 from chordscribe.chroma import read_chromagram
@@ -106,6 +109,7 @@ from chordscribe.decode import Constraints, prune_key_transitions, viterbi_joint
 from chordscribe.model import load_model
 
 model, moving = load_model("models/full121.txt"), load_model("models/full121_moving_key.txt")
+majmin = load_model("models/majmin25.txt")
 kept = prune_key_transitions(moving, 2) > 0  # (from, to)
 live = kept.any(axis=0)
 n_pred = kept[live][:, live].sum(axis=0)  # each live key's predecessors among the live keys
@@ -118,6 +122,7 @@ settings = (
     ("tight", model, tight), ("free", model, Constraints()), ("tau", model, Constraints(tau=3)),
     ("gamma", model, Constraints(gamma=0)), ("cac", model, Constraints(cac=True)),
     ("cac_tau", model, Constraints(tau=3, cac=True)), ("gamma2_moving_key", moving, Constraints(gamma=2)),
+    ("free_majmin25", majmin, Constraints()), ("cac_majmin25", majmin, Constraints(cac=True)),
 )
 for setting, m, constraints in settings:
     for treble in sorted(Path("chroma").glob("*.treble.chroma")):
@@ -229,6 +234,10 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("decode_gamma", ("decode", *full, "--gamma", "0", "--output-dir", "decode/gamma")),
         ("decode_cac", ("decode", *full, "--cac", "--output-dir", "decode/cac")),
         ("decode_cac_tau", ("decode", *full, "--tau", "3", "--cac", "--output-dir", "decode/cac_tau")),
+        ("decode_free_majmin25", ("decode", "--chroma-dir", "chroma", "--model", "models/majmin25.txt",
+                                  "--output-dir", "decode/free_majmin25")),
+        ("decode_cac_majmin25", ("decode", "--chroma-dir", "chroma", "--model", "models/majmin25.txt", "--cac",
+                                 "--output-dir", "decode/cac_majmin25")),
         ("decode_gamma2_moving_key", ("decode", "--chroma-dir", "chroma", "--model", "models/full121_moving_key.txt",
                                       "--gamma", "2", "--output-dir", "decode/gamma2_moving_key")),
         ("decode_sweep", ("decode", *full, "--gamma", "0,2", "--tau", "1,3,13", "--cac", "--jobs", "2",
