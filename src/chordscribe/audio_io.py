@@ -253,8 +253,21 @@ def _resample_block(up: int) -> int:
 # a row is a broadcast, and numpy copies broadcast operands through its
 # 8192-element buffers when rows are shorter than that; at 16 the product
 # runs on the rows in place, about 2-3x faster. Speed only: the bits are
-# the same at any buffer size.
+# the same at any buffer size. numpy keeps the size per context, and a new
+# thread starts at the default, so every resampling thread sets it itself.
 _RESAMPLE_BUFSIZE = 16
+
+
+def _resample_threads(n_blocks: int) -> int:
+    """Threads that share a resample's n_blocks output blocks: one per CPU
+    this process may use, and 1 in a multiprocessing child, so that a
+    `--jobs N` pool keeps N CPUs busy and not N times as many."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, n_blocks)
 
 
 def _polyphase(x, up: int, down: int, taps: np.ndarray) -> np.ndarray:
@@ -276,6 +289,11 @@ def _polyphase(x, up: int, down: int, taps: np.ndarray) -> np.ndarray:
     increasing q, each row is one multiply by those phases' coefficients
     (an outer product) and one add into their accumulator rows, so every
     output still adds its taps in increasing j.
+
+    The blocks are dealt out in turn to _resample_threads threads, the
+    calling one among them, each with its own buffers. A block's outputs
+    are computed the same way on any thread, so the bits do not depend on
+    the thread count.
     """
     n_in = x.size
     n_out = -(-n_in * up // down)
@@ -302,29 +320,43 @@ def _polyphase(x, up: int, down: int, taps: np.ndarray) -> np.ndarray:
     n_cols = m_block + (n_rows - 1) // down
 
     out = np.empty(n_out)
-    rows = np.empty((down, n_cols))
-    acc = np.empty((up, m_block))
-    prod = np.empty((int((r_hi - r_lo).max()), m_block))
-    feeds = []  # per row q: (its block values, coefficients, accumulators, product)
-    for qi, a, b in zip(q.tolist(), r_lo.tolist(), r_hi.tolist()):
-        col = coef[np.arange(a, b), qi - offset[a:b]][:, None]
-        row = rows[qi % down, qi // down : qi // down + m_block]
-        feeds.append((row, col, acc[a:b], prod[: b - a]))
 
-    old_bufsize = np.setbufsize(_RESAMPLE_BUFSIZE)
-    try:
-        for i0 in range(0, n_out, m_block * up):
-            lo = i0 // up * down + int(first[0])
-            window = zero_extended(x, lo, lo + n_cols * down)
-            rows[...] = window.reshape(n_cols, down).T
-            acc.fill(0.0)
-            for row, col, a, p in feeds:
-                np.multiply(col, row, out=p)
-                a += p
-            i1 = min(n_out, i0 + m_block * up)
-            out[i0:i1] = acc.T.ravel()[: i1 - i0]
-    finally:
-        np.setbufsize(old_bufsize)
+    def run(starts) -> None:  # the output blocks at `starts`, each into its own slice of out
+        rows = np.empty((down, n_cols))
+        acc = np.empty((up, m_block))
+        prod = np.empty((int((r_hi - r_lo).max()), m_block))
+        feeds = []  # per row q: (its block values, coefficients, accumulators, product)
+        for qi, a, b in zip(q.tolist(), r_lo.tolist(), r_hi.tolist()):
+            col = coef[np.arange(a, b), qi - offset[a:b]][:, None]
+            row = rows[qi % down, qi // down : qi // down + m_block]
+            feeds.append((row, col, acc[a:b], prod[: b - a]))
+        old_bufsize = np.setbufsize(_RESAMPLE_BUFSIZE)
+        try:
+            for i0 in starts:
+                lo = i0 // up * down + int(first[0])
+                window = zero_extended(x, lo, lo + n_cols * down)
+                rows[...] = window.reshape(n_cols, down).T
+                acc.fill(0.0)
+                for row, col, a, p in feeds:
+                    np.multiply(col, row, out=p)
+                    a += p
+                i1 = min(n_out, i0 + m_block * up)
+                out[i0:i1] = acc.T.ravel()[: i1 - i0]
+        finally:
+            np.setbufsize(old_bufsize)
+
+    starts = range(0, n_out, m_block * up)
+    n = _resample_threads(len(starts))
+    if n == 1:
+        run(starts)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n - 1) as pool:  # leaving it joins every thread
+        shares = [pool.submit(run, starts[i::n]) for i in range(1, n)]
+        run(starts[::n])
+        for share in shares:
+            share.result()  # re-raises a thread's error
     return out
 
 

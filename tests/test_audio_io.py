@@ -1,9 +1,12 @@
 import math
+import multiprocessing
 import os
 import re
 import struct
 import subprocess
 import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from scipy.io import wavfile
 
 import chordscribe
+from chordscribe import audio_io
 from chordscribe.audio_io import (
     AudioBuffer,
     EmptyAudioError,
@@ -19,6 +23,7 @@ from chordscribe.audio_io import (
     WavSource,
     _resample_block,
     _resample_taps,
+    _resample_threads,
     load_wav,
     resample,
     synthesize_triads,
@@ -355,6 +360,94 @@ class TestResampleMatchesScipy:
         wavfile.write(p, 48000, rng.integers(-20000, 20000, (48000 + 7, 2)).astype(np.int16))
         buf = load_wav(p)
         assert_same_bits(resample(buf, 11025).samples, scipy_resample(buf.samples, 48000, 11025))
+
+
+def at_cpus(monkeypatch, n):
+    """Make the resampler's thread-count rule see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def threads_at_four_cpus():
+    """The thread-count rule where four CPUs are usable (run in a pool worker)."""
+    os.sched_getaffinity = lambda pid: set(range(4))
+    return _resample_threads(1000)
+
+
+class RaisingSource:
+    """A silent source at 44.1 kHz whose slices that start at `fail_from` or later raise."""
+
+    sample_rate = 44100
+
+    def __init__(self, size, fail_from):
+        self.size, self.fail_from = size, fail_from
+
+    def __getitem__(self, key):
+        lo, hi, _ = key.indices(self.size)
+        if lo >= self.fail_from:
+            raise OSError(f"unreadable from sample {lo}")
+        return np.zeros(hi - lo)
+
+
+class TestResampleThreads:
+    def resample_at(self, monkeypatch, n, source, dst):
+        """resample at n usable CPUs; checks that n threads each read blocks."""
+        readers, read = set(), audio_io.zero_extended
+
+        def zero_extended(x, lo, hi):
+            readers.add(threading.get_ident())
+            return read(x, lo, hi)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads trade the interpreter often
+        try:
+            with monkeypatch.context() as m:
+                at_cpus(m, n)
+                m.setattr(audio_io, "zero_extended", zero_extended)
+                out = resample(source, dst).samples
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(readers) == n
+        return out
+
+    def test_wav_source_bits_at_any_thread_count(self, tmp_path, monkeypatch):
+        # 44.1 -> 11.025 kHz (up 1): three blocks and a part
+        p = tmp_path / "long.wav"
+        write_raw_wav(p, sample_bytes(np.random.default_rng(5), 1, 2, LONG_FRAMES), 1, 2, 1)
+        one = self.resample_at(monkeypatch, 1, WavSource(p), 11025)
+        assert_same_bits(one, scipy_resample(load_wav(p).samples, 44100, 11025))
+        for n in (2, 3):
+            assert_same_bits(self.resample_at(monkeypatch, n, WavSource(p), 11025), one)
+
+    def test_up_147_bits_at_any_thread_count(self, monkeypatch):
+        # 48 -> 11.025 kHz: up 147, down 640, 150,528 outputs a block; three blocks
+        block = _resample_block(147) * 640  # input samples that fill one output block
+        x = np.random.default_rng(48).uniform(-0.5, 0.5, 2 * block + 4001)
+        one = self.resample_at(monkeypatch, 1, AudioBuffer(x, 48000), 11025)
+        assert_same_bits(one, scipy_resample(x, 48000, 11025))
+        for n in (2, 3):
+            assert_same_bits(self.resample_at(monkeypatch, n, AudioBuffer(x, 48000), 11025), one)
+
+    @pytest.mark.parametrize("late", [2, 3])
+    def test_error_in_a_late_block_raises_and_leaves_no_thread(self, monkeypatch, late):
+        # four blocks on two threads: blocks 0 and 2 on the calling thread,
+        # 1 and 3 on the other. Blocks from `late` on fail to read (a block
+        # starts reading the filter's span, under 1000 samples, before it):
+        # at 3 only the other thread's last block, at 2 one on each thread.
+        block = 4 * _resample_block(1)  # input samples that fill one output block
+        threads = threading.active_count()
+        at_cpus(monkeypatch, 2)
+        with pytest.raises(OSError, match="unreadable from sample"):
+            resample(RaisingSource(4 * block, late * block - 1000), 11025)
+        assert threading.active_count() == threads
+        resample(RaisingSource(4 * block, 4 * block), 11025)
+        assert threading.active_count() == threads
+
+    def test_thread_count_rule(self, monkeypatch):
+        at_cpus(monkeypatch, 3)
+        assert [_resample_threads(n) for n in (1, 2, 3, 9)] == [1, 2, 3, 3]
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, mp_context=spawn) as pool:  # a --jobs worker resamples on one thread
+            assert pool.submit(threads_at_four_cpus).result(timeout=60) == 1
 
 
 class TestSynthesizeTriads:

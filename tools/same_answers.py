@@ -8,10 +8,13 @@ of a git ref, and compares every output file:
            8 kHz that only go through `chroma`; and a second set of key
            files in which the first song moves between its key and the
            key a fifth above every few seconds
-    chroma with beat files; and the 48 kHz source alone with `hop = 1023`
-           (an odd hop, whose windows the constant-Q copies) and the
-           8 kHz one with `hop = 200` (bass windows over 16 hops long,
-           which the constant-Q copies), each set in a config file
+    chroma with beat files; the main songs again at `--jobs 2`, whose
+           pool workers resample on one thread each (a lone process
+           resamples on every CPU it may use); and the 48 kHz source
+           alone with `hop = 1023` (an odd hop, whose windows the
+           constant-Q copies) and the 8 kHz one with `hop = 200` (bass
+           windows over 16 hops long, which the constant-Q copies), each
+           set in a config file
     train  majmin25 and full121; full121 with no key files, alpha 0
            and every song in training, so every key is unlabeled and the
            key-relative chord rows stay all zero; and full121 on the
@@ -51,6 +54,7 @@ files of the ref and leaves nothing registered in the repository.
 
     python tools/same_answers.py                  # working tree vs HEAD
     python tools/same_answers.py --ref origin/main --work /tmp/sa  # keeps /tmp/sa
+    taskset -c 0 python tools/same_answers.py     # one CPU: the resampler starts no thread
 
 Needs the Python standard library, git, and the packages chordscribe
 itself needs.
@@ -207,6 +211,8 @@ def scenario_steps(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
     steps = [
         ("chroma", ("chroma", "--audio-dir", str(main / "audio"), "--chroma-dir", "chroma",
                     "--beats", str(main / "beats"))),
+        ("chroma_jobs2", ("chroma", "--audio-dir", str(main / "audio"), "--chroma-dir", "chroma_jobs2",
+                          "--beats", str(main / "beats"), "--jobs", "2")),
         ("chroma_rates", ("chroma", "--audio-dir", str(rates / "audio"), "--chroma-dir", "chroma_rates",
                           "--beats", str(rates / "beats"))),
     ]  # fmt: skip
