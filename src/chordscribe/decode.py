@@ -63,45 +63,45 @@ under a flat key prior), run the stages below over every previous chord.
 On the frames the chord bound leaves, each stage runs over the
 predecessors that one exact bound keeps (`_bound`), and dense, over every
 predecessor, where the bound cannot prune: stage 1 where the fused step
-runs (below) or a bass transition is -inf, stage 2 where each live key has
-one predecessor, and any stage on a frame whose bound keeps over a quarter
-of the predecessors (`_GATHER_COST`). In a cell whose maximum mx is at
-predecessor a, predecessor p cannot win or tie at any target below mx -
-drop[a, p], the most p's transitions gain over a's at any target; a slack
-of 1e-9 * (1 + |mx| + scale), scale bounding the transitions' magnitudes,
-dwarfs the float roundings (each under 2**-53 of that sum), and a dead
-cell keeps none. `_delta` gives the drops of stage 1, over the slots s of
-each cell (k, c), max_u (lh[s, u] - lh[a, u]), and of stage 2, over the
-rows d, max_l (lf[d, l] - lf[a, l]) (+inf where only d reaches l); frame 1
-under a flat key prior keeps most rows and stays dense. Stage 3 drops
-every chord of a row (k, u) by max lg[k] - min_c lg[k, a, c], as chord c's
-cell is at least mx + lg[k, a, c] and any chord adds at most max lg[k]; a
--inf minimum keeps the row whole. When every live cell keeps a alone (most
-such frames of an unconstrained decode), stage 1 takes mx + lh[a, u] and a
-at every target u, as (U, Cw, Kp) so that stage 2 reads each column as one
-contiguous row of keys; it runs dense on any other frame, and on all when
-a bass transition is -inf (a dead target slot takes slot 0).
+runs (below) or a bass transition is -inf, stage 2 after a dense stage 1
+or where the live keys have fewer than `_GATHER_COST` predecessors each
+(one kept row would cost more than all), and any stage on a frame whose
+bound keeps over a quarter of the predecessors. In a cell whose maximum mx
+is at predecessor a, predecessor p cannot win or tie at any target below
+mx - drop[a, p], the most p's transitions gain over a's at any target; a
+slack of 1e-9 * (1 + |mx| + scale), scale bounding the transitions'
+magnitudes, dwarfs the float roundings (each under 2**-53 of that sum),
+and a dead cell keeps none. `_delta` gives the drops of stage 1, over the
+slots s of each cell (k, c), max_u (lh[s, u] - lh[a, u]), and of stage 2,
+over the rows d, max_l (lf[d, l] - lf[a, l]) (+inf where only d reaches
+l); frame 1 under a flat key prior keeps most rows and stays dense. Stage
+3 drops every chord of a row (k, u) by max lg[k] - min_c lg[k, a, c], as
+chord c's cell is at least mx + lg[k, a, c] and any chord adds at most max
+lg[k]; a -inf minimum keeps the row whole. When every live cell keeps a
+alone (most such frames of an unconstrained decode), stage 1 takes mx +
+lh[a, u] and a at every target u, as (U, Cw, Kp) so that stage 2 reads
+each column as one contiguous row of keys; it runs dense on any other
+frame, and on all when a bass transition is -inf (a dead target slot takes
+slot 0).
 
-After that one-slot tail, row d of every stage-2 column (u, c) holds
-lh[s0[d, c], u] + mx[d, c], so stage 2 bounds each chord c once rather
-than each of its U columns: with a the row of c's largest mx, row p
-cannot win or tie at any (l, u) below mx[a, c] less stage 2's drop[a, p]
-and stage 1's drop from slot s0[a, c] to s0[p, c], and the slack's scale
-is the sum of both stages' scales (scale and scale_s), as both stages'
-transitions enter the sums. After a dense stage 1 it bounds each column
-(u, c) over its rows. Either test keeps every row that reaches a column's
-maximum, so both find its maximum and lowest maximizing row. Kept
-predecessors ascend and the lowest maximizing one wins, as in the dense
-forms; a dead cell takes its key's first predecessor in stage 2 and chord
-0 in stage 3.
+Stage 2 bounds only after that one-slot tail, where row d of every
+column (u, c) holds lh[s0[d, c], u] + mx[d, c], so it bounds each chord c
+once rather than each of its U columns: with a the row of c's largest mx,
+row p cannot win or tie at any (l, u) below mx[a, c] less stage 2's
+drop[a, p] and stage 1's drop from slot s0[a, c] to s0[p, c], and the
+slack's scale is the sum of both stages' scales (scale and scale_s), as
+both stages' transitions enter the sums. The test keeps every row that
+reaches a column's maximum, so it finds its maximum and lowest maximizing
+row. Kept predecessors ascend and the lowest maximizing one wins, as in
+the dense forms; a dead cell takes its key's first predecessor in stage 2
+and chord 0 in stage 3.
 
-Stage 2 returns a reader of the rows its maxima come from: the pruned
-form keeps its (L, D, N) sums and finds a cell's first maximizing row only
-where stage 3 reads it, or at every cell by D masked copies. The pruned
-stage 3 works on rows: all cells (k, c, s) with u = slot_t[c, s] share the
-row (k, u)'s candidates, so it adds each candidate's stage-2 maximum to its
-whole row lg[k, cp, :] and reduces (L, U, D, Cw) over D in key blocks
-under the budget. Where two candidates reach a maximum, the lowest
+Stage 2 returns its maxima and the rows they come from, which the pruned
+form takes at every cell by D masked copies. The pruned stage 3 works on
+rows: all cells (k, c, s) with u = slot_t[c, s] share the row (k, u)'s
+candidates, so it adds each candidate's stage-2 maximum to its whole row
+lg[k, cp, :] and reduces (L, U, D, Cw) over D in key blocks under the
+budget. Where two candidates reach a maximum, the lowest
 (previous key, chord) wins (`_lowest_tied`, as in the dense form). A row
 that keeps one chord has one previous state for all its cells, packed once;
 when every row keeps one, the frame stores that (L, U) table.
@@ -480,15 +480,15 @@ def _step(layout: _Layout, v: np.ndarray, t: int):
     if kept is not None:
         return _stage3(layout, prev, t, *kept)
     stage_b, from_s, tail = _stage1(prev, v)
-    stage_k, rows = _stage2(layout, prev, stage_b, tail)
-    return _stage3(layout, prev, t, stage_k, rows, from_s)
+    stage_k, from_row = _stage2(layout, prev, stage_b, tail)
+    return _stage3(layout, prev, t, stage_k, from_row, from_s)
 
 
 def _chord_bound(layout: _Layout, prev: _Prev, v):
     """The previous chords that stage 3's bound can keep (module
     docstring), ascending, and stages 1 and 2 on them alone: (stage_k,
-    rows, from_s, chords); None where more than Cw / _GATHER_COST of them,
-    or all, may be kept."""
+    from_row, from_s, chords); None where more than Cw / _GATHER_COST of
+    them, or all, may be kept."""
     if not len(prev.pred):  # no live key: the frame dies
         return None
     per_key = prev.pred.shape[1] == 1  # each live key has one predecessor
@@ -501,7 +501,7 @@ def _chord_bound(layout: _Layout, prev: _Prev, v):
     ub += prev.lh_max
     chords = ub.max(axis=0).argmax(keepdims=True)
     if per_key:
-        stage_k, rows, from_s = _stages12(layout, prev, v, chords)
+        stage_k, from_row, from_s = _stages12(layout, prev, v, chords)
         col = stage_k[..., 0]
     else:
         col = _one_path(prev, v, chords[0])
@@ -516,8 +516,8 @@ def _chord_bound(layout: _Layout, prev: _Prev, v):
         return None
     if n > 1 or not per_key:
         chords = np.flatnonzero(keep)
-        stage_k, rows, from_s = _stages12(layout, prev, v, chords)
-    return stage_k, rows, from_s, chords
+        stage_k, from_row, from_s = _stages12(layout, prev, v, chords)
+    return stage_k, from_row, from_s, chords
 
 
 def _one_path(prev: _Prev, v, c):
@@ -537,7 +537,7 @@ def _one_path(prev: _Prev, v, c):
 
 def _stages12(layout: _Layout, prev: _Prev, v, chords):
     """Stages 1 and 2, dense, on the previous chords `chords` alone:
-    (stage_k, rows, from_s) with the chords on the last axis. With more
+    (stage_k, from_row, from_s) with the chords on the last axis. With more
     than one predecessor per live key, stage 2 reduces (N, L, D), each
     column n = (u, c)'s predecessor rows on the last axis, whose argmax is
     the lowest maximizing row, as the rank form's."""
@@ -553,7 +553,7 @@ def _stages12(layout: _Layout, prev: _Prev, v, chords):
     shape = (n_live, n_u, len(chords))
     stage_k = np.ascontiguousarray(val.take(at + _row_starts(val.shape)).T).reshape(shape)  # stage 3 reads it flat
     from_row = prev.pred.take(at + _row_starts(prev.pred.shape)).T.reshape(shape)
-    return stage_k, lambda at=None: from_row if at is None else from_row.take(at), from_s
+    return stage_k, from_row, from_s
 
 
 def _fused_step(layout: _Layout, prev: _Prev, t, stage_b, from_s):
@@ -614,19 +614,18 @@ def _stage1(prev: _Prev, v):
 
 
 def _stage2(layout: _Layout, prev: _Prev, stage_b, tail=None):
-    """Collapse the previous key: returns the (L, U, Cw) maxima and a reader
-    of the stage_b rows they come from, the first maximizing predecessor, at
-    the flat indices at or, with none, at every cell. Pruned, over the rows
-    the bound keeps (per chord from stage 1's tail, per column without
-    one); dense where each live key has one predecessor or the bound keeps
-    too many, over axis 1 of (L, D, U, Cw) in key blocks, where the largest
-    rank (D down to 1) equal to the max marks that predecessor."""
-    if prev.pred.shape[1] > 1:
-        cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)  # (N, Kp), as stage 1's tail wrote it
-        cand = _stage2_candidates(prev, cols, tail)
-        if cand.shape[0] * _GATHER_COST <= prev.pred.shape[1]:
-            return _stage2_pruned(prev, cols, cand, stage_b.shape[1:])
+    """Collapse the previous key: returns the (L, U, Cw) maxima and the
+    stage_b rows they come from, the first maximizing predecessor. Pruned
+    after stage 1's tail, over the rows the bound keeps per chord, where
+    the live keys have at least _GATHER_COST predecessors each; dense
+    otherwise, or where the bound keeps too many, over axis 1 of (L, D, U,
+    Cw) in key blocks, where the largest rank (D down to 1) equal to the
+    max marks that predecessor."""
     n_live, deg = prev.pred.shape
+    if tail is not None and deg > 1 and deg >= _GATHER_COST:
+        cand = _stage2_candidates(prev, tail)
+        if cand.shape[0] * _GATHER_COST <= deg:
+            return _stage2_pruned(prev, stage_b, cand)
     stage_k = np.empty((n_live, *stage_b.shape[1:]))
     from_row = np.empty(stage_k.shape, dtype=prev.pred.dtype)
     if deg == 1:  # every cell's row is its key's one predecessor
@@ -641,61 +640,46 @@ def _stage2(layout: _Layout, prev: _Prev, stage_b, tail=None):
             tmp += prev.lf_pred[ks]
             mx = tmp.max(axis=1, out=stage_k[ks])
             from_row[ks] = prev.pred[layout.key_idx[ks], deg - (np.equal(tmp, mx[:, None]) * rank).max(axis=1)]
-    return stage_k, lambda at=None: from_row if at is None else from_row.take(at)
+    return stage_k, from_row
 
 
-def _stage2_candidates(prev: _Prev, cols, tail=None):
-    """(D, N) rows of each stage-2 column n = (u, c) of cols (N, Kp) that
-    the bound keeps, ascending, padded to the widest column with repeats of
-    its maximizing row d0, which is all a dead column keeps. With stage 1's
-    tail (s0, mx), the bound runs once per chord c over the rows' mx[c]
-    (module docstring), and each chord's rows, padded with its best row,
-    serve its U columns."""
-    if tail is None:
-        x, drop, scale = cols, prev.delta, prev.scale
-    else:
-        s0, x = tail
-        sp = prev.slots.shape[1]
-        chord = _row_starts((len(s0), sp))  # (Cw,) each chord's first row c * Sp in delta_s
+def _stage2_candidates(prev: _Prev, tail):
+    """(D, U * Cw) rows of each stage-2 column (u, c) that the bound keeps,
+    ascending, padded to the widest with repeats of its maximizing row d0,
+    which is all a dead column keeps. The bound runs once per chord c over
+    the rows' mx[c] from stage 1's tail (s0, mx) (module docstring), and
+    each chord's rows serve its U columns."""
+    s0, mx = tail
+    sp = prev.slots.shape[1]
+    chord = _row_starts((len(s0), sp))  # (Cw,) each chord's first row c * Sp in delta_s
 
-        def drop(a):  # delta[a, p] + delta_s[c * Sp + s0[a, c], s0[p, c]] at each chord's best row a
-            row = chord + s0.take(a + _row_starts(s0.shape))
-            return prev.delta.take(a, axis=0) + prev.delta_s.take((row * sp)[:, None] + s0)
+    def drop(a):  # delta[a, p] + delta_s[c * Sp + s0[a, c], s0[p, c]] at each chord's best row a
+        row = chord + s0.take(a + _row_starts(s0.shape))
+        return prev.delta.take(a, axis=0) + prev.delta_s.take((row * sp)[:, None] + s0)
 
-        scale = prev.scale + prev.scale_s
-    d0, _, keep = _bound(x, drop, scale)
+    d0, _, keep = _bound(mx, drop, prev.scale + prev.scale_s)
     at, rows = np.divmod(np.flatnonzero(keep), keep.shape[1])
-    count = np.bincount(at, minlength=len(x))
+    count = np.bincount(at, minlength=len(mx))
     cand = np.tile(d0, (max(1, int(count.max(initial=0))), 1))
     cand[np.arange(at.size) - (np.cumsum(count) - count)[at], at] = rows
-    return cand if tail is None else np.tile(cand, len(cols) // len(x))
+    return np.tile(cand, len(prev.lh_g))
 
 
-def _stage2_pruned(prev: _Prev, cols, cand, shape):
-    """Stage 2 over the candidate rows cand (D, N) of cols (N, Kp), the
-    (U, Cw) = shape columns: the maximum of (L, D, N), and a reader of the
-    lowest maximizing rows by D masked copies, lowest row last, over the
-    sums at the cells it reads."""
+def _stage2_pruned(prev: _Prev, stage_b, cand):
+    """Stage 2 over the candidate rows cand (D, N) of the N = U * Cw columns
+    of stage_b (Kp, U, Cw): the maximum of (L, D, N), and the lowest
+    maximizing rows by D masked copies, lowest row last."""
+    cols = stage_b.reshape(len(stage_b), -1).T  # (N, Kp), contiguous as stage 1's tail wrote it
     val = prev.lf_rows.take(cand, axis=1)
     val += cols.take(cand + _row_starts(cols.shape))
     stage_k = val.max(axis=1)
-    n_cols, shape = cand.shape[1], (len(val), *shape)
-
-    def rows(at=None):
-        if at is None:
-            c, sums, mx, k = cand[:, None], val.transpose(1, 0, 2), stage_k, np.arange(len(val))[:, None]
-        else:  # val's (k, d, n) at each flat (k, n) and every d
-            k, n = np.divmod(at, n_cols)
-            c, mx = cand.take(n, axis=1), stage_k.take(at)
-            sums = val.take(np.add.outer(np.arange(len(cand)) * n_cols, at + k * (len(cand) - 1) * n_cols))
-        row = np.array(np.broadcast_to(c[-1], mx.shape))
-        for j in range(len(c) - 2, -1, -1):
-            np.copyto(row, c[j], where=sums[j] == mx)
-        if prev.gaps:  # a dead cell comes from its key's first predecessor, as in the dense form
-            np.copyto(row, prev.pred[:, 0].take(k), where=mx == -np.inf)
-        return row.reshape(shape) if at is None else row
-
-    return stage_k.reshape(shape), rows
+    from_row = np.array(np.broadcast_to(cand[-1], stage_k.shape))
+    for j in range(len(cand) - 2, -1, -1):
+        np.copyto(from_row, cand[j], where=val[:, j] == stage_k)
+    if prev.gaps:  # a dead cell comes from its key's first predecessor, as in the dense form
+        np.copyto(from_row, prev.pred[:, :1], where=stage_k == -np.inf)
+    shape = (len(val), *stage_b.shape[1:])
+    return stage_k.reshape(shape), from_row.reshape(shape)
 
 
 def _stage3_candidates(stage_k, drop, scale):
@@ -711,7 +695,7 @@ def _stage3_candidates(stage_k, drop, scale):
     return cand
 
 
-def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s, chords=None):
+def _stage3(layout: _Layout, prev: _Prev, t, stage_k, from_row, from_s, chords=None):
     """Collapse the previous chord, dense over every previous chord or in
     row form over the candidates cand (L, U, D) that the bound keeps, in key
     blocks under the element budget; returns frame t's v and backpointers.
@@ -732,11 +716,10 @@ def _stage3(layout: _Layout, prev: _Prev, t, stage_k, rows, from_s, chords=None)
         prev_c = chord(cand)
         best = layout.lg_from.take(prev_c[..., 0] + layout.key_idx[..., 0] * cw, axis=0)  # (L, U, Cw)
         best += stage_k.take(at)
-        packed = _pack(prev, rows(at), from_s, at, layout.key_idx, prev_c).astype(layout.bp_dtype)
+        packed = _pack(prev, from_row.take(at), from_s, at, layout.key_idx, prev_c).astype(layout.bp_dtype)
         v = best.take(layout.cells)
         v += layout.emission(t)
         return v, packed[..., 0]
-    from_row = rows()
     lg_live = layout.lg_live if chords is None or cand is not None else layout.lg_live.take(chords, axis=2)
     # elements per (k, c, S) cell: n dense; in row form, 3 D and 24 for the tie path and packing
     block = max(1, _BLOCK_ELEMENTS // (cw * s * (n if cand is None else 3 * cand.shape[2] + 24)))

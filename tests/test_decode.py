@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import (
     enumerate_best_path,
     brute_force_posteriors,
@@ -98,14 +99,17 @@ def score_path(m, constraints, treble, bass, keys, chords, basses):
     """Joint log-probability of a given state path under the same
     constraint-applied tables the decoder uses."""
     tables = decode._build_tables(m, constraints, treble, bass)
-    lr = wide_lr(tables)
     pos = {c: i for i, c in enumerate(tables.working.tolist())}
-    keys = np.asarray(keys)
-    chords = np.asarray(chords)
-    basses = np.asarray(basses)
-    if any(c not in pos for c in chords.tolist()):
+    if any(c not in pos for c in np.asarray(chords).tolist()):
         return -np.inf
-    cw_idx = np.array([pos[c] for c in chords.tolist()])
+    return score_table_path(tables, keys, [pos[c] for c in np.asarray(chords).tolist()], basses)
+
+
+def score_table_path(tables, keys, cw_idx, basses):
+    """Joint log-probability of a state path under log tables, chords given
+    as working-set positions."""
+    lr = wide_lr(tables)
+    keys, cw_idx, basses = np.asarray(keys), np.asarray(cw_idx), np.asarray(basses)
     lp = (
         tables.lpi_k[keys[0]]
         + tables.lpi_c[cw_idx[0]]
@@ -305,11 +309,12 @@ def stage_form(form):
     table sizes, or stage 1 dense and stages 2 and 3 fused into one argmax
     per cell wherever each live key has one predecessor and the fused table
     holds at most 2**20 elements, dense elsewhere; a stage-2 bound runs only
-    where a live key has several predecessors, and stage 1 stays dense
-    under every form when a bass transition is -inf. Where the form turns
-    the chord bound on, a frame that it bounds runs stages 1 and 2 dense on
-    the previous chords it keeps, and stage 3 on those. The dense forms are
-    the bounds' own fallbacks, taken on every frame."""
+    after stage 1's one-slot tail where a live key has several predecessors,
+    and stage 1 stays dense under every form when a bass transition is -inf.
+    Where the form turns the chord bound on, a frame that it bounds runs
+    stages 1 and 2 dense on the previous chords it keeps, and stage 3 on
+    those. The dense forms are the bounds' own fallbacks, taken on every
+    frame."""
     f = STAGE_FORMS[form]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decode, "_GATHER_COST", f.gather_cost)
@@ -387,13 +392,14 @@ def stages12_runs():
 
 @contextlib.contextmanager
 def per_chord_bounds():
-    """For each call of `decode._stage2_candidates` while open, whether it
-    bounded the rows per chord from stage 1's tail (or per column)."""
+    """For each call of `decode._stage2_candidates`, which bounds stage 2's
+    rows per chord from stage 1's tail, while open: its predecessors per
+    live key, D."""
     calls, real = [], decode._stage2_candidates
 
-    def spy(prev, cols, tail=None):
-        calls.append(tail is not None)
-        return real(prev, cols, tail)
+    def spy(prev, tail):
+        calls.append(prev.pred.shape[1])
+        return real(prev, tail)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decode, "_stage2_candidates", spy)
@@ -415,9 +421,12 @@ def _assert_matches_enumeration(tables, flat, trial):
         assert keys.tolist() == rk and chords.tolist() == rc and basses.tolist() == rb
 
 
+_LOG_TABLE_NAMES = ("lpi_k", "lpi_c", "lpi_b", "lf", "lg", "lh", "lr", "emis_c", "emis_b")
+
+
 def _integer_log_tables(tables, rng):
     """Replace every finite log entry with -1 or -2, so that paths tie."""
-    for name in ("lpi_k", "lpi_c", "lpi_b", "lf", "lg", "lh", "lr", "emis_c", "emis_b"):
+    for name in _LOG_TABLE_NAMES:
         arr = getattr(tables, name)
         arr[:] = np.where(np.isfinite(arr), -rng.integers(1, 3, size=arr.shape), arr)
 
@@ -466,7 +475,7 @@ def _offset_tables(tables, offset):
     """Every chord transition made finite (-1), then every log table shifted
     by offset; -inf entries stay -inf."""
     tables.lg[~np.isfinite(tables.lg)] = -1.0
-    for name in ("lpi_k", "lpi_c", "lpi_b", "lf", "lg", "lh", "lr", "emis_c", "emis_b"):
+    for name in _LOG_TABLE_NAMES:
         getattr(tables, name)[:] += offset
     return tables
 
@@ -799,16 +808,116 @@ class TestViterbiOracle:
     def test_uniform_model_picks_lowest_states(self):
         rng = np.random.default_rng(10)
         tables, _ = random_log_tables(rng, 2, 3, 2, T=5)
-        for name in ("lpi_k", "lpi_c", "lpi_b", "lf", "lg", "lh", "lr", "emis_c", "emis_b"):
+        for name in _LOG_TABLE_NAMES:
             getattr(tables, name)[:] = -1.0
         keys, chords, basses, _, _ = _viterbi_tables(tables)
         assert np.all(keys == 0) and np.all(chords == 0) and np.all(basses == 0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzz_forms_agree_and_match_flat_viterbi(data):
+    # Mid-sized random models, between the enumeration oracles' 12 states and
+    # the hand-built form cases: 1-4 keys (D > 1 wherever a key keeps
+    # several predecessors), 4-24 chords, 1-5 basses and 2-12 frames, with
+    # -inf holes, bass slot caps and key transitions cut at random. Tables
+    # are real; integer (`_integer_log_tables`), whose sums are exact; or
+    # tenths (integer tables times 0.1), whose sums tie in exact arithmetic
+    # but not always in floats, the case each bound's slack is for. Chord
+    # and bass emissions spread over hundreds of nats or not, so that the
+    # chord bound keeps subsets and stage 1 takes its one-slot tail; some
+    # frames are flat, as a silent one is, and tie every chord and bass.
+    # Every frame's v and backpointers, from the dense form's previous v,
+    # are the same bytes in every form and at the default rule. On integer
+    # tables the path and log-prob are flat Viterbi's, tie-break included;
+    # on the others the log-prob is within 1e-9 of flat Viterbi's, and the
+    # path scores it.
+    draw = data.draw
+    n_keys, n_chords, n_bass, T = (draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (4, 24), (1, 5), (2, 12)))
+    kind = draw(st.sampled_from(["real", "tenths", "integer"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sparsity, slot_cap = draw(st.sampled_from([0.0, 0.2])), draw(st.integers(1, n_bass))
+    tables, _ = random_log_tables(rng, n_keys, n_chords, n_bass, T, sparsity, slot_cap)
+    tables.lf[rng.random(tables.lf.shape) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = -np.inf
+    if kind != "real":
+        _integer_log_tables(tables, rng)
+    if kind == "tenths":
+        for name in _LOG_TABLE_NAMES:
+            getattr(tables, name)[:] *= 0.1
+    tables.emis_c *= draw(st.sampled_from([1, 100]))
+    tables.emis_b *= draw(st.sampled_from([1, 100]))
+    flat = np.array(draw(st.lists(st.booleans(), min_size=T, max_size=T)))
+    tables.emis_c[flat] = tables.emis_c[flat].max(axis=1, keepdims=True)
+    tables.emis_b[flat] = tables.emis_b[flat].max(axis=1, keepdims=True)
+
+    forms = (None, *STAGE_FORMS)  # None: the default rule
+    layouts = {}
+    for form in forms:
+        with stage_form(form) if form else contextlib.nullcontext():
+            layouts[form] = decode._layout(tables)
+    v = _frame0_v(tables)
+    for t in range(1, T):
+        out = {}
+        for form in forms:
+            with stage_form(form) if form else contextlib.nullcontext():
+                out[form] = _step_cells(layouts[form], v, t)
+        v, bp = out["dense"]
+        for form in forms:
+            assert v.tobytes() == out[form][0].tobytes(), f"frame {t}, {form}"
+            assert bp.tobytes() == out[form][1].tobytes(), f"frame {t}, {form}"
+        if not np.isfinite(v).any():
+            break
+    ref_lp, ref_path = flat_viterbi(*_flat_tables(tables))
+    if ref_lp == -np.inf:
+        with pytest.raises(NoAdmissiblePathError):
+            _viterbi_tables(tables)
+        return
+    keys, chords, basses, lp, _ = _viterbi_tables(tables)
+    if kind == "integer":
+        assert lp == ref_lp
+        assert (keys.tolist(), chords.tolist(), basses.tolist()) == split_flat_path(ref_path, n_chords, n_bass)
+    else:
+        assert lp == pytest.approx(ref_lp, abs=1e-9)
+        assert score_table_path(tables, keys, chords, basses) == pytest.approx(lp, abs=1e-9)
 
 
 def _flat_cells(keys, slots, n_chords, n_bass):
     """Flat (key, chord, bass) index of each cell of a v whose rows are
     `keys` and whose bass axis holds `slots`."""
     return (keys[:, None, None] * n_chords + np.arange(n_chords)[:, None]) * n_bass + slots
+
+
+_FORMS_DEAD_CHORD = {"bass-tail": 1, "one-predecessor": 1, "dead-chord-0": 0}
+# key l's predecessors under gamma-several-predecessors, as rows of (to, from): one, two and three (D = 3)
+_SEVERAL_PREDECESSORS = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 1]]) > 0
+
+
+def _forms_case_tables(case):
+    """The 10-frame, 4-key, 30-chord, 13-bass tables of one case of
+    `TestStep.test_forms_agree_bit_for_bit` (described there)."""
+    rng = np.random.default_rng(34)
+    n_keys, n_chords, n_bass, T = 4, 30, 13, 10
+    if case.startswith("integer"):
+        tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, 3)
+    else:
+        tables, _ = random_log_tables(
+            rng, n_keys, n_chords, n_bass, T,
+            sparsity=0.1 * (case not in ("random", "gamma", "gamma-several-predecessors", "dead-chord-0")),
+            slot_cap=3,
+        )
+        tables.emis_c[:] = rng.normal(scale=100.0, size=tables.emis_c.shape)
+    if case == "bass-tail":
+        tables.lh[~np.isfinite(tables.lh)] = -5.0
+        tables.emis_b[:] = rng.normal(scale=1e4, size=tables.emis_b.shape)
+    dead_chord = _FORMS_DEAD_CHORD.get(case)
+    if dead_chord is not None:
+        tables.lpi_c[dead_chord] = tables.lg[:, :, dead_chord] = -np.inf
+    if case.endswith("one-predecessor") or case == "gamma":
+        lf = np.eye(n_keys)[[1, 0, 3, 2]] > 0
+        tables.lf[~lf] = -np.inf
+    if case == "gamma-several-predecessors":
+        tables.lf[~_SEVERAL_PREDECESSORS.T] = -np.inf
+    return tables
 
 
 class TestStep:
@@ -1012,31 +1121,11 @@ class TestStep:
         # throughout, so each previous chord's -inf transition into it keeps
         # stage 3's rows whole, the chord bound keeps every chord, and chord
         # 0's dead cells come from chord 0 as in the dense form.
-        rng = np.random.default_rng(34)
-        n_keys, n_chords, n_bass, T = 4, 30, 13, 10
+        tables = _forms_case_tables(case)
+        T = len(tables.emis_c)
         one_pred = case.endswith("one-predecessor") or case == "gamma"
-        deg = 1 if one_pred else 3 if case == "gamma-several-predecessors" else n_keys
-        if case.startswith("integer"):
-            tables = _wide_integer_tables(rng, n_keys, n_chords, n_bass, T, 3)
-        else:
-            tables, _ = random_log_tables(
-                rng, n_keys, n_chords, n_bass, T,
-                sparsity=0.1 * (case not in ("random", "gamma", "gamma-several-predecessors", "dead-chord-0")),
-                slot_cap=3,
-            )
-            tables.emis_c[:] = rng.normal(scale=100.0, size=tables.emis_c.shape)
-        if case == "bass-tail":
-            tables.lh[~np.isfinite(tables.lh)] = -5.0
-            tables.emis_b[:] = rng.normal(scale=1e4, size=tables.emis_b.shape)
-        dead_chord = {"bass-tail": 1, "one-predecessor": 1, "dead-chord-0": 0}.get(case)
-        if dead_chord is not None:
-            tables.lpi_c[dead_chord] = tables.lg[:, :, dead_chord] = -np.inf
-        if one_pred:
-            lf = np.eye(n_keys)[[1, 0, 3, 2]] > 0
-            tables.lf[~lf] = -np.inf
-        if case == "gamma-several-predecessors":  # key l's predecessors, as rows of (to, from)
-            reach = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 1]]) > 0
-            tables.lf[~reach.T] = -np.inf
+        deg = 1 if one_pred else 3 if case == "gamma-several-predecessors" else 4
+        dead_chord = _FORMS_DEAD_CHORD.get(case)
         layouts = {}
         for form in STAGE_FORMS:
             with stage_form(form):
@@ -1052,8 +1141,7 @@ class TestStep:
                 with stage_form(form), per_chord_bounds() as per_chord, chord_bounds() as subset, stages12_runs() as s:
                     stage_b, from_s, tail = decode._stage1(prev, v)
                     stage1[form] = stage_b, from_s
-                    stage_k, rows = decode._stage2(layout, prev, stage_b, tail)
-                    stage2[form] = stage_k, rows(np.arange(stage_k.size).reshape(stage_k.shape))
+                    stage2[form] = decode._stage2(layout, prev, stage_b, tail)
                     out[form] = _step_cells(layout, v, t)
                 # `_step` bounds the previous chords unless it fuses; the bound keeps nothing where the form turns it off
                 assert len(subset) == (prev.fused is None), f"frame {t}, {form}"
@@ -1061,10 +1149,10 @@ class TestStep:
                 if prev.pred.shape[1] > 1:  # one pass of stages 1 and 2 on a bounded frame, none on another
                     assert len(s) == (subset == [True]), f"frame {t}, {form}"
                 assert (tail is not None) == (form == "pruned" and _took_stage1_tail(from_s)), f"frame {t}, {form}"
-                assert per_chord == [tail is not None] * len(per_chord), f"frame {t}, {form}"
-                # ours, and `_step`'s where the chord bound kept every chord or too many, where keys have several
-                # predecessors: a dense form's stage 2 falls back from the bound it tried
-                assert len(per_chord) == (prev.pred.shape[1] > 1) * (1 + (subset == [False])), f"frame {t}, {form}"
+                # ours, and `_step`'s where the chord bound kept every chord or too many: stage 2 bounds its rows
+                # after the tail where keys have several predecessors (and at least _GATHER_COST, 0 when pruned)
+                bounded = tail is not None and prev.pred.shape[1] > 1
+                assert len(per_chord) == bounded * (1 + (subset == [False])), f"frame {t}, {form}"
                 fused += form == "fused" and prev.fused is not None
                 subsets[form] += subset == [True]
             one_slot += _took_stage1_tail(stage1["pruned"][1])
@@ -1097,6 +1185,36 @@ class TestStep:
             assert subsets["pruned"] == subsets["chord bound on"] == 0, subsets
         if dead_chord is not None:
             assert not np.isfinite(v[:, dead_chord]).any()
+
+    @pytest.mark.parametrize("case", ["bass-tail", "gamma-several-predecessors"])
+    def test_stage2_bound_runs_after_the_tail_where_it_can_prune(self, case):
+        # At the default rule, stage 2 bounds its rows (once per chord, from
+        # stage 1's one-slot tail) on exactly the frames whose stage 1 took
+        # the tail and whose live keys have at least _GATHER_COST
+        # predecessors: with fewer, even one kept row would cost more than
+        # all of them. Both cases take bass-tail's tables, on whose frames
+        # stage 1 takes the tail and the chord bound keeps every chord. Its
+        # keys have four predecessors (D = 4), so stage 2 bounds every
+        # frame; gamma-several-predecessors' key transitions, with bass-tail's
+        # -inf holes, leave two (D = 2), so stage 2 bounds none.
+        tables = _forms_case_tables("bass-tail")
+        if case == "gamma-several-predecessors":
+            tables.lf[~_SEVERAL_PREDECESSORS.T] = -np.inf
+        layout, v = decode._layout(tables), _frame0_v(tables)
+        assert layout.rest.pred.shape[1] == (4 if case == "bass-tail" else 2) and decode._GATHER_COST == 4
+        tails, stage1 = [], decode._stage1
+
+        def spy(prev, v):
+            out = stage1(prev, v)
+            tails.append(out[2] is not None)
+            return out
+
+        with pytest.MonkeyPatch.context() as patch, per_chord_bounds() as per_chord:
+            patch.setattr(decode, "_stage1", spy)
+            for t in range(1, len(tables.emis_c)):
+                v = decode._step(layout, v, t)[0]
+        assert tails == [True] * (len(tables.emis_c) - 1), tails
+        assert per_chord == ([4] * len(tails) if case == "bass-tail" else []), per_chord
 
     def test_fused_step_needs_one_predecessor_per_key(self):
         # Rows a < b reach key 0 with stage-2 sums one ulp apart just below
@@ -1483,7 +1601,7 @@ def test_stage3_rows_break_cross_key_ties_as_the_dense_form():
     for t in range(1, treble.n_frames):
         prev = layout.first if t == 1 else layout.rest
         with stage_form("pruned"):
-            stage_k, rows = decode._stage2(layout, prev, decode._stage1(prev, v)[0])
+            stage_k, from_row = decode._stage2(layout, prev, decode._stage1(prev, v)[0])
             cand = decode._stage3_candidates(stage_k, layout.drop, layout.scale)
             v_rows, bp_rows = _step_cells(layout, v, t)
         with stage_form("dense"):
@@ -1492,7 +1610,7 @@ def test_stage3_rows_break_cross_key_ties_as_the_dense_form():
         assert bp.dtype == bp_rows.dtype and bp.tobytes() == bp_rows.tobytes(), f"frame {t}"
         wide += cand.shape[2] > 1
         dead += np.count_nonzero(stage_k.max(axis=-1) == -np.inf)
-        key_of = np.take_along_axis(rows(), cand, axis=-1)[..., None]  # (L, U, D, 1) each candidate's row
+        key_of = np.take_along_axis(from_row, cand, axis=-1)[..., None]  # (L, U, D, 1) each candidate's row
         for k in range(len(cand)):
             val = tables.lg[layout.live[k]][cand[k]] + np.take_along_axis(stage_k[k], cand[k], axis=-1)[..., None]
             best = val.max(axis=1, keepdims=True)
@@ -1502,45 +1620,30 @@ def test_stage3_rows_break_cross_key_ties_as_the_dense_form():
     assert wide > 0 and cross > 0 and dead > 0, (wide, cross, dead)
 
 
-@pytest.mark.parametrize("stage1", ["tail", "tail, per column", "dense"])
-def test_pruned_stage2_reads_rows_where_asked(stage1):
-    # The pruned stage 2 finds a cell's first maximizing previous row from
-    # its sums only where it is read. At arbitrary cells, and at every cell
-    # at once, that is the row the dense form takes: the lowest maximizing
-    # one, and for a dead cell its key's first predecessor. Random tables
-    # with -inf key transitions leave keys that some rows do not reach, and
-    # one chord impossible at the previous frame kills its columns. Stage 1
-    # takes its one-slot tail (every bass transition finite, v spread over
-    # a million nats), whose rows stage 2 bounds once per chord, or runs
-    # dense (a -inf bass transition), and stage 2 bounds each column. The
-    # per-column bound after the tail keeps no row that the per-chord one
-    # drops.
+def test_pruned_stage2_takes_the_lowest_maximizing_rows():
+    # After stage 1's one-slot tail (every bass transition finite, v spread
+    # over a million nats), the pruned stage 2 bounds its rows once per
+    # chord and takes, at every cell, the row the dense form takes: the
+    # lowest maximizing one, and for a dead cell its key's first
+    # predecessor. Random tables with -inf key transitions leave keys that
+    # some rows do not reach, and one chord impossible at the previous frame
+    # kills its columns.
     rng = np.random.default_rng(35)
     gaps = dead = 0
     for trial in range(12):
         tables, _ = random_log_tables(rng, 6, 5, 4, 3, sparsity=0.3, slot_cap=2)
         tables.lh[:] = rng.normal(size=tables.lh.shape)
-        if stage1 == "dense":
-            tables.lh[0, 1] = -np.inf
         with stage_form("pruned"):
             layout = decode._layout(tables)
             prev = layout.rest
             v = rng.normal(scale=1e6, size=(prev.keys.size, *prev.slots.shape))
             v[:, rng.integers(prev.slots.shape[0])] = -np.inf
             stage_b, from_s, tail = decode._stage1(prev, v)
-            cols = np.ascontiguousarray(stage_b.reshape(len(stage_b), -1).T)
-            cand = decode._stage2_candidates(prev, cols, None if stage1 == "tail, per column" else tail)
-            stage_k, rows = decode._stage2_pruned(prev, cols, cand, stage_b.shape[1:])
-        assert _took_stage1_tail(from_s) == (tail is not None) == stage1.startswith("tail")
-        if stage1 == "tail, per column":
-            per_chord = np.zeros(cols.shape, dtype=bool)
-            per_chord[np.arange(len(cols)), decode._stage2_candidates(prev, cols, tail)] = True
-            assert not (decode._bound(cols, prev.delta, prev.scale)[2] & ~per_chord).any(), f"trial {trial}"
+            stage_k, from_row = decode._stage2_pruned(prev, stage_b, decode._stage2_candidates(prev, tail))
+        assert _took_stage1_tail(from_s) and tail is not None
         sums = prev.lf_rows[:, :, None] + stage_b.reshape(len(stage_b), -1)  # (L, Kp, N)
         want = np.where(stage_k.reshape(len(sums), -1) > -np.inf, sums.argmax(axis=1), prev.pred[:, :1])
-        assert np.array_equal(rows(), want.reshape(stage_k.shape)), f"trial {trial}"
-        at = rng.integers(want.size, size=(2, 3, 5))
-        assert np.array_equal(rows(at), want.reshape(-1)[at]), f"trial {trial}"
+        assert np.array_equal(from_row, want.reshape(stage_k.shape)), f"trial {trial}"
         gaps += prev.gaps
         dead += np.count_nonzero(stage_k == -np.inf)
     assert gaps > 0 and dead > 0, (gaps, dead)
@@ -1626,16 +1729,15 @@ def test_subset_stage2_equals_rank_form_bit_for_bit(seed):
             gone = rng.integers(len(prev.slots))
             v[:, gone] = -np.inf
             chords = np.union1d(rng.choice(len(prev.slots), size=rng.integers(1, 4), replace=False), [gone])
-            stage_k, rows, from_s = decode._stages12(layout, prev, v, chords)
+            stage_k, from_row, from_s = decode._stages12(layout, prev, v, chords)
             shape = (len(prev.keys), len(prev.lh_g), len(chords), v.shape[-1])
             sub = prev._replace(lh_g=prev.lh_g[:, chords], starts=decode._row_starts(shape), dense_s=True)
             stage_b, want_s, _ = decode._stage1(sub, v[:, chords])
             with stage_form("dense"):
                 want_k, want_rows = decode._stage2(layout, sub, stage_b)
             assert stage_k.shape == want_k.shape and stage_k.tobytes() == want_k.tobytes(), f"trial {trial}"
-            assert rows().dtype == want_rows().dtype and np.array_equal(rows(), want_rows()), f"trial {trial}"
-            at = rng.integers(stage_k.size, size=(3, 4))
-            assert np.array_equal(rows(at), want_rows(at)) and np.array_equal(from_s, want_s), f"trial {trial}"
+            assert from_row.dtype == want_rows.dtype and np.array_equal(from_row, want_rows), f"trial {trial}"
+            assert np.array_equal(from_s, want_s), f"trial {trial}"
             sums = stage_b.take(prev.pred, axis=0) + prev.lf_pred  # (L, D, U, n)
             padded += np.count_nonzero(prev.lf_pred == -np.inf)
             dead += np.count_nonzero(want_k == -np.inf)
